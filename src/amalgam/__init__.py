@@ -34,7 +34,6 @@ from .martingale import (
     stop,
 )
 from .norms import (
-    ExponentConfig,
     all_five_norms,
     hardy_S_norm,
     hardy_s_norm,

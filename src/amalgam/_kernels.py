@@ -2,75 +2,18 @@
 
 Everything in this package reduces values over the cells of a partition
 (label array): probability-weighted sums for conditioning and block
-integrals, per-cell maxima for measurable majorants.  Two implementations
-are provided: numba ``@njit`` kernels and plain-numpy fallbacks.  Set
-``AMALGAM_NO_NUMBA=1`` to force the numpy path (the numba path is also
-skipped automatically when numba is not importable).
+integrals, per-cell maxima for measurable majorants.
 """
-
-import os
 
 import numpy as np
 
 
-def _numba_wanted() -> bool:
-    return os.environ.get("AMALGAM_NO_NUMBA", "0").lower() not in ("1", "true", "yes")
-
-
-def np_cell_sums(labels, n_cells, weights):
+def cell_sums(labels, n_cells, weights):
     # labels: int array, weights: float array of equal length
     return np.bincount(labels, weights=weights, minlength=n_cells).astype(np.float64)
 
 
-def np_cell_max(labels, n_cells, values):
+def cell_max(labels, n_cells, values):
     out = np.full(n_cells, -np.inf)
     np.maximum.at(out, labels, values)
     return out
-
-
-BACKEND = "numpy"
-
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _nb_cell_sums(labels, n_cells, weights):
-            out = np.zeros(n_cells)
-            for i in range(labels.shape[0]):
-                out[labels[i]] += weights[i]
-            return out
-
-        @njit(cache=True)
-        def _nb_cell_max(labels, n_cells, values):
-            out = np.full(n_cells, -np.inf)
-            for i in range(labels.shape[0]):
-                v = values[i]
-                if v > out[labels[i]]:
-                    out[labels[i]] = v
-            return out
-
-        def nb_cell_sums(labels, n_cells, weights):
-            return _nb_cell_sums(
-                np.ascontiguousarray(labels, dtype=np.int64),
-                n_cells,
-                np.ascontiguousarray(weights, dtype=np.float64),
-            )
-
-        def nb_cell_max(labels, n_cells, values):
-            return _nb_cell_max(
-                np.ascontiguousarray(labels, dtype=np.int64),
-                n_cells,
-                np.ascontiguousarray(values, dtype=np.float64),
-            )
-
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - depends on environment
-        pass
-
-if BACKEND == "numba":
-    cell_sums = nb_cell_sums
-    cell_max = nb_cell_max
-else:
-    cell_sums = np_cell_sums
-    cell_max = np_cell_max

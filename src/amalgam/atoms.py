@@ -28,7 +28,7 @@ from .martingale import (
     stop,
 )
 from .norms import hardy_s_norm, lpq_norm, p_space_norm, q_space_norm
-from .space import FilteredSpace, SpaceError, StoppingTime, conditional_expectation, default_tol
+from .space import FilteredSpace, StoppingTime, conditional_expectation, default_tol
 
 FLAVORS = ("s", "S", "star")
 DEFNS = ("simple", "weighted")
@@ -75,6 +75,15 @@ def atom_statistic(flavor: str, atom: Martingale) -> np.ndarray:
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
+def source_norm_for(f: Martingale, flavor, p, q) -> float:
+    """The norm a decomposition of this flavor is certified against."""
+    if flavor == "s":
+        return hardy_s_norm(f, p, q)
+    if flavor == "S":
+        return q_space_norm(f, p, q)
+    return p_space_norm(f, p, q)
+
+
 def default_r(flavor: str) -> float:
     """Verification exponent: 2 on the s side, infinity for S/star."""
     return 2.0 if flavor == "s" else math.inf
@@ -95,15 +104,12 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     if flavor == "s":
         stat = _ladder_statistic(f, "s-ladder")
         base_exp = 1  # lambda_k carries 2^{k+1}
-        source = hardy_s_norm(f, p, q)
     else:
-        beta = minimal_envelope(f, flavor)
-        stat = beta.levels
+        stat = minimal_envelope(f, flavor).levels
         base_exp = 2  # envelope ladders carry 2^{k+2}
-        source = q_space_norm(f, p, q) if flavor == "S" else p_space_norm(f, p, q)
 
     window = ladder_window(stat)
-    dec = Decomposition(space, flavor, defn, p, q, [], source)
+    dec = Decomposition(space, flavor, defn, p, q, [], source_norm_for(f, flavor, p, q))
     if window is None:
         return dec
     k_min, k_max = window
@@ -197,12 +203,16 @@ def verify_atom(t: AtomTriple, p, q, r=None, tol=None) -> AtomReport:
 
 
 def reconstruct(d: Decomposition, n) -> np.ndarray:
-    """Sum of lambda_k E_n[a^k]; equals f_n exactly on the full window."""
+    """Sum of lambda_k E_n[a^k]; equals f_n exactly on the full window.
+
+    Conditioning is linear, so the rungs are summed first and the sum is
+    conditioned once.
+    """
     d.space._check_level(n)
-    out = np.zeros(d.space.size)
+    total = np.zeros(d.space.size)
     for t in d.triples:
-        out += t.lam * conditional_expectation(d.space, t.terminal, n)
-    return out
+        total += t.lam * t.terminal
+    return conditional_expectation(d.space, total, n)
 
 
 def rung_weight(d: Decomposition, t: AtomTriple, p, q) -> float:

@@ -17,15 +17,14 @@ from .atoms import (
     DEFAULT_ETA_GRID,
     DEFNS,
     FLAVORS,
-    aggregate_eta_norm,
     certify_bounds,
     decompose,
     reconstruct,
+    source_norm_for,
     verify_atom,
 )
 from .duality import certify_duality, pairing, reverse_minkowski_check
 from .harness import BLOCK_POLICIES, CorpusSpec, GENERATORS, explore_embeddings, generate
-from .martingale import from_terminal
 from .norms import all_five_norms, lp_norm, lpq_norm
 from .space import SpaceError, default_tol
 
@@ -71,19 +70,7 @@ def cmd_decompose(args):
     doc = jsonio.decomposition_to_doc(d)
     grid = _parse_grid(args.eta_grid) if args.eta_grid else DEFAULT_ETA_GRID
     cert = certify_bounds(f, d, eta_grid=grid)
-    doc["certificate"] = {
-        "source_norm": d.source_norm,
-        "entries": [
-            {
-                "eta": e.eta,
-                "aggregate": e.aggregate,
-                "budget": e.budget,
-                "upper_ok": e.upper_ok,
-                "converse_ok": e.converse_ok,
-            }
-            for e in cert.entries
-        ],
-    }
+    doc["certificate"] = jsonio.certificate_to_doc(cert)
     _emit(doc, args.output)
     return OK if cert.passed else CERT_FAIL
 
@@ -91,7 +78,7 @@ def cmd_decompose(args):
 def cmd_verify(args):
     f = jsonio.martingale_from_doc(jsonio.load_json(args.input))
     d = jsonio.decomposition_from_doc(jsonio.load_json(args.decomposition), f.space)
-    d.source_norm = jsonio.source_norm_for(f, d.flavor, d.p, d.q)
+    d.source_norm = source_norm_for(f, d.flavor, d.p, d.q)
     tol = default_tol()
     scale = max(1.0, float(np.max(np.abs(f.levels))))
 
@@ -135,20 +122,7 @@ def cmd_verify(args):
             "max_residual": worst,
         },
         "atoms": {"ok": atoms_ok, "reports": atom_reports},
-        "bounds": {
-            "ok": cert.passed,
-            "source_norm": cert.source_norm,
-            "entries": [
-                {
-                    "eta": e.eta,
-                    "aggregate": e.aggregate,
-                    "budget": e.budget,
-                    "upper_ok": e.upper_ok,
-                    "converse_ok": e.converse_ok,
-                }
-                for e in cert.entries
-            ],
-        },
+        "bounds": {"ok": cert.passed, **jsonio.certificate_to_doc(cert)},
     }
     _emit(doc, args.output)
     return OK if passed else CERT_FAIL

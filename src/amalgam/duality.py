@@ -23,7 +23,6 @@ from .martingale import (
     from_terminal,
     ladder_window,
     minimal_envelope,
-    stop,
 )
 from .norms import hardy_s_norm, lpq_norm
 from .space import (

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .martingale import Martingale, from_terminal
+from .martingale import from_terminal
 from .norms import FIVE_NORMS, all_five_norms
-from .space import FilteredSpace, SpaceError, regularity_constant
+from .space import FilteredSpace, SpaceError
 
 MAX_OUTCOMES = 4096
 

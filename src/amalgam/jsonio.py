@@ -7,13 +7,14 @@ diff cleanly.  Stopping-time infinity is encoded as JSON null.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 
-from .atoms import AtomTriple, Decomposition, DEFNS, FLAVORS
+from .atoms import AtomTriple, BoundsCertificate, Decomposition, DEFNS, FLAVORS
+from .atoms import source_norm_for  # noqa: F401  (re-exported)
 from .martingale import Martingale, from_terminal
-from .norms import hardy_s_norm, p_space_norm, q_space_norm
 from .space import INFINITY, FilteredSpace, StoppingTime, conditional_expectation
 
 SCHEMA = "amalgam/1"
@@ -33,7 +34,8 @@ def _require(doc, key, kind=None, where="document"):
     if key not in doc:
         raise SchemaError(f"{where}: missing field {key!r}")
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    # JSON true/false decode to bool, a subclass of int; no field takes one
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise SchemaError(f"{where}: field {key!r} has wrong type")
     return val
 
@@ -129,6 +131,14 @@ def decomposition_to_doc(d: Decomposition) -> dict:
     }
 
 
+def certificate_to_doc(cert: BoundsCertificate) -> dict:
+    """Source norm and per-eta entries of a two-sided bound certificate."""
+    return {
+        "source_norm": cert.source_norm,
+        "entries": [dataclasses.asdict(e) for e in cert.entries],
+    }
+
+
 def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
     """Rebuild a decomposition against a known space.
 
@@ -172,14 +182,6 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
         triples.append(AtomTriple(k, lam, atom, nu, flavor, defn))
     d = Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
     return d
-
-
-def source_norm_for(f: Martingale, flavor, p, q) -> float:
-    if flavor == "s":
-        return hardy_s_norm(f, p, q)
-    if flavor == "S":
-        return q_space_norm(f, p, q)
-    return p_space_norm(f, p, q)
 
 
 def load_json(path):

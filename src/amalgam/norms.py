@@ -9,7 +9,6 @@ envelopes of both flavors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,26 +24,6 @@ from .space import FilteredSpace
 
 #: exponent magnitude below which powers are taken in log space
 _LOG_SPACE_CUTOFF = 0.1
-
-
-@dataclass(frozen=True)
-class ExponentConfig:
-    """Exponent tuple (p, q, r, eta) with the theorems' validity ranges."""
-
-    p: float
-    q: float
-    r: float = math.inf
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.p < math.inf:
-            raise ValueError(f"p must lie in (0, inf), got {self.p}")
-        if not 0 < self.q:
-            raise ValueError(f"q must lie in (0, inf], got {self.q}")
-        if not max(self.p, 1.0) < self.r:
-            raise ValueError(f"r must exceed max(p, 1), got r={self.r}, p={self.p}")
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
 
 
 def _check_pq(p, q):

@@ -70,7 +70,7 @@ class FilteredSpace:
             p = np.asarray(prob, dtype=np.float64)
         if p.shape != (self.size,):
             raise SpaceError("probability vector has wrong length")
-        if np.any(p <= 0.0):
+        if not np.all(p > 0.0):
             raise SpaceError("probabilities must be strictly positive")
         if abs(p.sum() - 1.0) > max(tol, 1e-12) * self.size:
             raise SpaceError(f"probabilities sum to {p.sum()!r}, not 1")
@@ -86,8 +86,12 @@ class FilteredSpace:
             self.level_sizes.append(count)
         if self.level_sizes[0] != 1:
             raise SpaceError("partition 0 must be the trivial partition")
-        for n in range(len(self.level_labels) - 1):
-            self._check_refines(n)
+        for n in range(self.depth):
+            # partition n+1 refines partition n: coarse labels constant on fine cells
+            if not _constant_on_cells(
+                self.level_labels[n + 1], self.level_sizes[n + 1], self.level_labels[n]
+            ):
+                raise SpaceError(f"partition {n + 1} does not refine partition {n}")
 
         self.block_labels, self.n_blocks = self._partition_labels(blocks, "blocks")
 
@@ -116,17 +120,6 @@ class FilteredSpace:
         if np.any(labels < 0):
             raise SpaceError(f"{what}: cells do not cover the outcome set")
         return labels, len(cells)
-
-    def _check_refines(self, n):
-        parent = np.full(self.level_sizes[n + 1], -1, dtype=np.int64)
-        fine = self.level_labels[n + 1]
-        coarse = self.level_labels[n]
-        for i in range(self.size):
-            c = fine[i]
-            if parent[c] == -1:
-                parent[c] = coarse[i]
-            elif parent[c] != coarse[i]:
-                raise SpaceError(f"partition {n + 1} does not refine partition {n}")
 
     # -- basic accessors --------------------------------------------------
 
@@ -163,15 +156,7 @@ class FilteredSpace:
     def blocks_adapted(self, n) -> bool:
         """Whether every block happens to be a union of partition-n cells."""
         self._check_level(n)
-        owner = np.full(self.level_sizes[n], -1, dtype=np.int64)
-        for i in range(self.size):
-            c = self.level_labels[n][i]
-            b = self.block_labels[i]
-            if owner[c] == -1:
-                owner[c] = b
-            elif owner[c] != b:
-                return False
-        return True
+        return _constant_on_cells(self.level_labels[n], self.level_sizes[n], self.block_labels)
 
     def _check_level(self, n):
         if not 0 <= n <= self.depth:
@@ -202,16 +187,13 @@ class StoppingTime:
             if finite.size and (finite.min() < 0 or finite.max() > space.depth):
                 raise SpaceError("stopping-time values out of range")
             for n in range(space.depth + 1):
-                if not _cellwise_constant_mask(space, n, t == n):
+                if not _constant_on_cells(space.level_labels[n], space.level_sizes[n], t == n):
                     raise SpaceError(f"level set {{time == {n}}} not measurable at {n}")
 
     @property
     def support(self):
         """Boolean mask of B = {time != infinity}."""
         return self.times != INFINITY
-
-    def support_prob(self) -> float:
-        return float(self.space.prob[self.support].sum())
 
     def key(self):
         return self.times.tobytes()
@@ -221,11 +203,15 @@ class StoppingTime:
         return f"StoppingTime([{', '.join(shown)}])"
 
 
-def _cellwise_constant_mask(space, n, mask) -> bool:
-    labels = space.level_labels[n]
-    hit = np.zeros(space.level_sizes[n], dtype=bool)
-    hit[labels[mask]] = True
-    return bool(np.all(hit[labels] == mask))
+def _constant_on_cells(labels, n_cells, values) -> bool:
+    """Whether ``values`` is constant on every cell of the partition ``labels``.
+
+    Writes some member's value to each cell, then checks that every member
+    equals its cell's value.
+    """
+    cell = np.empty(n_cells, dtype=values.dtype)
+    cell[labels] = values
+    return bool(np.array_equal(cell[labels], values))
 
 
 def conditional_expectation(space: FilteredSpace, x, n) -> np.ndarray:
@@ -292,7 +278,6 @@ def count_stopping_times(space: FilteredSpace) -> int:
     children independently; a cell at level N stops now or never.
     """
     children = _children(space)
-    members = _cell_members(space)
 
     def g(n, cell):
         if n == space.depth:
@@ -302,7 +287,6 @@ def count_stopping_times(space: FilteredSpace) -> int:
             prod *= g(n + 1, kid)
         return 1 + prod
 
-    del members  # counting needs only the tree shape
     return g(0, 0)
 
 

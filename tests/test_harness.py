@@ -236,3 +236,36 @@ def test_cli_selftest(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 5
     assert all(l.startswith("PASS") for l in lines)
+
+
+# --- boundary checks --------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["p", "k", "lambda"])
+def test_json_booleans_are_not_numbers(tmp_path, worked_example, capsys, field):
+    space, f = worked_example
+    mp = _write_martingale(tmp_path, f)
+    dp = str(tmp_path / "dec.json")
+    main(["decompose", "--input", mp, "--p", "2", "--q", "2", "--output", dp])
+    doc = jsonio.load_json(dp)
+    target = doc if field == "p" else doc["triples"][0]
+    target[field] = field != "lambda"  # true, true, false
+    with pytest.raises(jsonio.SchemaError, match=repr(field)):
+        jsonio.decomposition_from_doc(doc, space)
+    jsonio.dump_json(doc, dp)
+    assert main(["verify", "--input", mp, "--decomposition", dp]) == 2
+    assert "wrong type" in capsys.readouterr().err
+
+
+def test_nan_probability_is_rejected(tmp_path, capsys):
+    from amalgam import FilteredSpace, SpaceError
+
+    args = (["a", "b"], [float("nan"), 0.5], [[["a", "b"]], [["a"], ["b"]]], [["a", "b"]])
+    with pytest.raises(SpaceError, match="strictly positive"):
+        FilteredSpace(*args)
+    doc = {"schema": jsonio.SCHEMA, "outcomes": args[0], "prob": args[1],
+           "filtration": args[2], "blocks": args[3]}
+    mp = tmp_path / "mart.json"
+    mp.write_text(json.dumps({"schema": jsonio.SCHEMA, "space": doc, "terminal": [1.0, -1.0]}))
+    assert main(["norms", "--input", str(mp), "--p", "1", "--q", "1"]) == 2
+    assert "strictly positive" in capsys.readouterr().err

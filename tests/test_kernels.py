@@ -1,83 +1,73 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from amalgam import _kernels
+from amalgam.space import _constant_on_cells
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
-def test_numpy_fallbacks_basic():
+@st.composite
+def partitions(draw, values=st.floats(-1e6, 1e6)):
+    """(labels, n_cells, values) with cells that may be empty."""
+    n_cells = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 40))
+    labels = np.array(draw(st.lists(st.integers(0, n_cells - 1), min_size=m, max_size=m)),
+                      dtype=np.int64)
+    vals = np.array(draw(st.lists(values, min_size=m, max_size=m)))
+    return labels, n_cells, vals
+
+
+def test_cell_kernels_basic():
     labels = np.array([0, 1, 0, 2, 1], dtype=np.int64)
     w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert np.allclose(_kernels.np_cell_sums(labels, 3, w), [4.0, 7.0, 4.0])
-    assert np.allclose(_kernels.np_cell_max(labels, 3, w), [3.0, 5.0, 4.0])
+    assert np.allclose(_kernels.cell_sums(labels, 3, w), [4.0, 7.0, 4.0])
+    assert np.allclose(_kernels.cell_max(labels, 3, w), [3.0, 5.0, 4.0])
 
 
-def test_active_backend_matches_fallback():
-    rng = np.random.default_rng(50)
-    for _ in range(50):
-        n_cells = int(rng.integers(1, 10))
-        m = int(rng.integers(1, 200))
-        labels = rng.integers(0, n_cells, size=m).astype(np.int64)
-        labels[rng.integers(0, m)] = n_cells - 1  # cover the last cell
-        vals = rng.standard_normal(m)
-        assert np.allclose(
-            _kernels.cell_sums(labels, n_cells, vals),
-            _kernels.np_cell_sums(labels, n_cells, vals),
-            atol=1e-13,
-        )
-        assert np.array_equal(
-            _kernels.cell_max(labels, n_cells, vals),
-            _kernels.np_cell_max(labels, n_cells, vals),
-        )
+@PROPERTY
+@given(partitions())
+def test_cell_kernels_match_python_loop(case):
+    labels, n_cells, vals = case
+    sums = [0.0] * n_cells
+    maxima = [-np.inf] * n_cells
+    for c, v in zip(labels, vals):
+        sums[c] += v
+        maxima[c] = max(maxima[c], v)
+    # bincount adds in input order, as the loop does, so the sums agree exactly
+    assert np.array_equal(_kernels.cell_sums(labels, n_cells, vals), sums)
+    assert np.array_equal(_kernels.cell_max(labels, n_cells, vals), maxima)
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "numba", reason="numba backend inactive")
-def test_env_flag_forces_numpy_backend():
-    code = (
-        "from amalgam import _kernels\n"
-        "assert _kernels.BACKEND == 'numpy', _kernels.BACKEND\n"
-        "assert _kernels.cell_sums is _kernels.np_cell_sums\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, AMALGAM_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+def _constant_on_cells_loop(labels, n_cells, values):
+    # the per-outcome loop that refinement and block adaptedness used to run
+    owner = [None] * n_cells
+    for c, v in zip(labels, values):
+        if owner[c] is None:
+            owner[c] = v
+        elif owner[c] != v:
+            return False
+    return True
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "numba", reason="numba backend inactive")
-def test_numpy_path_reproduces_a_norm_value():
-    # the same golden norm must come out of a numpy-only interpreter
-    code = (
-        "import numpy as np\n"
-        "from amalgam import FilteredSpace, from_terminal, hardy_s_norm\n"
-        "space = FilteredSpace(\n"
-        "    ['w1','w2','w3','w4'], [0.25]*4,\n"
-        "    [[['w1','w2','w3','w4']], [['w1','w2'],['w3','w4']],\n"
-        "     [['w1'],['w2'],['w3'],['w4']]],\n"
-        "    [['w1','w2'],['w3','w4']])\n"
-        "f = from_terminal(space, [2.0, 0.0, -1.0, -1.0])\n"
-        "v = hardy_s_norm(f, 2, 2)\n"
-        "assert abs(v - np.sqrt(1.5)) < 1e-12, v\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, AMALGAM_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+@PROPERTY
+@given(partitions(values=st.integers(0, 2)))
+def test_constant_on_cells_matches_loop(case):
+    labels, n_cells, vals = case
+    inputs = [vals, labels % 2]  # arbitrary values; values constant on cells
+    for i in range(len(labels)):  # constant on cells except at outcome i
+        v = labels % 2
+        v[i] += 1
+        inputs.append(v)
+    for v in inputs:
+        for x in (v, v > 0):  # label-valued and mask-valued inputs
+            assert _constant_on_cells(labels, n_cells, x) == _constant_on_cells_loop(
+                labels, n_cells, x)
 
 
 def test_kernels_accept_non_contiguous_input():
     a = np.arange(20, dtype=np.float64).reshape(4, 5)
     labels = np.array([0, 1, 0, 1], dtype=np.int64)
-    col = a[:, 2]  # strided view
-    assert np.allclose(
-        _kernels.cell_sums(labels, 2, col), _kernels.np_cell_sums(labels, 2, col)
-    )
+    col = a[:, 2]  # strided view: 2, 7, 12, 17
+    assert np.allclose(_kernels.cell_sums(labels, 2, col), [14.0, 24.0])
+    assert np.allclose(_kernels.cell_max(labels, 2, col), [12.0, 17.0])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from amalgam import (
-    ExponentConfig,
     FilteredSpace,
     all_five_norms,
     from_terminal,
@@ -136,19 +135,3 @@ def test_all_five_norms_keys(worked_example):
     assert set(d) == {"hardy_s", "hardy_S", "hardy_star", "q_space", "p_space"}
     assert d["hardy_s"] == pytest.approx(np.sqrt(1.5))
     assert all(v >= 0 for v in d.values())
-
-
-def test_exponent_config_validation():
-    ExponentConfig(0.5, 1.0)
-    ExponentConfig(0.5, 1.0, r=2.0, eta=0.25)
-    ExponentConfig(2.0, math.inf, r=math.inf)
-    with pytest.raises(ValueError):
-        ExponentConfig(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ExponentConfig(1.0, 0.0)
-    with pytest.raises(ValueError):
-        ExponentConfig(2.0, 1.0, r=1.5)  # r must exceed p
-    with pytest.raises(ValueError):
-        ExponentConfig(0.5, 1.0, r=1.0)  # r must exceed 1
-    with pytest.raises(ValueError):
-        ExponentConfig(0.5, 1.0, eta=1.5)

@@ -1,0 +1,34 @@
+"""The benchmark's tracer wraps amalgam functions by name; each must exist.
+
+``perfbench/tracer.py`` is read as source, not imported, so the check
+neither runs nor writes anything under ``perfbench/``.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+TABLES = ("SPANS", "GENERATORS", "COUNTED")
+
+
+def _traced_names():
+    tables = {}
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in TABLES:
+                    tables[target.id] = ast.literal_eval(node.value)
+    assert sorted(tables) == sorted(TABLES)
+    return [(table, module, attr)
+            for table, spec in sorted(tables.items())
+            for module, attrs in spec.items()
+            for attr in attrs]
+
+
+def test_every_traced_name_exists():
+    names = _traced_names()
+    assert len(names) > 50  # the tables were found and read
+    missing = [f"{table}: amalgam.{module}.{attr}" for table, module, attr in names
+               if not hasattr(importlib.import_module(f"amalgam.{module}"), attr)]
+    assert not missing, missing
