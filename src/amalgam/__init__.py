@@ -7,6 +7,8 @@ machinery, all exact on finite spaces.
 
 from .space import (
     INFINITY,
+    SLACK,
+    TOL,
     EnumerationOverflow,
     FilteredSpace,
     SpaceError,
@@ -14,7 +16,6 @@ from .space import (
     conditional_ess_sup,
     conditional_expectation,
     count_stopping_times,
-    default_tol,
     enumerate_stopping_times,
     is_measurable,
     regularity_constant,

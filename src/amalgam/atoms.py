@@ -28,7 +28,7 @@ from .martingale import (
     stop,
 )
 from .norms import hardy_s_norm, lpq_norm, p_space_norm, q_space_norm
-from .space import FilteredSpace, StoppingTime, conditional_expectation, default_tol
+from .space import SLACK, FilteredSpace, StoppingTime, at_most, conditional_expectation, scale_of
 
 FLAVORS = ("s", "S", "star")
 DEFNS = ("simple", "weighted")
@@ -160,30 +160,30 @@ class AtomReport:
         return self.bound - self.measured
 
 
-def verify_atom(t: AtomTriple, p, q, r=None, tol=None) -> AtomReport:
+def verify_atom(t: AtomTriple, p, q, r=None) -> AtomReport:
     """Check the atom conditions of one triple and report measured slack."""
-    tol = default_tol() if tol is None else tol
     r = default_r(t.flavor) if r is None else r
     space = t.atom.space
     terminal = t.terminal
-    scale = max(1.0, float(np.max(np.abs(terminal))))
+    scale = scale_of(terminal)
 
     # (a1): conditional expectations vanish while the clock has not run out
-    residual = 0.0
+    residuals = [0.0]
     for n in range(space.depth + 1):
         live = t.nu.times >= n
         if not live.any():
             continue
         e = conditional_expectation(space, terminal, n)
-        residual = max(residual, float(np.max(np.abs(e[live]))))
-    vanishing_ok = residual <= 1e3 * tol * scale
+        residuals.append(float(np.max(np.abs(e[live]))))
+    residual = float(np.max(residuals))  # np.max keeps a NaN; max() would drop it
+    vanishing_ok = at_most(residual, SLACK * scale)
 
     stat = atom_statistic(t.flavor, t.atom)
     mask = t.nu.support
     pb = float(space.prob[mask].sum())
 
     leak = float(np.max(stat[~mask])) if (~mask).any() else 0.0
-    support_ok = leak <= 1e3 * tol * scale
+    support_ok = at_most(leak, SLACK * scale)
 
     if math.isinf(r):
         measured = float(np.max(stat))
@@ -191,14 +191,14 @@ def verify_atom(t: AtomTriple, p, q, r=None, tol=None) -> AtomReport:
         measured = float(space.prob @ stat ** r) ** (1.0 / r)
     if pb <= 0.0:
         bound = 0.0
-        size_ok = measured <= 1e3 * tol * scale
+        size_ok = at_most(measured, SLACK * scale)
     else:
         pr = 1.0 if math.isinf(r) else pb ** (1.0 / r)
         if t.defn == "simple":
             bound = pr * pb ** (-1.0 / p)
         else:
             bound = pr / lpq_norm(space, mask.astype(float), p, q)
-        size_ok = measured <= bound * (1.0 + 1e3 * tol)
+        size_ok = at_most(measured, bound * (1.0 + SLACK))
     return AtomReport(vanishing_ok, size_ok, support_ok, measured, bound, residual, leak)
 
 
@@ -273,10 +273,6 @@ class BoundsCertificate:
         return [e.eta for e in self.entries if not (e.upper_ok and e.converse_ok)]
 
 
-#: relative slack applied to certificate comparisons (float rounding only)
-_CERT_SLACK = 1e-9
-
-
 def certify_bounds(f: Martingale, d: Decomposition, p=None, q=None,
                    eta_grid=DEFAULT_ETA_GRID) -> BoundsCertificate:
     """Two-sided certificate for a decomposition of f.
@@ -293,7 +289,7 @@ def certify_bounds(f: Martingale, d: Decomposition, p=None, q=None,
     for eta in eta_grid:
         agg = aggregate_eta_norm(d, eta, p, q)
         budget = margin * ladder_constant(eta) * d.source_norm
-        upper_ok = agg <= budget * (1.0 + _CERT_SLACK) + _CERT_SLACK
-        converse_ok = d.source_norm <= agg * (1.0 + _CERT_SLACK) + _CERT_SLACK
+        upper_ok = at_most(agg, budget * (1.0 + SLACK) + SLACK)
+        converse_ok = at_most(d.source_norm, agg * (1.0 + SLACK) + SLACK)
         entries.append(BoundEntry(eta, agg, budget, upper_ok, converse_ok))
     return BoundsCertificate(d.flavor, d.defn, p, q, d.source_norm, entries)

@@ -25,8 +25,9 @@ from .atoms import (
 )
 from .duality import certify_duality, pairing, reverse_minkowski_check
 from .harness import BLOCK_POLICIES, CorpusSpec, GENERATORS, explore_embeddings, generate
+from .martingale import conditional_quadratic_variation, quadratic_variation
 from .norms import all_five_norms, lp_norm, lpq_norm
-from .space import SpaceError, default_tol
+from .space import IDENTITY_TOL, SLACK, TOL, SpaceError, at_most, scale_of
 
 OK, CERT_FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -36,14 +37,6 @@ def _parse_grid(text):
         return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise jsonio.SchemaError(f"bad numeric list {text!r}") from exc
-
-
-def _parse_r_list(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        out.append(math.inf if tok in ("inf", "infinity") else float(tok))
-    return out
 
 
 def _emit(doc, path):
@@ -79,18 +72,12 @@ def cmd_verify(args):
     f = jsonio.martingale_from_doc(jsonio.load_json(args.input))
     d = jsonio.decomposition_from_doc(jsonio.load_json(args.decomposition), f.space)
     d.source_norm = source_norm_for(f, d.flavor, d.p, d.q)
-    tol = default_tol()
-    scale = max(1.0, float(np.max(np.abs(f.levels))))
+    recon = [float(np.max(np.abs(reconstruct(d, n) - f.levels[n])))
+             for n in range(f.space.depth + 1)]
+    worst = float(np.max(recon))  # np.max keeps a NaN; max() would drop it
+    recon_ok = at_most(recon, SLACK * scale_of(f.levels))
 
-    recon = []
-    worst = 0.0
-    for n in range(f.space.depth + 1):
-        resid = float(np.max(np.abs(reconstruct(d, n) - f.levels[n])))
-        recon.append(resid)
-        worst = max(worst, resid)
-    recon_ok = worst <= max(1e-10 * scale, 1e3 * tol * scale)
-
-    rs = _parse_r_list(args.r) if args.r else [2.0, 4.0, math.inf]
+    rs = _parse_grid(args.r) if args.r else [2.0, 4.0, math.inf]
     rs = [r for r in rs if r > max(d.p, 1.0)]
     atom_reports = []
     atoms_ok = True
@@ -226,8 +213,8 @@ def cmd_selftest(args):
             for defn in DEFNS:
                 d = decompose(f, 0.7, 1.0, flavor=flavor, defn=defn)
                 for n in range(space.depth + 1):
-                    resid = np.max(np.abs(reconstruct(d, n) - f.levels[n]))
-                    ok = ok and resid <= 1e-10 * max(1.0, np.max(np.abs(f.levels)))
+                    resid = np.abs(reconstruct(d, n) - f.levels[n])
+                    ok = ok and at_most(resid, IDENTITY_TOL * scale_of(f.levels))
                 for t in d.triples:
                     ok = ok and verify_atom(t, 0.7, 1.0).passed
                 ok = ok and certify_bounds(f, d).passed
@@ -235,22 +222,19 @@ def cmd_selftest(args):
 
     ok = True
     for space, f in corpus:
-        from .martingale import conditional_quadratic_variation, quadratic_variation
-
         e_term = float(space.prob @ f.terminal**2)
         e_s = float(space.prob @ conditional_quadratic_variation(f) ** 2)
         e_S = float(space.prob @ quadratic_variation(f) ** 2)
-        scale = max(1.0, e_term)
-        ok = ok and abs(e_term - e_s) <= 1e-10 * scale and abs(e_term - e_S) <= 1e-10 * scale
+        ok = ok and at_most([abs(e_term - e_s), abs(e_term - e_S)],
+                            IDENTITY_TOL * scale_of(e_term))
     check("L2 isometry of both quadratic variations", ok)
 
     ok = True
     for space, f in corpus[:10]:
         g = rng.standard_normal(space.size)
         for p, q in [(0.5, 0.5), (1.5, 1.5)]:
-            ok = ok and abs(lpq_norm(space, g, p, q) - lp_norm(space, g, p)) <= 1e-12 * max(
-                1.0, lp_norm(space, g, p)
-            )
+            ref = lp_norm(space, g, p)
+            ok = ok and at_most(abs(lpq_norm(space, g, p, q) - ref), TOL * scale_of(ref))
     check("amalgam norm matches plain L_p on the diagonal", ok)
 
     ok = True

@@ -31,9 +31,9 @@ from .space import (
     FilteredSpace,
     SpaceError,
     StoppingTime,
-    default_tol,
     enumerate_stopping_times,
 )
+from .space import SLACK, TOL, at_most, scale_of
 
 
 def phi(space: FilteredSpace, subset, p, q) -> float:
@@ -114,7 +114,7 @@ def _heuristic_family(space, gm):
 
 
 def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
-                   extra_candidates=(), tol=None) -> CampanatoResult:
+                   extra_candidates=()) -> CampanatoResult:
     """sup over stopping times of the phi-weighted stopped oscillation.
 
     ``mode="exact"`` enumerates all stopping times when the count fits
@@ -122,9 +122,8 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
     result's mode field records which route ran).  The heuristic value is
     a lower bound of the exact one.  Requires E[g] = 0.
     """
-    tol = default_tol() if tol is None else tol
     g = space.rv(g)
-    gm = from_terminal(space, g, tol=tol)
+    gm = from_terminal(space, g)
 
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
@@ -212,23 +211,21 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", eta=1.0,
     const = ladder_constant(eta)
     budget = const * hn * camp.norm_value
 
-    slack = 1e-9
-    scale = max(1.0, lhs, atomwise, budget)
-    ok = lhs <= atomwise + slack * scale and atomwise <= budget + slack * scale
+    slack = SLACK * scale_of(lhs, atomwise, budget)
+    ok = at_most(lhs, atomwise + slack) and at_most(atomwise, budget + slack)
     return DualityCertificate(
         lhs, atomwise, budget, camp, hn, const, ok,
         atomwise - lhs, budget - atomwise,
     )
 
 
-def representer(space: FilteredSpace, functional_values, tol=None) -> np.ndarray:
+def representer(space: FilteredSpace, functional_values) -> np.ndarray:
     """Recover the zero-mean g with E[X g] = value for every given X.
 
     ``functional_values`` is an iterable of (terminal_values, value)
     pairs whose terminals span the zero-mean functions; solved as a
     linear system in the outcome basis.
     """
-    tol = default_tol() if tol is None else tol
     rows = [space.prob]  # zero-mean constraint
     rhs = [0.0]
     for x, v in functional_values:
@@ -236,11 +233,12 @@ def representer(space: FilteredSpace, functional_values, tol=None) -> np.ndarray
         rhs.append(float(v))
     a = np.vstack(rows)
     b = np.array(rhs)
+    # a numerical-rank cutoff, not a comparison tolerance
     if np.linalg.matrix_rank(a, tol=1e-10) < space.size:
         raise SpaceError("functional values do not span the zero-mean space")
     g, *_ = np.linalg.lstsq(a, b, rcond=None)
     resid = float(np.max(np.abs(a @ g - b)))
-    if resid > 1e3 * tol * max(1.0, float(np.max(np.abs(b)))):
+    if not at_most(resid, SLACK * scale_of(b)):
         raise SpaceError(f"inconsistent functional values (residual {resid!r})")
     return g
 
@@ -272,4 +270,4 @@ def reverse_minkowski_check(space: FilteredSpace, fs, p, q) -> ReverseMinkowskiR
     lhs = sum(lpq_norm(space, x, p, q) for x in fs)
     total = np.sum(np.abs(np.vstack(fs)), axis=0)
     rhs = lpq_norm(space, total, p, q)
-    return ReverseMinkowskiReport(lhs, rhs, lhs <= rhs * (1.0 + 1e-9) + 1e-12)
+    return ReverseMinkowskiReport(lhs, rhs, at_most(lhs, rhs * (1.0 + SLACK) + TOL))

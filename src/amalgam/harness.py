@@ -9,7 +9,7 @@ import numpy as np
 
 from .martingale import from_terminal
 from .norms import FIVE_NORMS, all_five_norms
-from .space import FilteredSpace, SpaceError
+from .space import TOL, FilteredSpace, SpaceError
 
 MAX_OUTCOMES = 4096
 
@@ -159,7 +159,7 @@ _DIAGONAL_ITEMS = [
 ]
 
 
-def explore_embeddings(corpus, p, q, tol=1e-12) -> EmbeddingTable:
+def explore_embeddings(corpus, p, q) -> EmbeddingTable:
     """Ratio table for every ordered pair of the five norms.
 
     On the p = q diagonal the directional items above are flagged when a
@@ -170,10 +170,8 @@ def explore_embeddings(corpus, p, q, tol=1e-12) -> EmbeddingTable:
     if not corpus:
         raise ValueError("corpus is empty")
     norms = [all_five_norms(mart, p, q) for _, mart in corpus]
-    diagonal = abs(p - q) <= tol
-
     checked = []
-    if diagonal:
+    if abs(p - q) <= TOL:
         for num, den, (lo, hi) in _DIAGONAL_ITEMS:
             in_range = (p >= lo) if np.isinf(hi) else (p <= hi)
             if in_range:
@@ -189,9 +187,9 @@ def explore_embeddings(corpus, p, q, tol=1e-12) -> EmbeddingTable:
             bad = False
             for rec in norms:
                 na, nb = rec[a], rec[b]
-                if nb <= tol:
+                if nb <= TOL:
                     degenerate += 1
-                    if na > tol and (a, b) in checked:
+                    if na > TOL and (a, b) in checked:
                         bad = True
                     continue
                 ratios.append(na / nb)

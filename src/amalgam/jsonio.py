@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .atoms import AtomTriple, BoundsCertificate, Decomposition, DEFNS, FLAVORS
 from .atoms import source_norm_for  # noqa: F401  (re-exported)
 from .martingale import Martingale, from_terminal
 from .space import INFINITY, FilteredSpace, StoppingTime, conditional_expectation
+from .space import require_finite
 
 SCHEMA = "amalgam/1"
 
@@ -160,6 +162,8 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
         where = f"decomposition.triples[{i}]"
         k = int(_require(td, "k", int, where))
         lam = float(_require(td, "lambda", (int, float), where))
+        if not math.isfinite(lam):
+            raise SchemaError(f"{where}: field 'lambda' must be finite")
         nu_list = _require(td, "nu", list, where)
         if len(nu_list) != space.size:
             raise SchemaError(f"{where}: nu has wrong length")
@@ -169,6 +173,7 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
         try:
             nu = StoppingTime(space, times)
             terminal = space.rv(np.asarray(td["atom_terminal"], dtype=float))
+            require_finite(terminal, "atom_terminal")
         except KeyError:
             raise SchemaError(f"{where}: missing field 'atom_terminal'") from None
         except Exception as exc:

@@ -18,14 +18,15 @@ from .space import (
     StoppingTime,
     conditional_ess_sup,
     conditional_expectation,
-    default_tol,
+    is_measurable,
 )
+from .space import SLACK, TOL, at_most, require_finite, scale_of
 
 
 class Martingale:
     """Adapted process with f_0 = 0 and the conditional-expectation law."""
 
-    def __init__(self, space: FilteredSpace, levels, validate=True, tol=None):
+    def __init__(self, space: FilteredSpace, levels, validate=True):
         self.space = space
         lv = np.asarray(levels, dtype=np.float64)
         if lv.shape != (space.depth + 1, space.size):
@@ -34,13 +35,13 @@ class Martingale:
             )
         self.levels = lv
         if validate:
-            tol = default_tol() if tol is None else tol
-            scale = max(1.0, float(np.max(np.abs(lv))))
-            if np.any(np.abs(lv[0]) > tol * scale):
+            require_finite(lv, "martingale levels")
+            scale = scale_of(lv)
+            if not at_most(np.abs(lv[0]), TOL * scale):
                 raise SpaceError("f_0 must vanish")
             for n in range(space.depth):
                 e = conditional_expectation(space, lv[n + 1], n)
-                if np.max(np.abs(e - lv[n])) > 1e3 * tol * scale:
+                if not at_most(np.abs(e - lv[n]), SLACK * scale):
                     raise SpaceError(f"martingale property fails at step {n}")
 
     @property
@@ -61,7 +62,7 @@ class PredictorEnvelope:
     FLAVORS = ("S", "star")
 
     def __init__(self, space: FilteredSpace, levels, flavor, validate=True,
-                 against: "Martingale | None" = None, tol=None):
+                 against: "Martingale | None" = None):
         if flavor not in self.FLAVORS:
             raise ValueError(f"flavor must be one of {self.FLAVORS}")
         self.space = space
@@ -71,19 +72,16 @@ class PredictorEnvelope:
             raise SpaceError("envelope levels have wrong shape")
         self.levels = lv
         if validate:
-            tol = default_tol() if tol is None else tol
-            scale = max(1.0, float(np.max(np.abs(lv))))
-            slack = tol * scale
-            if np.any(lv < -slack):
+            require_finite(lv, "envelope levels")
+            slack = TOL * scale_of(lv)
+            if not at_most(-slack, lv):
                 raise SpaceError("envelope must be non-negative")
-            if np.any(lv[1:] < lv[:-1] - slack):
+            if not at_most(lv[:-1] - slack, lv[1:]):
                 raise SpaceError("envelope must be non-decreasing")
-            from .space import is_measurable
-
             for n in range(space.depth + 1):
-                if not is_measurable(space, lv[n], n, tol=1e3 * tol):
+                if not is_measurable(space, lv[n], n):
                     raise SpaceError(f"envelope level {n} not adapted")
-            if against is not None and not dominates(self, against, tol=1e3 * tol):
+            if against is not None and not dominates(self, against):
                 raise SpaceError("envelope does not dominate the martingale")
 
     @property
@@ -92,21 +90,19 @@ class PredictorEnvelope:
         return self.levels[-1]
 
 
-def dominates(beta: PredictorEnvelope, f: Martingale, tol=None) -> bool:
-    tol = default_tol() if tol is None else tol
+def dominates(beta: PredictorEnvelope, f: Martingale) -> bool:
+    """Whether beta_{n-1} covers the level-n target up to SLACK."""
     target = quadratic_variation_partial(f) if beta.flavor == "S" else np.abs(f.levels)
-    scale = max(1.0, float(np.max(np.abs(target))))
     # predictor shift: level n must be covered by beta_{n-1}
-    return bool(np.all(target[1:] <= beta.levels[:-1] + tol * scale))
+    return at_most(target[1:], beta.levels[:-1] + SLACK * scale_of(target))
 
 
-def from_terminal(space: FilteredSpace, x, tol=None) -> Martingale:
+def from_terminal(space: FilteredSpace, x) -> Martingale:
     """Martingale f_n = E_n[x]; requires E[x] = 0."""
-    tol = default_tol() if tol is None else tol
     x = space.rv(x)
-    scale = max(1.0, float(np.max(np.abs(x))))
+    require_finite(x, "terminal value")
     mean = float(space.prob @ x)
-    if abs(mean) > 1e3 * tol * scale:
+    if not at_most(abs(mean), SLACK * scale_of(x)):
         raise SpaceError(f"terminal value has nonzero mean {mean!r}")
     levels = np.empty((space.depth + 1, space.size))
     levels[0] = 0.0
@@ -192,17 +188,13 @@ def _threshold_time(space, stat_rows, threshold) -> StoppingTime:
     return StoppingTime(space, times, validate=False)
 
 
-#: statistic values below this fraction of the max are rounding noise
-_WINDOW_REL_FLOOR = 1e-12
-
-
-def ladder_window(stat_rows, rel_floor=_WINDOW_REL_FLOOR):
+def ladder_window(stat_rows):
     """Ladder index range (k_min, k_max) covering all nontrivial rungs.
 
     2^{k_min} sits below every genuinely positive statistic value so the
     bottom stopped martingale is negligible; 2^{k_max+1} sits at or above
-    the max so the rung above the window never triggers.  Values under
-    ``rel_floor`` times the max are rounding noise and are ignored:
+    the max so the rung above the window never triggers.  Values at or
+    under TOL times the max are rounding noise and are ignored:
     rungs at that scale would divide float cancellation error by a
     comparably tiny lambda and emit garbage atoms.  Returns None when the
     statistic is identically zero.
@@ -211,7 +203,7 @@ def ladder_window(stat_rows, rel_floor=_WINDOW_REL_FLOOR):
     top = float(vals.max()) if vals.size else 0.0
     if top <= 0.0:
         return None
-    minpos = float(vals[vals > top * rel_floor].min())
+    minpos = float(vals[vals > top * TOL].min())
     k_min = math.floor(math.log2(minpos)) - 1
     k_max = math.ceil(math.log2(top)) - 1
     if 2.0 ** k_min >= minpos:  # guard against log2 rounding at powers of two

@@ -26,11 +26,10 @@ from .space import FilteredSpace
 _LOG_SPACE_CUTOFF = 0.1
 
 
-def _check_pq(p, q):
-    if not 0 < p < math.inf:
-        raise ValueError(f"p must lie in (0, inf), got {p}")
-    if not 0 < q:
-        raise ValueError(f"q must lie in (0, inf], got {q}")
+def _check_exponent(name, x, inf_ok=False):
+    """Exponents lie in (0, inf), or (0, inf] when ``inf_ok``; NaN never does."""
+    if not (0 < x < math.inf or (inf_ok and x == math.inf)):
+        raise ValueError(f"{name} must lie in (0, inf{']' if inf_ok else ')'}, got {x}")
 
 
 def lpq_norm(space: FilteredSpace, values, p, q) -> float:
@@ -40,7 +39,8 @@ def lpq_norm(space: FilteredSpace, values, p, q) -> float:
     the sup of the per-block (int |g|^p)^{1/p}.  Blocks with zero integral
     contribute nothing for every q, including q = inf.
     """
-    _check_pq(p, q)
+    _check_exponent("p", p)
+    _check_exponent("q", q, inf_ok=True)
     g = np.abs(space.rv(values))
     integrals = _kernels.cell_sums(space.block_labels, space.n_blocks, space.prob * g ** p)
     pos = integrals[integrals > 0.0]
@@ -58,6 +58,7 @@ def lpq_norm(space: FilteredSpace, values, p, q) -> float:
 
 def lp_norm(space: FilteredSpace, values, p) -> float:
     """Plain (E|g|^p)^{1/p}, the p = q diagonal."""
+    _check_exponent("p", p, inf_ok=True)
     g = np.abs(space.rv(values))
     if math.isinf(p):
         return float(np.max(g))

@@ -10,8 +10,6 @@ functions.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from . import _kernels
@@ -20,13 +18,37 @@ from . import _kernels
 INFINITY = np.iinfo(np.int64).max
 
 
-def default_tol() -> float:
-    """Equality tolerance, overridable via the AMALGAM_TOL env var."""
-    return float(os.environ.get("AMALGAM_TOL", "1e-12"))
+# -- tolerance policy ----------------------------------------------------------
+# The only tolerances in the package.  Checks scale them by the size of the
+# values compared (usually scale_of()) and test through at_most(), which a
+# NaN never passes.
+
+#: comparisons after a single rounding step
+TOL = 1e-12
+#: accumulated arithmetic (conditioning chains, ladders) and certificate checks
+SLACK = 1e3 * TOL
+#: selftest identities: reconstruction and the L2 isometry
+IDENTITY_TOL = 1e-10
+
+
+def scale_of(*values) -> float:
+    """max(1, max|x|) over all given arrays and scalars."""
+    return max(1.0, *(float(np.max(np.abs(x))) for x in values))
+
+
+def at_most(x, bound) -> bool:
+    """Whether every x <= bound; NaN on either side never passes."""
+    return bool(np.all(np.less_equal(x, bound)))
 
 
 class SpaceError(ValueError):
     """Invalid space, partition or random-variable input."""
+
+
+def require_finite(x, what):
+    """Reject NaN and +-inf at an input boundary."""
+    if not np.all(np.isfinite(x)):
+        raise SpaceError(f"{what} must be finite")
 
 
 class EnumerationOverflow(RuntimeError):
@@ -51,8 +73,7 @@ class FilteredSpace:
     blocks : partition of the outcome set (single list of cells)
     """
 
-    def __init__(self, outcomes, prob, filtration, blocks, tol=None):
-        tol = default_tol() if tol is None else tol
+    def __init__(self, outcomes, prob, filtration, blocks):
         self.outcomes = tuple(outcomes)
         self.size = len(self.outcomes)
         if self.size < 1:
@@ -72,7 +93,7 @@ class FilteredSpace:
             raise SpaceError("probability vector has wrong length")
         if not np.all(p > 0.0):
             raise SpaceError("probabilities must be strictly positive")
-        if abs(p.sum() - 1.0) > max(tol, 1e-12) * self.size:
+        if not at_most(abs(p.sum() - 1.0), TOL * self.size):
             raise SpaceError(f"probabilities sum to {p.sum()!r}, not 1")
         self.prob = p
 
@@ -102,6 +123,7 @@ class FilteredSpace:
         ]
         self.block_probs = _kernels.cell_sums(self.block_labels, self.n_blocks, self.prob)
         self._regularity = None
+        self._child_cells = None
 
     # -- construction helpers -------------------------------------------
 
@@ -130,16 +152,13 @@ class FilteredSpace:
 
     def cells(self, n):
         """Cells of partition n as lists of outcome identifiers."""
-        out = [[] for _ in range(self.level_sizes[n])]
-        for i, c in enumerate(self.level_labels[n]):
-            out[c].append(self.outcomes[i])
-        return out
+        return self._named(_groups(self.level_labels[n], self.level_sizes[n]))
 
     def block_cells(self):
-        out = [[] for _ in range(self.n_blocks)]
-        for i, b in enumerate(self.block_labels):
-            out[b].append(self.outcomes[i])
-        return out
+        return self._named(_groups(self.block_labels, self.n_blocks))
+
+    def _named(self, groups):
+        return [[self.outcomes[i] for i in idx.tolist()] for idx in groups]
 
     def rv(self, values):
         """Coerce a mapping outcome -> real or an array to a value vector."""
@@ -231,16 +250,14 @@ def conditional_ess_sup(space: FilteredSpace, x, n) -> np.ndarray:
     return _kernels.cell_max(labels, space.level_sizes[n], x)[labels]
 
 
-def is_measurable(space: FilteredSpace, x, n, tol=None) -> bool:
-    """Whether x is constant (within tolerance) on every partition-n cell."""
+def is_measurable(space: FilteredSpace, x, n) -> bool:
+    """Whether x is constant up to SLACK on every partition-n cell."""
     space._check_level(n)
-    tol = default_tol() if tol is None else tol
     x = space.rv(x)
     labels = space.level_labels[n]
     hi = _kernels.cell_max(labels, space.level_sizes[n], x)
     lo = -_kernels.cell_max(labels, space.level_sizes[n], -x)
-    scale = max(1.0, float(np.max(np.abs(x))))
-    return bool(np.all(hi - lo <= tol * scale))
+    return at_most(hi - lo, SLACK * scale_of(x))
 
 
 def regularity_constant(space: FilteredSpace) -> float:
@@ -260,15 +277,25 @@ def regularity_constant(space: FilteredSpace) -> float:
     return best
 
 
+def _groups(labels, n_groups):
+    """Member indices of each label 0..n_groups-1, ascending."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_groups))[:-1])
+
+
 def _children(space):
-    """children[n][cell] = list of partition-(n+1) cell labels inside it."""
-    out = []
-    for n in range(space.depth):
-        kids = [set() for _ in range(space.level_sizes[n])]
-        for i in range(space.size):
-            kids[space.level_labels[n][i]].add(int(space.level_labels[n + 1][i]))
-        out.append([sorted(s) for s in kids])
-    return out
+    """children[n][cell] = list of partition-(n+1) cell labels inside it.
+
+    Built once per space: the parent map of level n+1 is one scatter.
+    """
+    if space._child_cells is None:
+        out = []
+        for n in range(space.depth):
+            parent = np.empty(space.level_sizes[n + 1], dtype=np.int64)
+            parent[space.level_labels[n + 1]] = space.level_labels[n]
+            out.append([kids.tolist() for kids in _groups(parent, space.level_sizes[n])])
+        space._child_cells = out
+    return space._child_cells
 
 
 def count_stopping_times(space: FilteredSpace) -> int:
@@ -290,16 +317,6 @@ def count_stopping_times(space: FilteredSpace) -> int:
     return g(0, 0)
 
 
-def _cell_members(space):
-    out = []
-    for n in range(space.depth + 1):
-        cells = [[] for _ in range(space.level_sizes[n])]
-        for i, c in enumerate(space.level_labels[n]):
-            cells[c].append(i)
-        out.append([np.array(c, dtype=np.int64) for c in cells])
-    return out
-
-
 def enumerate_stopping_times(space: FilteredSpace, cap=10**6):
     """Yield every distinct stopping time, or raise EnumerationOverflow.
 
@@ -312,7 +329,8 @@ def enumerate_stopping_times(space: FilteredSpace, cap=10**6):
     if count > cap:
         raise EnumerationOverflow(count, cap)
     children = _children(space)
-    members = _cell_members(space)
+    members = [_groups(space.level_labels[n], space.level_sizes[n])
+               for n in range(space.depth + 1)]
     times = np.empty(space.size, dtype=np.int64)
 
     def assign(n, cell):

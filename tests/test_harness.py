@@ -269,3 +269,48 @@ def test_nan_probability_is_rejected(tmp_path, capsys):
     mp.write_text(json.dumps({"schema": jsonio.SCHEMA, "space": doc, "terminal": [1.0, -1.0]}))
     assert main(["norms", "--input", str(mp), "--p", "1", "--q", "1"]) == 2
     assert "strictly positive" in capsys.readouterr().err
+
+
+def _tamper(tmp_path, f, what, value):
+    """Write a document with one entry set to value; return the CLI argv using it."""
+    mp = _write_martingale(tmp_path, f)
+    if what == "levels":
+        doc = jsonio.load_json(mp)
+        doc["levels"][2][1] = value
+        jsonio.dump_json(doc, mp)
+        return ["norms", "--input", mp, "--p", "1", "--q", "2"]
+    if what == "g":
+        gp = str(tmp_path / "g.json")
+        jsonio.dump_json(jsonio.function_to_doc(f.space, [1.0, value, -1.0, 0.0]), gp)
+        return ["duality", "--input", mp, "--g", gp, "--p", "0.5", "--q", "1"]
+    dp = str(tmp_path / "dec.json")
+    main(["decompose", "--input", mp, "--p", "2", "--q", "2", "--output", dp])
+    doc = jsonio.load_json(dp)
+    if what == "lambda":
+        doc["triples"][0]["lambda"] = value
+    else:
+        doc["triples"][0]["atom_terminal"][1] = value
+    jsonio.dump_json(doc, dp)
+    return ["verify", "--input", mp, "--decomposition", dp]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("what", ["levels", "g", "lambda", "atom_terminal"])
+def test_non_finite_input_is_rejected(tmp_path, worked_example, capsys, what, value):
+    _, f = worked_example
+    argv = _tamper(tmp_path, f, what, value)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_non_finite_terminal_is_rejected(dyadic2):
+    from amalgam import SpaceError, from_terminal
+
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SpaceError, match="must be finite"):
+            from_terminal(dyadic2, [1.0, bad, -1.0, 0.0])
+        with pytest.raises(SpaceError, match="must be finite"):
+            Martingale(dyadic2, [[0.0] * 4, [0.5, 0.5, -0.5, -0.5], [1.0, bad, -1.0, 0.0]])

@@ -20,6 +20,7 @@ from amalgam import (
     stop,
 )
 from amalgam.martingale import _ladder_statistic, dominates, ladder_window
+from amalgam.space import _constant_on_cells
 from conftest import random_martingale, random_tree_space
 
 SQ2 = np.sqrt(2.0)
@@ -80,6 +81,9 @@ def test_conditional_qv_is_predictable():
 
         for n in range(1, space.depth + 1):
             assert is_measurable(space, s[n], n - 1)
+            # exactly: each summand of s_n is a gather of level-(n-1) cell values
+            labels = space.level_labels[n - 1]
+            assert _constant_on_cells(labels, space.level_sizes[n - 1], s[n])
 
 
 def test_maximal_function(worked_example):
@@ -193,6 +197,9 @@ def test_minimal_envelope_coin(coin):
         beta = minimal_envelope(f, flavor)
         assert np.allclose(beta.levels, 1.0)
         assert dominates(beta, f)
+        # exactly: beta_0 = 1 = S_1 = |f_1| with no rounding
+        target = quadratic_variation_partial(f) if flavor == "S" else np.abs(f.levels)
+        assert np.all(target[1:] <= beta.levels[:-1])
 
 
 def test_minimal_envelope_worked_example(worked_example):
@@ -224,7 +231,7 @@ def test_minimal_envelope_is_admissible_and_minimal():
                     space, np.maximum.accumulate(bumped, axis=0), flavor,
                     validate=False,
                 )
-                assert not dominates(cand, f, tol=1e-9)
+                assert not dominates(cand, f)
 
 
 def test_random_admissible_envelopes_dominate_minimal():

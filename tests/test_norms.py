@@ -105,6 +105,14 @@ def test_lpq_rejects_bad_exponents(dyadic2):
         lpq_norm(dyadic2, np.ones(4), 1.0, -1.0)
 
 
+def test_lp_rejects_bad_exponents_but_takes_infinity(dyadic2):
+    g = np.array([1.0, -2.0, 0.5, 0.0])
+    for p in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="p must lie in"):
+            lp_norm(dyadic2, g, p)
+    assert lp_norm(dyadic2, g, math.inf) == 2.0
+
+
 def test_hardy_norms_worked_example(worked_example):
     _, f = worked_example
     assert hardy_s_norm(f, 2, 2) == pytest.approx(np.sqrt(1.5))

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amalgam import (
     INFINITY,
@@ -16,6 +17,7 @@ from amalgam import (
     is_measurable,
     regularity_constant,
 )
+from amalgam.space import SLACK, TOL, _constant_on_cells, at_most, scale_of
 from conftest import random_tree_space
 
 
@@ -90,6 +92,7 @@ def test_ess_sup_is_smallest_measurable_majorant():
             m = conditional_ess_sup(space, x, n)
             assert np.all(m >= x - 1e-14)
             assert is_measurable(space, m, n)
+            assert _constant_on_cells(space.level_labels[n], space.level_sizes[n], m)
             # per-cell it touches the max, so nothing smaller works
             labels = space.level_labels[n]
             for c in range(space.level_sizes[n]):
@@ -101,6 +104,21 @@ def test_is_measurable(dyadic2):
     assert is_measurable(dyadic2, np.full(4, 2.0), 0)
     assert is_measurable(dyadic2, [1, 1, -1, -1], 1)
     assert not is_measurable(dyadic2, [2, 0, -1, -1], 1)
+
+
+def test_is_measurable_compares_at_slack(dyadic2):
+    # SLACK = 1e-9 relative to max(1, max|x|): a 1e-10 wobble passes, 1e-8 does not
+    assert is_measurable(dyadic2, [1, 1 + 1e-10, -1, -1], 1)
+    assert not is_measurable(dyadic2, [1, 1 + 1e-8, -1, -1], 1)
+
+
+def test_tolerance_policy():
+    assert SLACK == 1e3 * TOL == 1e-9
+    assert scale_of(0.5, [-3.0, 2.0]) == 3.0 and scale_of([1e-3]) == 1.0
+    assert at_most([0.0, 1.0], 1.0) and not at_most([0.0, 1.5], 1.0)
+    # NaN on either side never passes, unlike np.max(err) > bound
+    assert not at_most([0.0, np.nan], 1.0)
+    assert not at_most(0.0, np.nan)
 
 
 def test_regularity_constant_dyadic(dyadic2):
@@ -205,6 +223,44 @@ def test_enumerate_matches_brute_force():
         got = sorted(tuple(nu.times) for nu in enumerate_stopping_times(space))
         assert got == oracle
         assert count_stopping_times(space) == len(oracle)
+
+
+@st.composite
+def small_trees(draw, max_outcomes=6):
+    """Uniform spaces on random partition trees: depth <= 3, <= 6 outcomes."""
+    depth = draw(st.integers(0, 3))
+    paths = [()]
+    for _ in range(depth):
+        grown = []
+        for i, path in enumerate(paths):
+            room = max_outcomes - len(grown) - (len(paths) - i - 1)
+            grown.extend(path + (j,) for j in range(draw(st.integers(1, min(3, room)))))
+        paths = grown
+    outcomes = ["o" + "".join(map(str, path)) for path in paths]
+    filtration = []
+    for n in range(depth + 1):
+        cells = {}
+        for o, path in zip(outcomes, paths):
+            cells.setdefault(path[:n], []).append(o)
+        filtration.append(list(cells.values()))
+    return FilteredSpace(outcomes, np.full(len(paths), 1 / len(paths)), filtration,
+                         [outcomes])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(small_trees())
+def test_count_and_enumeration_match_validated_brute_force(space):
+    values = list(range(space.depth + 1)) + [INFINITY]
+    valid = set()
+    for combo in itertools.product(values, repeat=space.size):
+        try:
+            StoppingTime(space, combo)
+        except SpaceError:
+            continue
+        valid.add(combo)
+    listed = [tuple(nu.times.tolist()) for nu in enumerate_stopping_times(space)]
+    assert count_stopping_times(space) == len(valid) == len(listed)
+    assert set(listed) == valid
 
 
 def test_enumerate_depth1_count_is_five():
