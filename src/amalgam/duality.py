@@ -10,21 +10,23 @@ certified lower bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .atoms import decompose, ladder_constant
 from .martingale import (
     Martingale,
     _ladder_statistic,
-    _threshold_time,
+    _threshold_times,
     from_terminal,
     ladder_window,
     minimal_envelope,
 )
-from .norms import hardy_s_norm, lpq_norm
+from .norms import hardy_s_norm, lpq_norm, lq_aggregate
 from .space import (
     INFINITY,
     EnumerationOverflow,
@@ -39,10 +41,10 @@ from .space import SLACK, TOL, at_most, scale_of
 def phi(space: FilteredSpace, subset, p, q) -> float:
     """||1_A||_{p,q} / P(A) for a non-null outcome subset A."""
     mask = _subset_mask(space, subset)
-    pa = float(space.prob[mask].sum())
-    if pa <= 0.0:
+    pa, masses = _masses(space, np.zeros(space.size, dtype=np.int64), 1, space.prob * mask)
+    if pa[0] <= 0.0:
         raise SpaceError("phi is undefined on null sets")
-    return lpq_norm(space, mask.astype(float), p, q) / pa
+    return float(lq_aggregate(masses, p, q)[0] / pa[0])
 
 
 def _subset_mask(space, subset):
@@ -68,49 +70,151 @@ class CampanatoResult:
     candidates_examined: int
 
 
-def _stopped_terminal(gm: Martingale, nu: StoppingTime) -> np.ndarray:
-    N = gm.space.depth
-    idx = np.minimum(nu.times, N)
-    return gm.levels[idx, np.arange(gm.space.size)]
+# -- batched scoring -----------------------------------------------------------
+# The Campanato quotient of a stopping time nu with B = {nu < inf} is
+# sqrt(A / P(B)) / phi(B), with A = E[(g - g_nu)^2 1_B] and phi(B) the l_q
+# aggregate of the block masses P(B & block j) over P(B).  A candidate is
+# scored from those three sums only.  Each is a cell_sums over a label array
+# in outcome order, so a stopping time gets the same bits as a stacked row
+# as it does as a cell first-entry time.
+
+#: elements (rows x outcomes) in one block of stacked stopping times.  It
+#: bounds the scorer's memory on every route, the streamed enumeration
+#: included; at 2^13 the exact route peaks below a materialised enumeration.
+_BLOCK_ELEMS = 1 << 13
 
 
-def oscillation(space: FilteredSpace, g, gm: Martingale, nu: StoppingTime, p, q):
-    """Campanato quotient of one candidate; None when B is empty."""
-    mask = nu.support
-    pb = float(space.prob[mask].sum())
-    if pb <= 0.0:
-        return None
-    diff = g - _stopped_terminal(gm, nu)
-    mean_sq = float(space.prob[mask] @ diff[mask] ** 2) / pb
-    return math.sqrt(mean_sq) / phi(space, mask, p, q)
+def _masses(space, cells, n_cells, w):
+    """Total and (n_cells, J) per-block sums of the weights w on each cell.
+
+    ``cells`` and ``w`` run over whole copies of the outcome set, one copy
+    per row of the stack they come from.
+    """
+    J = space.n_blocks
+    blocks = np.tile(space.block_labels, len(cells) // space.size)
+    return (_kernels.cell_sums(cells, n_cells, w),
+            _kernels.cell_sums(cells * J + blocks, n_cells * J, w).reshape(n_cells, J))
 
 
-def _heuristic_family(space, gm):
-    """Threshold ladders of the martingale plus cell first-entry times."""
-    cands = [StoppingTime(space, np.zeros(space.size, dtype=np.int64), validate=False)]
+def _row_sums(space, levels, g, times):
+    """A, P(B) and the block masses of each row of a (rows, M) times stack.
+
+    The stopped terminal g_nu is one gather at min(times, N).
+    """
+    k, m = times.shape
+    on = times != INFINITY
+    stopped = levels[np.minimum(times, space.depth), np.arange(m)]
+    rows = np.repeat(np.arange(k), m)
+    a = _kernels.cell_sums(rows, k, (space.prob * (g - stopped) ** 2 * on).ravel())
+    return (a, *_masses(space, rows, k, (space.prob * on).ravel()))
+
+
+def _quotients(a, pb, masses, p, q):
+    """sqrt(A / P(B)) / phi(B) per row."""
+    return np.sqrt(a / pb) / (lq_aggregate(masses, p, q) / pb)
+
+
+def _stacked(times, m):
+    """Int64 (rows, m) blocks of at most _BLOCK_ELEMS elements from time vectors."""
+    it = iter(times)
+    per = max(1, _BLOCK_ELEMS // m)
+    while rows := list(itertools.islice(it, per)):
+        yield np.array(rows, dtype=np.int64)
+
+
+class _Supremum:
+    """Running sup of the quotient over scored candidates.
+
+    The highest value wins, then the lexicographically smallest times; a
+    candidate with an empty B is not examined, and value 0 attains nothing.
+    """
+
+    def __init__(self, space, g, levels, p, q):
+        self.space, self.g, self.levels, self.p, self.q = space, g, levels, p, q
+        self.value = 0.0
+        self.times = None
+        self.examined = 0
+
+    def _fold(self, a, pb, masses, times_of):
+        keep = np.flatnonzero(pb > 0.0)
+        self.examined += keep.size
+        if not keep.size:
+            return
+        vals = _quotients(a[keep], pb[keep], masses[keep], self.p, self.q)
+        top = float(vals.max())
+        if top < self.value or (top == self.value and self.times is None):
+            return
+        tied = times_of(keep[vals == top])
+        if top == self.value:
+            tied = np.vstack([self.times, tied])
+        self.value = top
+        self.times = tied[np.lexsort(tied.T[::-1])[0]]
+
+    def add_times(self, times):
+        """Score an iterable of time vectors in bounded row blocks."""
+        for block in _stacked(times, self.space.size):
+            self._fold(*_row_sums(self.space, self.levels, self.g, block), block.__getitem__)
+
+    def add_cells(self):
+        """Score every cell first-entry time, all levels in one pass.
+
+        Cell c of level n, numbered offsets[n] + c, stands for the time that
+        stops at n on c and nowhere else; only a tied winner gets its times.
+        """
+        space = self.space
+        labels = np.stack(space.level_labels)
+        offsets = np.cumsum([0] + space.level_sizes[:-1])
+        cells = (labels + offsets[:, None]).ravel()
+        total = int(sum(space.level_sizes))
+        a = _kernels.cell_sums(cells, total, (space.prob * (self.g - self.levels) ** 2).ravel())
+        pb, masses = _masses(space, cells, total, np.tile(space.prob, space.depth + 1))
+
+        def times_of(idx):
+            n = np.searchsorted(offsets, idx, side="right") - 1
+            return np.where(labels[n] == (idx - offsets[n])[:, None], n[:, None], INFINITY)
+
+        self._fold(a, pb, masses, times_of)
+
+    def winner(self):
+        if self.times is None:
+            return None
+        return StoppingTime(self.space, self.times, validate=False)
+
+
+def _ladder_rows(space, gm):
+    """Distinct ladder-rung times that are no cell first-entry time, stacked.
+
+    The rungs are the threshold ladders of s(g) and of both minimal
+    envelopes.  The zero time is the level-0 cell's first-entry time.
+    """
+    distinct = {}
     stats = [_ladder_statistic(gm, "s-ladder")]
     for flavor in ("S", "star"):
         stats.append(minimal_envelope(gm, flavor).levels)
     for stat in stats:
         window = ladder_window(stat)
-        if window is None:
-            continue
-        for k in range(window[0], window[1] + 1):
-            cands.append(_threshold_time(space, stat, 2.0 ** k))
-    for n in range(space.depth + 1):
-        labels = space.level_labels[n]
-        for c in range(space.level_sizes[n]):
-            times = np.full(space.size, INFINITY, dtype=np.int64)
-            times[labels == c] = n
-            cands.append(StoppingTime(space, times, validate=False))
-    seen = set()
-    out = []
-    for nu in cands:
-        k = nu.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(nu)
-    return out
+        if window is not None:
+            ks = np.arange(window[0], window[1] + 1, dtype=np.float64)
+            for times in _threshold_times(stat, 2.0 ** ks):
+                distinct[times.tobytes()] = times
+    rows = np.array(list(distinct.values()), dtype=np.int64).reshape(-1, space.size)
+    rows = rows[(rows != INFINITY).any(axis=1)]  # an empty B is never examined
+    on = rows != INFINITY
+    # a cell time stops at one n on exactly the members of one level-n cell
+    first = on.argmax(axis=1)
+    n = rows[np.arange(len(rows)), first]
+    at_n = np.stack(space.level_labels)[n]
+    cell = on == (at_n == at_n[np.arange(len(rows)), first][:, None])
+    same_n = ~on | (rows == n[:, None])
+    return rows[~(cell & same_n).all(axis=1)]
+
+
+def oscillation(space: FilteredSpace, g, gm: Martingale, nu: StoppingTime, p, q):
+    """Campanato quotient of one candidate; None when B is empty."""
+    a, pb, masses = _row_sums(space, gm.levels, g, nu.times[None])
+    if pb[0] <= 0.0:
+        return None
+    return float(_quotients(a, pb, masses, p, q)[0])
 
 
 def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
@@ -121,40 +225,31 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
     under ``cap`` and otherwise falls back to the heuristic family (the
     result's mode field records which route ran).  The heuristic value is
     a lower bound of the exact one.  Requires E[g] = 0.
+
+    The heuristic family is every cell first-entry time, scored for all
+    cells at once, and the distinct ladder rungs that are no such time.
+    ``extra_candidates`` are scored as given, repeats included.  The count
+    of candidates examined leaves out those with an empty B.
     """
     g = space.rv(g)
     gm = from_terminal(space, g)
 
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-    candidates = None
+    sup = _Supremum(space, g, gm.levels, p, q)
     actual = "heuristic-family"
     if mode == "exact":
         try:
-            candidates = list(enumerate_stopping_times(space, cap))
+            # the count is checked before the first time is yielded
+            sup.add_times(nu.times for nu in enumerate_stopping_times(space, cap))
             actual = "exact-enumeration"
         except EnumerationOverflow:
-            candidates = None
-    if candidates is None:
-        candidates = _heuristic_family(space, gm)
-    candidates = candidates + list(extra_candidates)
-
-    best = 0.0
-    best_nu = None
-    examined = 0
-    for nu in candidates:
-        val = oscillation(space, g, gm, nu, p, q)
-        if val is None:
-            continue
-        examined += 1
-        if val > best or (
-            best_nu is not None
-            and val == best
-            and tuple(nu.times) < tuple(best_nu.times)
-        ):
-            best = val
-            best_nu = nu
-    return CampanatoResult(best, best_nu, actual, examined)
+            pass
+    if actual == "heuristic-family":
+        sup.add_cells()
+        sup.add_times(_ladder_rows(space, gm))
+    sup.add_times(nu.times for nu in extra_candidates)
+    return CampanatoResult(sup.value, sup.winner(), actual, sup.examined)
 
 
 def pairing(f: Martingale, g) -> float:
@@ -196,12 +291,11 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", eta=1.0,
     lhs = abs(pairing(f, g))
 
     atomwise = 0.0
-    for t in d.triples:
-        mask = t.nu.support
-        diff = g - _stopped_terminal(gm, t.nu)
-        osc = math.sqrt(float(space.prob[mask] @ diff[mask] ** 2))
+    ladder = _stacked((t.nu.times for t in d.triples), space.size)
+    a = [a_k for block in ladder for a_k in _row_sums(space, gm.levels, g, block)[0]]
+    for t, a_k in zip(d.triples, a):
         a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
-        atomwise += t.lam * a_l2 * osc
+        atomwise += t.lam * a_l2 * math.sqrt(a_k)
 
     camp = campanato_norm(
         space, g, p, q, mode=mode, cap=cap,

@@ -20,7 +20,7 @@ from .space import (
     conditional_expectation,
     is_measurable,
 )
-from .space import SLACK, TOL, at_most, require_finite, scale_of
+from .space import SLACK, TOL, at_most, binary_exponent, require_finite, scale_of
 
 
 class Martingale:
@@ -120,19 +120,26 @@ def differences(f: Martingale) -> np.ndarray:
     return d
 
 
+def _scaled_differences(f: Martingale):
+    """(d * 2^-e, e) with max|d| * 2^-e in (1/2, 1], so squares cannot overflow."""
+    d = differences(f)
+    e = binary_exponent(float(np.max(np.abs(d))))
+    return np.ldexp(d, -e), e
+
+
 def quadratic_variation_partial(f: Martingale) -> np.ndarray:
     """Row n is S_n(f) = (sum_{i<=n} |d_i f|^2)^{1/2}."""
-    d = differences(f)
-    return np.sqrt(np.cumsum(d * d, axis=0))
+    d, e = _scaled_differences(f)
+    return np.ldexp(np.sqrt(np.cumsum(d * d, axis=0)), e)
 
 
 def conditional_quadratic_variation_partial(f: Martingale) -> np.ndarray:
     """Row n is s_n(f); the i-th summand is E_{i-1}|d_i f|^2."""
-    d = differences(f)
+    d, e = _scaled_differences(f)
     terms = np.zeros_like(d)
     for n in range(1, f.space.depth + 1):
         terms[n] = conditional_expectation(f.space, d[n] * d[n], n - 1)
-    return np.sqrt(np.cumsum(terms, axis=0))
+    return np.ldexp(np.sqrt(np.cumsum(terms, axis=0)), e)
 
 
 def quadratic_variation(f: Martingale) -> np.ndarray:
@@ -181,11 +188,13 @@ def ladder_stopping_time(f: Martingale, k, flavor="s-ladder", beta=None) -> Stop
 
 
 def _threshold_time(space, stat_rows, threshold) -> StoppingTime:
-    exceeded = stat_rows > threshold
-    times = np.full(space.size, INFINITY, dtype=np.int64)
-    hit = exceeded.any(axis=0)
-    times[hit] = np.argmax(exceeded[:, hit], axis=0)
-    return StoppingTime(space, times, validate=False)
+    return StoppingTime(space, _threshold_times(stat_rows, [threshold])[0], validate=False)
+
+
+def _threshold_times(stat_rows, thresholds) -> np.ndarray:
+    """Row i: the first n whose statistic exceeds thresholds[i], else infinity."""
+    exceeded = stat_rows[None] > np.asarray(thresholds, dtype=np.float64)[:, None, None]
+    return np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), INFINITY)
 
 
 def ladder_window(stat_rows):

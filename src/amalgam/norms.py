@@ -20,7 +20,7 @@ from .martingale import (
     minimal_envelope,
     quadratic_variation,
 )
-from .space import FilteredSpace
+from .space import FilteredSpace, binary_exponent
 
 #: exponent magnitude below which powers are taken in log space
 _LOG_SPACE_CUTOFF = 0.1
@@ -41,28 +41,73 @@ def lpq_norm(space: FilteredSpace, values, p, q) -> float:
     """
     _check_exponent("p", p)
     _check_exponent("q", q, inf_ok=True)
+    return _blocked_norm(space, space.block_labels, space.n_blocks, values, p, q)
+
+
+def _blocked_norm(space, labels, n_blocks, values, p, q) -> float:
+    """lpq_norm over the partition ``labels`` of the outcomes.
+
+    The norm is homogeneous, so the direct branch takes it of g / 2^e with
+    max|g| / 2^e in (1/2, 1] and scales back: no power overflows.
+    """
     g = np.abs(space.rv(values))
-    integrals = _kernels.cell_sums(space.block_labels, space.n_blocks, space.prob * g ** p)
-    pos = integrals[integrals > 0.0]
-    if pos.size == 0:
+    top = float(g.max())
+    if top == 0.0:
         return 0.0
+    if p < _LOG_SPACE_CUTOFF:
+        # g^p rounds to 1 and loses the answer; with m_j the block maximum,
+        # int_j g^p = m_j^p P_j (1 + sum P expm1(p log(g / m_j)) / P_j)
+        # over {g > 0}, and no power is taken outside the logs
+        on = g > 0.0
+        peak = _kernels.cell_max(labels, n_blocks, g)
+        mass = _kernels.cell_sums(labels[on], n_blocks, space.prob[on])
+        rel = np.log(g[on] / peak[labels[on]])
+        excess = _kernels.cell_sums(labels[on], n_blocks, space.prob[on] * np.expm1(p * rel))
+        logs = np.full(n_blocks, -math.inf)
+        pos = mass > 0.0
+        logs[pos] = (p * np.log(peak[pos]) + np.log(mass[pos])
+                     + np.log1p(excess[pos] / mass[pos]))
+        return float(lq_aggregate(None, p, q, logs[None])[0])
+    e = binary_exponent(top)
+    integrals = _kernels.cell_sums(labels, n_blocks, space.prob * np.ldexp(g, -e) ** p)
+    return math.ldexp(float(lq_aggregate(integrals[None], p, q)[0]), e)
+
+
+def lq_aggregate(integrals, p, q, logs=None) -> np.ndarray:
+    """l_q aggregation of block integrals of |g|^p, one row per function.
+
+    Row r of the (rows, J) ``integrals`` becomes [sum_j I_rj^{q/p}]^{1/q},
+    or max_j I_rj^{1/p} when q = inf; a zero integral contributes nothing.
+    Below ``_LOG_SPACE_CUTOFF`` the powers are taken in log space, from
+    ``logs`` when the caller has them more accurately than log(integrals)
+    (``integrals`` may then be None).  Every row needs a positive integral.
+    """
+    if min(p, q) >= _LOG_SPACE_CUTOFF:
+        if math.isinf(q):
+            return np.max(integrals, axis=1) ** (1.0 / p)
+        return _row_totals(integrals ** (q / p)) ** (1.0 / q)
+    if logs is None:
+        with np.errstate(divide="ignore"):
+            logs = np.log(integrals)
     if math.isinf(q):
-        return float(np.max(pos)) ** (1.0 / p)
-    if min(p, q) < _LOG_SPACE_CUTOFF:
-        # tiny exponents overflow the direct power chain; stay in logs
-        logs = (q / p) * np.log(pos)
-        m = float(np.max(logs))
-        return math.exp((m + math.log(float(np.sum(np.exp(logs - m))))) / q)
-    return float(np.sum(pos ** (q / p))) ** (1.0 / q)
+        return np.exp(np.max(logs, axis=1) / p)
+    # tiny exponents overflow the direct power chain; stay in logs
+    z = (q / p) * logs
+    m = np.max(z, axis=1)
+    return np.exp((m + np.log(_row_totals(np.exp(z - m[:, None])))) / q)
+
+
+def _row_totals(x):
+    """Row sums in column order, so equal rows sum to equal bits in any stack."""
+    return np.cumsum(x, axis=1)[:, -1]
 
 
 def lp_norm(space: FilteredSpace, values, p) -> float:
-    """Plain (E|g|^p)^{1/p}, the p = q diagonal."""
+    """Plain (E|g|^p)^{1/p}, the p = q diagonal: one block holding everything."""
     _check_exponent("p", p, inf_ok=True)
-    g = np.abs(space.rv(values))
     if math.isinf(p):
-        return float(np.max(g))
-    return float(space.prob @ g ** p) ** (1.0 / p)
+        return float(np.max(np.abs(space.rv(values))))
+    return _blocked_norm(space, np.zeros(space.size, dtype=np.int64), 1, values, p, p)
 
 
 def hardy_s_norm(f: Martingale, p, q) -> float:

@@ -10,6 +10,8 @@ functions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _kernels
@@ -49,6 +51,19 @@ def require_finite(x, what):
     """Reject NaN and +-inf at an input boundary."""
     if not np.all(np.isfinite(x)):
         raise SpaceError(f"{what} must be finite")
+
+
+def binary_exponent(top: float) -> int:
+    """The e with top * 2^-e in (1/2, 1]; 0 when top is 0 or not finite.
+
+    For top = max|x|, scaling x by 2^-e is exact, so a homogeneous quantity
+    computed on x * 2^-e and scaled back by 2^e cannot overflow in between,
+    and keeps every bit where it only adds, multiplies and takes square roots.
+    """
+    if top == 0.0 or not math.isfinite(top):
+        return 0
+    m, e = math.frexp(top)
+    return e - 1 if m == 0.5 else e
 
 
 class EnumerationOverflow(RuntimeError):

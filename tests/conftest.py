@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
 
 from amalgam import FilteredSpace, from_terminal
+
+# One profile for every property test: derandomized, so tier-1 runs the same
+# examples each time, and no deadline, since examples differ widely in cost.
+# A test that needs a different example count overrides only max_examples.
+settings.register_profile("amalgam", derandomize=True, deadline=None, max_examples=200)
+settings.load_profile("amalgam")
 
 
 @pytest.fixture
@@ -75,3 +82,40 @@ def random_martingale(rng, space):
     x = rng.standard_normal(space.size)
     x -= float(space.prob @ x)
     return from_terminal(space, x)
+
+
+@st.composite
+def small_trees(draw, max_outcomes=6, max_depth=3, random_weights=False, max_blocks=1):
+    """Spaces on random partition trees of at most ``max_outcomes`` outcomes.
+
+    A cell has one to three children, so single-child chains occur.  Weights
+    are uniform unless ``random_weights``; blocks are random when
+    ``max_blocks`` > 1.
+    """
+    depth = draw(st.integers(0, max_depth))
+    paths = [()]
+    for _ in range(depth):
+        grown = []
+        for i, path in enumerate(paths):
+            room = max_outcomes - len(grown) - (len(paths) - i - 1)
+            grown.extend(path + (j,) for j in range(draw(st.integers(1, min(3, room)))))
+        paths = grown
+    outcomes = ["o" + "".join(map(str, path)) for path in paths]
+    filtration = []
+    for n in range(depth + 1):
+        cells = {}
+        for o, path in zip(outcomes, paths):
+            cells.setdefault(path[:n], []).append(o)
+        filtration.append(list(cells.values()))
+    m = len(paths)
+    if random_weights:
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+        w /= w.sum()
+    else:
+        w = np.full(m, 1 / m)
+    blocks = [outcomes]
+    if max_blocks > 1:
+        labels = draw(st.lists(st.integers(0, max_blocks - 1), min_size=m, max_size=m))
+        blocks = [b for b in ([o for o, j in zip(outcomes, labels) if j == k]
+                              for k in range(max_blocks)) if b]
+    return FilteredSpace(outcomes, w, filtration, blocks)

@@ -2,20 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from amalgam import (
+    INFINITY,
     FilteredSpace,
     SpaceError,
     StoppingTime,
     campanato_norm,
     certify_duality,
+    count_stopping_times,
+    decompose,
+    enumerate_stopping_times,
     from_terminal,
     pairing,
     phi,
     representer,
     reverse_minkowski_check,
+    stop,
 )
-from conftest import random_martingale, random_tree_space
+from amalgam.duality import oscillation
+from amalgam.martingale import (
+    _ladder_statistic,
+    _threshold_time,
+    ladder_window,
+    minimal_envelope,
+)
+from conftest import random_martingale, random_tree_space, small_trees
 
 
 def test_phi_diagonal(dyadic2):
@@ -170,3 +183,107 @@ def test_reverse_minkowski_rejects_bad_exponents(dyadic2):
         reverse_minkowski_check(dyadic2, fs, 0.5, 2.0)
     with pytest.raises(ValueError):
         reverse_minkowski_check(dyadic2, [], 0.5, 0.5)
+
+
+# --- batched Campanato scoring against a per-candidate oracle ---------------
+
+#: enumeration cap of the oracle test; larger spaces take the heuristic route
+ORACLE_CAP = 1500
+
+
+def _per_cell_family(space, gm):
+    """The heuristic family as one StoppingTime per candidate, deduplicated:
+    the zero time, the ladder rungs, then one first-entry time per cell."""
+    cands = [StoppingTime(space, np.zeros(space.size, dtype=np.int64), validate=False)]
+    stats = [_ladder_statistic(gm, "s-ladder")]
+    stats += [minimal_envelope(gm, flavor).levels for flavor in ("S", "star")]
+    for stat in stats:
+        window = ladder_window(stat)
+        if window is not None:
+            cands += [_threshold_time(space, stat, 2.0 ** k)
+                      for k in range(window[0], window[1] + 1)]
+    for n in range(space.depth + 1):
+        for c in range(space.level_sizes[n]):
+            times = np.where(space.level_labels[n] == c, n, INFINITY)
+            cands.append(StoppingTime(space, times, validate=False))
+    seen = set()
+    return [nu for nu in cands if not (nu.key() in seen or seen.add(nu.key()))]
+
+
+def _quotient_by_definition(space, g, gm, nu, p, q):
+    on = nu.support
+    pb = float(space.prob[on].sum())
+    a = float(space.prob[on] @ (g - stop(gm, nu).terminal)[on] ** 2)
+    masses = [float(space.prob[on & (space.block_labels == j)].sum())
+              for j in range(space.n_blocks)]
+    masses = [m for m in masses if m > 0.0]
+    if math.isinf(q):
+        norm = max(masses) ** (1.0 / p)
+    else:
+        norm = sum(m ** (q / p) for m in masses) ** (1.0 / q)
+    return math.sqrt(a / pb) / (norm / pb)
+
+
+def _per_candidate_sup(space, g, candidates, p, q):
+    """One oscillation call per candidate, folded as the scorer documents."""
+    gm = from_terminal(space, g)
+    best, best_nu, examined = 0.0, None, 0
+    for nu in candidates:
+        val = oscillation(space, g, gm, nu, p, q)
+        if val is None:
+            continue
+        examined += 1
+        assert val == pytest.approx(_quotient_by_definition(space, g, gm, nu, p, q),
+                                    rel=1e-12)
+        if val > best or (best_nu is not None and val == best
+                          and tuple(nu.times) < tuple(best_nu.times)):
+            best, best_nu = val, nu
+    return best, best_nu, examined
+
+
+_positive = st.floats(0.1, 3.0)
+_tiny = st.floats(0.03, 0.0999)
+
+
+@st.composite
+def campanato_cases(draw):
+    """A tree of at most 12 outcomes and 1-3 blocks, a zero-mean g, and (p, q)
+    from one of the three aggregation branches: q = inf, min(p, q) below the
+    log-space cutoff, and the direct power chain."""
+    space = draw(small_trees(max_outcomes=12, random_weights=True, max_blocks=3))
+    g = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=space.size,
+                               max_size=space.size)))
+    g -= float(space.prob @ g)
+    branch = draw(st.sampled_from(["inf", "log", "direct"]))
+    if branch == "inf":
+        p, q = draw(_positive), math.inf
+    elif branch == "log":
+        p, q = draw(st.sampled_from([(_tiny, _positive), (_positive, _tiny), (_tiny, _tiny)]))
+        p, q = draw(p), draw(q)
+    else:
+        p, q = draw(_positive), draw(_positive)
+    return space, g, p, q
+
+
+@given(campanato_cases())
+def test_batched_campanato_matches_per_candidate_oracle(case):
+    space, g, p, q = case
+    gm = from_terminal(space, g)
+    extras = [t.nu for t in decompose(gm, 0.5, 1.0).triples]
+    extras += extras[:1]  # extra candidates are scored as given, repeats too
+    exact = count_stopping_times(space) <= ORACLE_CAP
+    for mode in ("exact", "heuristic"):
+        enumerate_all = mode == "exact" and exact
+        family = (list(enumerate_stopping_times(space)) if enumerate_all
+                  else _per_cell_family(space, gm))
+        for extra in ([], extras):
+            got = campanato_norm(space, g, p, q, mode=mode, cap=ORACLE_CAP,
+                                 extra_candidates=extra)
+            best, best_nu, examined = _per_candidate_sup(space, g, family + extra, p, q)
+            assert got.mode == ("exact-enumeration" if enumerate_all else "heuristic-family")
+            assert got.candidates_examined == examined
+            assert got.norm_value == pytest.approx(best, rel=1e-12)
+            if best_nu is None:
+                assert got.attaining_nu is None
+            else:
+                assert got.attaining_nu.times.tolist() == best_nu.times.tolist()

@@ -7,6 +7,7 @@ from amalgam import (
     CorpusSpec,
     Martingale,
     explore_embeddings,
+    from_terminal,
     generate,
 )
 from amalgam import jsonio
@@ -151,6 +152,16 @@ def test_cli_norms(tmp_path, worked_example, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["norms"]["hardy_s"] == pytest.approx(np.sqrt(1.5))
     assert doc["norms"]["hardy_star"] == pytest.approx(np.sqrt(1.75))
+
+
+def test_cli_norms_of_huge_values_are_finite(tmp_path, coin, capsys):
+    space, _ = coin
+    mp = _write_martingale(tmp_path, from_terminal(space, [1e200, -1e200]))
+    assert main(["norms", "--input", mp, "--p", "2", "--q", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["norms"]) == 5
+    for name, value in doc["norms"].items():
+        assert value == pytest.approx(1e200, rel=1e-12), name
 
 
 def test_cli_decompose_then_verify(tmp_path, worked_example):

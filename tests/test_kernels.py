@@ -1,10 +1,8 @@
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from amalgam import _kernels
 from amalgam.space import _constant_on_cells
-
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 @st.composite
@@ -25,7 +23,6 @@ def test_cell_kernels_basic():
     assert np.allclose(_kernels.cell_max(labels, 3, w), [3.0, 5.0, 4.0])
 
 
-@PROPERTY
 @given(partitions())
 def test_cell_kernels_match_python_loop(case):
     labels, n_cells, vals = case
@@ -50,7 +47,6 @@ def _constant_on_cells_loop(labels, n_cells, values):
     return True
 
 
-@PROPERTY
 @given(partitions(values=st.integers(0, 2)))
 def test_constant_on_cells_matches_loop(case):
     labels, n_cells, vals = case

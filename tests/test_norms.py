@@ -6,6 +6,7 @@ import pytest
 from amalgam import (
     FilteredSpace,
     all_five_norms,
+    conditional_quadratic_variation_partial,
     from_terminal,
     hardy_S_norm,
     hardy_s_norm,
@@ -14,6 +15,7 @@ from amalgam import (
     lpq_norm,
     p_space_norm,
     q_space_norm,
+    quadratic_variation_partial,
 )
 from conftest import random_martingale, random_tree_space
 
@@ -94,6 +96,34 @@ def test_lpq_small_exponents_log_path():
     ]
     direct = sum(x ** (0.03 / 0.02) for x in integrals) ** (1 / 0.03)
     assert lpq_norm(space, g, 0.02, 0.03) == pytest.approx(direct, rel=1e-10)
+
+
+def test_norms_do_not_overflow_on_representable_values(coin):
+    # g ** p and d * d overflow at 1e200; the norms are homogeneous, so
+    # factoring out the largest magnitude keeps every step finite
+    space, _ = coin
+    assert lpq_norm(space, [1e200, 2.0], 2, 2) == pytest.approx(1e200 / math.sqrt(2), rel=1e-12)
+    assert lp_norm(space, [1e200, 2.0], 2) == pytest.approx(1e200 / math.sqrt(2), rel=1e-12)
+    # and tiny values no longer underflow to a zero norm
+    assert lpq_norm(space, [1e-200, 0.0], 2, 1) == pytest.approx(1e-200 / math.sqrt(2), rel=1e-12)
+    f = from_terminal(space, [1e200, -1e200])
+    for name, value in all_five_norms(f, 2, 2).items():
+        assert value == pytest.approx(1e200, rel=1e-12), name
+    assert np.allclose(quadratic_variation_partial(f), [[0.0, 0.0], [1e200, 1e200]],
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(conditional_quadratic_variation_partial(f),
+                       [[0.0, 0.0], [1e200, 1e200]], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-12])
+def test_lpq_tiny_exponents_reach_the_geometric_mean(coin, p):
+    # on values 1 and 2 with weights 1/2, log E[g^p] / p = log(2)/2 + p log(2)^2/8
+    # + O(p^3), so the limit p = q -> 0 is the geometric mean sqrt(2)
+    space, _ = coin
+    expect = math.sqrt(2.0) * math.exp(p * math.log(2.0) ** 2 / 8)
+    assert lpq_norm(space, [1.0, 2.0], p, p) == pytest.approx(expect, rel=1e-12)
+    assert lpq_norm(space, [1.0, 2.0], p, math.inf) == pytest.approx(expect, rel=1e-12)
+    assert lp_norm(space, [1.0, 2.0], p) == pytest.approx(expect, rel=1e-12)
 
 
 def test_lpq_rejects_bad_exponents(dyadic2):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from amalgam import (
     INFINITY,
@@ -18,7 +18,7 @@ from amalgam import (
     regularity_constant,
 )
 from amalgam.space import SLACK, TOL, _constant_on_cells, at_most, scale_of
-from conftest import random_tree_space
+from conftest import random_tree_space, small_trees
 
 
 def test_space_invariants_enforced():
@@ -225,29 +225,8 @@ def test_enumerate_matches_brute_force():
         assert count_stopping_times(space) == len(oracle)
 
 
-@st.composite
-def small_trees(draw, max_outcomes=6):
-    """Uniform spaces on random partition trees: depth <= 3, <= 6 outcomes."""
-    depth = draw(st.integers(0, 3))
-    paths = [()]
-    for _ in range(depth):
-        grown = []
-        for i, path in enumerate(paths):
-            room = max_outcomes - len(grown) - (len(paths) - i - 1)
-            grown.extend(path + (j,) for j in range(draw(st.integers(1, min(3, room)))))
-        paths = grown
-    outcomes = ["o" + "".join(map(str, path)) for path in paths]
-    filtration = []
-    for n in range(depth + 1):
-        cells = {}
-        for o, path in zip(outcomes, paths):
-            cells.setdefault(path[:n], []).append(o)
-        filtration.append(list(cells.values()))
-    return FilteredSpace(outcomes, np.full(len(paths), 1 / len(paths)), filtration,
-                         [outcomes])
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
+# brute force over every times vector: 30 examples keep it to a few seconds
+@settings(max_examples=30)
 @given(small_trees())
 def test_count_and_enumeration_match_validated_brute_force(space):
     values = list(range(space.depth + 1)) + [INFINITY]
