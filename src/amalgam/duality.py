@@ -28,12 +28,14 @@ from .martingale import (
 )
 from .norms import hardy_s_norm, lpq_norm, lq_aggregate
 from .space import (
+    _BLOCK_ELEMS,
     INFINITY,
     EnumerationOverflow,
     FilteredSpace,
     SpaceError,
     StoppingTime,
-    enumerate_stopping_times,
+    binary_exponent,
+    stopping_time_blocks,
 )
 from .space import SLACK, TOL, at_most, scale_of
 
@@ -77,12 +79,6 @@ class CampanatoResult:
 # scored from those three sums only.  Each is a cell_sums over a label array
 # in outcome order, so a stopping time gets the same bits as a stacked row
 # as it does as a cell first-entry time.
-
-#: elements (rows x outcomes) in one block of stacked stopping times.  It
-#: bounds the scorer's memory on every route, the streamed enumeration
-#: included; at 2^13 the exact route peaks below a materialised enumeration.
-_BLOCK_ELEMS = 1 << 13
-
 
 def _masses(space, cells, n_cells, w):
     """Total and (n_cells, J) per-block sums of the weights w on each cell.
@@ -150,10 +146,14 @@ class _Supremum:
         self.value = top
         self.times = tied[np.lexsort(tied.T[::-1])[0]]
 
+    def add_blocks(self, blocks):
+        """Score int64 (rows, M) blocks of times."""
+        for block in blocks:
+            self._fold(*_row_sums(self.space, self.levels, self.g, block), block.__getitem__)
+
     def add_times(self, times):
         """Score an iterable of time vectors in bounded row blocks."""
-        for block in _stacked(times, self.space.size):
-            self._fold(*_row_sums(self.space, self.levels, self.g, block), block.__getitem__)
+        self.add_blocks(_stacked(times, self.space.size))
 
     def add_cells(self):
         """Score every cell first-entry time, all levels in one pass.
@@ -209,12 +209,25 @@ def _ladder_rows(space, gm):
     return rows[~(cell & same_n).all(axis=1)]
 
 
+def _scaled(g, gm):
+    """(g * 2^-e, gm.levels * 2^-e, e) with max|g| * 2^-e in (1/2, 1].
+
+    A quotient and each sqrt(A) are homogeneous of degree 1 in g, so they
+    are scored on the scaled pair and scaled back by 2^e.  Powers of two are
+    exact, so no square overflows, none of a tiny g underflows, and a value
+    whose squares did neither unscaled keeps every bit.
+    """
+    e = binary_exponent(float(np.max(np.abs(g))))
+    return np.ldexp(g, -e), np.ldexp(gm.levels, -e), e
+
+
 def oscillation(space: FilteredSpace, g, gm: Martingale, nu: StoppingTime, p, q):
     """Campanato quotient of one candidate; None when B is empty."""
-    a, pb, masses = _row_sums(space, gm.levels, g, nu.times[None])
+    g, levels, e = _scaled(g, gm)
+    a, pb, masses = _row_sums(space, levels, g, nu.times[None])
     if pb[0] <= 0.0:
         return None
-    return float(_quotients(a, pb, masses, p, q)[0])
+    return float(np.ldexp(_quotients(a, pb, masses, p, q)[0], e))
 
 
 def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
@@ -236,12 +249,13 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
 
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-    sup = _Supremum(space, g, gm.levels, p, q)
+    scaled, levels, e = _scaled(g, gm)
+    sup = _Supremum(space, scaled, levels, p, q)
     actual = "heuristic-family"
     if mode == "exact":
         try:
-            # the count is checked before the first time is yielded
-            sup.add_times(nu.times for nu in enumerate_stopping_times(space, cap))
+            # the count is checked before the first block is yielded
+            sup.add_blocks(stopping_time_blocks(space, cap))
             actual = "exact-enumeration"
         except EnumerationOverflow:
             pass
@@ -249,7 +263,9 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
         sup.add_cells()
         sup.add_times(_ladder_rows(space, gm))
     sup.add_times(nu.times for nu in extra_candidates)
-    return CampanatoResult(sup.value, sup.winner(), actual, sup.examined)
+    # np.ldexp: a value beyond the float range is inf, as without the rescale
+    value = float(np.ldexp(sup.value, e))
+    return CampanatoResult(value, sup.winner(), actual, sup.examined)
 
 
 def pairing(f: Martingale, g) -> float:
@@ -291,11 +307,12 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", eta=1.0,
     lhs = abs(pairing(f, g))
 
     atomwise = 0.0
+    scaled, levels, e = _scaled(g, gm)
     ladder = _stacked((t.nu.times for t in d.triples), space.size)
-    a = [a_k for block in ladder for a_k in _row_sums(space, gm.levels, g, block)[0]]
+    a = [a_k for block in ladder for a_k in _row_sums(space, levels, scaled, block)[0]]
     for t, a_k in zip(d.triples, a):
         a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
-        atomwise += t.lam * a_l2 * math.sqrt(a_k)
+        atomwise += t.lam * a_l2 * math.ldexp(math.sqrt(a_k), e)
 
     camp = campanato_norm(
         space, g, p, q, mode=mode, cap=cap,

@@ -66,6 +66,13 @@ def binary_exponent(top: float) -> int:
     return e - 1 if m == 0.5 else e
 
 
+#: elements (rows x outcomes) in one block of stacked stopping times.  It
+#: bounds the memory of every route that scores stacked times, the exact
+#: enumeration included; at 2^13 the exact route peaks below a
+#: materialised enumeration.
+_BLOCK_ELEMS = 1 << 13
+
+
 class EnumerationOverflow(RuntimeError):
     """Raised when the stopping-time count exceeds the requested cap."""
 
@@ -138,7 +145,7 @@ class FilteredSpace:
         ]
         self.block_probs = _kernels.cell_sums(self.block_labels, self.n_blocks, self.prob)
         self._regularity = None
-        self._child_cells = None
+        self._parent_cells = None
 
     # -- construction helpers -------------------------------------------
 
@@ -298,74 +305,89 @@ def _groups(labels, n_groups):
     return np.split(order, np.cumsum(np.bincount(labels, minlength=n_groups))[:-1])
 
 
-def _children(space):
-    """children[n][cell] = list of partition-(n+1) cell labels inside it.
+def _parents(space):
+    """parents[n][c] = the partition-n cell holding partition-(n+1) cell c.
 
     Built once per space: the parent map of level n+1 is one scatter.
     """
-    if space._child_cells is None:
+    if space._parent_cells is None:
         out = []
         for n in range(space.depth):
             parent = np.empty(space.level_sizes[n + 1], dtype=np.int64)
             parent[space.level_labels[n + 1]] = space.level_labels[n]
-            out.append([kids.tolist() for kids in _groups(parent, space.level_sizes[n])])
-        space._child_cells = out
-    return space._child_cells
+            out.append(parent)
+        space._parent_cells = out
+    return space._parent_cells
+
+
+def _radices(space):
+    """Per-cell stopping-time counts and strides, bottom-up, as Python ints.
+
+    counts[n][c] counts the stopping times of the subtree at partition-n
+    cell c: a cell at level n < N stops everyone now or defers to its
+    children independently, and a cell at level N stops now or never.
+    strides[n][c], for partition-(n+1) cell c, is the product of the
+    counts of its later siblings.  Python ints: an over-cap tree cannot
+    overflow them.
+    """
+    parents = _parents(space)
+    counts = [[2] * space.level_sizes[space.depth]]
+    strides = []
+    for n in range(space.depth - 1, -1, -1):
+        later = [1] * space.level_sizes[n]
+        stride = [0] * len(counts[0])
+        for kid, cell in reversed(list(enumerate(parents[n].tolist()))):
+            stride[kid] = later[cell]
+            later[cell] *= counts[0][kid]
+        counts.insert(0, [1 + x for x in later])
+        strides.insert(0, stride)
+    return counts, strides
 
 
 def count_stopping_times(space: FilteredSpace) -> int:
-    """Number of distinct stopping times, by DP over the partition tree.
+    """Number of distinct stopping times, by DP over the partition tree."""
+    return _radices(space)[0][0][0]
 
-    A cell at level n < N either stops everyone now or defers to its
-    children independently; a cell at level N stops now or never.
+
+def stopping_time_blocks(space: FilteredSpace, cap=10**6):
+    """Yield every distinct stopping time as rows of int64 (rows, M) blocks.
+
+    A block holds at most max(1, _BLOCK_ELEMS // M) rows.  The count is
+    checked before the first block is yielded; over ``cap`` it raises
+    EnumerationOverflow and callers fall back to a heuristic family.
+
+    Row r is a mixed-radix decode of r down the partition tree.  A cell's
+    local index 0 stops the whole cell now; at level N, index 1 is never;
+    otherwise index - 1 splits over the children, the first child most
+    significant, with radices the children's stopping-time counts.
     """
-    children = _children(space)
-
-    def g(n, cell):
-        if n == space.depth:
-            return 2
-        prod = 1
-        for kid in children[n][cell]:
-            prod *= g(n + 1, kid)
-        return 1 + prod
-
-    return g(0, 0)
+    if cap <= 0:
+        raise ValueError("cap must be positive")
+    counts, strides = _radices(space)
+    total = counts[0][0]
+    if total > cap:
+        raise EnumerationOverflow(total, cap)
+    # every count and stride is at most total <= cap, so int64 holds them
+    radix = [np.array(c, dtype=np.int64) for c in counts[1:]]
+    strides = [np.array(s, dtype=np.int64) for s in strides]
+    parents = _parents(space)
+    per = max(1, _BLOCK_ELEMS // space.size)
+    for start in range(0, total, per):
+        local = np.arange(start, min(start + per, total), dtype=np.int64)[:, None]
+        stop = np.where(local == 0, 0, INFINITY)
+        for n, parent in enumerate(parents):
+            # -1 below a cell that stopped now or earlier; such cells inherit its time
+            up = local[:, parent] - 1
+            local = np.where(up >= 0, up // strides[n] % radix[n], -1)
+            stop = np.where(local == 0, n + 1, stop[:, parent])
+        yield stop[:, space.level_labels[space.depth]]
 
 
 def enumerate_stopping_times(space: FilteredSpace, cap=10**6):
     """Yield every distinct stopping time, or raise EnumerationOverflow.
 
-    The count is computed up front; when it exceeds ``cap`` nothing is
-    yielded and callers fall back to a heuristic candidate family.
+    One StoppingTime per row of stopping_time_blocks, in the same order.
     """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    count = count_stopping_times(space)
-    if count > cap:
-        raise EnumerationOverflow(count, cap)
-    children = _children(space)
-    members = [_groups(space.level_labels[n], space.level_sizes[n])
-               for n in range(space.depth + 1)]
-    times = np.empty(space.size, dtype=np.int64)
-
-    def assign(n, cell):
-        idx = members[n][cell]
-        times[idx] = n
-        yield
-        if n == space.depth:
-            times[idx] = INFINITY
-            yield
-        else:
-            kids = children[n][cell]
-
-            def rec(i):
-                if i == len(kids):
-                    yield
-                    return
-                for _ in assign(n + 1, kids[i]):
-                    yield from rec(i + 1)
-
-            yield from rec(0)
-
-    for _ in assign(0, 0):
-        yield StoppingTime(space, times.copy(), validate=False)
+    for block in stopping_time_blocks(space, cap):
+        for times in block:
+            yield StoppingTime(space, times, validate=False)

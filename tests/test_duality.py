@@ -67,7 +67,8 @@ def test_campanato_heuristic_is_lower_bound():
             heur = campanato_norm(space, g, p, q, mode="heuristic")
             assert exact.mode == "exact-enumeration"
             assert heur.mode == "heuristic-family"
-            assert heur.norm_value <= exact.norm_value + 1e-12
+            # the exact family holds every heuristic candidate, scored to the same bits
+            assert heur.norm_value <= exact.norm_value
 
 
 def test_campanato_overflow_falls_back(coin):
@@ -75,6 +76,22 @@ def test_campanato_overflow_falls_back(coin):
     res = campanato_norm(space, [1.0, -1.0], 1.0, 1.0, mode="exact", cap=1)
     assert res.mode == "heuristic-family"
     assert res.norm_value > 0.0
+
+
+def test_campanato_is_exact_at_huge_and_tiny_scales(coin):
+    # squares of 1e200 overflow and squares of 1e-200 underflow unscaled
+    space, f = coin
+    base = certify_duality(f, [1.0, -1.0], 1.0, 1.0)
+    for c in (1e200, 1e-200):
+        for mode in ("exact", "heuristic"):
+            one = campanato_norm(space, [1.0, -1.0], 1.0, 1.0, mode=mode)
+            got = campanato_norm(space, [c, -c], 1.0, 1.0, mode=mode)
+            assert got.norm_value == c * one.norm_value
+            assert got.attaining_nu.times.tolist() == one.attaining_nu.times.tolist()
+        cert = certify_duality(f, [c, -c], 1.0, 1.0)
+        assert cert.chain_ok
+        assert cert.atomwise_bound == c * base.atomwise_bound
+        assert cert.campanato.norm_value == c * base.campanato.norm_value
 
 
 def test_campanato_homogeneous(coin):
@@ -272,6 +289,7 @@ def test_batched_campanato_matches_per_candidate_oracle(case):
     extras = [t.nu for t in decompose(gm, 0.5, 1.0).triples]
     extras += extras[:1]  # extra candidates are scored as given, repeats too
     exact = count_stopping_times(space) <= ORACLE_CAP
+    values = {}
     for mode in ("exact", "heuristic"):
         enumerate_all = mode == "exact" and exact
         family = (list(enumerate_stopping_times(space)) if enumerate_all
@@ -287,3 +305,7 @@ def test_batched_campanato_matches_per_candidate_oracle(case):
                 assert got.attaining_nu is None
             else:
                 assert got.attaining_nu.times.tolist() == best_nu.times.tolist()
+            values[mode, len(extra)] = got.norm_value
+    if exact:  # the heuristic value is a lower bound, bit for bit
+        assert values["heuristic", 0] <= values["exact", 0]
+        assert values["heuristic", len(extras)] <= values["exact", len(extras)]

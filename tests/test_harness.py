@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -220,6 +221,20 @@ def test_cli_duality(tmp_path, coin, capsys):
     assert doc["chain_ok"]
     assert doc["pairing"] == pytest.approx(1.0)
     assert doc["campanato"]["mode"] == "exact-enumeration"
+
+
+def test_cli_duality_of_huge_values_is_finite(tmp_path, coin, capsys):
+    space, f = coin
+    mp = _write_martingale(tmp_path, f)
+    gp = str(tmp_path / "g.json")
+    jsonio.dump_json(jsonio.function_to_doc(space, [1e200, -1e200]), gp)
+    for mode in ("exact", "heuristic"):
+        assert main(["duality", "--input", mp, "--g", gp, "--p", "1", "--q", "1",
+                     "--mode", mode]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["campanato"]["value"] == pytest.approx(1e200, rel=1e-12)
+        for key in ("pairing_abs", "atomwise_bound", "budget"):
+            assert math.isfinite(doc[key]), key
 
 
 def test_cli_explore_and_gen(tmp_path, capsys):

@@ -17,7 +17,15 @@ from amalgam import (
     is_measurable,
     regularity_constant,
 )
-from amalgam.space import SLACK, TOL, _constant_on_cells, at_most, scale_of
+from amalgam.space import (
+    _BLOCK_ELEMS,
+    SLACK,
+    TOL,
+    _constant_on_cells,
+    at_most,
+    scale_of,
+    stopping_time_blocks,
+)
 from conftest import random_tree_space, small_trees
 
 
@@ -240,6 +248,27 @@ def test_count_and_enumeration_match_validated_brute_force(space):
     listed = [tuple(nu.times.tolist()) for nu in enumerate_stopping_times(space)]
     assert count_stopping_times(space) == len(valid) == len(listed)
     assert set(listed) == valid
+
+
+#: decoder property trees above this count only check the cap
+DECODER_ROWS = 3000
+
+
+@given(small_trees(max_outcomes=16))
+def test_decoded_blocks_are_every_stopping_time_once(space):
+    count = count_stopping_times(space)
+    under_cap = stopping_time_blocks(space, cap=count - 1)
+    with pytest.raises(EnumerationOverflow):
+        next(under_cap)  # raised before any block is yielded
+    if count > DECODER_ROWS:
+        return
+    blocks = list(stopping_time_blocks(space, cap=count))
+    assert all(len(b) <= max(1, _BLOCK_ELEMS // space.size) for b in blocks)
+    rows = np.vstack(blocks)
+    assert rows.dtype == np.int64 and rows.shape == (count, space.size)
+    assert len(np.unique(rows, axis=0)) == count
+    for times in rows:
+        StoppingTime(space, times)  # validates level sets
 
 
 def test_enumerate_depth1_count_is_five():
