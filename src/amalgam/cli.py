@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 a certificate failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -27,7 +28,7 @@ from .duality import certify_duality, pairing, reverse_minkowski_check
 from .harness import BLOCK_POLICIES, CorpusSpec, GENERATORS, explore_embeddings, generate
 from .martingale import conditional_quadratic_variation, quadratic_variation
 from .norms import all_five_norms, lp_norm, lpq_norm
-from .space import IDENTITY_TOL, SLACK, TOL, SpaceError, at_most, scale_of
+from .space import IDENTITY_TOL, SLACK, TOL, SpaceError, at_most, same_space, scale_of
 
 OK, CERT_FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -116,9 +117,10 @@ def cmd_verify(args):
 
 
 def cmd_duality(args):
-    f = jsonio.martingale_from_doc(jsonio.load_json(args.input))
-    space, g = jsonio.function_from_doc(jsonio.load_json(args.g))
-    if space.size != f.space.size or space.outcomes != f.space.outcomes:
+    f_doc = jsonio.load_json(args.input)
+    f = jsonio.martingale_from_doc(f_doc)
+    space, g = jsonio.function_from_doc(jsonio.load_json(args.g), f.space, f_doc["space"])
+    if not same_space(space, f.space):
         raise jsonio.SchemaError("martingale and function live on different spaces")
     cert = certify_duality(f, g, args.p, args.q, mode=args.mode)
     doc = {
@@ -253,7 +255,9 @@ def cmd_selftest(args):
     return OK if failures == 0 else CERT_FAIL
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process: parse_args keeps no state in it."""
     ap = argparse.ArgumentParser(
         prog="amalgam",
         description="Martingale Hardy-amalgam norms, atomic decompositions, duality",
@@ -324,8 +328,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (jsonio.SchemaError, SpaceError, ValueError) as exc:

@@ -8,8 +8,10 @@ diff cleanly.  Stopping-time infinity is encoded as JSON null.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -27,7 +29,56 @@ class SchemaError(ValueError):
 
 
 def canonical_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, faster.
+
+    Dict keys must be strings, as in every JSON document.  With ``indent``
+    set, ``json`` runs its pure-Python encoder.  Here only dicts and lists
+    of containers are walked in Python: each list of scalars, and the
+    scalar items of each dict, take one call of the C encoder, whose item
+    separator carries the newline and indent.
+    """
+    return _dumps(doc, "") + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _leaf_encoder(pad):
+    """The C encoder's ``encode``, with each item on a new line at ``pad``."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": "),
+                            check_circular=False).encode
+
+
+def _dumps(x, pad):
+    """The indent-2 form of ``x`` nested at indent ``pad``."""
+    if not isinstance(x, _CONTAINERS):
+        return _leaf_encoder(pad)(x)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(x, dict):
+        scalars = {k: v for k, v in x.items() if not isinstance(v, _CONTAINERS)}
+        text = _leaf_encoder(inner)(scalars)[1:-1]
+        if len(scalars) < len(x):
+            # '"key": value' items in key order; no encoded string holds sep
+            items = iter(text.split(sep))
+            text = sep.join(encode_basestring_ascii(k) + ": " + _dumps(x[k], inner)
+                            if isinstance(x[k], _CONTAINERS) else next(items)
+                            for k in sorted(x))
+        return "{\n" + inner + text + "\n" + pad + "}" if x else "{}"
+    if x and isinstance(x[0], str):
+        # names, as in the thousands of one-outcome cells of a large space
+        try:
+            return "[\n" + inner + sep.join(map(encode_basestring_ascii, x)) + "\n" + pad + "]"
+        except TypeError:  # not all strings
+            pass
+    if x and not isinstance(x[0], _CONTAINERS):
+        text = _leaf_encoder(inner)(x)
+        # a bracket past the first is in a string, unless x holds a container
+        if not ("[" in text[1:] or "{" in text[1:]) or not any(
+                isinstance(v, _CONTAINERS) for v in x):
+            return "[\n" + inner + text[1:-1] + "\n" + pad + "]"
+    return "[\n" + inner + sep.join(_dumps(v, inner) for v in x) + "\n" + pad + "]" if x else "[]"
 
 
 def _require(doc, key, kind=None, where="document"):
@@ -51,7 +102,7 @@ def space_to_doc(space: FilteredSpace) -> dict:
     return {
         "schema": SCHEMA,
         "outcomes": [str(o) for o in space.outcomes],
-        "prob": [float(x) for x in space.prob],
+        "prob": space.prob.tolist(),
         "filtration": [space.cells(n) for n in range(space.depth + 1)],
         "blocks": space.block_cells(),
     }
@@ -73,7 +124,7 @@ def martingale_to_doc(f: Martingale) -> dict:
     return {
         "schema": SCHEMA,
         "space": space_to_doc(f.space),
-        "levels": [[float(x) for x in row] for row in f.levels],
+        "levels": f.levels.tolist(),
     }
 
 
@@ -96,13 +147,20 @@ def function_to_doc(space: FilteredSpace, values) -> dict:
     return {
         "schema": SCHEMA,
         "space": space_to_doc(space),
-        "values": [float(x) for x in space.rv(values)],
+        "values": space.rv(values).tolist(),
     }
 
 
-def function_from_doc(doc):
+def function_from_doc(doc, space=None, space_doc=None):
+    """(space, values) of a function document.
+
+    Given a decoded ``space`` and the ``space_doc`` it came from, a space
+    object equal to ``space_doc`` is not decoded again: ``space`` is used.
+    """
     _check_schema(doc, "function")
-    space = space_from_doc(_require(doc, "space", dict, "function"))
+    own_doc = _require(doc, "space", dict, "function")
+    if space is None or own_doc != space_doc:
+        space = space_from_doc(own_doc)
     values = _require(doc, "values", list, "function")
     try:
         return space, space.rv(np.asarray(values, dtype=float))
@@ -111,7 +169,7 @@ def function_from_doc(doc):
 
 
 def _nu_to_list(nu: StoppingTime):
-    return [None if t == INFINITY else int(t) for t in nu.times]
+    return [None if t == INFINITY else t for t in nu.times.tolist()]
 
 
 def decomposition_to_doc(d: Decomposition) -> dict:
@@ -126,7 +184,7 @@ def decomposition_to_doc(d: Decomposition) -> dict:
                 "k": t.k,
                 "lambda": float(t.lam),
                 "nu": _nu_to_list(t.nu),
-                "atom_terminal": [float(x) for x in t.terminal],
+                "atom_terminal": t.terminal.tolist(),
             }
             for t in d.triples
         ],
@@ -167,11 +225,11 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
         nu_list = _require(td, "nu", list, where)
         if len(nu_list) != space.size:
             raise SchemaError(f"{where}: nu has wrong length")
-        times = np.array(
-            [INFINITY if t is None else int(t) for t in nu_list], dtype=np.int64
-        )
+        # a time is a JSON integer or null; int() would pass 1.5 or true as 1
+        if not set(map(type, nu_list)) <= {int, type(None)}:
+            raise SchemaError(f"{where}: field 'nu' has wrong type")
         try:
-            nu = StoppingTime(space, times)
+            nu = StoppingTime(space, [INFINITY if t is None else t for t in nu_list])
             terminal = space.rv(np.asarray(td["atom_terminal"], dtype=float))
             require_finite(terminal, "atom_terminal")
         except KeyError:

@@ -150,20 +150,41 @@ class FilteredSpace:
     # -- construction helpers -------------------------------------------
 
     def _partition_labels(self, cells, what):
-        labels = np.full(self.size, -1, dtype=np.int64)
-        for c, cell in enumerate(cells):
+        """Cell id of every outcome, and the cell count, in one pass.
+
+        With every cell non-empty and exactly M known members, covering the
+        outcome set means no outcome is in two cells.
+        """
+        try:
+            sizes = [len(cell) for cell in cells]
+            index = self.index
+            members = [index[o] for cell in cells for o in cell]
+        except (KeyError, TypeError):
+            members = None
+        if members is not None and len(members) == self.size and 0 not in sizes:
+            labels = np.full(self.size, -1, dtype=np.int64)
+            labels[members] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+            if np.all(labels >= 0):
+                return labels, len(sizes)
+        raise SpaceError(f"{what}: {self._partition_fault(cells)}")
+
+    def _partition_fault(self, cells):
+        """The first fault met in cell order: what _partition_labels rejects."""
+        seen = set()
+        for cell in cells:
             if not cell:
-                raise SpaceError(f"{what}: empty cell")
+                return "empty cell"
             for o in cell:
-                i = self.index.get(o)
+                try:
+                    i = self.index.get(o)
+                except TypeError:  # unhashable, so no outcome
+                    i = None
                 if i is None:
-                    raise SpaceError(f"{what}: unknown outcome {o!r}")
-                if labels[i] != -1:
-                    raise SpaceError(f"{what}: outcome {o!r} in two cells")
-                labels[i] = c
-        if np.any(labels < 0):
-            raise SpaceError(f"{what}: cells do not cover the outcome set")
-        return labels, len(cells)
+                    return f"unknown outcome {o!r}"
+                if i in seen:
+                    return f"outcome {o!r} in two cells"
+                seen.add(i)
+        return "cells do not cover the outcome set"
 
     # -- basic accessors --------------------------------------------------
 
@@ -242,6 +263,24 @@ class StoppingTime:
     def __repr__(self):
         shown = ["inf" if t == INFINITY else str(t) for t in self.times]
         return f"StoppingTime([{', '.join(shown)}])"
+
+
+def same_space(a: FilteredSpace, b: FilteredSpace) -> bool:
+    """Whether a and b are one space: the same outcomes in the same order,
+    the same probabilities, and the same partitions up to cell order."""
+
+    def same_partition(la, na, lb, nb):
+        # each labelling is a function of the other: the same cells
+        return _constant_on_cells(la, na, lb) and _constant_on_cells(lb, nb, la)
+
+    return a is b or (
+        a.outcomes == b.outcomes
+        and np.array_equal(a.prob, b.prob)
+        and a.depth == b.depth
+        and all(same_partition(la, na, lb, nb) for la, na, lb, nb in zip(
+            a.level_labels, a.level_sizes, b.level_labels, b.level_sizes))
+        and same_partition(a.block_labels, a.n_blocks, b.block_labels, b.n_blocks)
+    )
 
 
 def _constant_on_cells(labels, n_cells, values) -> bool:

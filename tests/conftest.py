@@ -6,8 +6,11 @@ from amalgam import FilteredSpace, from_terminal
 
 # One profile for every property test: derandomized, so tier-1 runs the same
 # examples each time, and no deadline, since examples differ widely in cost.
+# print_blob shows a failure's @reproduce_failure blob, so a failure seen only
+# in the full suite can be replayed from its own file.
 # A test that needs a different example count overrides only max_examples.
-settings.register_profile("amalgam", derandomize=True, deadline=None, max_examples=200)
+settings.register_profile("amalgam", derandomize=True, deadline=None, max_examples=200,
+                          print_blob=True)
 settings.load_profile("amalgam")
 
 

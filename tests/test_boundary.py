@@ -1,0 +1,218 @@
+"""The document boundary: the canonical writer, partition decoding, stopping
+times read from documents, the space a `duality` g lives on, and the CLI
+parser that every call shares."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from amalgam import FilteredSpace, SpaceError, from_terminal, jsonio
+from amalgam.cli import main
+
+# -- canonical writer ------------------------------------------------------------
+
+_text = st.text(st.sampled_from('ab[]{}",:\\\n\t é☃😀')) | st.text()
+_scalars = (st.none() | st.booleans() | st.integers() | _text
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+_json_values = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=6) | st.dictionaries(_text, kids, max_size=6),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+def test_canonical_dumps_is_json_dumps(doc):
+    assert jsonio.canonical_dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_dumps_of_mixed_lists_and_tuples():
+    for doc in ([1.5, [2, "x["], {"a": []}, "}"], ["[", {}], [None, -0.0, [[]]],
+                {"b": {"c": "one", "d": [True]}, "a": ("t", 1)}, ("a", ["b"]), [],
+                {"k": 1, "l": [{"m": ",\n  "}], "j": "{"}):
+        assert jsonio.canonical_dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# -- malformed spaces --------------------------------------------------------------
+
+_GOOD = {"filtration": [[["a", "b", "c"]], [["a", "b"], ["c"]]], "blocks": [["a", "b", "c"]]}
+# (field, level, cells, message); the first fault in cell order is the one named
+_MALFORMED = [
+    ("filtration", 1, [["a", "b"], []], "filtration level 1: empty cell"),
+    ("filtration", 1, [["a", "b"], ["z"]], "filtration level 1: unknown outcome 'z'"),
+    ("filtration", 1, [["a", "b"], ["b", "c"]], "filtration level 1: outcome 'b' in two cells"),
+    ("filtration", 1, [["a"], ["c"]], "filtration level 1: cells do not cover the outcome set"),
+    ("blocks", None, [["a", "b"], [], ["z"]], "blocks: empty cell"),
+    ("blocks", None, [["a", "a"], [], ["c"]], "blocks: outcome 'a' in two cells"),
+    ("blocks", None, [["z"], ["a", "a"]], "blocks: unknown outcome 'z'"),
+    ("blocks", None, [["a", "b"]], "blocks: cells do not cover the outcome set"),
+]
+
+
+def _space_doc(field, level, cells):
+    doc = {"schema": jsonio.SCHEMA, "outcomes": ["a", "b", "c"],
+           "prob": [0.25, 0.25, 0.5], **json.loads(json.dumps(_GOOD))}
+    if level is None:
+        doc[field] = cells
+    else:
+        doc[field][level] = cells
+    return doc
+
+
+def _construct(doc):
+    return FilteredSpace(doc["outcomes"], doc["prob"], doc["filtration"], doc["blocks"])
+
+
+def _norms_of(tmp_path, space_doc):
+    mp = tmp_path / "mart.json"
+    mp.write_text(json.dumps({"schema": jsonio.SCHEMA, "space": space_doc,
+                              "terminal": [1.0, 1.0, -1.0]}))
+    return main(["norms", "--input", str(mp), "--p", "1", "--q", "1"])
+
+
+@pytest.mark.parametrize("field, level, cells, message", _MALFORMED)
+def test_malformed_space_is_named(tmp_path, capsys, field, level, cells, message):
+    doc = _space_doc(field, level, cells)
+    with pytest.raises(SpaceError) as info:
+        _construct(doc)
+    assert str(info.value) == message
+    assert _norms_of(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: space: {message}\n"
+    assert captured.out == ""
+
+
+def test_well_formed_space_decodes(tmp_path, capsys):
+    space = _construct(_space_doc("blocks", None, [["c"], ["b", "a"]]))
+    assert space.block_labels.tolist() == [1, 1, 0]
+    assert space.level_labels[1].tolist() == [0, 0, 1]
+    assert _norms_of(tmp_path, _space_doc("blocks", None, [["c"], ["b", "a"]])) == 0
+
+
+def test_unhashable_outcome_is_input_error(tmp_path, capsys):
+    doc = _space_doc("filtration", 1, [["a", ["b"]], ["c"]])
+    with pytest.raises(SpaceError, match=r"unknown outcome \['b'\]"):
+        _construct(doc)
+    assert _norms_of(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: space: ")
+    assert captured.out == ""
+
+
+# -- stopping times in decomposition documents ----------------------------------
+
+
+def _dyadic3():
+    outcomes = [f"w{i}" for i in range(8)]
+    filtration = [[outcomes[j:j + (8 >> n)] for j in range(0, 8, 8 >> n)] for n in range(4)]
+    return FilteredSpace(outcomes, np.full(8, 1 / 8), filtration, [outcomes])
+
+
+@pytest.mark.parametrize("tamper", ["half", "true"])
+def test_verify_rejects_non_integer_stopping_times(tmp_path, capsys, tamper):
+    space = _dyadic3()
+    f = from_terminal(space, [3.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0, -3.0])
+    mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
+    jsonio.dump_json(jsonio.martingale_to_doc(f), mp)
+    assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--output", dp]) == 0
+    doc = jsonio.load_json(dp)
+    finite = [(t, i) for t, td in enumerate(doc["triples"])
+              for i, x in enumerate(td["nu"]) if x is not None]
+    assert finite
+    for t, i in finite:
+        nu = doc["triples"][t]["nu"]
+        nu[i] = nu[i] + 0.5 if tamper == "half" else True
+    jsonio.dump_json(doc, dp)
+    with pytest.raises(jsonio.SchemaError, match="'nu' has wrong type"):
+        jsonio.decomposition_from_doc(doc, space)
+    capsys.readouterr()
+    assert main(["verify", "--input", mp, "--decomposition", dp]) == 2
+    assert "'nu' has wrong type" in capsys.readouterr().err
+
+
+# -- the space of duality's g ----------------------------------------------------
+
+
+def _duality_argv(tmp_path, f, g_space_doc):
+    mp, gp = str(tmp_path / "mart.json"), str(tmp_path / "g.json")
+    jsonio.dump_json(jsonio.martingale_to_doc(f), mp)
+    g = [3.0, -1.0, 2.0, -2.0]  # zero mean under _tilted's weights
+    jsonio.dump_json({"schema": jsonio.SCHEMA, "space": g_space_doc, "values": g}, gp)
+    return ["duality", "--input", mp, "--g", gp, "--p", "0.5", "--q", "1"]
+
+
+def _tilted():
+    space = FilteredSpace(["w1", "w2", "w3", "w4"], [0.125, 0.375, 0.25, 0.25],
+                          [[["w1", "w2", "w3", "w4"]], [["w1", "w2"], ["w3", "w4"]],
+                           [["w1"], ["w2"], ["w3"], ["w4"]]],
+                          [["w1", "w2"], ["w3", "w4"]])
+    return space, from_terminal(space, [2.0, 0.0, -1.0, 0.0])
+
+
+@pytest.mark.parametrize("tamper", ["prob", "filtration", "blocks"])
+def test_duality_rejects_g_on_another_space(tmp_path, capsys, tamper):
+    space, f = _tilted()
+    doc = jsonio.space_to_doc(space)
+    if tamper == "prob":
+        doc["prob"] = [0.375, 0.125, 0.25, 0.25]
+    elif tamper == "filtration":
+        doc["filtration"][1] = [["w1", "w3"], ["w2", "w4"]]
+    else:
+        doc["blocks"] = [["w1", "w2", "w3", "w4"]]
+    capsys.readouterr()
+    assert main(_duality_argv(tmp_path, f, doc)) == 2
+    captured = capsys.readouterr()
+    assert "martingale and function live on different spaces" in captured.err
+    assert captured.out == ""
+
+
+def test_duality_accepts_g_on_the_same_space_written_differently(tmp_path, capsys):
+    space, f = _tilted()
+    doc = jsonio.space_to_doc(space)
+    argv = _duality_argv(tmp_path, f, doc)
+    assert main(argv) == 0
+    same = capsys.readouterr().out
+    doc["filtration"][1].reverse()
+    doc["filtration"][2].reverse()
+    doc["blocks"] = [["w4", "w3"], ["w2", "w1"]]
+    assert main(_duality_argv(tmp_path, f, doc)) == 0
+    assert capsys.readouterr().out == same
+
+
+def test_function_on_an_equal_space_document_is_not_decoded_again():
+    space, _ = _tilted()
+    space_doc = jsonio.space_to_doc(space)
+    doc = jsonio.function_to_doc(space, [1.0, -1.0, 2.0, -2.0])
+    got, values = jsonio.function_from_doc(json.loads(jsonio.canonical_dumps(doc)),
+                                           space, space_doc)
+    assert got is space
+    assert values.tolist() == [1.0, -1.0, 2.0, -2.0]
+    other, _ = jsonio.function_from_doc(doc)
+    assert other is not space
+
+
+# -- one parser per process --------------------------------------------------------
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    space, f = _tilted()
+    mp = str(tmp_path / "mart.json")
+    jsonio.dump_json(jsonio.martingale_to_doc(f), mp)
+    calls = {
+        "custom": ["decompose", "--input", mp, "--p", "0.5", "--q", "1",
+                   "--flavor", "S", "--eta-grid", "0.5"],
+        "defaults": ["decompose", "--input", mp, "--p", "0.5", "--q", "1"],
+    }
+    outputs = {}
+    for order in (("custom", "defaults"), ("defaults", "custom")):
+        for name in order:
+            main(calls[name])
+            outputs[order, name] = capsys.readouterr().out
+    for name in calls:
+        assert outputs[("custom", "defaults"), name] == outputs[("defaults", "custom"), name]
+    assert outputs[("custom", "defaults"), "custom"] != outputs[("custom", "defaults"), "defaults"]
+    assert json.loads(outputs[("custom", "defaults"), "defaults"])["flavor"] == "s"

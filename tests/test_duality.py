@@ -22,6 +22,7 @@ from amalgam import (
     stop,
 )
 from amalgam.duality import oscillation
+from amalgam.space import binary_exponent
 from amalgam.martingale import (
     _ladder_statistic,
     _threshold_time,
@@ -228,9 +229,13 @@ def _per_cell_family(space, gm):
 
 
 def _quotient_by_definition(space, g, gm, nu, p, q):
+    # the quotient is homogeneous in g: square g * 2^-e, not g, so tiny and
+    # huge g neither underflow nor overflow, and scale the value back by 2^e
+    e = binary_exponent(float(np.max(np.abs(g))))
     on = nu.support
     pb = float(space.prob[on].sum())
-    a = float(space.prob[on] @ (g - stop(gm, nu).terminal)[on] ** 2)
+    diff = np.ldexp(g, -e) - np.ldexp(stop(gm, nu).terminal, -e)
+    a = float(space.prob[on] @ diff[on] ** 2)
     masses = [float(space.prob[on & (space.block_labels == j)].sum())
               for j in range(space.n_blocks)]
     masses = [m for m in masses if m > 0.0]
@@ -238,7 +243,7 @@ def _quotient_by_definition(space, g, gm, nu, p, q):
         norm = max(masses) ** (1.0 / p)
     else:
         norm = sum(m ** (q / p) for m in masses) ** (1.0 / q)
-    return math.sqrt(a / pb) / (norm / pb)
+    return math.ldexp(math.sqrt(a / pb) / (norm / pb), e)
 
 
 def _per_candidate_sup(space, g, candidates, p, q):
@@ -251,7 +256,7 @@ def _per_candidate_sup(space, g, candidates, p, q):
             continue
         examined += 1
         assert val == pytest.approx(_quotient_by_definition(space, g, gm, nu, p, q),
-                                    rel=1e-12)
+                                    rel=1e-12, abs=0)
         if val > best or (best_nu is not None and val == best
                           and tuple(nu.times) < tuple(best_nu.times)):
             best, best_nu = val, nu
