@@ -12,23 +12,21 @@ two-sided bound certificate carries the explicit ladder constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .martingale import (
     Martingale,
     _ladder_statistic,
-    _threshold_time,
     conditional_quadratic_variation,
-    ladder_window,
+    ladder_times,
     maximal_function,
-    minimal_envelope,
     quadratic_variation,
-    stop,
+    stopped,
 )
 from .norms import hardy_s_norm, lpq_norm, p_space_norm, q_space_norm
-from .space import SLACK, FilteredSpace, StoppingTime, at_most, conditional_expectation, scale_of
+from .space import INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, condition_rows, scale_of
 
 FLAVORS = ("s", "S", "star")
 DEFNS = ("simple", "weighted")
@@ -60,8 +58,6 @@ class Decomposition:
     q: float
     triples: list
     source_norm: float
-    #: per-rung record of B, P(B) and the disjointified sets G_k
-    trace: list = field(default_factory=list)
 
 
 def atom_statistic(flavor: str, atom: Martingale) -> np.ndarray:
@@ -100,42 +96,27 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     if defn not in DEFNS:
         raise ValueError(f"defn must be one of {DEFNS}")
     space = f.space
-
-    if flavor == "s":
-        stat = _ladder_statistic(f, "s-ladder")
-        base_exp = 1  # lambda_k carries 2^{k+1}
-    else:
-        stat = minimal_envelope(f, flavor).levels
-        base_exp = 2  # envelope ladders carry 2^{k+2}
-
-    window = ladder_window(stat)
+    # lambda_k carries 2^{k+1} on the s ladder, 2^{k+2} on envelope ladders
+    base_exp = 1 if flavor == "s" else 2
     dec = Decomposition(space, flavor, defn, p, q, [], source_norm_for(f, flavor, p, q))
-    if window is None:
-        return dec
-    k_min, k_max = window
 
-    nus = {k: _threshold_time(space, stat, 2.0 ** k) for k in range(k_min, k_max + 2)}
-    supports = {k: nus[k].support for k in nus}
-    for k in range(k_min, k_max + 1):
-        mask = supports[k]
+    ks, times = ladder_times(_ladder_statistic(f, flavor))
+    steps = np.arange(space.depth + 1)[:, None]
+    # f^{nu^k} rung by rung: each atom needs only the tables of two rungs
+    tables = (stopped(f.levels, np.minimum(t, steps)) for t in times)
+    below = next(tables, None)
+    for k, nu_times, above in zip(ks, times, tables):
+        mask = nu_times != INFINITY
         pb = float(space.prob[mask].sum())
-        if pb <= 0.0:
-            continue  # empty rung: lambda_k = 0, zero atom, omitted
-        if defn == "simple":
-            lam = 2.0 ** (k + base_exp) * pb ** (1.0 / p)
-        else:
-            lam = 2.0 ** (k + base_exp) * lpq_norm(space, mask.astype(float), p, q)
-        diff = stop(f, nus[k + 1]).levels - stop(f, nus[k]).levels
-        atom = Martingale(space, diff / lam, validate=False)
-        dec.triples.append(AtomTriple(k, lam, atom, nus[k], flavor, defn))
-        dec.trace.append(
-            {
-                "k": k,
-                "support": mask,
-                "prob": pb,
-                "disjoint": mask & ~supports[k + 1],
-            }
-        )
+        if pb > 0.0:  # an empty rung has lambda_k = 0 and a zero atom: omitted
+            if defn == "simple":
+                lam = 2.0 ** (k + base_exp) * pb ** (1.0 / p)
+            else:
+                lam = 2.0 ** (k + base_exp) * lpq_norm(space, mask.astype(float), p, q)
+            atom = Martingale(space, (above - below) / lam, validate=False)
+            nu = StoppingTime(space, nu_times, validate=False)
+            dec.triples.append(AtomTriple(k, lam, atom, nu, flavor, defn))
+        below = above
     return dec
 
 
@@ -168,14 +149,9 @@ def verify_atom(t: AtomTriple, p, q, r=None) -> AtomReport:
     scale = scale_of(terminal)
 
     # (a1): conditional expectations vanish while the clock has not run out
-    residuals = [0.0]
-    for n in range(space.depth + 1):
-        live = t.nu.times >= n
-        if not live.any():
-            continue
-        e = conditional_expectation(space, terminal, n)
-        residuals.append(float(np.max(np.abs(e[live]))))
-    residual = float(np.max(residuals))  # np.max keeps a NaN; max() would drop it
+    e = condition_rows(space, np.broadcast_to(terminal, (space.depth + 1, space.size)))
+    live = t.nu.times >= np.arange(space.depth + 1)[:, None]
+    residual = float(np.max(np.abs(e), where=live, initial=0.0))  # a NaN is kept
     vanishing_ok = at_most(residual, SLACK * scale)
 
     stat = atom_statistic(t.flavor, t.atom)
@@ -202,17 +178,17 @@ def verify_atom(t: AtomTriple, p, q, r=None) -> AtomReport:
     return AtomReport(vanishing_ok, size_ok, support_ok, measured, bound, residual, leak)
 
 
-def reconstruct(d: Decomposition, n) -> np.ndarray:
-    """Sum of lambda_k E_n[a^k]; equals f_n exactly on the full window.
+def reconstruct(d: Decomposition) -> np.ndarray:
+    """(N+1, M) table whose row n is sum_k lambda_k E_n[a^k]; equals f exactly
+    on the full window.
 
     Conditioning is linear, so the rungs are summed first and the sum is
-    conditioned once.
+    conditioned once at every level.
     """
-    d.space._check_level(n)
     total = np.zeros(d.space.size)
     for t in d.triples:
         total += t.lam * t.terminal
-    return conditional_expectation(d.space, total, n)
+    return condition_rows(d.space, np.broadcast_to(total, (d.space.depth + 1, d.space.size)))
 
 
 def rung_weight(d: Decomposition, t: AtomTriple, p, q) -> float:

@@ -73,13 +73,15 @@ def cmd_verify(args):
     f = jsonio.martingale_from_doc(jsonio.load_json(args.input))
     d = jsonio.decomposition_from_doc(jsonio.load_json(args.decomposition), f.space)
     d.source_norm = source_norm_for(f, d.flavor, d.p, d.q)
-    recon = [float(np.max(np.abs(reconstruct(d, n) - f.levels[n])))
-             for n in range(f.space.depth + 1)]
+    rs = _parse_grid(args.r) if args.r else [2.0, 4.0, math.inf]
+    rs = [r for r in rs if r > max(d.p, 1.0)]
+    if not rs:
+        raise ValueError(f"--r: no exponent satisfies r > max(p, 1) = {max(d.p, 1.0)!r}")
+
+    recon = np.max(np.abs(reconstruct(d) - f.levels), axis=1).tolist()
     worst = float(np.max(recon))  # np.max keeps a NaN; max() would drop it
     recon_ok = at_most(recon, SLACK * scale_of(f.levels))
 
-    rs = _parse_grid(args.r) if args.r else [2.0, 4.0, math.inf]
-    rs = [r for r in rs if r > max(d.p, 1.0)]
     atom_reports = []
     atoms_ok = True
     for t in d.triples:
@@ -214,9 +216,8 @@ def cmd_selftest(args):
         for flavor in FLAVORS:
             for defn in DEFNS:
                 d = decompose(f, 0.7, 1.0, flavor=flavor, defn=defn)
-                for n in range(space.depth + 1):
-                    resid = np.abs(reconstruct(d, n) - f.levels[n])
-                    ok = ok and at_most(resid, IDENTITY_TOL * scale_of(f.levels))
+                resid = np.abs(reconstruct(d) - f.levels)
+                ok = ok and at_most(resid, IDENTITY_TOL * scale_of(f.levels))
                 for t in d.triples:
                     ok = ok and verify_atom(t, 0.7, 1.0).passed
                 ok = ok and certify_bounds(f, d).passed

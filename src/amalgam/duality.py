@@ -18,15 +18,8 @@ import numpy as np
 
 from . import _kernels
 from .atoms import decompose, ladder_constant
-from .martingale import (
-    Martingale,
-    _ladder_statistic,
-    _threshold_times,
-    from_terminal,
-    ladder_window,
-    minimal_envelope,
-)
-from .norms import hardy_s_norm, lpq_norm, lq_aggregate
+from .martingale import Martingale, _ladder_statistic, from_terminal, ladder_times, stopped
+from .norms import lpq_norm, lq_aggregate
 from .space import (
     _BLOCK_ELEMS,
     INFINITY,
@@ -99,9 +92,8 @@ def _row_sums(space, levels, g, times):
     """
     k, m = times.shape
     on = times != INFINITY
-    stopped = levels[np.minimum(times, space.depth), np.arange(m)]
     rows = np.repeat(np.arange(k), m)
-    a = _kernels.cell_sums(rows, k, (space.prob * (g - stopped) ** 2 * on).ravel())
+    a = _kernels.cell_sums(rows, k, (space.prob * (g - stopped(levels, times)) ** 2 * on).ravel())
     return (a, *_masses(space, rows, k, (space.prob * on).ravel()))
 
 
@@ -158,20 +150,18 @@ class _Supremum:
     def add_cells(self):
         """Score every cell first-entry time, all levels in one pass.
 
-        Cell c of level n, numbered offsets[n] + c, stands for the time that
+        Cell c of level n, numbered cell_offsets[n] + c, stands for the time that
         stops at n on c and nowhere else; only a tied winner gets its times.
         """
         space = self.space
-        labels = np.stack(space.level_labels)
-        offsets = np.cumsum([0] + space.level_sizes[:-1])
-        cells = (labels + offsets[:, None]).ravel()
-        total = int(sum(space.level_sizes))
+        cells = space.cell_labels.ravel()
+        total = len(space.cell_masses)
         a = _kernels.cell_sums(cells, total, (space.prob * (self.g - self.levels) ** 2).ravel())
         pb, masses = _masses(space, cells, total, np.tile(space.prob, space.depth + 1))
 
         def times_of(idx):
-            n = np.searchsorted(offsets, idx, side="right") - 1
-            return np.where(labels[n] == (idx - offsets[n])[:, None], n[:, None], INFINITY)
+            n = np.searchsorted(space.cell_offsets, idx, side="right") - 1
+            return np.where(space.cell_labels[n] == idx[:, None], n[:, None], INFINITY)
 
         self._fold(a, pb, masses, times_of)
 
@@ -188,22 +178,16 @@ def _ladder_rows(space, gm):
     envelopes.  The zero time is the level-0 cell's first-entry time.
     """
     distinct = {}
-    stats = [_ladder_statistic(gm, "s-ladder")]
-    for flavor in ("S", "star"):
-        stats.append(minimal_envelope(gm, flavor).levels)
-    for stat in stats:
-        window = ladder_window(stat)
-        if window is not None:
-            ks = np.arange(window[0], window[1] + 1, dtype=np.float64)
-            for times in _threshold_times(stat, 2.0 ** ks):
-                distinct[times.tobytes()] = times
+    for flavor in ("s", "S", "star"):
+        for times in ladder_times(_ladder_statistic(gm, flavor))[1]:
+            distinct[times.tobytes()] = times
     rows = np.array(list(distinct.values()), dtype=np.int64).reshape(-1, space.size)
     rows = rows[(rows != INFINITY).any(axis=1)]  # an empty B is never examined
     on = rows != INFINITY
     # a cell time stops at one n on exactly the members of one level-n cell
     first = on.argmax(axis=1)
     n = rows[np.arange(len(rows)), first]
-    at_n = np.stack(space.level_labels)[n]
+    at_n = space.cell_labels[n]
     cell = on == (at_n == at_n[np.arange(len(rows)), first][:, None])
     same_n = ~on | (rows == n[:, None])
     return rows[~(cell & same_n).all(axis=1)]
@@ -318,14 +302,13 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", eta=1.0,
         space, g, p, q, mode=mode, cap=cap,
         extra_candidates=[t.nu for t in d.triples],
     )
-    hn = hardy_s_norm(f, p, q)
     const = ladder_constant(eta)
-    budget = const * hn * camp.norm_value
+    budget = const * d.source_norm * camp.norm_value
 
     slack = SLACK * scale_of(lhs, atomwise, budget)
     ok = at_most(lhs, atomwise + slack) and at_most(atomwise, budget + slack)
     return DualityCertificate(
-        lhs, atomwise, budget, camp, hn, const, ok,
+        lhs, atomwise, budget, camp, d.source_norm, const, ok,
         atomwise - lhs, budget - atomwise,
     )
 

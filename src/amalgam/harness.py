@@ -36,6 +36,8 @@ class CorpusSpec:
             raise ValueError(f"block policy must be one of {BLOCK_POLICIES}")
         if self.count < 1 or self.depth < 0:
             raise ValueError("count must be >= 1 and depth >= 0")
+        if self.block_param < 0:
+            raise ValueError(f"block_param must be >= 0, got {self.block_param}")
         if self.max_branching ** self.depth > MAX_OUTCOMES:
             raise ValueError(f"outcome bound {MAX_OUTCOMES} exceeded")
 

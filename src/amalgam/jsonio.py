@@ -18,7 +18,7 @@ import numpy as np
 from .atoms import AtomTriple, BoundsCertificate, Decomposition, DEFNS, FLAVORS
 from .atoms import source_norm_for  # noqa: F401  (re-exported)
 from .martingale import Martingale, from_terminal
-from .space import INFINITY, FilteredSpace, StoppingTime, conditional_expectation
+from .space import INFINITY, FilteredSpace, StoppingTime, condition_rows
 from .space import require_finite
 
 SCHEMA = "amalgam/1"
@@ -238,9 +238,7 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
             raise SchemaError(f"{where}: {exc}") from exc
         # rebuild the level table by conditioning; a tampered terminal is
         # kept as-is so verification reports the violation instead
-        levels = np.vstack(
-            [conditional_expectation(space, terminal, n) for n in range(space.depth + 1)]
-        )
+        levels = condition_rows(space, np.broadcast_to(terminal, (space.depth + 1, space.size)))
         atom = Martingale(space, levels, validate=False)
         triples.append(AtomTriple(k, lam, atom, nu, flavor, defn))
     d = Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)

@@ -16,8 +16,8 @@ from .space import (
     FilteredSpace,
     SpaceError,
     StoppingTime,
+    condition_rows,
     conditional_ess_sup,
-    conditional_expectation,
     is_measurable,
 )
 from .space import SLACK, TOL, at_most, binary_exponent, require_finite, scale_of
@@ -39,10 +39,9 @@ class Martingale:
             scale = scale_of(lv)
             if not at_most(np.abs(lv[0]), TOL * scale):
                 raise SpaceError("f_0 must vanish")
-            for n in range(space.depth):
-                e = conditional_expectation(space, lv[n + 1], n)
-                if not at_most(np.abs(e - lv[n]), SLACK * scale):
-                    raise SpaceError(f"martingale property fails at step {n}")
+            ok = np.less_equal(np.abs(condition_rows(space, lv[1:]) - lv[:-1]), SLACK * scale)
+            if not ok.all():
+                raise SpaceError(f"martingale property fails at step {ok.all(axis=1).argmin()}")
 
     @property
     def terminal(self) -> np.ndarray:
@@ -104,11 +103,9 @@ def from_terminal(space: FilteredSpace, x) -> Martingale:
     mean = float(space.prob @ x)
     if not at_most(abs(mean), SLACK * scale_of(x)):
         raise SpaceError(f"terminal value has nonzero mean {mean!r}")
-    levels = np.empty((space.depth + 1, space.size))
-    levels[0] = 0.0
-    for n in range(1, space.depth + 1):
-        levels[n] = conditional_expectation(space, x, n)
-    levels[1:] -= mean  # remove the rounding-level mean so f_0 = 0 exactly
+    levels = np.zeros((space.depth + 1, space.size))
+    # remove the rounding-level mean so f_0 = 0 exactly
+    levels[1:] = condition_rows(space, np.broadcast_to(x, (space.depth, space.size)), 1) - mean
     return Martingale(space, levels, validate=False)
 
 
@@ -137,8 +134,7 @@ def conditional_quadratic_variation_partial(f: Martingale) -> np.ndarray:
     """Row n is s_n(f); the i-th summand is E_{i-1}|d_i f|^2."""
     d, e = _scaled_differences(f)
     terms = np.zeros_like(d)
-    for n in range(1, f.space.depth + 1):
-        terms[n] = conditional_expectation(f.space, d[n] * d[n], n - 1)
+    terms[1:] = condition_rows(f.space, d[1:] * d[1:])
     return np.ldexp(np.sqrt(np.cumsum(terms, axis=0)), e)
 
 
@@ -155,35 +151,38 @@ def maximal_function(f: Martingale) -> np.ndarray:
     return np.max(np.abs(f.levels), axis=0)
 
 
+def stopped(levels, times) -> np.ndarray:
+    """levels[min(times, N)] per outcome, for times of any leading shape.
+
+    ``levels`` is an (N+1, M) table and the last axis of ``times`` runs over
+    the M outcomes; infinity stops at N.
+    """
+    return levels[np.minimum(times, len(levels) - 1), np.arange(levels.shape[1])]
+
+
 def stop(f: Martingale, nu: StoppingTime) -> Martingale:
     """Stopped martingale f^nu with levels f_{min(n, nu)}."""
     if nu.space is not f.space:
         raise SpaceError("stopping time lives on a different space")
-    N = f.space.depth
-    cols = np.arange(f.space.size)
-    out = np.empty_like(f.levels)
-    for n in range(N + 1):
-        idx = np.minimum(n, np.minimum(nu.times, N))
-        out[n] = f.levels[idx, cols]
-    return Martingale(f.space, out, validate=False)
+    steps = np.arange(f.space.depth + 1)[:, None]
+    return Martingale(f.space, stopped(f.levels, np.minimum(nu.times, steps)), validate=False)
 
 
-def _ladder_statistic(f: Martingale, flavor, beta=None) -> np.ndarray:
-    """Row n is the F_n-measurable statistic driving the level-n trigger."""
-    if flavor == "s-ladder":
+def _ladder_statistic(f: Martingale, flavor) -> np.ndarray:
+    """Row n is the F_n-measurable statistic driving the level-n trigger.
+
+    Flavor "s" is s_{n+1}(f), "S" and "star" the minimal envelope.
+    """
+    if flavor == "s":
         s_part = conditional_quadratic_variation_partial(f)
         # s_{n+1} for n < N; s_{N+1} is the full sum s(f)
         return np.vstack([s_part[1:], s_part[-1:]])
-    if flavor == "envelope-ladder":
-        if beta is None:
-            raise ValueError("envelope-ladder requires a predictor envelope")
-        return beta.levels
-    raise ValueError(f"unknown ladder flavor {flavor!r}")
+    return minimal_envelope(f, flavor).levels
 
 
-def ladder_stopping_time(f: Martingale, k, flavor="s-ladder", beta=None) -> StoppingTime:
+def ladder_stopping_time(f: Martingale, k, flavor="s") -> StoppingTime:
     """First n whose ladder statistic exceeds 2^k, else infinity."""
-    stat = _ladder_statistic(f, flavor, beta)
+    stat = _ladder_statistic(f, flavor)
     return _threshold_time(f.space, stat, 2.0 ** k)
 
 
@@ -220,6 +219,17 @@ def ladder_window(stat_rows):
     while 2.0 ** (k_max + 1) < top:
         k_max += 1
     return k_min, k_max
+
+
+def ladder_times(stat_rows):
+    """(ks, times): the window's rungs k_min..k_max+1 and their (K+1, M) times.
+
+    Every rung comes from one comparison; the top rung never stops.  With
+    no window, ks is empty and times has no rows.
+    """
+    window = ladder_window(stat_rows)
+    ks = range(0) if window is None else range(window[0], window[1] + 2)
+    return ks, _threshold_times(stat_rows, [2.0 ** k for k in ks])
 
 
 def minimal_envelope(f: Martingale, flavor="S") -> PredictorEnvelope:

@@ -100,17 +100,22 @@ class FilteredSpace:
         self.size = len(self.outcomes)
         if self.size < 1:
             raise SpaceError("need at least one outcome")
-        self.index = {o: i for i, o in enumerate(self.outcomes)}
+        try:
+            self.index = {o: i for i, o in enumerate(self.outcomes)}
+        except TypeError as exc:
+            raise SpaceError(f"outcomes must be hashable: {exc}") from exc
         if len(self.index) != self.size:
             raise SpaceError("duplicate outcomes")
 
-        if isinstance(prob, dict):
-            try:
+        try:
+            if isinstance(prob, dict):
                 p = np.array([float(prob[o]) for o in self.outcomes])
-            except KeyError as exc:
-                raise SpaceError(f"missing probability for outcome {exc}") from exc
-        else:
-            p = np.asarray(prob, dtype=np.float64)
+            else:
+                p = np.asarray(prob, dtype=np.float64)
+        except KeyError as exc:
+            raise SpaceError(f"missing probability for outcome {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SpaceError(f"probabilities must be numbers: {exc}") from exc
         if p.shape != (self.size,):
             raise SpaceError("probability vector has wrong length")
         if not np.all(p > 0.0):
@@ -143,6 +148,11 @@ class FilteredSpace:
             _kernels.cell_sums(lab, size, self.prob)
             for lab, size in zip(self.level_labels, self.level_sizes)
         ]
+        # level-offset labels: cell c of level n is cell_offsets[n] + c, so the
+        # cells of all levels are summed in one pass
+        self.cell_offsets = np.cumsum([0] + self.level_sizes)
+        self.cell_labels = np.stack(self.level_labels) + self.cell_offsets[:-1, None]
+        self.cell_masses = np.concatenate(self.cell_probs)
         self.block_probs = _kernels.cell_sums(self.block_labels, self.n_blocks, self.prob)
         self._regularity = None
         self._parent_cells = None
@@ -303,6 +313,21 @@ def conditional_expectation(space: FilteredSpace, x, n) -> np.ndarray:
     return (sums / space.cell_probs[n])[labels]
 
 
+def condition_rows(space: FilteredSpace, rows, first=0) -> np.ndarray:
+    """Row i is E[rows[i] | F_{first + i}], every row in one cell_sums pass.
+
+    Each cell sums its members in outcome order whether its level is
+    conditioned alone or stacked, so a row gets the same bits as from
+    conditional_expectation.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    labels = space.cell_labels[first:first + len(rows)]
+    if first < 0 or rows.shape != labels.shape:
+        raise SpaceError(f"rows of shape {rows.shape} do not fit levels {first}..{space.depth}")
+    sums = _kernels.cell_sums(labels.ravel(), len(space.cell_masses), (space.prob * rows).ravel())
+    return (sums / space.cell_masses)[labels]
+
+
 def conditional_ess_sup(space: FilteredSpace, x, n) -> np.ndarray:
     """Smallest F_n-measurable majorant: per-cell maximum."""
     space._check_level(n)
@@ -327,15 +352,10 @@ def regularity_constant(space: FilteredSpace) -> float:
     On a finite space with positive weights this is exactly the best
     constant in the regularity condition for non-negative martingales.
     """
-    if space._regularity is not None:
-        return space._regularity
-    best = 1.0
-    for n in range(1, space.depth + 1):
-        parent_mass = space.cell_probs[n - 1][space.level_labels[n - 1]]
-        child_mass = space.cell_probs[n][space.level_labels[n]]
-        best = max(best, float(np.max(parent_mass / child_mass)))
-    space._regularity = best
-    return best
+    if space._regularity is None:
+        mass = space.cell_masses[space.cell_labels]  # row n: each outcome's level-n cell
+        space._regularity = float(np.max(mass[:-1] / mass[1:], initial=1.0))
+    return space._regularity
 
 
 def _groups(labels, n_groups):

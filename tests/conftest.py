@@ -122,3 +122,13 @@ def small_trees(draw, max_outcomes=6, max_depth=3, random_weights=False, max_blo
         blocks = [b for b in ([o for o, j in zip(outcomes, labels) if j == k]
                               for k in range(max_blocks)) if b]
     return FilteredSpace(outcomes, w, filtration, blocks)
+
+
+@st.composite
+def small_martingales(draw, **trees):
+    """(space, f): a space from ``small_trees(**trees)`` and the martingale of a
+    drawn zero-mean terminal."""
+    space = draw(small_trees(**trees))
+    x = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=space.size,
+                               max_size=space.size)))
+    return space, from_terminal(space, x - float(space.prob @ x))

@@ -79,7 +79,7 @@ def test_criterion_01_reconstruction(corpus500):
         for flavor, defn in ALL_COMBOS:
             d = decompose(f, 0.5, 1.0, flavor=flavor, defn=defn)
             for n in range(space.depth + 1):
-                resid = float(np.max(np.abs(reconstruct(d, n) - f.levels[n])))
+                resid = float(np.max(np.abs(reconstruct(d)[n] - f.levels[n])))
                 ok = ok and resid <= 1e-10 * scale
     ok = ok and (time.monotonic() - start) <= 60.0
     _report(1, "exact ladder reconstruction", ok)
@@ -156,7 +156,7 @@ def test_criterion_05_golden_fixture(worked_example):
         abs(lam[0] - math.sqrt(2.0)) <= 1e-12,
         abs(aggregate_eta_norm(d, 1.0) - math.sqrt(5.0)) <= 1e-12,
         all(
-            float(np.max(np.abs(reconstruct(d, n) - f.levels[n]))) <= 1e-12
+            float(np.max(np.abs(reconstruct(d)[n] - f.levels[n]))) <= 1e-12
             for n in range(3)
         ),
     ]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from amalgam import (
     AtomTriple,
@@ -13,11 +14,14 @@ from amalgam import (
     decompose,
     from_terminal,
     ladder_constant,
+    ladder_stopping_time,
     reconstruct,
+    stop,
     verify_atom,
 )
 from amalgam.atoms import DEFNS, FLAVORS, atom_statistic, default_r, rung_weight
-from conftest import random_martingale, random_tree_space
+from amalgam.space import SLACK, at_most, scale_of
+from conftest import random_martingale, random_tree_space, small_martingales
 
 SQ2 = np.sqrt(2.0)
 
@@ -72,7 +76,7 @@ def test_reconstruction_exact_all_variants():
         for flavor, defn in ALL_COMBOS:
             d = decompose(f, 0.5, 1.0, flavor=flavor, defn=defn)
             for n in range(space.depth + 1):
-                err = np.max(np.abs(reconstruct(d, n) - f.levels[n]))
+                err = np.max(np.abs(reconstruct(d)[n] - f.levels[n]))
                 assert err < 1e-10
 
 
@@ -91,6 +95,19 @@ def test_atoms_verify_all_variants():
                         if r <= max(p, 1.0):
                             continue
                         assert verify_atom(t, p, q, r=r).passed
+
+
+@given(small_martingales(random_weights=True, max_blocks=2), st.sampled_from(ALL_COMBOS))
+def test_atoms_are_stopped_differences_and_reconstruct_f(case, variant):
+    space, f = case
+    flavor, defn = variant
+    d = decompose(f, 0.5, 1.0, flavor=flavor, defn=defn)
+    for t in d.triples:
+        nu = ladder_stopping_time(f, t.k, flavor)
+        assert np.array_equal(t.nu.times, nu.times)
+        rung = stop(f, ladder_stopping_time(f, t.k + 1, flavor)).levels - stop(f, nu).levels
+        assert np.array_equal(t.atom.levels, rung / t.lam)
+    assert at_most(np.abs(reconstruct(d) - f.levels), SLACK * scale_of(f.levels))
 
 
 def test_verify_atom_flags_size_violation(coin):
@@ -131,13 +148,15 @@ def test_trace_disjointification(worked_example):
     space, f = worked_example
     for flavor in FLAVORS:
         d = decompose(f, 2, 2, flavor=flavor, defn="simple")
-        masks = [rec["disjoint"] for rec in d.trace]
+        # G_k = B_k \ B_{k+1}; the rung above the last triple stops nowhere
+        supports = [t.nu.support for t in d.triples] + [np.zeros(space.size, dtype=bool)]
+        masks = [b & ~b_next for b, b_next in zip(supports, supports[1:])]
         total = np.zeros(space.size, dtype=int)
         for m in masks:
             total += m.astype(int)
         assert np.max(total) <= 1
         # the disjoint pieces tile the widest support
-        widest = d.trace[0]["support"]
+        widest = supports[0]
         assert np.array_equal(np.logical_or.reduce(masks), widest)
 
 

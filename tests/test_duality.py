@@ -213,7 +213,7 @@ def _per_cell_family(space, gm):
     """The heuristic family as one StoppingTime per candidate, deduplicated:
     the zero time, the ladder rungs, then one first-entry time per cell."""
     cands = [StoppingTime(space, np.zeros(space.size, dtype=np.int64), validate=False)]
-    stats = [_ladder_statistic(gm, "s-ladder")]
+    stats = [_ladder_statistic(gm, "s")]
     stats += [minimal_envelope(gm, flavor).levels for flavor in ("S", "star")]
     for stat in stats:
         window = ladder_window(stat)

@@ -26,6 +26,8 @@ def test_corpus_spec_validation():
         CorpusSpec(block_policy="bogus")
     with pytest.raises(ValueError):
         CorpusSpec(depth=40, max_branching=2)  # exceeds the outcome bound
+    with pytest.raises(ValueError, match="block_param"):
+        CorpusSpec(block_policy="level-cells", block_param=-1)
 
 
 def test_generate_deterministic():
@@ -123,7 +125,7 @@ def test_decomposition_round_trip(worked_example):
         assert np.array_equal(ta.nu.times, tb.nu.times)
         assert np.allclose(ta.atom.levels, tb.atom.levels)
     for n in range(space.depth + 1):
-        assert np.allclose(reconstruct(back, n), f.levels[n])
+        assert np.allclose(reconstruct(back)[n], f.levels[n])
 
 
 def test_schema_errors():
@@ -172,6 +174,21 @@ def test_cli_decompose_then_verify(tmp_path, worked_example):
     assert main(["decompose", "--input", mp, "--p", "2", "--q", "2",
                  "--output", dp]) == 0
     assert main(["verify", "--input", mp, "--decomposition", dp]) == 0
+
+
+@pytest.mark.parametrize("r", ["1", "nan", "0.5,2"])
+def test_cli_verify_without_an_admissible_exponent_is_input_error(
+        tmp_path, worked_example, capsys, r):
+    # at p = 2 every listed r fails r > max(p, 1): no atom would be checked
+    _, f = worked_example
+    mp = _write_martingale(tmp_path, f)
+    dp = str(tmp_path / "dec.json")
+    main(["decompose", "--input", mp, "--p", "2", "--q", "2", "--output", dp])
+    capsys.readouterr()
+    assert main(["verify", "--input", mp, "--decomposition", dp, "--r", r]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "r > max(p, 1)" in captured.err
 
 
 def test_cli_verify_detects_tampered_lambda(tmp_path, worked_example, capsys):
@@ -254,6 +271,16 @@ def test_cli_explore_and_gen(tmp_path, capsys):
                                        "mart_0002.json"]
     for p in files:
         jsonio.martingale_from_doc(jsonio.load_json(str(p)))
+
+
+@pytest.mark.parametrize("command", ["gen", "explore"])
+def test_cli_corpus_rejects_a_negative_block_param(tmp_path, capsys, command):
+    argv = [command, "--block-policy", "level-cells", "--block-param", "-1",
+            "--count", "1", "--depth", "2"]
+    argv += ["--out-dir", str(tmp_path)] if command == "gen" else ["--p", "1", "--q", "1"]
+    assert main(argv) == 2
+    assert "block_param" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_selftest(capsys):

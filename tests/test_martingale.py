@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from amalgam import (
     INFINITY,
@@ -20,8 +21,8 @@ from amalgam import (
     stop,
 )
 from amalgam.martingale import _ladder_statistic, dominates, ladder_window
-from amalgam.space import _constant_on_cells
-from conftest import random_martingale, random_tree_space
+from amalgam.space import _constant_on_cells, stopping_time_blocks
+from conftest import random_martingale, random_tree_space, small_martingales
 
 SQ2 = np.sqrt(2.0)
 
@@ -132,6 +133,21 @@ def test_stopped_process_is_a_martingale():
             assert np.all(np.abs(d[n][nu.times < n]) < 1e-12)
 
 
+@given(small_martingales(random_weights=True), st.data())
+def test_stop_matches_its_per_level_definition(case, data):
+    space, f = case
+    every = np.vstack(list(stopping_time_blocks(space)))
+    drawn = every[data.draw(st.integers(0, len(every) - 1))]
+    N = space.depth
+    for times in (np.zeros(space.size), np.full(space.size, INFINITY), drawn):
+        nu = StoppingTime(space, times)
+        want = np.empty_like(f.levels)
+        for n in range(N + 1):
+            for w in range(space.size):
+                want[n, w] = f.levels[min(n, int(nu.times[w]), N), w]
+        assert np.array_equal(stop(f, nu).levels, want)
+
+
 def test_ladder_stopping_time_worked_example(worked_example):
     space, f = worked_example
     nu0 = ladder_stopping_time(f, 0)
@@ -147,7 +163,7 @@ def test_ladder_stop_caps_the_statistic():
     for _ in range(20):
         space = random_tree_space(rng, depth=3, branching=3)
         f = random_martingale(rng, space)
-        stat = _ladder_statistic(f, "s-ladder")
+        stat = _ladder_statistic(f, "s")
         window = ladder_window(stat)
         if window is None:
             continue
@@ -171,7 +187,7 @@ def test_ladder_window_brackets_the_statistic():
     for _ in range(30):
         space = random_tree_space(rng, depth=3, branching=3)
         f = random_martingale(rng, space)
-        stat = _ladder_statistic(f, "s-ladder")
+        stat = _ladder_statistic(f, "s")
         k_min, k_max = ladder_window(stat)
         # positive values below the noise floor do not steer the window
         pos = stat[stat > stat.max() * 1e-12]
@@ -188,7 +204,7 @@ def test_ladder_window_brackets_the_statistic():
 
 def test_ladder_window_zero_statistic(dyadic2):
     f = Martingale(dyadic2, np.zeros((3, 4)))
-    assert ladder_window(_ladder_statistic(f, "s-ladder")) is None
+    assert ladder_window(_ladder_statistic(f, "s")) is None
 
 
 def test_minimal_envelope_coin(coin):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from amalgam import (
     INFINITY,
@@ -23,6 +23,7 @@ from amalgam.space import (
     TOL,
     _constant_on_cells,
     at_most,
+    condition_rows,
     scale_of,
     stopping_time_blocks,
 )
@@ -30,6 +31,12 @@ from conftest import random_tree_space, small_trees
 
 
 def test_space_invariants_enforced():
+    with pytest.raises(SpaceError):
+        # an unhashable outcome
+        FilteredSpace([["a"], "b"], [0.5, 0.5], [[["b"]]], [["b"]])
+    for prob in (["x", 0.5], {"a": "x", "b": 0.5}, [None, 0.5]):
+        with pytest.raises(SpaceError):
+            FilteredSpace(["a", "b"], prob, [[["a", "b"]]], [["a", "b"]])
     with pytest.raises(SpaceError):
         FilteredSpace(["a", "b"], [0.5, 0.5], [[["a"], ["b"]]], [["a", "b"]])
     with pytest.raises(SpaceError):
@@ -81,6 +88,21 @@ def test_tower_property():
                 twice = conditional_expectation(space, once, n)
                 direct = conditional_expectation(space, x, min(m, n))
                 assert np.max(np.abs(twice - direct)) < 1e-12
+
+
+@given(small_trees(random_weights=True), st.data())
+def test_condition_rows_match_one_level_at_a_time(space, data):
+    first = data.draw(st.integers(0, space.depth))
+    k = data.draw(st.integers(0, space.depth + 1 - first))
+    values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=k * space.size,
+                                max_size=k * space.size))
+    rows = np.array(values, dtype=np.float64).reshape(k, space.size)
+    got = condition_rows(space, rows, first)
+    assert got.shape == rows.shape
+    for i, row in enumerate(rows):
+        assert np.array_equal(got[i], conditional_expectation(space, row, first + i))
+    with pytest.raises(SpaceError):  # one row past level N
+        condition_rows(space, np.zeros((space.depth + 2 - first, space.size)), first)
 
 
 def test_conditional_ess_sup(dyadic2):
