@@ -41,8 +41,6 @@ class AtomTriple:
     lam: float
     atom: Martingale
     nu: StoppingTime
-    flavor: str
-    defn: str
 
     @property
     def terminal(self) -> np.ndarray:
@@ -85,6 +83,15 @@ def default_r(flavor: str) -> float:
     return 2.0 if flavor == "s" else math.inf
 
 
+def _support_size(space: FilteredSpace, mask, p, q, defn):
+    """(P(B), |B|) of a rung's support B: |B| is P(B)^{1/p} for the simple
+    definition and ||1_B||_{p,q} for the weighted one, and 0 when P(B) = 0."""
+    pb = float(space.prob[mask].sum())
+    if pb <= 0.0:
+        return pb, 0.0
+    return pb, pb ** (1.0 / p) if defn == "simple" else lpq_norm(space, mask.astype(float), p, q)
+
+
 def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     """Run the ladder construction for the requested theorem variant.
 
@@ -106,16 +113,12 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     tables = (stopped(f.levels, np.minimum(t, steps)) for t in times)
     below = next(tables, None)
     for k, nu_times, above in zip(ks, times, tables):
-        mask = nu_times != INFINITY
-        pb = float(space.prob[mask].sum())
+        pb, size = _support_size(space, nu_times != INFINITY, p, q, defn)
         if pb > 0.0:  # an empty rung has lambda_k = 0 and a zero atom: omitted
-            if defn == "simple":
-                lam = 2.0 ** (k + base_exp) * pb ** (1.0 / p)
-            else:
-                lam = 2.0 ** (k + base_exp) * lpq_norm(space, mask.astype(float), p, q)
+            lam = 2.0 ** (k + base_exp) * size
             atom = Martingale(space, (above - below) / lam, validate=False)
             nu = StoppingTime(space, nu_times, validate=False)
-            dec.triples.append(AtomTriple(k, lam, atom, nu, flavor, defn))
+            dec.triples.append(AtomTriple(k, lam, atom, nu))
         below = above
     return dec
 
@@ -136,15 +139,13 @@ class AtomReport:
     def passed(self) -> bool:
         return self.vanishing_ok and self.size_ok and self.support_ok
 
-    @property
-    def slack(self) -> float:
-        return self.bound - self.measured
 
-
-def verify_atom(t: AtomTriple, p, q, r=None) -> AtomReport:
-    """Check the atom conditions of one triple and report measured slack."""
-    r = default_r(t.flavor) if r is None else r
-    space = t.atom.space
+def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
+    """Check the atom conditions of one triple of ``d``: one report per
+    exponent r in ``rs`` (default: the flavor's ``default_r``).  The
+    r-independent work, residual, statistic and support, runs once."""
+    rs = [default_r(d.flavor)] if rs is None else rs
+    space = d.space
     terminal = t.terminal
     scale = scale_of(terminal)
 
@@ -154,28 +155,30 @@ def verify_atom(t: AtomTriple, p, q, r=None) -> AtomReport:
     residual = float(np.max(np.abs(e), where=live, initial=0.0))  # a NaN is kept
     vanishing_ok = at_most(residual, SLACK * scale)
 
-    stat = atom_statistic(t.flavor, t.atom)
+    stat = atom_statistic(d.flavor, t.atom)
     mask = t.nu.support
-    pb = float(space.prob[mask].sum())
+    pb, size = _support_size(space, mask, d.p, d.q, d.defn)
 
     leak = float(np.max(stat[~mask])) if (~mask).any() else 0.0
     support_ok = at_most(leak, SLACK * scale)
 
-    if math.isinf(r):
-        measured = float(np.max(stat))
-    else:
-        measured = float(space.prob @ stat ** r) ** (1.0 / r)
-    if pb <= 0.0:
-        bound = 0.0
-        size_ok = at_most(measured, SLACK * scale)
-    else:
-        pr = 1.0 if math.isinf(r) else pb ** (1.0 / r)
-        if t.defn == "simple":
-            bound = pr * pb ** (-1.0 / p)
+    reports = []
+    for r in rs:
+        if math.isinf(r):
+            measured = float(np.max(stat))
         else:
-            bound = pr / lpq_norm(space, mask.astype(float), p, q)
-        size_ok = at_most(measured, bound * (1.0 + SLACK))
-    return AtomReport(vanishing_ok, size_ok, support_ok, measured, bound, residual, leak)
+            measured = float(space.prob @ stat ** r) ** (1.0 / r)
+        if pb <= 0.0:
+            bound = 0.0
+            size_ok = at_most(measured, SLACK * scale)
+        else:
+            pr = 1.0 if math.isinf(r) else pb ** (1.0 / r)
+            # the simple bound keeps its own rounding: pr / |B| differs in the last bit
+            bound = pr * pb ** (-1.0 / d.p) if d.defn == "simple" else pr / size
+            size_ok = at_most(measured, bound * (1.0 + SLACK))
+        reports.append(AtomReport(vanishing_ok, size_ok, support_ok, measured, bound,
+                                  residual, leak))
+    return reports
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
@@ -191,31 +194,22 @@ def reconstruct(d: Decomposition) -> np.ndarray:
     return condition_rows(d.space, np.broadcast_to(total, (d.space.depth + 1, d.space.size)))
 
 
-def rung_weight(d: Decomposition, t: AtomTriple, p, q) -> float:
+def rung_weight(d: Decomposition, t: AtomTriple) -> float:
     """lambda_k normalized by the support size in the matching definition."""
-    mask = t.nu.support
-    pb = float(d.space.prob[mask].sum())
-    if pb <= 0.0:
-        return 0.0
-    if d.defn == "simple":
-        return t.lam / pb ** (1.0 / p)
-    return t.lam / lpq_norm(d.space, mask.astype(float), p, q)
+    pb, size = _support_size(d.space, t.nu.support, d.p, d.q, d.defn)
+    return t.lam / size if pb > 0.0 else 0.0
 
 
-def aggregate_eta_norm(d: Decomposition, eta, p=None, q=None) -> float:
+def aggregate_eta_norm(d: Decomposition, eta) -> float:
     """||sum_k w_k^eta 1_{B_k}||_{p/eta, q/eta}^{1/eta} for the rung weights."""
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    p = d.p if p is None else p
-    q = d.q if q is None else q
     if not d.triples:
         return 0.0
     fieldv = np.zeros(d.space.size)
     for t in d.triples:
-        w = rung_weight(d, t, p, q)
-        fieldv[t.nu.support] += w ** eta
-    qq = math.inf if math.isinf(q) else q / eta
-    return lpq_norm(d.space, fieldv, p / eta, qq) ** (1.0 / eta)
+        fieldv[t.nu.support] += rung_weight(d, t) ** eta
+    return lpq_norm(d.space, fieldv, d.p / eta, d.q / eta) ** (1.0 / eta)
 
 
 def ladder_constant(eta: float) -> float:
@@ -234,10 +228,6 @@ class BoundEntry:
 
 @dataclass
 class BoundsCertificate:
-    flavor: str
-    defn: str
-    p: float
-    q: float
     source_norm: float
     entries: list
 
@@ -249,23 +239,20 @@ class BoundsCertificate:
         return [e.eta for e in self.entries if not (e.upper_ok and e.converse_ok)]
 
 
-def certify_bounds(f: Martingale, d: Decomposition, p=None, q=None,
-                   eta_grid=DEFAULT_ETA_GRID) -> BoundsCertificate:
-    """Two-sided certificate for a decomposition of f.
+def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertificate:
+    """Two-sided certificate for a decomposition.
 
     Upper side: aggregate(eta) <= C(eta) * source norm, with the extra
     factor 2 budget for the envelope flavors (their ladders carry 2^{k+2}
     and the admissible-envelope slack is a factor 2).  Converse side with
     constant 1: source norm <= aggregate(eta).
     """
-    p = d.p if p is None else p
-    q = d.q if q is None else q
     margin = 2.0 if d.flavor in ("S", "star") else 1.0
     entries = []
     for eta in eta_grid:
-        agg = aggregate_eta_norm(d, eta, p, q)
+        agg = aggregate_eta_norm(d, eta)
         budget = margin * ladder_constant(eta) * d.source_norm
         upper_ok = at_most(agg, budget * (1.0 + SLACK) + SLACK)
         converse_ok = at_most(d.source_norm, agg * (1.0 + SLACK) + SLACK)
         entries.append(BoundEntry(eta, agg, budget, upper_ok, converse_ok))
-    return BoundsCertificate(d.flavor, d.defn, p, q, d.source_norm, entries)
+    return BoundsCertificate(d.source_norm, entries)

@@ -63,7 +63,7 @@ def cmd_decompose(args):
     d = decompose(f, args.p, args.q, flavor=args.flavor, defn=args.defn)
     doc = jsonio.decomposition_to_doc(d)
     grid = _parse_grid(args.eta_grid) if args.eta_grid else DEFAULT_ETA_GRID
-    cert = certify_bounds(f, d, eta_grid=grid)
+    cert = certify_bounds(d, eta_grid=grid)
     doc["certificate"] = jsonio.certificate_to_doc(cert)
     _emit(doc, args.output)
     return OK if cert.passed else CERT_FAIL
@@ -85,8 +85,7 @@ def cmd_verify(args):
     atom_reports = []
     atoms_ok = True
     for t in d.triples:
-        for r in rs:
-            rep = verify_atom(t, d.p, d.q, r)
+        for r, rep in zip(rs, verify_atom(d, t, rs)):
             atoms_ok = atoms_ok and rep.passed
             atom_reports.append(
                 {
@@ -100,7 +99,7 @@ def cmd_verify(args):
             )
 
     grid = _parse_grid(args.eta_grid) if args.eta_grid else DEFAULT_ETA_GRID
-    cert = certify_bounds(f, d, eta_grid=grid)
+    cert = certify_bounds(d, eta_grid=grid)
 
     passed = recon_ok and atoms_ok and cert.passed
     doc = {
@@ -219,8 +218,8 @@ def cmd_selftest(args):
                 resid = np.abs(reconstruct(d) - f.levels)
                 ok = ok and at_most(resid, IDENTITY_TOL * scale_of(f.levels))
                 for t in d.triples:
-                    ok = ok and verify_atom(t, 0.7, 1.0).passed
-                ok = ok and certify_bounds(f, d).passed
+                    ok = ok and verify_atom(d, t)[0].passed
+                ok = ok and certify_bounds(d).passed
     check("ladder reconstruction, atoms and two-sided certificates", ok)
 
     ok = True

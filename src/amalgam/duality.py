@@ -272,8 +272,7 @@ class DualityCertificate:
     second_gap: float
 
 
-def certify_duality(f: Martingale, g, p, q, mode="heuristic", eta=1.0,
-                    cap=10**6) -> DualityCertificate:
+def certify_duality(f: Martingale, g, p, q, mode="heuristic", cap=10**6) -> DualityCertificate:
     """Certify |E[fg]| <= atom-wise bound <= C * ||f||_{H^s} * ||g||_{L_2,phi}.
 
     Valid for 0 < p <= q <= 1.  The atom-wise bound follows the ladder
@@ -302,7 +301,7 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", eta=1.0,
         space, g, p, q, mode=mode, cap=cap,
         extra_candidates=[t.nu for t in d.triples],
     )
-    const = ladder_constant(eta)
+    const = ladder_constant(1.0)
     budget = const * d.source_norm * camp.norm_value
 
     slack = SLACK * scale_of(lhs, atomwise, budget)

@@ -240,7 +240,7 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
         # kept as-is so verification reports the violation instead
         levels = condition_rows(space, np.broadcast_to(terminal, (space.depth + 1, space.size)))
         atom = Martingale(space, levels, validate=False)
-        triples.append(AtomTriple(k, lam, atom, nu, flavor, defn))
+        triples.append(AtomTriple(k, lam, atom, nu))
     d = Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
     return d
 

@@ -93,11 +93,9 @@ def test_criterion_02_atom_conditions(corpus_small):
         for p, q in ((0.5, 1.0), (1.0, 1.0)):
             for flavor, defn in ALL_COMBOS:
                 d = decompose(f, p, q, flavor=flavor, defn=defn)
+                rs = [r for r in (2.0, 4.0, math.inf) if r > max(p, 1.0)]
                 for t in d.triples:
-                    for r in (2.0, 4.0, math.inf):
-                        if r <= max(p, 1.0):
-                            continue
-                        ok = ok and verify_atom(t, p, q, r=r).passed
+                    ok = ok and all(rep.passed for rep in verify_atom(d, t, rs))
     _report(2, "atom conditions at r in {2,4,inf}", ok)
 
 
@@ -109,7 +107,7 @@ def test_criterion_03_upper_bounds(corpus_small):
         for p, q in ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (2.0, 2.0), (1.0, 2.0)):
             for flavor, defn in ALL_COMBOS:
                 d = decompose(f, p, q, flavor=flavor, defn=defn)
-                cert = certify_bounds(f, d)
+                cert = certify_bounds(d)
                 ok = ok and all(e.upper_ok for e in cert.entries)
     _report(3, "upper bound certificates", ok)
 
@@ -121,7 +119,7 @@ def test_criterion_04_converse_bounds(corpus_small):
     for space, f in corpus_small:
         for flavor, defn in ALL_COMBOS:
             d = decompose(f, 0.5, 1.0, flavor=flavor, defn=defn)
-            cert = certify_bounds(f, d)
+            cert = certify_bounds(d)
             ok = ok and all(e.converse_ok for e in cert.entries)
     rng = np.random.default_rng(1002)
     for _ in range(100):
@@ -133,13 +131,13 @@ def test_criterion_04_converse_bounds(corpus_small):
             [
                 AtomTriple(t.k, t.lam * c,
                            Martingale(space, t.atom.levels / c, validate=False),
-                           t.nu, t.flavor, t.defn)
+                           t.nu)
                 for t in d.triples
             ],
             d.source_norm,
         )
-        ok = ok and all(verify_atom(t, 0.5, 1.0).passed for t in scaled.triples)
-        ok = ok and all(e.converse_ok for e in certify_bounds(f, scaled).entries)
+        ok = ok and all(verify_atom(scaled, t)[0].passed for t in scaled.triples)
+        ok = ok and all(e.converse_ok for e in certify_bounds(scaled).entries)
     _report(4, "converse bounds with constant 1", ok)
 
 

@@ -50,7 +50,7 @@ def test_decompose_zero_martingale(dyadic2):
         d = decompose(f, 1, 1, flavor=flavor, defn=defn)
         assert d.triples == []
         assert d.source_norm == 0.0
-        assert certify_bounds(f, d).passed
+        assert certify_bounds(d).passed
 
 
 def test_weighted_coincides_with_simple_on_diagonal():
@@ -88,13 +88,11 @@ def test_atoms_verify_all_variants():
         for p, q in ((0.5, 0.5), (0.5, 1.0), (1.0, 2.0)):
             for flavor, defn in ALL_COMBOS:
                 d = decompose(f, p, q, flavor=flavor, defn=defn)
+                rs = [r for r in (2.0, 4.0, math.inf) if r > max(p, 1.0)]
                 for t in d.triples:
-                    rep = verify_atom(t, p, q)
+                    rep, = verify_atom(d, t)
                     assert rep.passed, (flavor, defn, t.k, rep)
-                    for r in (2.0, 4.0, math.inf):
-                        if r <= max(p, 1.0):
-                            continue
-                        assert verify_atom(t, p, q, r=r).passed
+                    assert all(rep.passed for rep in verify_atom(d, t, rs))
 
 
 @given(small_martingales(random_weights=True, max_blocks=2), st.sampled_from(ALL_COMBOS))
@@ -114,8 +112,9 @@ def test_verify_atom_flags_size_violation(coin):
     space, _ = coin
     bad = from_terminal(space, [3.0, -3.0])
     nu = StoppingTime(space, [0, 0])
-    t = AtomTriple(0, 1.0, bad, nu, "s", "simple")
-    rep = verify_atom(t, 1.0, 1.0, r=2.0)
+    t = AtomTriple(0, 1.0, bad, nu)
+    d = Decomposition(space, "s", "simple", 1.0, 1.0, [t], source_norm=0.0)
+    rep, = verify_atom(d, t, [2.0])
     # full-mass support makes the simple bound 1, but s(bad) = 3
     assert rep.vanishing_ok and rep.support_ok and not rep.size_ok
     assert rep.measured == pytest.approx(3.0)
@@ -127,8 +126,9 @@ def test_verify_atom_flags_vanishing_and_support_violations(dyadic2):
     f = from_terminal(dyadic2, [2.0, 0.0, -1.0, -1.0])
     nu = StoppingTime(dyadic2, [1, 1, np.iinfo(np.int64).max] * 1 + [np.iinfo(np.int64).max])
     scaled = Martingale(dyadic2, f.levels / 100.0)
-    t = AtomTriple(0, 1.0, scaled, nu, "s", "simple")
-    rep = verify_atom(t, 2.0, 2.0)
+    t = AtomTriple(0, 1.0, scaled, nu)
+    d = Decomposition(dyadic2, "s", "simple", 2.0, 2.0, [t], source_norm=0.0)
+    rep, = verify_atom(d, t)
     assert not rep.vanishing_ok  # E_0 a = 0 holds but E_1 a != 0 on {nu >= 1}
     assert not rep.support_ok    # s(a) > 0 on {w3, w4} where nu = inf
 
@@ -165,7 +165,7 @@ def test_simple_rung_weight_is_pure_power_of_two(worked_example):
     for p, q in ((0.5, 1.0), (1.0, 1.0), (2.0, 4.0)):
         d = decompose(f, p, q, flavor="s", defn="simple")
         for t in d.triples:
-            assert rung_weight(d, t, p, q) == pytest.approx(2.0 ** (t.k + 1))
+            assert rung_weight(d, t) == pytest.approx(2.0 ** (t.k + 1))
 
 
 def test_aggregate_eta_norm_golden(worked_example):
@@ -188,7 +188,7 @@ def test_ladder_constant_values():
 def test_certify_bounds_worked_example(worked_example):
     space, f = worked_example
     d = decompose(f, 2, 2, flavor="s", defn="simple")
-    cert = certify_bounds(f, d)
+    cert = certify_bounds(d)
     assert cert.passed
     assert cert.failing_etas() == []
     by_eta = {e.eta: e for e in cert.entries}
@@ -204,7 +204,7 @@ def test_certify_bounds_random_all_variants():
         for p, q in ((0.5, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 2.0)):
             for flavor, defn in ALL_COMBOS:
                 d = decompose(f, p, q, flavor=flavor, defn=defn)
-                cert = certify_bounds(f, d)
+                cert = certify_bounds(d)
                 assert cert.passed, (flavor, defn, p, q, cert.failing_etas())
 
 
@@ -221,14 +221,14 @@ def test_converse_survives_coefficient_inflation():
             [
                 AtomTriple(t.k, t.lam * c,
                            Martingale(space, t.atom.levels / c, validate=False),
-                           t.nu, t.flavor, t.defn)
+                           t.nu)
                 for t in d.triples
             ],
             d.source_norm,
         )
         for t in scaled.triples:
-            assert verify_atom(t, 1.0, 1.0).passed
-        cert = certify_bounds(f, scaled)
+            assert verify_atom(scaled, t)[0].passed
+        cert = certify_bounds(scaled)
         assert all(e.converse_ok for e in cert.entries)
 
 
