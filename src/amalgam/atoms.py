@@ -12,6 +12,7 @@ two-sided bound certificate carries the explicit ladder constants.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +85,17 @@ def default_r(flavor: str) -> float:
 
 
 def _support_size(space: FilteredSpace, mask, p, q, defn):
-    """(P(B), |B|) of a rung's support B: |B| is P(B)^{1/p} for the simple
-    definition and ||1_B||_{p,q} for the weighted one, and 0 when P(B) = 0."""
+    """(P(B), |B|) of a rung's support B: |B| is P(B)^{1/p} (simple) or ||1_B||_{p,q}
+    (weighted), and 0 when P(B) = 0.  A nonempty B whose size is not a normal
+    float is refused: lambda_k would be 0, or the bound P(B)^{-1/p} overflow."""
     pb = float(space.prob[mask].sum())
     if pb <= 0.0:
         return pb, 0.0
-    return pb, pb ** (1.0 / p) if defn == "simple" else lpq_norm(space, mask.astype(float), p, q)
+    size = pb ** (1.0 / p) if defn == "simple" else lpq_norm(space, mask.astype(float), p, q)
+    if not sys.float_info.min <= size < math.inf:
+        raise ValueError(f"p = {p!r} is too small: a rung of mass {pb!r} has support size "
+                         f"{size!r}, not a normal float")
+    return pb, size
 
 
 def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
@@ -103,6 +109,10 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     if defn not in DEFNS:
         raise ValueError(f"defn must be one of {DEFNS}")
     space = f.space
+    own = float(np.max(np.abs(f.levels)))  # validation is absolute below 1; atoms magnify f
+    if own < 1.0 and not at_most(np.abs(condition_rows(space, f.levels[1:]) - f.levels[:-1]),
+                                 SLACK * own):
+        raise ValueError(f"f breaks the martingale law at its own scale, max |f| = {own!r}")
     # lambda_k carries 2^{k+1} on the s ladder, 2^{k+2} on envelope ladders
     base_exp = 1 if flavor == "s" else 2
     dec = Decomposition(space, flavor, defn, p, q, [], source_norm_for(f, flavor, p, q))
@@ -162,12 +172,13 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
     leak = float(np.max(stat[~mask])) if (~mask).any() else 0.0
     support_ok = at_most(leak, SLACK * scale)
 
+    e = math.frexp(float(np.max(stat)))[1]  # powers of stat * 2^-e cannot overflow
     reports = []
     for r in rs:
         if math.isinf(r):
             measured = float(np.max(stat))
         else:
-            measured = float(space.prob @ stat ** r) ** (1.0 / r)
+            measured = math.ldexp(float(space.prob @ np.ldexp(stat, -e) ** r) ** (1.0 / r), e)
         if pb <= 0.0:
             bound = 0.0
             size_ok = at_most(measured, SLACK * scale)
@@ -204,8 +215,6 @@ def aggregate_eta_norm(d: Decomposition, eta) -> float:
     """||sum_k w_k^eta 1_{B_k}||_{p/eta, q/eta}^{1/eta} for the rung weights."""
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    if not d.triples:
-        return 0.0
     fieldv = np.zeros(d.space.size)
     for t in d.triples:
         fieldv[t.nu.support] += rung_weight(d, t) ** eta

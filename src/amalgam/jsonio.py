@@ -93,6 +93,14 @@ def _require(doc, key, kind=None, where="document"):
     return val
 
 
+def _float(doc, key, where):
+    """A number field as a float; a JSON integer beyond the float range is refused."""
+    try:
+        return float(_require(doc, key, (int, float), where))
+    except OverflowError:
+        raise SchemaError(f"{where}: field {key!r} is out of the float range") from None
+
+
 def _check_schema(doc, where):
     if _require(doc, "schema", str, where) != SCHEMA:
         raise SchemaError(f"{where}: unsupported schema {doc['schema']!r}")
@@ -213,27 +221,28 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
         raise SchemaError(f"decomposition: unknown flavor {flavor!r}")
     if defn not in DEFNS:
         raise SchemaError(f"decomposition: unknown defn {defn!r}")
-    p = float(_require(doc, "p", (int, float), "decomposition"))
-    q = float(_require(doc, "q", (int, float), "decomposition"))
+    p = _float(doc, "p", "decomposition")
+    q = _float(doc, "q", "decomposition")
     triples = []
     for i, td in enumerate(_require(doc, "triples", list, "decomposition")):
         where = f"decomposition.triples[{i}]"
         k = int(_require(td, "k", int, where))
-        lam = float(_require(td, "lambda", (int, float), where))
-        if not math.isfinite(lam):
-            raise SchemaError(f"{where}: field 'lambda' must be finite")
+        lam = _float(td, "lambda", where)
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise SchemaError(f"{where}: field 'lambda' must be finite and at least 0")
         nu_list = _require(td, "nu", list, where)
         if len(nu_list) != space.size:
             raise SchemaError(f"{where}: nu has wrong length")
         # a time is a JSON integer or null; int() would pass 1.5 or true as 1
         if not set(map(type, nu_list)) <= {int, type(None)}:
             raise SchemaError(f"{where}: field 'nu' has wrong type")
+        values = _require(td, "atom_terminal", list, where)
+        if not set(map(type, values)) <= {int, float}:  # np.asarray reads true as 1.0
+            raise SchemaError(f"{where}: field 'atom_terminal' has wrong type")
         try:
             nu = StoppingTime(space, [INFINITY if t is None else t for t in nu_list])
-            terminal = space.rv(np.asarray(td["atom_terminal"], dtype=float))
+            terminal = space.rv(np.asarray(values, dtype=float))
             require_finite(terminal, "atom_terminal")
-        except KeyError:
-            raise SchemaError(f"{where}: missing field 'atom_terminal'") from None
         except Exception as exc:
             raise SchemaError(f"{where}: {exc}") from exc
         # rebuild the level table by conditioning; a tampered terminal is
@@ -241,8 +250,7 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
         levels = condition_rows(space, np.broadcast_to(terminal, (space.depth + 1, space.size)))
         atom = Martingale(space, levels, validate=False)
         triples.append(AtomTriple(k, lam, atom, nu))
-    d = Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
-    return d
+    return Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
 
 
 def load_json(path):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from amalgam import (
     AtomTriple,
     Decomposition,
+    FilteredSpace,
     Martingale,
     StoppingTime,
     aggregate_eta_norm,
@@ -244,3 +245,52 @@ def test_default_r():
     assert default_r("s") == 2.0
     assert math.isinf(default_r("S"))
     assert math.isinf(default_r("star"))
+
+
+_exponents = st.floats(math.log(0.003), math.log(2.0)).map(math.exp)  # log-uniform
+
+
+@given(small_martingales(random_weights=True, max_blocks=2), _exponents,
+       _exponents | st.just(math.inf))
+def test_small_exponents_certify_or_are_refused(case, p, q):
+    # a decomposition either refuses, or certifies: no overflow, no division
+    # by zero.  It refuses a rung whose support size is not a normal float,
+    # and an f that is rounding noise, as from a drawn terminal that is constant
+    space, f = case
+    rs = [r for r in (2.0, 4.0, math.inf) if r > max(p, 1.0)]
+    for flavor, defn in ALL_COMBOS:
+        try:
+            d = decompose(f, p, q, flavor=flavor, defn=defn)
+        except ValueError as exc:
+            assert "is too small: a rung of mass" in str(exc) or "martingale law" in str(exc)
+            continue
+        for t in d.triples:
+            for rep in verify_atom(d, t, rs):
+                assert rep.passed, (flavor, defn, t.k, rep)
+                assert math.isfinite(rep.measured) and math.isfinite(rep.bound)
+        assert certify_bounds(d).passed, (flavor, defn)
+        assert at_most(np.abs(reconstruct(d) - f.levels), SLACK * scale_of(f.levels))
+
+
+def test_decompose_refuses_rounding_noise():
+    # f_1 is the constant 2^-106 and f_0 = 0: a martingale below the absolute
+    # floor of the tolerance, but its one atom would have E_0 a = 1
+    space = FilteredSpace(["h", "t"], [0.9259259259259258, 0.07407407407407407],
+                          [[["h", "t"]], [["h"], ["t"]]], [["h", "t"]])
+    noise = from_terminal(space, np.full(2, 2.0 ** -53))
+    assert noise.levels.tolist() == [[0.0, 0.0], [2.0 ** -106] * 2]
+    for flavor, defn in ALL_COMBOS:
+        with pytest.raises(ValueError, match="f breaks the martingale law at its own scale"):
+            decompose(noise, 1.0, 1.0, flavor=flavor, defn=defn)
+    assert decompose(Martingale(space, np.zeros((2, 2))), 1.0, 1.0).triples == []
+
+
+def test_verify_atom_measures_large_statistics_without_overflow(coin):
+    # s(a) = 1e100: its 4th power overflows, but its L_4 norm does not
+    space, _ = coin
+    big = from_terminal(space, [1e100, -1e100])
+    t = AtomTriple(0, 1.0, big, StoppingTime(space, [0, 0]))
+    d = Decomposition(space, "s", "simple", 0.01, 1.0, [t], source_norm=0.0)
+    reps = verify_atom(d, t, [2.0, 4.0, math.inf])
+    assert [rep.measured for rep in reps] == [pytest.approx(1e100, rel=1e-15)] * 3
+    assert all(rep.bound == 1.0 for rep in reps)

@@ -2,8 +2,10 @@
 times read from documents, the space a `duality` g lives on, and the CLI
 parser that every call shares."""
 
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -132,6 +134,127 @@ def test_verify_rejects_non_integer_stopping_times(tmp_path, capsys, tamper):
     capsys.readouterr()
     assert main(["verify", "--input", mp, "--decomposition", dp]) == 2
     assert "'nu' has wrong type" in capsys.readouterr().err
+
+
+# -- malformed documents ----------------------------------------------------------
+
+_DROP = object()
+# (id, document, path, replacement): a callable maps the old value, _DROP
+# deletes the field.  "f" is a martingale, "dec" its decomposition, "g" a
+# function document; `verify` reads f and dec, `duality` f and g.
+_MUTATIONS = [
+    ("levels-short-row", "f", ("levels", 2), lambda v: v[:-1]),
+    ("levels-missing-row", "f", ("levels",), lambda v: v[:-1]),
+    ("levels-nested", "f", ("levels", 2, 0), [1.0]),
+    ("levels-null-entry", "f", ("levels", 2, 0), None),
+    ("levels-nan", "f", ("levels", 2, 0), math.nan),
+    ("levels-huge-int", "f", ("levels", 2, 0), 10**400),
+    ("levels-string", "f", ("levels",), "x"),
+    ("levels-null", "f", ("levels",), None),
+    ("levels-missing", "f", ("levels",), _DROP),
+    ("space-missing", "f", ("space",), _DROP),
+    ("schema-unknown", "f", ("schema",), "amalgam/0"),
+    ("prob-short", "f", ("space", "prob"), lambda v: v[:-1]),
+    ("prob-null-entry", "f", ("space", "prob", 0), None),
+    ("prob-nested", "f", ("space", "prob", 0), [0.125]),
+    ("prob-negative", "f", ("space", "prob", 0), -0.125),
+    ("prob-huge-int", "f", ("space", "prob", 0), 10**400),
+    ("prob-null", "f", ("space", "prob"), None),
+    ("cells-null-cell", "f", ("space", "filtration", 1, 0), None),
+    ("cells-int-outcome", "f", ("space", "filtration", 1, 0, 0), 3),
+    ("cells-nested-outcome", "f", ("space", "filtration", 1, 0, 0), ["w0"]),
+    ("cells-truncated", "f", ("space", "filtration", 3), lambda v: v[:-1]),
+    ("filtration-missing-level", "f", ("space", "filtration"), lambda v: v[:-1]),
+    ("blocks-null-cell", "f", ("space", "blocks", 0), None),
+    ("outcomes-null-entry", "f", ("space", "outcomes", 0), None),
+    ("outcomes-short", "f", ("space", "outcomes"), lambda v: v[:-1]),
+    ("lambda-negative", "dec", ("triples", 0, "lambda"), -1.0),
+    ("lambda-nan", "dec", ("triples", 0, "lambda"), math.nan),
+    ("lambda-huge-int", "dec", ("triples", 0, "lambda"), 10**400),
+    ("lambda-string", "dec", ("triples", 0, "lambda"), "1"),
+    ("lambda-true", "dec", ("triples", 0, "lambda"), True),
+    ("p-huge-int", "dec", ("p",), 10**400),
+    ("p-tiny", "dec", ("p",), 1e-300),
+    ("p-zero", "dec", ("p",), 0),
+    ("p-null", "dec", ("p",), None),
+    ("q-huge-int", "dec", ("q",), 10**400),
+    ("q-nan", "dec", ("q",), math.nan),
+    ("flavor-unknown", "dec", ("flavor",), "bogus"),
+    ("k-float", "dec", ("triples", 0, "k"), 0.5),
+    ("triples-null", "dec", ("triples",), None),
+    ("triple-null", "dec", ("triples", 0), None),
+    ("nu-short", "dec", ("triples", 0, "nu"), lambda v: v[:-1]),
+    ("nu-null", "dec", ("triples", 0, "nu"), None),
+    ("nu-nested", "dec", ("triples", 0, "nu", 0), [0]),
+    ("nu-string-entry", "dec", ("triples", 0, "nu", 0), "0"),
+    ("nu-negative", "dec", ("triples", 0, "nu", 0), -1),
+    ("nu-huge-int", "dec", ("triples", 0, "nu", 0), 10**400),
+    ("terminal-true", "dec", ("triples", 0, "atom_terminal", 0), True),
+    ("terminal-short", "dec", ("triples", 0, "atom_terminal"), lambda v: v[:-1]),
+    ("terminal-null-entry", "dec", ("triples", 0, "atom_terminal", 0), None),
+    ("terminal-nested", "dec", ("triples", 0, "atom_terminal", 0), [1.0]),
+    ("terminal-huge-int", "dec", ("triples", 0, "atom_terminal", 0), 10**400),
+    ("terminal-string", "dec", ("triples", 0, "atom_terminal"), "x"),
+    ("terminal-missing", "dec", ("triples", 0, "atom_terminal"), _DROP),
+    ("values-short", "g", ("values",), lambda v: v[:-1]),
+    ("values-null-entry", "g", ("values", 0), None),
+    ("values-nested", "g", ("values", 0), [1.0]),
+    ("values-huge-int", "g", ("values", 0), 10**400),
+    ("values-null", "g", ("values",), None),
+    ("g-on-another-space", "g", ("space", "prob"), [0.25, 0.0625, 0.0625, *[0.125] * 5]),
+    ("g-space-missing", "g", ("space",), _DROP),
+]
+
+
+@pytest.fixture
+def valid_documents(tmp_path):
+    """Paths of a martingale, its decomposition at (p, q) = (0.5, 1), whose
+    upper two rungs stop on 3/4 of the mass, and a function document."""
+    space = _dyadic3()
+    f = from_terminal(space, [3.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0, -3.0])
+    paths = {role: str(tmp_path / f"{role}.json") for role in ("f", "dec", "g")}
+    jsonio.dump_json(jsonio.martingale_to_doc(f), paths["f"])
+    assert main(["decompose", "--input", paths["f"], "--p", "0.5", "--q", "1",
+                 "--output", paths["dec"]]) == 0
+    jsonio.dump_json(jsonio.function_to_doc(space, [1.0, -1.0, 2.0, -2.0, 0.0, 0.0, 3.0, -3.0]),
+                     paths["g"])
+    return paths
+
+
+@pytest.mark.parametrize("role, path, new", [m[1:] for m in _MUTATIONS],
+                         ids=[m[0] for m in _MUTATIONS])
+def test_malformed_document_is_input_error(tmp_path, capsys, valid_documents, role, path, new):
+    paths = dict(valid_documents)
+    doc = jsonio.load_json(paths[role])
+    *parents, key = path
+    node = functools.reduce(operator.getitem, parents, doc)
+    if new is _DROP:
+        del node[key]
+    else:
+        node[key] = new(node[key]) if callable(new) else new
+    paths[role] = str(tmp_path / "mutated.json")
+    with open(paths[role], "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    argv = (["duality", "--input", paths["f"], "--g", paths["g"], "--p", "0.5", "--q", "1"]
+            if role == "g" else ["verify", "--input", paths["f"], "--decomposition", paths["dec"]])
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_decompose_refuses_a_support_size_below_the_normal_floats(tmp_path, capsys):
+    space = _dyadic3()
+    f = from_terminal(space, [3.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0, -3.0])
+    mp = str(tmp_path / "mart.json")
+    jsonio.dump_json(jsonio.martingale_to_doc(f), mp)
+    # 0.75^(1/p) underflows to 0 at p = 0.0002, so lambda_k would be 0
+    assert main(["decompose", "--input", mp, "--p", "0.0002", "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: p = 0.0002 is too small: a rung of mass 0.75 has support "
+                            "size 0.0, not a normal float\n")
 
 
 # -- the space of duality's g ----------------------------------------------------

@@ -291,7 +291,10 @@ def campanato_cases(draw):
 def test_batched_campanato_matches_per_candidate_oracle(case):
     space, g, p, q = case
     gm = from_terminal(space, g)
-    extras = [t.nu for t in decompose(gm, 0.5, 1.0).triples]
+    try:
+        extras = [t.nu for t in decompose(gm, 0.5, 1.0).triples]
+    except ValueError:  # g is rounding noise, as from a constant draw: it has no ladder
+        extras = []
     extras += extras[:1]  # extra candidates are scored as given, repeats too
     exact = count_stopping_times(space) <= ORACLE_CAP
     values = {}

@@ -21,7 +21,13 @@ from amalgam import (
     stop,
 )
 from amalgam.martingale import _ladder_statistic, dominates, ladder_window
-from amalgam.space import _constant_on_cells, stopping_time_blocks
+from amalgam.space import (
+    TOL,
+    _constant_on_cells,
+    at_most,
+    scale_of,
+    stopping_time_blocks,
+)
 from conftest import random_martingale, random_tree_space, small_martingales
 
 SQ2 = np.sqrt(2.0)
@@ -102,6 +108,16 @@ def test_l2_isometry():
         e_s2 = float(space.prob @ conditional_quadratic_variation(f) ** 2)
         assert e_f2 == pytest.approx(e_S2, abs=1e-12, rel=1e-12)
         assert e_f2 == pytest.approx(e_s2, abs=1e-12, rel=1e-12)
+
+
+@given(small_martingales(random_weights=True))
+def test_l2_isometry_on_random_trees(case):
+    # the terminal has mean 0, so E[f_N^2] = E[S(f)^2] = E[s(f)^2]
+    space, f = case
+    e_f2 = float(space.prob @ f.terminal**2)
+    for variation in (quadratic_variation(f), conditional_quadratic_variation(f)):
+        assert at_most(abs(float(space.prob @ variation**2) - e_f2),
+                       TOL * scale_of(e_f2))
 
 
 def test_stop_worked_example(worked_example):

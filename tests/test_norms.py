@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from amalgam import (
     FilteredSpace,
@@ -17,7 +18,7 @@ from amalgam import (
     q_space_norm,
     quadratic_variation_partial,
 )
-from conftest import random_martingale, random_tree_space
+from conftest import random_martingale, random_tree_space, small_trees
 
 
 def test_lpq_constant_single_block():
@@ -47,6 +48,14 @@ def test_lpq_diagonal_is_lp():
             assert lpq_norm(space, g, p, p) == pytest.approx(
                 lp_norm(space, g, p), rel=1e-12, abs=1e-15
             )
+
+
+@given(small_trees(random_weights=True, max_blocks=3), st.data(),
+       st.floats(math.log(0.05), math.log(8.0)).map(math.exp))
+def test_lpq_diagonal_is_lp_over_random_blocks(space, data, p):
+    g = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=space.size,
+                                    max_size=space.size)))
+    assert lpq_norm(space, g, p, p) == pytest.approx(lp_norm(space, g, p), rel=1e-12, abs=0)
 
 
 def test_lpq_decreasing_in_q():

@@ -105,6 +105,20 @@ def test_condition_rows_match_one_level_at_a_time(space, data):
         condition_rows(space, np.zeros((space.depth + 2 - first, space.size)), first)
 
 
+@given(small_trees(random_weights=True), st.data())
+def test_condition_rows_tower_and_idempotence(space, data):
+    x = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=space.size,
+                                    max_size=space.size)))
+    levels = space.depth + 1
+    table = condition_rows(space, np.broadcast_to(x, (levels, space.size)))  # E[x | F_m]
+    tol = TOL * scale_of(x)
+    for m in range(levels):
+        # row n of the second pass is E[E[x | F_m] | F_n], which is E[x | F_min(m, n)]
+        twice = condition_rows(space, np.broadcast_to(table[m], (levels, space.size)))
+        assert at_most(np.abs(twice - table[np.minimum(m, np.arange(levels))]), tol)
+    assert at_most(np.abs(condition_rows(space, table) - table), tol)
+
+
 def test_conditional_ess_sup(dyadic2):
     x = [2.0, 0.0, -1.0, -1.0]
     assert np.allclose(conditional_ess_sup(dyadic2, x, 1), [2, 2, -1, -1])
