@@ -27,7 +27,9 @@ from .martingale import (
     stopped,
 )
 from .norms import hardy_s_norm, lpq_norm, p_space_norm, q_space_norm
-from .space import INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, condition_rows, scale_of
+from .space import (
+    INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, binary_exponent, condition_rows, scale_of,
+)
 
 FLAVORS = ("s", "S", "star")
 DEFNS = ("simple", "weighted")
@@ -109,10 +111,6 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     if defn not in DEFNS:
         raise ValueError(f"defn must be one of {DEFNS}")
     space = f.space
-    own = float(np.max(np.abs(f.levels)))  # validation is absolute below 1; atoms magnify f
-    if own < 1.0 and not at_most(np.abs(condition_rows(space, f.levels[1:]) - f.levels[:-1]),
-                                 SLACK * own):
-        raise ValueError(f"f breaks the martingale law at its own scale, max |f| = {own!r}")
     # lambda_k carries 2^{k+1} on the s ladder, 2^{k+2} on envelope ladders
     base_exp = 1 if flavor == "s" else 2
     dec = Decomposition(space, flavor, defn, p, q, [], source_norm_for(f, flavor, p, q))
@@ -172,7 +170,7 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
     leak = float(np.max(stat[~mask])) if (~mask).any() else 0.0
     support_ok = at_most(leak, SLACK * scale)
 
-    e = math.frexp(float(np.max(stat)))[1]  # powers of stat * 2^-e cannot overflow
+    e = binary_exponent(float(np.max(stat)))
     reports = []
     for r in rs:
         if math.isinf(r):

@@ -36,7 +36,7 @@ class Martingale:
         self.levels = lv
         if validate:
             require_finite(lv, "martingale levels")
-            scale = scale_of(lv)
+            scale = float(np.max(np.abs(lv)))  # at f's own scale: atoms magnify f
             if not at_most(np.abs(lv[0]), TOL * scale):
                 raise SpaceError("f_0 must vanish")
             ok = np.less_equal(np.abs(condition_rows(space, lv[1:]) - lv[:-1]), SLACK * scale)
@@ -101,7 +101,8 @@ def from_terminal(space: FilteredSpace, x) -> Martingale:
     x = space.rv(x)
     require_finite(x, "terminal value")
     mean = float(space.prob @ x)
-    if not at_most(abs(mean), SLACK * scale_of(x)):
+    # at x's own scale: a centred constant is rounding noise, not a martingale
+    if not at_most(abs(mean), SLACK * float(np.max(np.abs(x)))):
         raise SpaceError(f"terminal value has nonzero mean {mean!r}")
     levels = np.zeros((space.depth + 1, space.size))
     # remove the rounding-level mean so f_0 = 0 exactly

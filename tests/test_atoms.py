@@ -9,6 +9,7 @@ from amalgam import (
     Decomposition,
     FilteredSpace,
     Martingale,
+    SpaceError,
     StoppingTime,
     aggregate_eta_norm,
     certify_bounds,
@@ -254,15 +255,14 @@ _exponents = st.floats(math.log(0.003), math.log(2.0)).map(math.exp)  # log-unif
        _exponents | st.just(math.inf))
 def test_small_exponents_certify_or_are_refused(case, p, q):
     # a decomposition either refuses, or certifies: no overflow, no division
-    # by zero.  It refuses a rung whose support size is not a normal float,
-    # and an f that is rounding noise, as from a drawn terminal that is constant
+    # by zero.  It refuses a rung whose support size is not a normal float
     space, f = case
     rs = [r for r in (2.0, 4.0, math.inf) if r > max(p, 1.0)]
     for flavor, defn in ALL_COMBOS:
         try:
             d = decompose(f, p, q, flavor=flavor, defn=defn)
         except ValueError as exc:
-            assert "is too small: a rung of mass" in str(exc) or "martingale law" in str(exc)
+            assert "is too small: a rung of mass" in str(exc)
             continue
         for t in d.triples:
             for rep in verify_atom(d, t, rs):
@@ -272,16 +272,15 @@ def test_small_exponents_certify_or_are_refused(case, p, q):
         assert at_most(np.abs(reconstruct(d) - f.levels), SLACK * scale_of(f.levels))
 
 
-def test_decompose_refuses_rounding_noise():
-    # f_1 is the constant 2^-106 and f_0 = 0: a martingale below the absolute
-    # floor of the tolerance, but its one atom would have E_0 a = 1
+def test_rounding_noise_is_not_a_martingale():
+    # the constant 2^-53 would give f_0 = 0 and f_1 = 2^-106 everywhere: below
+    # an absolute tolerance, but its one atom would have E_0 a = 1
     space = FilteredSpace(["h", "t"], [0.9259259259259258, 0.07407407407407407],
                           [[["h", "t"]], [["h"], ["t"]]], [["h", "t"]])
-    noise = from_terminal(space, np.full(2, 2.0 ** -53))
-    assert noise.levels.tolist() == [[0.0, 0.0], [2.0 ** -106] * 2]
-    for flavor, defn in ALL_COMBOS:
-        with pytest.raises(ValueError, match="f breaks the martingale law at its own scale"):
-            decompose(noise, 1.0, 1.0, flavor=flavor, defn=defn)
+    with pytest.raises(SpaceError, match="nonzero mean"):
+        from_terminal(space, np.full(2, 2.0 ** -53))
+    with pytest.raises(SpaceError, match="martingale property fails at step 0"):
+        Martingale(space, [[0.0, 0.0], [2.0 ** -106] * 2])
     assert decompose(Martingale(space, np.zeros((2, 2))), 1.0, 1.0).triples == []
 
 
