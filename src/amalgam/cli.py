@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -47,7 +48,7 @@ def _emit(doc, path):
 
 
 def cmd_norms(args):
-    f = jsonio.martingale_from_doc(jsonio.load_json(args.input))
+    f, _ = jsonio.load_martingale(args.input)
     doc = {
         "schema": jsonio.SCHEMA,
         "p": args.p,
@@ -59,7 +60,7 @@ def cmd_norms(args):
 
 
 def cmd_decompose(args):
-    f = jsonio.martingale_from_doc(jsonio.load_json(args.input))
+    f, _ = jsonio.load_martingale(args.input)
     d = decompose(f, args.p, args.q, flavor=args.flavor, defn=args.defn)
     doc = jsonio.decomposition_to_doc(d)
     grid = _parse_grid(args.eta_grid) if args.eta_grid else DEFAULT_ETA_GRID
@@ -70,7 +71,7 @@ def cmd_decompose(args):
 
 
 def cmd_verify(args):
-    f = jsonio.martingale_from_doc(jsonio.load_json(args.input))
+    f, _ = jsonio.load_martingale(args.input)
     d = jsonio.decomposition_from_doc(jsonio.load_json(args.decomposition), f.space)
     d.source_norm = source_norm_for(f, d.flavor, d.p, d.q)
     rs = _parse_grid(args.r) if args.r else [2.0, 4.0, math.inf]
@@ -118,9 +119,8 @@ def cmd_verify(args):
 
 
 def cmd_duality(args):
-    f_doc = jsonio.load_json(args.input)
-    f = jsonio.martingale_from_doc(f_doc)
-    space, g = jsonio.function_from_doc(jsonio.load_json(args.g), f.space, f_doc["space"])
+    f, space_doc = jsonio.load_martingale(args.input)
+    space, g = jsonio.function_from_doc(jsonio.load_json(args.g), f.space, space_doc)
     if not same_space(space, f.space):
         raise jsonio.SchemaError("martingale and function live on different spaces")
     cert = certify_duality(f, g, args.p, args.q, mode=args.mode)
@@ -137,9 +137,7 @@ def cmd_duality(args):
             "value": cert.campanato.norm_value,
             "mode": cert.campanato.mode,
             "candidates_examined": cert.campanato.candidates_examined,
-            "attaining_nu": None
-            if cert.campanato.attaining_nu is None
-            else jsonio._nu_to_list(cert.campanato.attaining_nu),
+            "attaining_nu": jsonio._nu_to_list(cert.campanato.attaining_nu),
         },
         "constant": cert.constant,
         "chain_ok": cert.chain_ok,
@@ -174,8 +172,6 @@ def cmd_explore(args):
 
 
 def cmd_gen(args):
-    import os
-
     corpus = generate(_corpus_spec(args))
     os.makedirs(args.out_dir, exist_ok=True)
     for i, (_, mart) in enumerate(corpus):

@@ -215,7 +215,7 @@ def oscillation(space: FilteredSpace, g, gm: Martingale, nu: StoppingTime, p, q)
 
 
 def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
-                   extra_candidates=()) -> CampanatoResult:
+                   extra_candidates=(), gm=None) -> CampanatoResult:
     """sup over stopping times of the phi-weighted stopped oscillation.
 
     ``mode="exact"`` enumerates all stopping times when the count fits
@@ -227,9 +227,10 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
     cells at once, and the distinct ladder rungs that are no such time.
     ``extra_candidates`` are scored as given, repeats included.  The count
     of candidates examined leaves out those with an empty B.
+    ``gm``, if given, is g's martingale ``from_terminal(space, g)``.
     """
     g = space.rv(g)
-    gm = from_terminal(space, g)
+    gm = from_terminal(space, g) if gm is None else gm
 
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
@@ -297,10 +298,8 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", cap=10**6) -> Dual
         a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
         atomwise += t.lam * a_l2 * math.ldexp(math.sqrt(a_k), e)
 
-    camp = campanato_norm(
-        space, g, p, q, mode=mode, cap=cap,
-        extra_candidates=[t.nu for t in d.triples],
-    )
+    camp = campanato_norm(space, g, p, q, mode=mode, cap=cap,
+                          extra_candidates=[t.nu for t in d.triples], gm=gm)
     const = ladder_constant(1.0)
     budget = const * d.source_norm * camp.norm_value
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -18,8 +19,7 @@ import numpy as np
 from .atoms import AtomTriple, BoundsCertificate, Decomposition, DEFNS, FLAVORS
 from .atoms import source_norm_for  # noqa: F401  (re-exported)
 from .martingale import Martingale, from_terminal
-from .space import INFINITY, FilteredSpace, StoppingTime, condition_rows
-from .space import require_finite
+from .space import INFINITY, FilteredSpace, StoppingTime, condition_rows, require_finite
 
 SCHEMA = "amalgam/1"
 
@@ -171,13 +171,18 @@ def function_from_doc(doc, space=None, space_doc=None):
         space = space_from_doc(own_doc)
     values = _require(doc, "values", list, "function")
     try:
-        return space, space.rv(np.asarray(values, dtype=float))
+        x = space.rv(np.asarray(values, dtype=float))
+        # np.asarray reads true as 1.0, "0.125" as 0.125 and null as nan
+        if set(map(type, values)) <= {int, float}:
+            require_finite(x, "values")
+            return space, x
     except Exception as exc:
         raise SchemaError(f"function: {exc}") from exc
+    raise SchemaError("function: field 'values' has wrong type")
 
 
-def _nu_to_list(nu: StoppingTime):
-    return [None if t == INFINITY else t for t in nu.times.tolist()]
+def _nu_to_list(nu: StoppingTime | None):
+    return None if nu is None else [None if t == INFINITY else t for t in nu.times.tolist()]
 
 
 def decomposition_to_doc(d: Decomposition) -> dict:
@@ -253,14 +258,44 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
     return Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
 
 
-def load_json(path):
+def _read(path) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def load_json(path, raw=None):
+    """The document at ``path``, or in its bytes ``raw``, read as UTF-8 text mode reads it."""
+    try:
+        raw = _read(path) if raw is None else raw
+        return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+
+
+#: (bytes, f) of the last martingale document that load_martingale decoded
+_last = None
+
+
+def load_martingale(path):
+    """(f, space document) of a martingale file; (the same f, None) when its
+    bytes equal those last decoded here.  Otherwise load_json and
+    martingale_from_doc decode them, and f, its arrays read-only, is kept."""
+    global _last
+    raw = _read(path)
+    if _last is not None and _last[0] == raw:
+        return _last[1], None
+    _last = None
+    doc = load_json(path, raw)
+    f = martingale_from_doc(doc)
+    s = f.space
+    for a in (f.levels, s.prob, s.cell_labels, s.cell_masses, s.block_labels, s.block_probs,
+              *s.level_labels, *s.cell_probs):
+        a.flags.writeable = False
+    _last = (raw, f)
+    return f, doc["space"]
 
 
 def dump_json(doc, path=None):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import reject, settings, strategies as st
 
+import amalgam.cli  # noqa: F401
 from amalgam import FilteredSpace, SpaceError, from_terminal
 
 # One profile for every property test: derandomized, so tier-1 runs the same
@@ -9,6 +10,9 @@ from amalgam import FilteredSpace, SpaceError, from_terminal
 # print_blob shows a failure's @reproduce_failure blob, so a failure seen only
 # in the full suite can be replayed from its own file.
 # A test that needs a different example count overrides only max_examples.
+# Hypothesis also draws literals found in every loaded non-test module, so
+# amalgam.cli, and through it every amalgam module, is imported above: a run of
+# one file then draws the same examples as the whole suite.
 settings.register_profile("amalgam", derandomize=True, deadline=None, max_examples=200,
                           print_blob=True)
 settings.load_profile("amalgam")

@@ -198,6 +198,9 @@ _MUTATIONS = [
     ("terminal-missing", "dec", ("triples", 0, "atom_terminal"), _DROP),
     ("values-short", "g", ("values",), lambda v: v[:-1]),
     ("values-null-entry", "g", ("values", 0), None),
+    ("values-true", "g", ("values", 0), True),
+    ("values-numeric-string", "g", ("values", 0), "0.125"),
+    ("values-nan", "g", ("values", 0), math.nan),
     ("values-nested", "g", ("values", 0), [1.0]),
     ("values-huge-int", "g", ("values", 0), 10**400),
     ("values-null", "g", ("values",), None),
@@ -316,6 +319,114 @@ def test_function_on_an_equal_space_document_is_not_decoded_again():
     assert values.tolist() == [1.0, -1.0, 2.0, -2.0]
     other, _ = jsonio.function_from_doc(doc)
     assert other is not space
+
+
+@pytest.mark.parametrize("entry, message", [
+    (None, "field 'values' has wrong type"), (True, "field 'values' has wrong type"),
+    ("1.0", "field 'values' has wrong type"), (math.inf, "values must be finite"),
+])
+def test_function_values_are_checked_where_they_are_read(entry, message):
+    space, _ = _tilted()
+    doc = jsonio.function_to_doc(space, [1.0, -1.0, 2.0, -2.0])
+    doc["values"][0] = entry
+    with pytest.raises(jsonio.SchemaError) as info:
+        jsonio.function_from_doc(doc)
+    assert str(info.value) == f"function: {message}"
+
+
+# -- one decode per martingale document ------------------------------------------
+
+
+def _worked_doc():
+    space = _dyadic3()
+    f = from_terminal(space, [3.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0, -3.0])
+    return jsonio.martingale_to_doc(f)
+
+
+def test_repeat_call_does_not_decode_again(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(doc):
+        calls.append(doc)
+        return decode(doc)
+
+    decode = jsonio.martingale_from_doc
+    monkeypatch.setattr(jsonio, "martingale_from_doc", counted)
+    monkeypatch.setattr(jsonio, "_last", None)
+    mp = str(tmp_path / "mart.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    argv = ["norms", "--input", mp, "--p", "1", "--q", "1"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert main(["decompose", "--input", mp, "--p", "1", "--q", "1"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith(first)
+
+
+def test_file_rewritten_in_place_is_decoded_again(tmp_path):
+    mp = tmp_path / "mart.json"
+    doc = _worked_doc()
+    jsonio.dump_json(doc, str(mp))
+    before, _ = jsonio.load_martingale(str(mp))
+    last = doc["levels"][-1]
+    last[0], last[1] = last[1], last[0]  # siblings of equal mass: still a martingale
+    size = mp.stat().st_size
+    jsonio.dump_json(doc, str(mp))
+    assert mp.stat().st_size == size
+    after, space_doc = jsonio.load_martingale(str(mp))
+    assert after is not before and space_doc == doc["space"]
+    assert after.levels.tolist() == doc["levels"]
+
+
+def test_failed_decode_is_not_remembered(tmp_path, capsys):
+    mp = tmp_path / "mart.json"
+    mp.write_text('{"schema": ', encoding="utf-8")
+    argv = ["norms", "--input", str(mp), "--p", "1", "--q", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {mp}: invalid JSON at line 1, column 12\n"
+    assert captured.out == ""
+    jsonio.dump_json(_worked_doc(), str(mp))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == 1.0
+
+
+def test_remembered_arrays_are_read_only(tmp_path):
+    mp = str(tmp_path / "mart.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    f, _ = jsonio.load_martingale(mp)
+    assert jsonio.load_martingale(mp) == (f, None)
+    for array in (f.levels, f.terminal, f.space.prob, f.space.level_labels[1],
+                  f.space.cell_masses):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("command", ["norms", "duality"])
+def test_line_endings_and_bad_bytes_decode_as_a_text_file_reads_them(tmp_path, capsys, command):
+    space = _dyadic3()
+    mp, gp = tmp_path / "mart.json", str(tmp_path / "g.json")
+    g = [1.0, -1.0, 2.0, -2.0, 0.0, 0.0, 3.0, -3.0]
+    jsonio.dump_json(jsonio.function_to_doc(space, g), gp)
+    raw = jsonio.dump_json(_worked_doc()).encode()
+    argv = {"norms": ["norms", "--input", str(mp), "--p", "1", "--q", "1"],
+            "duality": ["duality", "--input", str(mp), "--g", gp, "--p", "0.5", "--q", "1"]}
+    outputs = []
+    for data in (raw, raw.replace(b"\n", b"\r\n"), raw.replace(b"\n", b"\r")):
+        mp.write_bytes(data)
+        assert main(argv[command]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1:] == outputs[:1] * 2
+    for data, err in [
+        (raw[:40] + b"\xff" + raw[40:],
+         "error: 'utf-8' codec can't decode byte 0xff in position 40: invalid start byte\n"),
+        (raw.replace(b'"w0"', b'"w\r\n0"', 1),
+         f"error: {mp}: invalid JSON at line 48, column 11\n"),
+    ]:
+        mp.write_bytes(data)
+        assert main(argv[command]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 # -- one parser per process --------------------------------------------------------

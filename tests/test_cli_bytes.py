@@ -32,15 +32,19 @@ GEN = ["gen", "--generator", "random-tree", "--count", "2", "--seed", "1", "--de
        "--max-branching", "3", "--block-policy", "random-partition", "--block-param", "2"]
 
 
-def _documents(work):
-    """{name: (exit code, sha256 of the document's bytes)} for the corpus."""
+def _documents(work, reverse=False):
+    """{name: (exit code, sha256 of the document's bytes)} for the corpus.
+
+    The pipelines (decompose then verify, or one duality call) run in
+    corpus order, or in reverse with ``reverse``.
+    """
     out = {}
+    pipelines = []
 
     def run(name, argv):
         path = os.path.join(work, name + ".json")
         code = main(argv + ["--output", path])
         out[name] = [code, hashlib.sha256(Path(path).read_bytes()).hexdigest()]
-        return path
 
     assert main(GEN + ["--out-dir", work]) == 0
     rng = np.random.default_rng(5)
@@ -55,15 +59,20 @@ def _documents(work):
             for flavor in FLAVORS:
                 for defn in DEFNS:
                     tag = f"{i}_{flavor}-{defn}_p{p}-q{q}"
-                    dp = run(f"decompose_{tag}",
-                             ["decompose", "--input", mp, "--p", str(p), "--q", str(q),
-                              "--flavor", flavor, "--defn", defn])
-                    run(f"verify_{tag}",
-                        ["verify", "--input", mp, "--decomposition", dp])
+                    dp = os.path.join(work, f"decompose_{tag}.json")
+                    pipelines.append([
+                        (f"decompose_{tag}",
+                         ["decompose", "--input", mp, "--p", str(p), "--q", str(q),
+                          "--flavor", flavor, "--defn", defn]),
+                        (f"verify_{tag}", ["verify", "--input", mp, "--decomposition", dp]),
+                    ])
         for mode in ("exact", "heuristic"):
-            run(f"duality_{i}_{mode}",
-                ["duality", "--input", mp, "--g", gp, "--p", "0.5", "--q", "1",
-                 "--mode", mode])
+            pipelines.append([(f"duality_{i}_{mode}",
+                               ["duality", "--input", mp, "--g", gp, "--p", "0.5", "--q", "1",
+                                "--mode", mode])])
+    for pipeline in reversed(pipelines) if reverse else pipelines:
+        for name, argv in pipeline:
+            run(name, argv)
     return out
 
 
@@ -73,6 +82,16 @@ def test_cli_documents_match_pinned_hashes(tmp_path):
     assert sorted(got) == sorted(pinned)
     changed = [name for name in sorted(got) if got[name] != pinned[name]]
     assert not changed, changed
+
+
+def test_pins_hold_when_the_pipelines_repeat_in_one_process(tmp_path):
+    # the second pass finds each martingale's bytes decoded before, at
+    # another path; reversed, duality and verify calls meet the memo first
+    pinned = json.loads(PINS.read_text(encoding="utf-8"))
+    for reverse in (False, True, True, False):
+        got = _documents(str(tmp_path / str(reverse)), reverse)
+        changed = [name for name in sorted(got) if got[name] != pinned[name]]
+        assert not changed, (reverse, changed)
 
 
 if __name__ == "__main__":

@@ -20,8 +20,9 @@ from amalgam import (
     quadratic_variation_partial,
     stop,
 )
-from amalgam.martingale import _ladder_statistic, dominates, ladder_window
+from amalgam.martingale import _ladder_statistic, dominates, ladder_window, stopped
 from amalgam.space import (
+    SLACK,
     TOL,
     _constant_on_cells,
     at_most,
@@ -162,6 +163,20 @@ def test_stop_matches_its_per_level_definition(case, data):
             for w in range(space.size):
                 want[n, w] = f.levels[min(n, int(nu.times[w]), N), w]
         assert np.array_equal(stop(f, nu).levels, want)
+
+
+@given(small_martingales(random_weights=True), st.data())
+def test_conditional_qv_of_the_tail_after_a_stop(case, data):
+    """s(f_nu)^2 = s(g)^2 - s_nu(g)^2 pointwise, for f_nu = g - g^nu."""
+    space, g = case
+    every = np.vstack(list(stopping_time_blocks(space)))
+    nu = StoppingTime(space, every[data.draw(st.integers(0, len(every) - 1))])
+    f_nu = Martingale(space, g.levels - stop(g, nu).levels)
+    s_g = conditional_quadratic_variation(g)
+    s_nu = stopped(conditional_quadratic_variation_partial(g), nu.times)
+    got = conditional_quadratic_variation(f_nu) ** 2
+    want = s_g ** 2 - s_nu ** 2
+    assert at_most(np.abs(got - want), SLACK * scale_of(s_g ** 2))
 
 
 def test_ladder_stopping_time_worked_example(worked_example):
