@@ -38,16 +38,13 @@ DEFAULT_ETA_GRID = (0.25, 0.5, 0.75, 1.0)
 
 @dataclass
 class AtomTriple:
-    """One rung (lambda_k, a^k, nu^k) of a decomposition ladder."""
+    """One rung (lambda_k, a^k, nu^k) of a decomposition ladder.  The atom is
+    stored as its terminal: a martingale is fixed by it, a_n = E_n[a]."""
 
     k: int
     lam: float
-    atom: Martingale
+    terminal: np.ndarray
     nu: StoppingTime
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.atom.terminal
 
 
 @dataclass
@@ -116,18 +113,14 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     dec = Decomposition(space, flavor, defn, p, q, [], source_norm_for(f, flavor, p, q))
 
     ks, times = ladder_times(_ladder_statistic(f, flavor))
-    steps = np.arange(space.depth + 1)[:, None]
-    # f^{nu^k} rung by rung: each atom needs only the tables of two rungs
-    tables = (stopped(f.levels, np.minimum(t, steps)) for t in times)
-    below = next(tables, None)
-    for k, nu_times, above in zip(ks, times, tables):
+    # row k is the terminal f_{nu^k} of the stopped martingale f^{nu^k}
+    rows = stopped(f.levels, times)
+    for k, nu_times, below, above in zip(ks, times, rows, rows[1:]):
         pb, size = _support_size(space, nu_times != INFINITY, p, q, defn)
         if pb > 0.0:  # an empty rung has lambda_k = 0 and a zero atom: omitted
             lam = 2.0 ** (k + base_exp) * size
-            atom = Martingale(space, (above - below) / lam, validate=False)
             nu = StoppingTime(space, nu_times, validate=False)
-            dec.triples.append(AtomTriple(k, lam, atom, nu))
-        below = above
+            dec.triples.append(AtomTriple(k, lam, (above - below) / lam, nu))
     return dec
 
 
@@ -163,7 +156,7 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
     residual = float(np.max(np.abs(e), where=live, initial=0.0))  # a NaN is kept
     vanishing_ok = at_most(residual, SLACK * scale)
 
-    stat = atom_statistic(d.flavor, t.atom)
+    stat = atom_statistic(d.flavor, Martingale(space, e, validate=False))
     mask = t.nu.support
     pb, size = _support_size(space, mask, d.p, d.q, d.defn)
 
@@ -211,12 +204,21 @@ def rung_weight(d: Decomposition, t: AtomTriple) -> float:
 
 def aggregate_eta_norm(d: Decomposition, eta) -> float:
     """||sum_k w_k^eta 1_{B_k}||_{p/eta, q/eta}^{1/eta} for the rung weights."""
-    if not 0 < eta <= 1:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    fieldv = np.zeros(d.space.size)
-    for t in d.triples:
-        fieldv[t.nu.support] += rung_weight(d, t) ** eta
-    return lpq_norm(d.space, fieldv, d.p / eta, d.q / eta) ** (1.0 / eta)
+    return _aggregates(d, [eta])[0]
+
+
+def _aggregates(d: Decomposition, etas) -> list:
+    """aggregate_eta_norm at each eta; each rung's support and weight are computed once."""
+    rungs = [(t.nu.support, rung_weight(d, t)) for t in d.triples]
+    norms = []
+    for eta in etas:
+        if not 0 < eta <= 1:
+            raise ValueError(f"eta must lie in (0, 1], got {eta}")
+        fieldv = np.zeros(d.space.size)
+        for support, w in rungs:
+            fieldv[support] += w ** eta
+        norms.append(lpq_norm(d.space, fieldv, d.p / eta, d.q / eta) ** (1.0 / eta))
+    return norms
 
 
 def ladder_constant(eta: float) -> float:
@@ -256,8 +258,7 @@ def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertifi
     """
     margin = 2.0 if d.flavor in ("S", "star") else 1.0
     entries = []
-    for eta in eta_grid:
-        agg = aggregate_eta_norm(d, eta)
+    for eta, agg in zip(eta_grid, _aggregates(d, eta_grid)):
         budget = margin * ladder_constant(eta) * d.source_norm
         upper_ok = at_most(agg, budget * (1.0 + SLACK) + SLACK)
         converse_ok = at_most(d.source_norm, agg * (1.0 + SLACK) + SLACK)

@@ -19,7 +19,7 @@ import numpy as np
 from .atoms import AtomTriple, BoundsCertificate, Decomposition, DEFNS, FLAVORS
 from .atoms import source_norm_for  # noqa: F401  (re-exported)
 from .martingale import Martingale, from_terminal
-from .space import INFINITY, FilteredSpace, StoppingTime, condition_rows, require_finite
+from .space import INFINITY, FilteredSpace, StoppingTime, require_finite
 
 SCHEMA = "amalgam/1"
 
@@ -101,6 +101,15 @@ def _float(doc, key, where):
         raise SchemaError(f"{where}: field {key!r} is out of the float range") from None
 
 
+def _numbers(values, key):
+    """A list of JSON numbers, or a list of such lists, as a float array.  Entries
+    are checked by type: np.asarray reads true as 1.0, "0.125" as 0.125, null as nan."""
+    rows = values if type(values) is list and values and type(values[0]) is list else [values]
+    if not all(type(row) is list and set(map(type, row)) <= {int, float} for row in rows):
+        raise SchemaError(f"field {key!r} has wrong type")
+    return np.asarray(values, dtype=float)
+
+
 def _check_schema(doc, where):
     if _require(doc, "schema", str, where) != SCHEMA:
         raise SchemaError(f"{where}: unsupported schema {doc['schema']!r}")
@@ -123,7 +132,7 @@ def space_from_doc(doc) -> FilteredSpace:
     filtration = _require(doc, "filtration", list, "space")
     blocks = _require(doc, "blocks", list, "space")
     try:
-        return FilteredSpace(outcomes, np.asarray(prob, dtype=float), filtration, blocks)
+        return FilteredSpace(outcomes, _numbers(prob, "prob"), filtration, blocks)
     except Exception as exc:
         raise SchemaError(f"space: {exc}") from exc
 
@@ -141,11 +150,9 @@ def martingale_from_doc(doc) -> Martingale:
     space = space_from_doc(_require(doc, "space", dict, "martingale"))
     try:
         if "levels" in doc:
-            return Martingale(space, np.asarray(doc["levels"], dtype=float))
+            return Martingale(space, _numbers(doc["levels"], "levels"))
         if "terminal" in doc:
-            return from_terminal(space, np.asarray(doc["terminal"], dtype=float))
-    except SchemaError:
-        raise
+            return from_terminal(space, _numbers(doc["terminal"], "terminal"))
     except Exception as exc:
         raise SchemaError(f"martingale: {exc}") from exc
     raise SchemaError("martingale: needs 'levels' or 'terminal'")
@@ -171,14 +178,11 @@ def function_from_doc(doc, space=None, space_doc=None):
         space = space_from_doc(own_doc)
     values = _require(doc, "values", list, "function")
     try:
-        x = space.rv(np.asarray(values, dtype=float))
-        # np.asarray reads true as 1.0, "0.125" as 0.125 and null as nan
-        if set(map(type, values)) <= {int, float}:
-            require_finite(x, "values")
-            return space, x
+        x = space.rv(_numbers(values, "values"))
+        require_finite(x, "values")
     except Exception as exc:
         raise SchemaError(f"function: {exc}") from exc
-    raise SchemaError("function: field 'values' has wrong type")
+    return space, x
 
 
 def _nu_to_list(nu: StoppingTime | None):
@@ -215,9 +219,9 @@ def certificate_to_doc(cert: BoundsCertificate) -> dict:
 def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
     """Rebuild a decomposition against a known space.
 
-    Atom level tables are regenerated from their terminals by
-    conditioning, which reproduces the original tables exactly because
-    atoms are martingales.
+    Each atom is kept as its terminal, as read and unchecked, so that
+    verification reports a tampered atom rather than this reader.  The
+    triples equal those of the decomposition written, bit for bit.
     """
     _check_schema(doc, "decomposition")
     flavor = _require(doc, "flavor", str, "decomposition")
@@ -242,19 +246,13 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
         if not set(map(type, nu_list)) <= {int, type(None)}:
             raise SchemaError(f"{where}: field 'nu' has wrong type")
         values = _require(td, "atom_terminal", list, where)
-        if not set(map(type, values)) <= {int, float}:  # np.asarray reads true as 1.0
-            raise SchemaError(f"{where}: field 'atom_terminal' has wrong type")
         try:
             nu = StoppingTime(space, [INFINITY if t is None else t for t in nu_list])
-            terminal = space.rv(np.asarray(values, dtype=float))
+            terminal = space.rv(_numbers(values, "atom_terminal"))
             require_finite(terminal, "atom_terminal")
         except Exception as exc:
             raise SchemaError(f"{where}: {exc}") from exc
-        # rebuild the level table by conditioning; a tampered terminal is
-        # kept as-is so verification reports the violation instead
-        levels = condition_rows(space, np.broadcast_to(terminal, (space.depth + 1, space.size)))
-        atom = Martingale(space, levels, validate=False)
-        triples.append(AtomTriple(k, lam, atom, nu))
+        triples.append(AtomTriple(k, lam, terminal, nu))
     return Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
 
 
@@ -275,18 +273,18 @@ def load_json(path, raw=None):
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
-#: (bytes, f) of the last martingale document that load_martingale decoded
+#: (bytes, f, space document) of the last martingale document load_martingale decoded
 _last = None
 
 
 def load_martingale(path):
-    """(f, space document) of a martingale file; (the same f, None) when its
-    bytes equal those last decoded here.  Otherwise load_json and
-    martingale_from_doc decode them, and f, its arrays read-only, is kept."""
+    """(f, space document) of a martingale file; the same pair when its bytes
+    equal those last decoded here.  Otherwise load_json and martingale_from_doc
+    decode them, and the pair, f's arrays read-only, is kept."""
     global _last
     raw = _read(path)
     if _last is not None and _last[0] == raw:
-        return _last[1], None
+        return _last[1:]
     _last = None
     doc = load_json(path, raw)
     f = martingale_from_doc(doc)
@@ -294,8 +292,8 @@ def load_martingale(path):
     for a in (f.levels, s.prob, s.cell_labels, s.cell_masses, s.block_labels, s.block_probs,
               *s.level_labels, *s.cell_probs):
         a.flags.writeable = False
-    _last = (raw, f)
-    return f, doc["space"]
+    _last = (raw, f, doc["space"])
+    return _last[1:]
 
 
 def dump_json(doc, path=None):

@@ -15,7 +15,6 @@ from amalgam import (
     AtomTriple,
     CorpusSpec,
     Decomposition,
-    Martingale,
     aggregate_eta_norm,
     all_five_norms,
     campanato_norm,
@@ -129,9 +128,7 @@ def test_criterion_04_converse_bounds(corpus_small):
         scaled = Decomposition(
             space, d.flavor, d.defn, d.p, d.q,
             [
-                AtomTriple(t.k, t.lam * c,
-                           Martingale(space, t.atom.levels / c, validate=False),
-                           t.nu)
+                AtomTriple(t.k, t.lam * c, t.terminal / c, t.nu)
                 for t in d.triples
             ],
             d.source_norm,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from amalgam import (
     certify_bounds,
     decompose,
     from_terminal,
+    jsonio,
     ladder_constant,
     ladder_stopping_time,
     reconstruct,
@@ -22,7 +24,7 @@ from amalgam import (
     verify_atom,
 )
 from amalgam.atoms import DEFNS, FLAVORS, atom_statistic, default_r, rung_weight
-from amalgam.space import SLACK, at_most, scale_of
+from amalgam.space import SLACK, at_most, condition_rows, scale_of
 from conftest import random_martingale, random_tree_space, small_martingales
 
 SQ2 = np.sqrt(2.0)
@@ -105,16 +107,35 @@ def test_atoms_are_stopped_differences_and_reconstruct_f(case, variant):
     for t in d.triples:
         nu = ladder_stopping_time(f, t.k, flavor)
         assert np.array_equal(t.nu.times, nu.times)
-        rung = stop(f, ladder_stopping_time(f, t.k + 1, flavor)).levels - stop(f, nu).levels
-        assert np.array_equal(t.atom.levels, rung / t.lam)
+        rung = (stop(f, ladder_stopping_time(f, t.k + 1, flavor)).levels
+                - stop(f, nu).levels) / t.lam
+        assert np.array_equal(t.terminal, rung[-1])
+        # the atom's table is its terminal conditioned at every level
+        levels = condition_rows(space, np.broadcast_to(t.terminal, rung.shape))
+        assert at_most(np.abs(levels - rung), SLACK * scale_of(rung))
     assert at_most(np.abs(reconstruct(d) - f.levels), SLACK * scale_of(f.levels))
+
+
+@given(small_martingales(random_weights=True, max_blocks=2), st.sampled_from(ALL_COMBOS),
+       st.sampled_from([(0.5, 1.0), (2.0, 0.75)]))
+def test_verify_and_reconstruct_agree_on_the_document_path(case, variant, pq):
+    # a decomposition read back from its document verifies bit for bit as the
+    # one decompose returned: both hold each atom as the same terminal
+    space, f = case
+    d = decompose(f, *pq, flavor=variant[0], defn=variant[1])
+    doc = json.loads(jsonio.canonical_dumps(jsonio.decomposition_to_doc(d)))
+    back = jsonio.decomposition_from_doc(doc, space)
+    assert reconstruct(back).tobytes() == reconstruct(d).tobytes()
+    rs = [r for r in (2.0, 4.0, math.inf) if r > max(pq[0], 1.0)]
+    for t, tb in zip(d.triples, back.triples, strict=True):
+        assert verify_atom(back, tb, rs) == verify_atom(d, t, rs)
 
 
 def test_verify_atom_flags_size_violation(coin):
     space, _ = coin
     bad = from_terminal(space, [3.0, -3.0])
     nu = StoppingTime(space, [0, 0])
-    t = AtomTriple(0, 1.0, bad, nu)
+    t = AtomTriple(0, 1.0, bad.terminal, nu)
     d = Decomposition(space, "s", "simple", 1.0, 1.0, [t], source_norm=0.0)
     rep, = verify_atom(d, t, [2.0])
     # full-mass support makes the simple bound 1, but s(bad) = 3
@@ -127,8 +148,7 @@ def test_verify_atom_flags_vanishing_and_support_violations(dyadic2):
     # stopped too late: statistic mass lives outside the declared support
     f = from_terminal(dyadic2, [2.0, 0.0, -1.0, -1.0])
     nu = StoppingTime(dyadic2, [1, 1, np.iinfo(np.int64).max] * 1 + [np.iinfo(np.int64).max])
-    scaled = Martingale(dyadic2, f.levels / 100.0)
-    t = AtomTriple(0, 1.0, scaled, nu)
+    t = AtomTriple(0, 1.0, f.terminal / 100.0, nu)
     d = Decomposition(dyadic2, "s", "simple", 2.0, 2.0, [t], source_norm=0.0)
     rep, = verify_atom(d, t)
     assert not rep.vanishing_ok  # E_0 a = 0 holds but E_1 a != 0 on {nu >= 1}
@@ -142,7 +162,7 @@ def test_decomposed_atoms_respect_rung_cap():
     f = random_martingale(rng, space)
     d = decompose(f, 1.0, 1.0, flavor="s", defn="simple")
     for t in d.triples:
-        stat = atom_statistic("s", t.atom) * t.lam
+        stat = atom_statistic("s", from_terminal(space, t.terminal)) * t.lam
         assert np.max(stat) <= 2.0 ** (t.k + 1) + 1e-12
 
 
@@ -221,9 +241,7 @@ def test_converse_survives_coefficient_inflation():
         scaled = Decomposition(
             space, d.flavor, d.defn, d.p, d.q,
             [
-                AtomTriple(t.k, t.lam * c,
-                           Martingale(space, t.atom.levels / c, validate=False),
-                           t.nu)
+                AtomTriple(t.k, t.lam * c, t.terminal / c, t.nu)
                 for t in d.triples
             ],
             d.source_norm,
@@ -288,7 +306,7 @@ def test_verify_atom_measures_large_statistics_without_overflow(coin):
     # s(a) = 1e100: its 4th power overflows, but its L_4 norm does not
     space, _ = coin
     big = from_terminal(space, [1e100, -1e100])
-    t = AtomTriple(0, 1.0, big, StoppingTime(space, [0, 0]))
+    t = AtomTriple(0, 1.0, big.terminal, StoppingTime(space, [0, 0]))
     d = Decomposition(space, "s", "simple", 0.01, 1.0, [t], source_norm=0.0)
     reps = verify_atom(d, t, [2.0, 4.0, math.inf])
     assert [rep.measured for rep in reps] == [pytest.approx(1e100, rel=1e-15)] * 3

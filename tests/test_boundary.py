@@ -151,6 +151,8 @@ _MUTATIONS = [
     ("levels-huge-int", "f", ("levels", 2, 0), 10**400),
     ("levels-string", "f", ("levels",), "x"),
     ("levels-null", "f", ("levels",), None),
+    ("levels-true", "f", ("levels", 2, 0), True),
+    ("levels-numeric-string", "f", ("levels", 2, 0), "0.125"),
     ("levels-missing", "f", ("levels",), _DROP),
     ("space-missing", "f", ("space",), _DROP),
     ("schema-unknown", "f", ("schema",), "amalgam/0"),
@@ -160,6 +162,8 @@ _MUTATIONS = [
     ("prob-negative", "f", ("space", "prob", 0), -0.125),
     ("prob-huge-int", "f", ("space", "prob", 0), 10**400),
     ("prob-null", "f", ("space", "prob"), None),
+    ("prob-true", "f", ("space", "prob", 0), True),
+    ("prob-numeric-string", "f", ("space", "prob", 0), "0.125"),
     ("cells-null-cell", "f", ("space", "filtration", 1, 0), None),
     ("cells-int-outcome", "f", ("space", "filtration", 1, 0, 0), 3),
     ("cells-nested-outcome", "f", ("space", "filtration", 1, 0, 0), ["w0"]),
@@ -190,6 +194,7 @@ _MUTATIONS = [
     ("nu-negative", "dec", ("triples", 0, "nu", 0), -1),
     ("nu-huge-int", "dec", ("triples", 0, "nu", 0), 10**400),
     ("terminal-true", "dec", ("triples", 0, "atom_terminal", 0), True),
+    ("terminal-numeric-string", "dec", ("triples", 0, "atom_terminal", 0), "0.125"),
     ("terminal-short", "dec", ("triples", 0, "atom_terminal"), lambda v: v[:-1]),
     ("terminal-null-entry", "dec", ("triples", 0, "atom_terminal", 0), None),
     ("terminal-nested", "dec", ("triples", 0, "atom_terminal", 0), [1.0]),
@@ -245,6 +250,25 @@ def test_malformed_document_is_input_error(tmp_path, capsys, valid_documents, ro
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", [True, "0.125", None, [0.125]])
+@pytest.mark.parametrize("key", ["prob", "levels", "terminal"])
+def test_numbers_are_checked_by_type(tmp_path, capsys, key, entry):
+    # np.asarray would read true as 1.0 and "0.125" as 0.125
+    doc = _worked_doc()
+    if key == "terminal":
+        doc["terminal"] = doc.pop("levels")[-1]
+    where, row = ("space", doc["space"]["prob"]) if key == "prob" else (
+        "martingale", doc["levels"][-1] if key == "levels" else doc["terminal"])
+    row[0] = entry
+    with pytest.raises(jsonio.SchemaError) as info:
+        jsonio.martingale_from_doc(doc)
+    assert str(info.value) == f"{where}: field {key!r} has wrong type"
+    mp = tmp_path / "mart.json"
+    mp.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["norms", "--input", str(mp), "--p", "1", "--q", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {where}: field {key!r} has wrong type\n"
 
 
 def test_decompose_refuses_a_support_size_below_the_normal_floats(tmp_path, capsys):
@@ -364,6 +388,29 @@ def test_repeat_call_does_not_decode_again(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith(first)
 
 
+def test_repeat_duality_decodes_no_space(tmp_path, monkeypatch, capsys):
+    # g's space document equals f's, and the memo keeps f's to compare with
+    calls = []
+
+    def counted(doc):
+        calls.append(doc)
+        return decode(doc)
+
+    decode = jsonio.space_from_doc
+    monkeypatch.setattr(jsonio, "space_from_doc", counted)
+    monkeypatch.setattr(jsonio, "_last", None)
+    mp, gp = str(tmp_path / "mart.json"), str(tmp_path / "g.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    jsonio.dump_json(jsonio.function_to_doc(_dyadic3(), [1.0, -1.0, 2.0, -2.0, 0.0, 0.0, 3.0,
+                                                         -3.0]), gp)
+    argv = ["duality", "--input", mp, "--g", gp, "--p", "0.5", "--q", "1"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert len(calls) == 1
+
+
 def test_file_rewritten_in_place_is_decoded_again(tmp_path):
     mp = tmp_path / "mart.json"
     doc = _worked_doc()
@@ -395,8 +442,9 @@ def test_failed_decode_is_not_remembered(tmp_path, capsys):
 def test_remembered_arrays_are_read_only(tmp_path):
     mp = str(tmp_path / "mart.json")
     jsonio.dump_json(_worked_doc(), mp)
-    f, _ = jsonio.load_martingale(mp)
-    assert jsonio.load_martingale(mp) == (f, None)
+    f, space_doc = jsonio.load_martingale(mp)
+    again = jsonio.load_martingale(mp)
+    assert again[0] is f and again[1] is space_doc
     for array in (f.levels, f.terminal, f.space.prob, f.space.level_labels[1],
                   f.space.cell_masses):
         with pytest.raises(ValueError, match="read-only"):

@@ -11,7 +11,8 @@ The corpus is two seeded random trees written by ``gen``, a seeded zero-mean
 refactor that keeps the numbers keeps every byte, so this test must pass
 unchanged.  Changing a hash needs a ``CHANGES.md`` entry that names the
 documents that changed and the reason.  ``python tests/test_cli_bytes.py``
-rewrites the file from the current code.
+rewrites the file from the current code and names each pin it adds, drops or
+changes.
 """
 
 import hashlib
@@ -97,7 +98,15 @@ def test_pins_hold_when_the_pipelines_repeat_in_one_process(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(PINS.read_text(encoding="utf-8")) if PINS.exists() else {}
     with tempfile.TemporaryDirectory() as work:
         docs = _documents(work)
     PINS.write_text(json.dumps(docs, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    for name in sorted(old.keys() | docs.keys()):
+        if name not in docs:
+            print(f"dropped {name}", file=sys.stderr)
+        elif name not in old:
+            print(f"added {name}", file=sys.stderr)
+        elif docs[name] != old[name]:
+            print(f"changed {name}", file=sys.stderr)
     print(f"wrote {len(docs)} pins to {PINS}", file=sys.stderr)

@@ -123,7 +123,7 @@ def test_decomposition_round_trip(worked_example):
         assert ta.k == tb.k
         assert ta.lam == pytest.approx(tb.lam)
         assert np.array_equal(ta.nu.times, tb.nu.times)
-        assert np.allclose(ta.atom.levels, tb.atom.levels)
+        assert np.array_equal(ta.terminal, tb.terminal)
     for n in range(space.depth + 1):
         assert np.allclose(reconstruct(back)[n], f.levels[n])
 
