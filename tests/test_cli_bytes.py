@@ -3,8 +3,9 @@
 The corpus is two seeded random trees written by ``gen``, a seeded zero-mean
 ``g`` on each, and on each tree:
 
-- ``decompose`` and ``verify`` for all six flavor/definition variants at two
-  (p, q) pairs;
+- ``norms`` at two (p, q) pairs;
+- ``decompose`` and ``verify`` for all six flavor/definition variants at the
+  same two pairs;
 - ``duality`` in exact and in heuristic mode.
 
 ``tests/cli_bytes.json`` holds each document's exit code and sha256.  A
@@ -36,7 +37,8 @@ GEN = ["gen", "--generator", "random-tree", "--count", "2", "--seed", "1", "--de
 def _documents(work, reverse=False):
     """{name: (exit code, sha256 of the document's bytes)} for the corpus.
 
-    The pipelines (decompose then verify, or one duality call) run in
+    The pipelines (one norms call, decompose then verify, or one duality
+    call) run in
     corpus order, or in reverse with ``reverse``.
     """
     out = {}
@@ -57,6 +59,8 @@ def _documents(work, reverse=False):
         gp = os.path.join(work, f"g_{i}.json")
         jsonio.dump_json(jsonio.function_to_doc(space, g - float(space.prob @ g)), gp)
         for p, q in PQ:
+            pipelines.append([(f"norms_{i}_p{p}-q{q}",
+                               ["norms", "--input", mp, "--p", str(p), "--q", str(q)])])
             for flavor in FLAVORS:
                 for defn in DEFNS:
                     tag = f"{i}_{flavor}-{defn}_p{p}-q{q}"
