@@ -26,7 +26,7 @@ from .martingale import (
     quadratic_variation,
     stopped,
 )
-from .norms import hardy_s_norm, lpq_norm, p_space_norm, q_space_norm
+from .norms import lpq_norm
 from .space import (
     INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, binary_exponent, condition_rows, scale_of,
 )
@@ -70,12 +70,9 @@ def atom_statistic(flavor: str, atom: Martingale) -> np.ndarray:
 
 
 def source_norm_for(f: Martingale, flavor, p, q) -> float:
-    """The norm a decomposition of this flavor is certified against."""
-    if flavor == "s":
-        return hardy_s_norm(f, p, q)
-    if flavor == "S":
-        return q_space_norm(f, p, q)
-    return p_space_norm(f, p, q)
+    """The norm certifying a decomposition of this flavor: that of its ladder
+    statistic's final row, s(f) or the final minimal envelope."""
+    return lpq_norm(f.space, _ladder_statistic(f, flavor)[-1], p, q)
 
 
 def default_r(flavor: str) -> float:
@@ -110,9 +107,10 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     space = f.space
     # lambda_k carries 2^{k+1} on the s ladder, 2^{k+2} on envelope ladders
     base_exp = 1 if flavor == "s" else 2
-    dec = Decomposition(space, flavor, defn, p, q, [], source_norm_for(f, flavor, p, q))
+    stat = _ladder_statistic(f, flavor)
+    dec = Decomposition(space, flavor, defn, p, q, [], lpq_norm(space, stat[-1], p, q))
 
-    ks, times = ladder_times(_ladder_statistic(f, flavor))
+    ks, times = ladder_times(stat)
     # row k is the terminal f_{nu^k} of the stopped martingale f^{nu^k}
     rows = stopped(f.levels, times)
     for k, nu_times, below, above in zip(ks, times, rows, rows[1:]):

@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .atoms import decompose, ladder_constant
 from .martingale import Martingale, _ladder_statistic, from_terminal, ladder_times, stopped
-from .norms import lpq_norm, lq_aggregate
+from .norms import _check_exponent, lpq_norm, lq_aggregate
 from .space import (
     _BLOCK_ELEMS,
     INFINITY,
@@ -35,6 +35,8 @@ from .space import SLACK, TOL, at_most, scale_of
 
 def phi(space: FilteredSpace, subset, p, q) -> float:
     """||1_A||_{p,q} / P(A) for a non-null outcome subset A."""
+    _check_exponent("p", p)
+    _check_exponent("q", q, inf_ok=True)
     mask = _subset_mask(space, subset)
     pa, masses = _masses(space, np.zeros(space.size, dtype=np.int64), 1, space.prob * mask)
     if pa[0] <= 0.0:
@@ -229,6 +231,8 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
     of candidates examined leaves out those with an empty B.
     ``gm``, if given, is g's martingale ``from_terminal(space, g)``.
     """
+    _check_exponent("p", p)
+    _check_exponent("q", q, inf_ok=True)
     g = space.rv(g)
     gm = from_terminal(space, g) if gm is None else gm
 

@@ -120,7 +120,6 @@ class EmbeddingRow:
     max_ratio: float
     median_ratio: float
     samples: int
-    degenerate: int  # pairs where the denominator norm vanished
     violation: bool  # numerator positive while denominator vanished
 
 
@@ -185,12 +184,10 @@ def explore_embeddings(corpus, p, q) -> EmbeddingTable:
             if a == b:
                 continue
             ratios = []
-            degenerate = 0
             bad = False
             for rec in norms:
                 na, nb = rec[a], rec[b]
                 if nb <= TOL:
-                    degenerate += 1
                     if na > TOL and (a, b) in checked:
                         bad = True
                     continue
@@ -200,7 +197,7 @@ def explore_embeddings(corpus, p, q) -> EmbeddingTable:
                     a, b,
                     max(ratios) if ratios else float("nan"),
                     statistics.median(ratios) if ratios else float("nan"),
-                    len(ratios), degenerate, bad,
+                    len(ratios), bad,
                 )
             )
     return table

@@ -289,8 +289,7 @@ def load_martingale(path):
     doc = load_json(path, raw)
     f = martingale_from_doc(doc)
     s = f.space
-    for a in (f.levels, s.prob, s.cell_labels, s.cell_masses, s.block_labels, s.block_probs,
-              *s.level_labels, *s.cell_probs):
+    for a in (f.levels, s.prob, s.cell_labels, s.cell_masses, s.block_labels, *s.level_labels):
         a.flags.writeable = False
     _last = (raw, f, doc["space"])
     return _last[1:]

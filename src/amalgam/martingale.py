@@ -39,9 +39,13 @@ class Martingale:
             scale = float(np.max(np.abs(lv)))  # at f's own scale: atoms magnify f
             if not at_most(np.abs(lv[0]), TOL * scale):
                 raise SpaceError("f_0 must vanish")
-            ok = np.less_equal(np.abs(condition_rows(space, lv[1:]) - lv[:-1]), SLACK * scale)
+            # row n < N: E_n[f_{n+1}] = f_n; row N: E_N[f_N] = f_N, f is adapted
+            cond = condition_rows(space, np.vstack([lv[1:], lv[-1:]]))
+            ok = np.less_equal(np.abs(cond - lv), SLACK * scale).all(axis=1)
             if not ok.all():
-                raise SpaceError(f"martingale property fails at step {ok.all(axis=1).argmin()}")
+                k = int(ok.argmin())
+                raise SpaceError(f"martingale property fails at step {k}" if k < space.depth
+                                 else f"level {k} is not measurable at time {k}")
 
     @property
     def terminal(self) -> np.ndarray:
@@ -60,8 +64,7 @@ class PredictorEnvelope:
 
     FLAVORS = ("S", "star")
 
-    def __init__(self, space: FilteredSpace, levels, flavor, validate=True,
-                 against: "Martingale | None" = None):
+    def __init__(self, space: FilteredSpace, levels, flavor, validate=True):
         if flavor not in self.FLAVORS:
             raise ValueError(f"flavor must be one of {self.FLAVORS}")
         self.space = space
@@ -80,8 +83,6 @@ class PredictorEnvelope:
             for n in range(space.depth + 1):
                 if not is_measurable(space, lv[n], n):
                     raise SpaceError(f"envelope level {n} not adapted")
-            if against is not None and not dominates(self, against):
-                raise SpaceError("envelope does not dominate the martingale")
 
     @property
     def final(self) -> np.ndarray:

@@ -88,11 +88,14 @@ class FilteredSpace:
     Parameters
     ----------
     outcomes : ordered collection of hashable outcome identifiers
-    prob : mapping outcome -> weight, or array in outcome order
+    prob : strictly positive weights summing to 1, an array in outcome order
     filtration : list of partitions; each partition is a list of cells and
         each cell a list of outcome identifiers.  Partition 0 must be the
         trivial partition and each partition must refine the previous one.
     blocks : partition of the outcome set (single list of cells)
+
+    Cell c of partition n (``level_labels[n] == c``) is cell
+    ``cell_offsets[n] + c`` of ``cell_labels`` and ``cell_masses``.
     """
 
     def __init__(self, outcomes, prob, filtration, blocks):
@@ -108,12 +111,7 @@ class FilteredSpace:
             raise SpaceError("duplicate outcomes")
 
         try:
-            if isinstance(prob, dict):
-                p = np.array([float(prob[o]) for o in self.outcomes])
-            else:
-                p = np.asarray(prob, dtype=np.float64)
-        except KeyError as exc:
-            raise SpaceError(f"missing probability for outcome {exc}") from exc
+            p = np.asarray(prob, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise SpaceError(f"probabilities must be numbers: {exc}") from exc
         if p.shape != (self.size,):
@@ -143,18 +141,12 @@ class FilteredSpace:
 
         self.block_labels, self.n_blocks = self._partition_labels(blocks, "blocks")
 
-        # cached cell masses, used by every conditioning call
-        self.cell_probs = [
-            _kernels.cell_sums(lab, size, self.prob)
-            for lab, size in zip(self.level_labels, self.level_sizes)
-        ]
-        # level-offset labels: cell c of level n is cell_offsets[n] + c, so the
-        # cells of all levels are summed in one pass
+        # the cells of all levels are summed in one pass; every conditioning
+        # call reads the cached masses
         self.cell_offsets = np.cumsum([0] + self.level_sizes)
         self.cell_labels = np.stack(self.level_labels) + self.cell_offsets[:-1, None]
-        self.cell_masses = np.concatenate(self.cell_probs)
-        self.block_probs = _kernels.cell_sums(self.block_labels, self.n_blocks, self.prob)
-        self._regularity = None
+        self.cell_masses = _kernels.cell_sums(self.cell_labels.ravel(), self.cell_offsets[-1],
+                                              np.tile(self.prob, self.depth + 1))
         self._parent_cells = None
 
     # -- construction helpers -------------------------------------------
@@ -214,12 +206,7 @@ class FilteredSpace:
         return [[self.outcomes[i] for i in idx.tolist()] for idx in groups]
 
     def rv(self, values):
-        """Coerce a mapping outcome -> real or an array to a value vector."""
-        if isinstance(values, dict):
-            missing = [o for o in self.outcomes if o not in values]
-            if missing:
-                raise SpaceError(f"random variable missing outcomes {missing}")
-            return np.array([float(values[o]) for o in self.outcomes])
+        """Coerce an array in outcome order to a float value vector."""
         x = np.asarray(values, dtype=np.float64)
         if x.shape != (self.size,):
             raise SpaceError("random variable has wrong length")
@@ -267,9 +254,6 @@ class StoppingTime:
         """Boolean mask of B = {time != infinity}."""
         return self.times != INFINITY
 
-    def key(self):
-        return self.times.tobytes()
-
     def __repr__(self):
         shown = ["inf" if t == INFINITY else str(t) for t in self.times]
         return f"StoppingTime([{', '.join(shown)}])"
@@ -305,20 +289,16 @@ def _constant_on_cells(labels, n_cells, values) -> bool:
 
 
 def conditional_expectation(space: FilteredSpace, x, n) -> np.ndarray:
-    """E[x | F_n]: per-cell probability-weighted average."""
+    """E[x | F_n]: per-cell probability-weighted average, one row of condition_rows."""
     space._check_level(n)
-    x = space.rv(x)
-    labels = space.level_labels[n]
-    sums = _kernels.cell_sums(labels, space.level_sizes[n], space.prob * x)
-    return (sums / space.cell_probs[n])[labels]
+    return condition_rows(space, space.rv(x)[None], n)[0]
 
 
 def condition_rows(space: FilteredSpace, rows, first=0) -> np.ndarray:
     """Row i is E[rows[i] | F_{first + i}], every row in one cell_sums pass.
 
     Each cell sums its members in outcome order whether its level is
-    conditioned alone or stacked, so a row gets the same bits as from
-    conditional_expectation.
+    conditioned alone or stacked, so a row gets the same bits in any stack.
     """
     rows = np.asarray(rows, dtype=np.float64)
     labels = space.cell_labels[first:first + len(rows)]
@@ -352,10 +332,8 @@ def regularity_constant(space: FilteredSpace) -> float:
     On a finite space with positive weights this is exactly the best
     constant in the regularity condition for non-negative martingales.
     """
-    if space._regularity is None:
-        mass = space.cell_masses[space.cell_labels]  # row n: each outcome's level-n cell
-        space._regularity = float(np.max(mass[:-1] / mass[1:], initial=1.0))
-    return space._regularity
+    mass = space.cell_masses[space.cell_labels]  # row n: each outcome's level-n cell
+    return float(np.max(mass[:-1] / mass[1:], initial=1.0))
 
 
 def _groups(labels, n_groups):

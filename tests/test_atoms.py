@@ -16,14 +16,19 @@ from amalgam import (
     certify_bounds,
     decompose,
     from_terminal,
+    hardy_s_norm,
     jsonio,
     ladder_constant,
     ladder_stopping_time,
+    p_space_norm,
+    q_space_norm,
     reconstruct,
     stop,
     verify_atom,
 )
-from amalgam.atoms import DEFNS, FLAVORS, atom_statistic, default_r, rung_weight
+from amalgam.atoms import (
+    DEFNS, FLAVORS, atom_statistic, default_r, rung_weight, source_norm_for,
+)
 from amalgam.space import SLACK, at_most, condition_rows, scale_of
 from conftest import random_martingale, random_tree_space, small_martingales
 
@@ -250,6 +255,19 @@ def test_converse_survives_coefficient_inflation():
             assert verify_atom(scaled, t)[0].passed
         cert = certify_bounds(scaled)
         assert all(e.converse_ok for e in cert.entries)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("p, q", [(0.5, 1.0), (2.0, 0.75), (1.5, math.inf)])
+def test_source_norm_is_the_flavors_norm(flavor, p, q):
+    # the oracle: each flavor's norm by name
+    named = {"s": hardy_s_norm, "S": q_space_norm, "star": p_space_norm}[flavor]
+    rng = np.random.default_rng(36)
+    for _ in range(5):
+        f = random_martingale(rng, random_tree_space(rng, depth=3, branching=3))
+        want = named(f, p, q)
+        assert source_norm_for(f, flavor, p, q) == want
+        assert decompose(f, p, q, flavor=flavor).source_norm == want
 
 
 def test_decompose_rejects_unknown_variant(worked_example):

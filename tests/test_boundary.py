@@ -88,6 +88,18 @@ def test_malformed_space_is_named(tmp_path, capsys, field, level, cells, message
     assert captured.out == ""
 
 
+def test_martingale_not_adapted_at_its_last_level_is_input_error(tmp_path, capsys):
+    space = {"schema": jsonio.SCHEMA, "outcomes": ["a", "b"], "prob": [0.5, 0.5],
+             "filtration": [[["a", "b"]], [["a", "b"]]], "blocks": [["a", "b"]]}
+    mp = tmp_path / "mart.json"
+    mp.write_text(json.dumps({"schema": jsonio.SCHEMA, "space": space,
+                              "levels": [[0, 0], [1, -1]]}))
+    assert main(["norms", "--input", str(mp), "--p", "1", "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: martingale: level 1 is not measurable at time 1\n"
+    assert captured.out == ""
+
+
 def test_well_formed_space_decodes(tmp_path, capsys):
     space = _construct(_space_doc("blocks", None, [["c"], ["b", "a"]]))
     assert space.block_labels.tolist() == [1, 1, 0]

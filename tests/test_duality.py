@@ -32,6 +32,16 @@ from amalgam.martingale import (
 from conftest import centred, random_martingale, random_tree_space, small_trees
 
 
+@pytest.mark.parametrize("p, q", [(-1.0, 1.0), (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                  (0.5, 0.0), (0.5, -1.0), (0.5, math.nan)])
+def test_exponents_are_checked(dyadic2, p, q):
+    g = [1.0, 1.0, -1.0, -1.0]
+    with pytest.raises(ValueError, match="must lie in"):
+        campanato_norm(dyadic2, g, p, q, mode="heuristic")
+    with pytest.raises(ValueError, match="must lie in"):
+        phi(dyadic2, ["w1"], p, q)
+
+
 def test_phi_diagonal(dyadic2):
     # with p = q the weight collapses to P(A)^(1/p - 1)
     for p in (0.5, 1.0, 2.0):
@@ -225,7 +235,8 @@ def _per_cell_family(space, gm):
             times = np.where(space.level_labels[n] == c, n, INFINITY)
             cands.append(StoppingTime(space, times, validate=False))
     seen = set()
-    return [nu for nu in cands if not (nu.key() in seen or seen.add(nu.key()))]
+    return [nu for nu in cands
+            if not (nu.times.tobytes() in seen or seen.add(nu.times.tobytes()))]
 
 
 def _quotient_by_definition(space, g, gm, nu, p, q):

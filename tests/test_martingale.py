@@ -58,6 +58,17 @@ def test_martingale_validation(dyadic2):
         Martingale(dyadic2, [[0, 0, 0, 0], [1, 1, -1, -1]])
 
 
+def test_last_level_must_be_measurable():
+    # E_0[f_1] = f_0 holds, but f_1 is not constant on the one level-1 cell
+    space = FilteredSpace(["a", "b"], [0.5, 0.5], [[["a", "b"]], [["a", "b"]]], [["a", "b"]])
+    with pytest.raises(SpaceError, match="^level 1 is not measurable at time 1$"):
+        Martingale(space, [[0, 0], [1, -1]])
+    # an earlier failing step is still named as one
+    with pytest.raises(SpaceError, match="^martingale property fails at step 0$"):
+        Martingale(space, [[0, 0], [1, 0]])
+    Martingale(space, [[0, 0], [0, 0]])
+
+
 def test_differences(worked_example):
     _, f = worked_example
     d = differences(f)
@@ -268,8 +279,8 @@ def test_minimal_envelope_is_admissible_and_minimal():
         f = random_martingale(rng, space)
         for flavor in ("S", "star"):
             beta = minimal_envelope(f, flavor)
-            # passes full validation as an envelope against f
-            PredictorEnvelope(space, beta.levels, flavor, against=f)
+            # passes full validation as an envelope, and dominates f
+            assert dominates(PredictorEnvelope(space, beta.levels, flavor), f)
             # any admissible envelope sits above it pointwise: perturbing
             # the minimal one downward anywhere breaks admissibility
             bumped = beta.levels - 1e-6 * (beta.levels > 1e-6)
@@ -290,7 +301,8 @@ def test_random_admissible_envelopes_dominate_minimal():
             beta = minimal_envelope(f, flavor)
             bumps = rng.uniform(0, 1, size=(beta.levels.shape[0], 1))
             lift = np.maximum.accumulate(beta.levels + bumps, axis=0)
-            cand = PredictorEnvelope(space, lift, flavor, against=f)
+            cand = PredictorEnvelope(space, lift, flavor)
+            assert dominates(cand, f)
             assert np.all(cand.levels >= beta.levels - 1e-12)
 
 
@@ -305,6 +317,5 @@ def test_envelope_validation_rejects_bad_shapes(coin):
     with pytest.raises(SpaceError):
         # not adapted at level 0
         PredictorEnvelope(space, [[1, 2], [2, 2]], "S")
-    with pytest.raises(SpaceError):
-        # too small to dominate |f_1| = 1 from level 0
-        PredictorEnvelope(space, [[0.5, 0.5], [2, 2]], "star", against=f)
+    # admissible, but too small to dominate |f_1| = 1 from level 0
+    assert not dominates(PredictorEnvelope(space, [[0.5, 0.5], [2, 2]], "star"), f)

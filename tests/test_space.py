@@ -189,8 +189,10 @@ def test_regularity_oracle_enumerates_all_splits():
         best = 1.0
         for n in range(1, space.depth + 1):
             for i in range(space.size):
-                parent = space.cell_probs[n - 1][space.level_labels[n - 1][i]]
-                child = space.cell_probs[n][space.level_labels[n][i]]
+                # the masses of outcome i's cells at levels n - 1 and n, by definition
+                lab = space.level_labels
+                parent = space.prob[lab[n - 1] == lab[n - 1][i]].sum()
+                child = space.prob[lab[n] == lab[n][i]].sum()
                 best = max(best, parent / child)
         assert regularity_constant(space) == pytest.approx(best)
 
