@@ -28,7 +28,7 @@ from .martingale import (
 )
 from .norms import lpq_norm
 from .space import (
-    INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, binary_exponent, condition_rows, scale_of,
+    INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, condition_rows, scale_of, scaled,
 )
 
 FLAVORS = ("s", "S", "star")
@@ -161,13 +161,13 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
     leak = float(np.max(stat[~mask])) if (~mask).any() else 0.0
     support_ok = at_most(leak, SLACK * scale)
 
-    e = binary_exponent(float(np.max(stat)))
+    small, e = scaled(stat)
     reports = []
     for r in rs:
         if math.isinf(r):
             measured = float(np.max(stat))
         else:
-            measured = math.ldexp(float(space.prob @ np.ldexp(stat, -e) ** r) ** (1.0 / r), e)
+            measured = math.ldexp(float(space.prob @ small ** r) ** (1.0 / r), e)
         if pb <= 0.0:
             bound = 0.0
             size_ok = at_most(measured, SLACK * scale)

@@ -27,36 +27,26 @@ from .space import (
     FilteredSpace,
     SpaceError,
     StoppingTime,
-    binary_exponent,
+    scaled,
     stopping_time_blocks,
 )
 from .space import SLACK, TOL, at_most, scale_of
 
 
 def phi(space: FilteredSpace, subset, p, q) -> float:
-    """||1_A||_{p,q} / P(A) for a non-null outcome subset A."""
+    """||1_A||_{p,q} / P(A) for a non-null A, given as a list of outcome identifiers."""
     _check_exponent("p", p)
     _check_exponent("q", q, inf_ok=True)
-    mask = _subset_mask(space, subset)
-    pa, masses = _masses(space, np.zeros(space.size, dtype=np.int64), 1, space.prob * mask)
-    if pa[0] <= 0.0:
-        raise SpaceError("phi is undefined on null sets")
-    return float(lq_aggregate(masses, p, q)[0] / pa[0])
-
-
-def _subset_mask(space, subset):
-    a = np.asarray(subset)
-    if a.dtype == bool:
-        if a.shape != (space.size,):
-            raise SpaceError("subset mask has wrong length")
-        return a
     mask = np.zeros(space.size, dtype=bool)
     for o in subset:
         i = space.index.get(o)
         if i is None:
             raise SpaceError(f"unknown outcome {o!r}")
         mask[i] = True
-    return mask
+    pa, masses = _masses(space, np.zeros(space.size, dtype=np.int64), 1, space.prob * mask)
+    if pa[0] <= 0.0:
+        raise SpaceError("phi is undefined on null sets")
+    return float(lq_aggregate(masses, p, q)[0] / pa[0])
 
 
 @dataclass
@@ -203,8 +193,8 @@ def _scaled(g, gm):
     exact, so no square overflows, none of a tiny g underflows, and a value
     whose squares did neither unscaled keeps every bit.
     """
-    e = binary_exponent(float(np.max(np.abs(g))))
-    return np.ldexp(g, -e), np.ldexp(gm.levels, -e), e
+    g, e = scaled(g)
+    return g, np.ldexp(gm.levels, -e), e
 
 
 def oscillation(space: FilteredSpace, g, gm: Martingale, nu: StoppingTime, p, q):

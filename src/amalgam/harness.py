@@ -9,7 +9,7 @@ import numpy as np
 
 from .martingale import from_terminal
 from .norms import FIVE_NORMS, all_five_norms
-from .space import TOL, FilteredSpace, SpaceError
+from .space import TOL, FilteredSpace
 
 MAX_OUTCOMES = 4096
 
@@ -63,8 +63,6 @@ def _tree_space(rng, depth, branching, random_tree, block_policy, block_param):
                 new_weights.append(w * parts[j])
         cells = new_cells
         weights = np.array(new_weights)
-        if len(cells) > MAX_OUTCOMES:
-            raise SpaceError(f"outcome bound {MAX_OUTCOMES} exceeded")
     outcomes = [ids[-1] if depth > 0 else "c" for ids in cells]
     weights = weights / weights.sum()
 

@@ -20,7 +20,7 @@ from .space import (
     conditional_ess_sup,
     is_measurable,
 )
-from .space import SLACK, TOL, at_most, binary_exponent, require_finite, scale_of
+from .space import SLACK, TOL, at_most, binary_exponent, require_finite, scale_of, scaled
 
 
 class Martingale:
@@ -119,22 +119,15 @@ def differences(f: Martingale) -> np.ndarray:
     return d
 
 
-def _scaled_differences(f: Martingale):
-    """(d * 2^-e, e) with max|d| * 2^-e in (1/2, 1], so squares cannot overflow."""
-    d = differences(f)
-    e = binary_exponent(float(np.max(np.abs(d))))
-    return np.ldexp(d, -e), e
-
-
 def quadratic_variation_partial(f: Martingale) -> np.ndarray:
     """Row n is S_n(f) = (sum_{i<=n} |d_i f|^2)^{1/2}."""
-    d, e = _scaled_differences(f)
+    d, e = scaled(differences(f))  # squares of the scaled d cannot overflow
     return np.ldexp(np.sqrt(np.cumsum(d * d, axis=0)), e)
 
 
 def conditional_quadratic_variation_partial(f: Martingale) -> np.ndarray:
     """Row n is s_n(f); the i-th summand is E_{i-1}|d_i f|^2."""
-    d, e = _scaled_differences(f)
+    d, e = scaled(differences(f))
     terms = np.zeros_like(d)
     terms[1:] = condition_rows(f.space, d[1:] * d[1:])
     return np.ldexp(np.sqrt(np.cumsum(terms, axis=0)), e)
@@ -202,8 +195,9 @@ def ladder_window(stat_rows):
     """Ladder index range (k_min, k_max) covering all nontrivial rungs.
 
     2^{k_min} sits below every genuinely positive statistic value so the
-    bottom stopped martingale is negligible; 2^{k_max+1} sits at or above
-    the max so the rung above the window never triggers.  Values at or
+    bottom stopped martingale is negligible; 2^{k_max+1}, with k_max + 1
+    the max's binary exponent, is the least power of two at or above the
+    max, so the rung above the window never triggers.  Values at or
     under TOL times the max are rounding noise and are ignored:
     rungs at that scale would divide float cancellation error by a
     comparably tiny lambda and emit garbage atoms.  Returns None when the
@@ -214,13 +208,8 @@ def ladder_window(stat_rows):
     if top <= 0.0:
         return None
     minpos = float(vals[vals > top * TOL].min())
-    k_min = math.floor(math.log2(minpos)) - 1
-    k_max = math.ceil(math.log2(top)) - 1
-    if 2.0 ** k_min >= minpos:  # guard against log2 rounding at powers of two
-        k_min -= 1
-    while 2.0 ** (k_max + 1) < top:
-        k_max += 1
-    return k_min, k_max
+    # 2^k_min is below m also where log2(m) rounds up to an integer
+    return math.floor(math.log2(minpos)) - 1, binary_exponent(top) - 1
 
 
 def ladder_times(stat_rows):

@@ -20,7 +20,7 @@ from .martingale import (
     minimal_envelope,
     quadratic_variation,
 )
-from .space import FilteredSpace, binary_exponent
+from .space import FilteredSpace, scaled
 
 #: exponent magnitude below which powers are taken in log space
 _LOG_SPACE_CUTOFF = 0.1
@@ -68,8 +68,8 @@ def _blocked_norm(space, labels, n_blocks, values, p, q) -> float:
         logs[pos] = (p * np.log(peak[pos]) + np.log(mass[pos])
                      + np.log1p(excess[pos] / mass[pos]))
         return float(lq_aggregate(None, p, q, logs[None])[0])
-    e = binary_exponent(top)
-    integrals = _kernels.cell_sums(labels, n_blocks, space.prob * np.ldexp(g, -e) ** p)
+    g, e = scaled(g)
+    integrals = _kernels.cell_sums(labels, n_blocks, space.prob * g ** p)
     return math.ldexp(float(lq_aggregate(integrals[None], p, q)[0]), e)
 
 

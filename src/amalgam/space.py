@@ -66,6 +66,12 @@ def binary_exponent(top: float) -> int:
     return e - 1 if m == 0.5 else e
 
 
+def scaled(x):
+    """(x * 2^-e, e) with e = binary_exponent(max|x|), so max|x| * 2^-e is in (1/2, 1]."""
+    e = binary_exponent(float(np.max(np.abs(x))))
+    return np.ldexp(x, -e), e
+
+
 #: elements (rows x outcomes) in one block of stacked stopping times.  It
 #: bounds the memory of every route that scores stacked times, the exact
 #: enumeration included; at 2^13 the exact route peaks below a
@@ -212,11 +218,6 @@ class FilteredSpace:
             raise SpaceError("random variable has wrong length")
         return x
 
-    def blocks_adapted(self, n) -> bool:
-        """Whether every block happens to be a union of partition-n cells."""
-        self._check_level(n)
-        return _constant_on_cells(self.level_labels[n], self.level_sizes[n], self.block_labels)
-
     def _check_level(self, n):
         if not 0 <= n <= self.depth:
             raise SpaceError(f"time index {n} out of range 0..{self.depth}")
@@ -318,12 +319,9 @@ def conditional_ess_sup(space: FilteredSpace, x, n) -> np.ndarray:
 
 def is_measurable(space: FilteredSpace, x, n) -> bool:
     """Whether x is constant up to SLACK on every partition-n cell."""
-    space._check_level(n)
     x = space.rv(x)
-    labels = space.level_labels[n]
-    hi = _kernels.cell_max(labels, space.level_sizes[n], x)
-    lo = -_kernels.cell_max(labels, space.level_sizes[n], -x)
-    return at_most(hi - lo, SLACK * scale_of(x))
+    return at_most(conditional_ess_sup(space, x, n) + conditional_ess_sup(space, -x, n),
+                   SLACK * scale_of(x))
 
 
 def regularity_constant(space: FilteredSpace) -> float:

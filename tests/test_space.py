@@ -332,21 +332,3 @@ def test_enumerated_times_are_valid():
     space = random_tree_space(rng, depth=2, branching=3)
     for nu in enumerate_stopping_times(space):
         StoppingTime(space, nu.times)  # validates level sets
-
-
-def test_blocks_adapted_predicate(dyadic2):
-    assert dyadic2.blocks_adapted(1)
-    assert dyadic2.blocks_adapted(2)
-    assert not dyadic2.blocks_adapted(0)
-    skew = FilteredSpace(
-        ["w1", "w2", "w3", "w4"],
-        [0.25] * 4,
-        [
-            [["w1", "w2", "w3", "w4"]],
-            [["w1", "w2"], ["w3", "w4"]],
-            [["w1"], ["w2"], ["w3"], ["w4"]],
-        ],
-        [["w1", "w3"], ["w2", "w4"]],
-    )
-    assert not skew.blocks_adapted(1)
-    assert skew.blocks_adapted(2)
