@@ -26,9 +26,10 @@ from .martingale import (
     quadratic_variation,
     stopped,
 )
-from .norms import lpq_norm
+from .norms import _check_exponent, lpq_norm
 from .space import (
     INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, condition_rows, scale_of, scaled,
+    times_pow2,
 )
 
 FLAVORS = ("s", "S", "star")
@@ -116,7 +117,10 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     for k, nu_times, below, above in zip(ks, times, rows, rows[1:]):
         pb, size = _support_size(space, nu_times != INFINITY, p, q, defn)
         if pb > 0.0:  # an empty rung has lambda_k = 0 and a zero atom: omitted
-            lam = 2.0 ** (k + base_exp) * size
+            lam = float(times_pow2(size, k + base_exp))
+            if not 0.0 < lam < math.inf:
+                raise ValueError(f"rung k = {k}: lambda_k = 2^{k + base_exp} * {size!r} "
+                                 f"is {lam!r}, not a positive float")
             nu = StoppingTime(space, nu_times, validate=False)
             dec.triples.append(AtomTriple(k, lam, (above - below) / lam, nu))
     return dec
@@ -164,10 +168,11 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
     small, e = scaled(stat)
     reports = []
     for r in rs:
+        _check_exponent("r", r, inf_ok=True)
         if math.isinf(r):
             measured = float(np.max(stat))
         else:
-            measured = math.ldexp(float(space.prob @ small ** r) ** (1.0 / r), e)
+            measured = float(times_pow2(float(space.prob @ small ** r) ** (1.0 / r), e))
         if pb <= 0.0:
             bound = 0.0
             size_ok = at_most(measured, SLACK * scale)
@@ -215,13 +220,19 @@ def _aggregates(d: Decomposition, etas) -> list:
         fieldv = np.zeros(d.space.size)
         for support, w in rungs:
             fieldv[support] += w ** eta
-        norms.append(lpq_norm(d.space, fieldv, d.p / eta, d.q / eta) ** (1.0 / eta))
+        norms.append(_power(lpq_norm(d.space, fieldv, d.p / eta, d.q / eta), 1.0 / eta))
     return norms
 
 
 def ladder_constant(eta: float) -> float:
     """Upper-bound constant (4^eta / (2^eta - 1))^{1/eta} from the ladder sum."""
-    return (4.0 ** eta / (2.0 ** eta - 1.0)) ** (1.0 / eta)
+    return _power(4.0 ** eta / (2.0 ** eta - 1.0), 1.0 / eta)
+
+
+def _power(x, y) -> float:
+    """x ** y for x >= 0, which is inf beyond the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(x) ** y)
 
 
 @dataclass

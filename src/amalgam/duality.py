@@ -29,6 +29,7 @@ from .space import (
     StoppingTime,
     scaled,
     stopping_time_blocks,
+    times_pow2,
 )
 from .space import SLACK, TOL, at_most, scale_of
 
@@ -203,7 +204,7 @@ def oscillation(space: FilteredSpace, g, gm: Martingale, nu: StoppingTime, p, q)
     a, pb, masses = _row_sums(space, levels, g, nu.times[None])
     if pb[0] <= 0.0:
         return None
-    return float(np.ldexp(_quotients(a, pb, masses, p, q)[0], e))
+    return float(times_pow2(_quotients(a, pb, masses, p, q)[0], e))
 
 
 def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
@@ -242,8 +243,7 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
         sup.add_cells()
         sup.add_times(_ladder_rows(space, gm))
     sup.add_times(nu.times for nu in extra_candidates)
-    # np.ldexp: a value beyond the float range is inf, as without the rescale
-    value = float(np.ldexp(sup.value, e))
+    value = float(times_pow2(sup.value, e))
     return CampanatoResult(value, sup.winner(), actual, sup.examined)
 
 
@@ -290,7 +290,7 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", cap=10**6) -> Dual
     a = [a_k for block in ladder for a_k in _row_sums(space, levels, scaled, block)[0]]
     for t, a_k in zip(d.triples, a):
         a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
-        atomwise += t.lam * a_l2 * math.ldexp(math.sqrt(a_k), e)
+        atomwise += t.lam * a_l2 * float(times_pow2(math.sqrt(a_k), e))
 
     camp = campanato_norm(space, g, p, q, mode=mode, cap=cap,
                           extra_candidates=[t.nu for t in d.triples], gm=gm)

@@ -12,15 +12,10 @@ import math
 import numpy as np
 
 from .space import (
-    INFINITY,
-    FilteredSpace,
-    SpaceError,
-    StoppingTime,
-    condition_rows,
-    conditional_ess_sup,
-    is_measurable,
+    INFINITY, SLACK, TOL, FilteredSpace, SpaceError, StoppingTime, at_most, binary_exponent,
+    condition_rows, conditional_ess_sup, is_measurable, require_finite, scale_of, scaled,
+    times_pow2,
 )
-from .space import SLACK, TOL, at_most, binary_exponent, require_finite, scale_of, scaled
 
 
 class Martingale:
@@ -122,7 +117,7 @@ def differences(f: Martingale) -> np.ndarray:
 def quadratic_variation_partial(f: Martingale) -> np.ndarray:
     """Row n is S_n(f) = (sum_{i<=n} |d_i f|^2)^{1/2}."""
     d, e = scaled(differences(f))  # squares of the scaled d cannot overflow
-    return np.ldexp(np.sqrt(np.cumsum(d * d, axis=0)), e)
+    return times_pow2(np.sqrt(np.cumsum(d * d, axis=0)), e)
 
 
 def conditional_quadratic_variation_partial(f: Martingale) -> np.ndarray:
@@ -130,7 +125,7 @@ def conditional_quadratic_variation_partial(f: Martingale) -> np.ndarray:
     d, e = scaled(differences(f))
     terms = np.zeros_like(d)
     terms[1:] = condition_rows(f.space, d[1:] * d[1:])
-    return np.ldexp(np.sqrt(np.cumsum(terms, axis=0)), e)
+    return times_pow2(np.sqrt(np.cumsum(terms, axis=0)), e)
 
 
 def quadratic_variation(f: Martingale) -> np.ndarray:
@@ -178,7 +173,7 @@ def _ladder_statistic(f: Martingale, flavor) -> np.ndarray:
 def ladder_stopping_time(f: Martingale, k, flavor="s") -> StoppingTime:
     """First n whose ladder statistic exceeds 2^k, else infinity."""
     stat = _ladder_statistic(f, flavor)
-    return _threshold_time(f.space, stat, 2.0 ** k)
+    return _threshold_time(f.space, stat, times_pow2(1.0, k))
 
 
 def _threshold_time(space, stat_rows, threshold) -> StoppingTime:
@@ -215,12 +210,13 @@ def ladder_window(stat_rows):
 def ladder_times(stat_rows):
     """(ks, times): the window's rungs k_min..k_max+1 and their (K+1, M) times.
 
-    Every rung comes from one comparison; the top rung never stops.  With
-    no window, ks is empty and times has no rows.
+    Every rung comes from one comparison; the top rung, and one whose 2^k
+    is beyond the float range, never stops.  With no window, ks is empty
+    and times has no rows.
     """
     window = ladder_window(stat_rows)
     ks = range(0) if window is None else range(window[0], window[1] + 2)
-    return ks, _threshold_times(stat_rows, [2.0 ** k for k in ks])
+    return ks, _threshold_times(stat_rows, times_pow2(1.0, np.array(ks, dtype=np.int64)))
 
 
 def minimal_envelope(f: Martingale, flavor="S") -> PredictorEnvelope:

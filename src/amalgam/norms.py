@@ -20,7 +20,7 @@ from .martingale import (
     minimal_envelope,
     quadratic_variation,
 )
-from .space import FilteredSpace, scaled
+from .space import FilteredSpace, scaled, times_pow2
 
 #: exponent magnitude below which powers are taken in log space
 _LOG_SPACE_CUTOFF = 0.1
@@ -70,7 +70,7 @@ def _blocked_norm(space, labels, n_blocks, values, p, q) -> float:
         return float(lq_aggregate(None, p, q, logs[None])[0])
     g, e = scaled(g)
     integrals = _kernels.cell_sums(labels, n_blocks, space.prob * g ** p)
-    return math.ldexp(float(lq_aggregate(integrals[None], p, q)[0]), e)
+    return float(times_pow2(lq_aggregate(integrals[None], p, q)[0], e))
 
 
 def lq_aggregate(integrals, p, q, logs=None) -> np.ndarray:
@@ -86,15 +86,16 @@ def lq_aggregate(integrals, p, q, logs=None) -> np.ndarray:
         if math.isinf(q):
             return np.max(integrals, axis=1) ** (1.0 / p)
         return _row_totals(integrals ** (q / p)) ** (1.0 / q)
-    if logs is None:
-        with np.errstate(divide="ignore"):
+    # log 0 is -inf, and exp of a value beyond the float range is inf
+    with np.errstate(divide="ignore", over="ignore"):
+        if logs is None:
             logs = np.log(integrals)
-    if math.isinf(q):
-        return np.exp(np.max(logs, axis=1) / p)
-    # tiny exponents overflow the direct power chain; stay in logs
-    z = (q / p) * logs
-    m = np.max(z, axis=1)
-    return np.exp((m + np.log(_row_totals(np.exp(z - m[:, None])))) / q)
+        if math.isinf(q):
+            return np.exp(np.max(logs, axis=1) / p)
+        # tiny exponents overflow the direct power chain; stay in logs
+        z = (q / p) * logs
+        m = np.max(z, axis=1)
+        return np.exp((m + np.log(_row_totals(np.exp(z - m[:, None])))) / q)
 
 
 def _row_totals(x):

@@ -72,6 +72,12 @@ def scaled(x):
     return np.ldexp(x, -e), e
 
 
+def times_pow2(x, e):
+    """x * 2^e, as a scaled value is scaled back; inf beyond the float range, with no warning."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e)
+
+
 #: elements (rows x outcomes) in one block of stacked stopping times.  It
 #: bounds the memory of every route that scores stacked times, the exact
 #: enumeration included; at 2^13 the exact route peaks below a
@@ -213,7 +219,10 @@ class FilteredSpace:
 
     def rv(self, values):
         """Coerce an array in outcome order to a float value vector."""
-        x = np.asarray(values, dtype=np.float64)
+        try:
+            x = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise SpaceError(f"random variable must be numbers: {exc}") from exc
         if x.shape != (self.size,):
             raise SpaceError("random variable has wrong length")
         return x

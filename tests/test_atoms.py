@@ -210,6 +210,9 @@ def test_ladder_constant_values():
     assert ladder_constant(1.0) == pytest.approx(4.0)
     assert ladder_constant(0.5) == pytest.approx((2.0 / (SQ2 - 1.0)) ** 2)
     assert ladder_constant(0.5) == pytest.approx(23.3137, abs=1e-4)
+    # (1 / (eta log 2))^(1/eta) grows past the float range as eta falls
+    assert ladder_constant(0.01) == pytest.approx(2.33836e216, rel=1e-5)
+    assert ladder_constant(0.001) == math.inf
 
 
 def test_certify_bounds_worked_example(worked_example):
@@ -276,6 +279,17 @@ def test_decompose_rejects_unknown_variant(worked_example):
         decompose(f, 1, 1, flavor="bogus")
     with pytest.raises(ValueError):
         decompose(f, 1, 1, defn="bogus")
+    with pytest.raises(ValueError, match="^unknown flavor 'bogus'$"):
+        atom_statistic("bogus", f)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+def test_verify_atom_checks_its_exponents(dyadic2, r):
+    # r = 0 divided by zero, and r = -1 passed with measured 0
+    d = decompose(from_terminal(dyadic2, [3.0, -1.0, -1.0, -1.0]), 0.5, 1.0)
+    assert verify_atom(d, d.triples[0], [2.0, math.inf])[0].passed
+    with pytest.raises(ValueError, match="^r must lie in"):
+        verify_atom(d, d.triples[0], [2.0, r])
 
 
 def test_default_r():

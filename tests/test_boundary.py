@@ -196,6 +196,7 @@ _MUTATIONS = [
     ("q-huge-int", "dec", ("q",), 10**400),
     ("q-nan", "dec", ("q",), math.nan),
     ("flavor-unknown", "dec", ("flavor",), "bogus"),
+    ("defn-unknown", "dec", ("defn",), "bogus"),
     ("k-float", "dec", ("triples", 0, "k"), 0.5),
     ("triples-null", "dec", ("triples",), None),
     ("triple-null", "dec", ("triples", 0), None),
@@ -283,6 +284,25 @@ def test_numbers_are_checked_by_type(tmp_path, capsys, key, entry):
     assert capsys.readouterr().err == f"error: {where}: field {key!r} has wrong type\n"
 
 
+def test_verify_reports_a_rung_that_stops_nowhere(tmp_path, capsys, valid_documents):
+    # P(B) = 0: the zero atom passes with bound 0 and the rung weighs 0, but
+    # the rung is missing from the reconstruction
+    doc = jsonio.load_json(valid_documents["dec"])
+    dropped = doc["triples"][0]
+    dropped["nu"] = [None] * 8
+    dropped["atom_terminal"] = [0.0] * 8
+    jsonio.dump_json(doc, valid_documents["dec"])
+    capsys.readouterr()
+    assert main(["verify", "--input", valid_documents["f"], "--decomposition",
+                 valid_documents["dec"], "--r", "2,inf"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert not out["reconstruction"]["ok"]
+    assert out["atoms"]["ok"] and out["bounds"]["ok"]
+    reports = [r for r in out["atoms"]["reports"] if r["k"] == dropped["k"]]
+    assert [(r["r"], r["passed"], r["measured"], r["bound"]) for r in reports] == [
+        (2.0, True, 0.0, 0.0), ("inf", True, 0.0, 0.0)]
+
+
 def test_decompose_refuses_a_support_size_below_the_normal_floats(tmp_path, capsys):
     space = _dyadic3()
     f = from_terminal(space, [3.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0, -3.0])
@@ -294,6 +314,65 @@ def test_decompose_refuses_a_support_size_below_the_normal_floats(tmp_path, caps
     assert captured.out == ""
     assert captured.err == ("error: p = 0.0002 is too small: a rung of mass 0.75 has support "
                             "size 0.0, not a normal float\n")
+
+
+# -- values near the top of the float range -------------------------------------
+
+
+def _near_the_top(name):
+    """(space, terminal) whose norms, ladder thresholds or lambdas reach 2^1024."""
+    if name == "two":
+        space = FilteredSpace(["a", "b"], [0.5, 0.5], [[["a", "b"]], [["a"], ["b"]]],
+                              [["a", "b"]])
+        return space, [1e308, -1e308]
+    if name == "four":
+        outcomes = ["w1", "w2", "w3", "w4"]
+        space = FilteredSpace(outcomes, [0.25] * 4, [[outcomes], [outcomes[:2], outcomes[2:]],
+                                                     [[o] for o in outcomes]], [outcomes])
+        return space, [6e307, -2e307, -2e307, -2e307]
+    if name == "eight":
+        s = _dyadic3()
+        space = FilteredSpace(s.outcomes, s.prob, [s.cells(n) for n in range(4)],
+                              [[o] for o in s.outcomes])
+        return space, [1e308, -1e308] * 4
+    return _dyadic3(), [3.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0, -3.0]
+
+
+# (space, command, code); a refusal names the rung whose lambda is 2^1024
+_NEAR_THE_TOP = [
+    ("two", ["decompose", "--p", "1", "--q", "1"], 2),
+    ("two", ["duality", "--p", "0.5", "--q", "1"], 2),
+    ("four", ["decompose", "--flavor", "s", "--defn", "weighted", "--p", "1", "--q", "1"], 0),
+    ("eight", ["norms", "--p", "1", "--q", "0.5"], 0),
+    ("plain", ["decompose", "--p", "1", "--q", "1", "--eta-grid", "0.001"], 0),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", _NEAR_THE_TOP,
+                         ids=[f"{n}-{a[0]}" for n, a, _ in _NEAR_THE_TOP])
+def test_results_beyond_the_float_range_are_inf_or_refused(tmp_path, capsys, name, argv, code):
+    space, terminal = _near_the_top(name)
+    mp, gp = str(tmp_path / "mart.json"), str(tmp_path / "g.json")
+    jsonio.dump_json({"schema": jsonio.SCHEMA, "space": jsonio.space_to_doc(space),
+                      "terminal": terminal}, mp)
+    if argv[0] == "duality":
+        jsonio.dump_json(jsonio.function_to_doc(space, [1.0, -1.0]), gp)
+        argv = [*argv, "--g", gp]
+    assert main([*argv, "--input", mp]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err == ("error: rung k = 1023: lambda_k = 2^1024 * 1.0 is inf, "
+                                "not a positive float\n")
+        return
+    doc = json.loads(captured.out)
+    if argv[0] == "norms":
+        # every norm is 8 * 1e308 or more
+        assert list(doc["norms"].values()) == [math.inf] * 5
+    else:
+        entries = doc["certificate"]["entries"]
+        assert entries[0]["budget"] == math.inf
+        assert all(e["upper_ok"] and e["converse_ok"] for e in entries)
 
 
 # -- the space of duality's g ----------------------------------------------------

@@ -67,6 +67,18 @@ def test_campanato_two_point_exact(coin):
     assert list(res.attaining_nu.times) == [0, 0]
 
 
+def test_campanato_skips_a_candidate_with_an_empty_support(worked_example):
+    space, _ = worked_example
+    g = [1.0, 1.0, 1.0, -3.0]
+    never = StoppingTime(space, [INFINITY] * 4)
+    for mode in ("exact", "heuristic"):
+        base = campanato_norm(space, g, 0.5, 1.0, mode=mode)
+        got = campanato_norm(space, g, 0.5, 1.0, mode=mode, extra_candidates=[never])
+        assert (got.norm_value, got.candidates_examined) == (base.norm_value,
+                                                             base.candidates_examined)
+        assert got.attaining_nu.times.tolist() == base.attaining_nu.times.tolist()
+
+
 def test_campanato_heuristic_is_lower_bound():
     rng = np.random.default_rng(40)
     for _ in range(15):

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from amalgam import (
     from_terminal,
     generate,
 )
-from amalgam import jsonio
+from amalgam import cli, harness, jsonio
 from amalgam.cli import main
 from amalgam.harness import MAX_OUTCOMES
+from amalgam.norms import FIVE_NORMS
 
 
 def test_corpus_spec_validation():
@@ -191,6 +193,12 @@ def test_cli_verify_without_an_admissible_exponent_is_input_error(
     assert "r > max(p, 1)" in captured.err
 
 
+def test_cli_eta_grid_must_be_numbers(tmp_path, worked_example, capsys):
+    mp = _write_martingale(tmp_path, worked_example[1])
+    assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--eta-grid", "x"]) == 2
+    assert capsys.readouterr() == ("", "error: bad numeric list 'x'\n")
+
+
 def test_cli_verify_detects_tampered_lambda(tmp_path, worked_example, capsys):
     _, f = worked_example
     mp = _write_martingale(tmp_path, f)
@@ -256,12 +264,16 @@ def test_cli_duality_of_huge_values_is_finite(tmp_path, coin, capsys):
 
 def test_cli_explore_and_gen(tmp_path, capsys):
     csv = str(tmp_path / "table.csv")
-    assert main(["explore", "--generator", "random-tree", "--count", "10",
-                 "--seed", "4", "--depth", "3", "--p", "1", "--q", "1",
-                 "--block-policy", "random-partition", "--block-param", "2",
-                 "--csv", csv]) == 0
+    argv = ["explore", "--generator", "random-tree", "--count", "10",
+            "--seed", "4", "--depth", "3", "--p", "1", "--q", "1",
+            "--block-policy", "random-partition", "--block-param", "2"]
+    assert main(argv + ["--csv", csv]) == 0
     with open(csv) as fh:
-        assert len(fh.read().splitlines()) == 21
+        table = fh.read()
+    assert len(table.splitlines()) == 21
+    capsys.readouterr()
+    assert main(argv) == 0  # with no --csv, the table goes to stdout
+    assert capsys.readouterr().out == table
     out_dir = str(tmp_path / "corpus")
     assert main(["gen", "--generator", "dyadic", "--count", "3", "--depth", "2",
                  "--out-dir", out_dir]) == 0
@@ -289,6 +301,25 @@ def test_cli_selftest(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 5
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_cli_selftest_reports_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "certify_duality", lambda *a, **k: SimpleNamespace(chain_ok=False))
+    assert main(["selftest", "--seed", "7"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAIL  duality chain certificate"
+    assert all(l.startswith("PASS") for l in lines[:-1])
+
+
+def test_cli_explore_flags_a_vanishing_denominator(capsys, monkeypatch):
+    # at p = q, hardy_star <= C * hardy_s is checked: hardy_s = 0 < hardy_star violates it
+    monkeypatch.setattr(harness, "all_five_norms",
+                        lambda f, p, q: {**dict.fromkeys(FIVE_NORMS, 1.0), "hardy_s": 0.0})
+    assert main(["explore", "--count", "2", "--depth", "2", "--p", "1", "--q", "1"]) == 1
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
+    flagged = {(r[0], r[1]) for r in rows if r[-1] == "1"}
+    assert ("hardy_star", "hardy_s") in flagged
+    assert all(den == "hardy_s" for _, den in flagged)
 
 
 # --- boundary checks --------------------------------------------------------

@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -48,7 +51,7 @@ def test_from_terminal_rejects_nonzero_mean(dyadic2):
 
 def test_martingale_validation(dyadic2):
     good = [[0, 0, 0, 0], [1, 1, -1, -1], [2, 0, -1, -1]]
-    Martingale(dyadic2, good)
+    assert repr(Martingale(dyadic2, good)) == "Martingale(depth=2, size=4)"
     with pytest.raises(SpaceError):
         Martingale(dyadic2, [[1, 1, 1, 1], [1, 1, -1, -1], [2, 0, -1, -1]])
     with pytest.raises(SpaceError):
@@ -144,6 +147,11 @@ def test_stop_worked_example(worked_example):
     assert np.allclose(stop(f, everywhere).levels, 0.0)
     never = StoppingTime(space, [INFINITY] * 4)
     assert np.allclose(stop(f, never).levels, f.levels)
+    # an equal space is still another space
+    twin = FilteredSpace(space.outcomes, space.prob, [space.cells(n) for n in range(3)],
+                         space.block_cells())
+    with pytest.raises(SpaceError, match="^stopping time lives on a different space$"):
+        stop(f, StoppingTime(twin, [0, 0, 0, 0]))
 
 
 def test_stopped_process_is_a_martingale():
@@ -244,6 +252,17 @@ def test_ladder_window_brackets_the_statistic():
         )
 
 
+@pytest.mark.parametrize("top", [2.0 ** -1074, 2.0 ** -1022, 0.75, 1.0, np.nextafter(1.0, 2.0),
+                                 2.0 ** 1023, np.nextafter(2.0 ** 1023, 0.0),
+                                 sys.float_info.max])
+def test_ladder_window_is_exact_at_powers_of_two_and_the_float_range(top):
+    # 2^k_min < every value, and k_max + 1 is the least k with 2^k >= the max
+    low = float(np.nextafter(top, 0.0)) if top > 2.0 ** -1074 else top
+    k_min, k_max = ladder_window(np.array([[0.0, low], [top, top]]))
+    assert Fraction(2) ** k_min < low
+    assert Fraction(2) ** k_max < top <= Fraction(2) ** (k_max + 1)
+
+
 def test_ladder_window_zero_statistic(dyadic2):
     f = Martingale(dyadic2, np.zeros((3, 4)))
     assert ladder_window(_ladder_statistic(f, "s")) is None
@@ -310,6 +329,10 @@ def test_envelope_validation_rejects_bad_shapes(coin):
     space, f = coin
     with pytest.raises(ValueError):
         minimal_envelope(f, "nope")
+    with pytest.raises(ValueError, match="^flavor must be one of"):
+        PredictorEnvelope(space, [[1, 1], [1, 1]], "nope")
+    with pytest.raises(SpaceError, match="^envelope levels have wrong shape$"):
+        PredictorEnvelope(space, [[1, 1]], "S")
     with pytest.raises(SpaceError):
         PredictorEnvelope(space, [[1, 1], [0.5, 0.5]], "S")  # decreasing
     with pytest.raises(SpaceError):

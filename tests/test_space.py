@@ -15,6 +15,7 @@ from amalgam import (
     count_stopping_times,
     enumerate_stopping_times,
     is_measurable,
+    lpq_norm,
     regularity_constant,
 )
 from amalgam.space import (
@@ -31,6 +32,12 @@ from conftest import random_tree_space, small_trees
 
 
 def test_space_invariants_enforced():
+    for outcomes, message in (([], "need at least one outcome"),
+                              (["a", "a"], "duplicate outcomes")):
+        with pytest.raises(SpaceError, match=f"^{message}$"):
+            FilteredSpace(outcomes, [1.0] * len(outcomes), [[outcomes]], [outcomes])
+    with pytest.raises(SpaceError, match="^filtration must have at least one level$"):
+        FilteredSpace(["a", "b"], [0.5, 0.5], [], [["a", "b"]])
     with pytest.raises(SpaceError):
         # an unhashable outcome
         FilteredSpace([["a"], "b"], [0.5, 0.5], [[["b"]]], [["b"]])
@@ -54,6 +61,18 @@ def test_space_invariants_enforced():
             [[["a", "b", "c"]], [["a", "b"], ["c"]], [["a"], ["b", "c"]]],
             [["a", "b", "c"]],
         )
+
+
+@pytest.mark.parametrize("values", [{"w1": 1.0, "w2": -1.0}, ["x", "y", "z", "w"], [1.0, -1.0]],
+                         ids=["mapping", "strings", "wrong-length"])
+def test_random_variables_refuse_anything_but_a_numeric_array(dyadic2, values):
+    with pytest.raises(SpaceError, match="^random variable "):
+        lpq_norm(dyadic2, values, 1, 1)
+
+
+def test_reprs(dyadic2):
+    assert repr(dyadic2) == "FilteredSpace(size=4, depth=2, blocks=2)"
+    assert repr(StoppingTime(dyadic2, [1, 1, INFINITY, 2])) == "StoppingTime([1, 1, inf, 2])"
 
 
 def test_conditional_expectation_examples(dyadic2):
@@ -227,6 +246,8 @@ def test_stopping_time_measurability(dyadic2):
         StoppingTime(dyadic2, [1, INFINITY, INFINITY, INFINITY])
     with pytest.raises(SpaceError):
         StoppingTime(dyadic2, [0, 0, 0, 1])
+    with pytest.raises(SpaceError, match="^stopping time has wrong length$"):
+        StoppingTime(dyadic2, [0, 0, 0])
 
 
 def brute_force_stopping_times(space):
@@ -325,6 +346,8 @@ def test_enumerate_overflow():
     )
     with pytest.raises(EnumerationOverflow):
         list(enumerate_stopping_times(space, cap=1))
+    with pytest.raises(ValueError, match="^cap must be positive$"):
+        list(stopping_time_blocks(space, cap=0))
 
 
 def test_enumerated_times_are_valid():
