@@ -120,7 +120,7 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
             lam = float(times_pow2(size, k + base_exp))
             if not 0.0 < lam < math.inf:
                 raise ValueError(f"rung k = {k}: lambda_k = 2^{k + base_exp} * {size!r} "
-                                 f"is {lam!r}, not a positive float")
+                                 f"is {lam!r}, not a positive finite float")
             nu = StoppingTime(space, nu_times, validate=False)
             dec.triples.append(AtomTriple(k, lam, (above - below) / lam, nu))
     return dec
@@ -145,8 +145,8 @@ class AtomReport:
 
 def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
     """Check the atom conditions of one triple of ``d``: one report per
-    exponent r in ``rs`` (default: the flavor's ``default_r``).  The
-    r-independent work, residual, statistic and support, runs once."""
+    exponent r in (0, inf] in ``rs`` (default: the flavor's ``default_r``).
+    The r-independent work, residual, statistic and support, runs once."""
     rs = [default_r(d.flavor)] if rs is None else rs
     space = d.space
     terminal = t.terminal
@@ -268,7 +268,8 @@ def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertifi
     margin = 2.0 if d.flavor in ("S", "star") else 1.0
     entries = []
     for eta, agg in zip(eta_grid, _aggregates(d, eta_grid)):
-        budget = margin * ladder_constant(eta) * d.source_norm
+        # C(eta) * 0 is 0 also where C(eta) is beyond the float range
+        budget = margin * ladder_constant(eta) * d.source_norm if d.source_norm else 0.0
         upper_ok = at_most(agg, budget * (1.0 + SLACK) + SLACK)
         converse_ok = at_most(d.source_norm, agg * (1.0 + SLACK) + SLACK)
         entries.append(BoundEntry(eta, agg, budget, upper_ok, converse_ok))

@@ -60,6 +60,9 @@ def test_decompose_zero_martingale(dyadic2):
         assert d.triples == []
         assert d.source_norm == 0.0
         assert certify_bounds(d).passed
+        # C(0.001) is inf, but the budget of a zero source norm is 0
+        assert [e.budget for e in certify_bounds(d, eta_grid=[0.001]).entries] == [0.0]
+        assert certify_bounds(d, eta_grid=[0.001]).passed
 
 
 def test_weighted_coincides_with_simple_on_diagonal():

@@ -363,7 +363,7 @@ def test_results_beyond_the_float_range_are_inf_or_refused(tmp_path, capsys, nam
     if code == 2:
         assert captured.out == ""
         assert captured.err == ("error: rung k = 1023: lambda_k = 2^1024 * 1.0 is inf, "
-                                "not a positive float\n")
+                                "not a positive finite float\n")
         return
     doc = json.loads(captured.out)
     if argv[0] == "norms":
