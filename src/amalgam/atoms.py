@@ -231,8 +231,10 @@ def ladder_constant(eta: float) -> float:
 
 def _power(x, y) -> float:
     """x ** y for x >= 0, which is inf beyond the float range."""
-    with np.errstate(over="ignore"):
-        return float(np.float64(x) ** y)
+    try:
+        return float(x) ** y
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
