@@ -229,8 +229,8 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
 
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-    scaled, levels, e = _scaled(g, gm)
-    sup = _Supremum(space, scaled, levels, p, q)
+    small, levels, e = _scaled(g, gm)
+    sup = _Supremum(space, small, levels, p, q)
     actual = "heuristic-family"
     if mode == "exact":
         try:
@@ -285,9 +285,9 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", cap=10**6) -> Dual
     lhs = abs(pairing(f, g))
 
     atomwise = 0.0
-    scaled, levels, e = _scaled(g, gm)
+    small, levels, e = _scaled(g, gm)
     ladder = _stacked((t.nu.times for t in d.triples), space.size)
-    a = [a_k for block in ladder for a_k in _row_sums(space, levels, scaled, block)[0]]
+    a = [a_k for block in ladder for a_k in _row_sums(space, levels, small, block)[0]]
     for t, a_k in zip(d.triples, a):
         a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
         atomwise += t.lam * a_l2 * float(times_pow2(math.sqrt(a_k), e))
