@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class AtomTriple:
     lam: float
     terminal: np.ndarray
     nu: StoppingTime
+    #: (key, (P(B), |B|)) that rung_size keeps; the key is what the size depends on
+    sized: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -95,6 +97,20 @@ def _support_size(space: FilteredSpace, mask, p, q, defn):
     return pb, size
 
 
+def _size_key(d: Decomposition, t: AtomTriple):
+    """What t's support size depends on; nu compares by identity."""
+    return d.p, d.q, d.defn, t.nu
+
+
+def rung_size(d: Decomposition, t: AtomTriple):
+    """_support_size of t's support in d's definition, computed once per triple:
+    decompose, verify_atom and rung_weight share it."""
+    key = _size_key(d, t)
+    if t.sized is None or t.sized[0] != key:
+        t.sized = key, _support_size(d.space, t.nu.support, d.p, d.q, d.defn)
+    return t.sized[1]
+
+
 def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     """Run the ladder construction for the requested theorem variant.
 
@@ -122,7 +138,9 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
                 raise ValueError(f"rung k = {k}: lambda_k = 2^{k + base_exp} * {size!r} "
                                  f"is {lam!r}, not a positive finite float")
             nu = StoppingTime(space, nu_times, validate=False)
-            dec.triples.append(AtomTriple(k, lam, (above - below) / lam, nu))
+            t = AtomTriple(k, lam, (above - below) / lam, nu)
+            t.sized = _size_key(dec, t), (pb, size)
+            dec.triples.append(t)
     return dec
 
 
@@ -160,7 +178,7 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
 
     stat = atom_statistic(d.flavor, Martingale(space, e, validate=False))
     mask = t.nu.support
-    pb, size = _support_size(space, mask, d.p, d.q, d.defn)
+    pb, size = rung_size(d, t)
 
     leak = float(np.max(stat[~mask])) if (~mask).any() else 0.0
     support_ok = at_most(leak, SLACK * scale)
@@ -201,7 +219,7 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 
 def rung_weight(d: Decomposition, t: AtomTriple) -> float:
     """lambda_k normalized by the support size in the matching definition."""
-    pb, size = _support_size(d.space, t.nu.support, d.p, d.q, d.defn)
+    pb, size = rung_size(d, t)
     return t.lam / size if pb > 0.0 else 0.0
 
 

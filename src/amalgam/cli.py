@@ -66,13 +66,15 @@ def cmd_decompose(args):
     grid = _parse_grid(args.eta_grid) if args.eta_grid else DEFAULT_ETA_GRID
     cert = certify_bounds(d, eta_grid=grid)
     doc["certificate"] = jsonio.certificate_to_doc(cert)
-    _emit(doc, args.output)
+    text = jsonio.dump_decomposition(d, doc, args.output)
+    if args.output is None:
+        sys.stdout.write(text)
     return OK if cert.passed else CERT_FAIL
 
 
 def cmd_verify(args):
     f, _ = jsonio.load_martingale(args.input)
-    d = jsonio.decomposition_from_doc(jsonio.load_json(args.decomposition), f.space)
+    d = jsonio.load_decomposition(args.decomposition, f.space)
     d.source_norm = source_norm_for(f, d.flavor, d.p, d.q)
     rs = _parse_grid(args.r) if args.r else [2.0, 4.0, math.inf]
     rs = [r for r in rs if r > max(d.p, 1.0)]

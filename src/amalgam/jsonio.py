@@ -219,9 +219,9 @@ def certificate_to_doc(cert: BoundsCertificate) -> dict:
 def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
     """Rebuild a decomposition against a known space.
 
-    Each atom is kept as its terminal, as read and unchecked, so that
-    verification reports a tampered atom rather than this reader.  The
-    triples equal those of the decomposition written, bit for bit.
+    Each atom is kept as its terminal, as read, so that verification reports a
+    tampered atom rather than this reader; _triple makes the value checks.
+    The triples equal those of the decomposition written, bit for bit.
     """
     _check_schema(doc, "decomposition")
     flavor = _require(doc, "flavor", str, "decomposition")
@@ -237,8 +237,6 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
         where = f"decomposition.triples[{i}]"
         k = int(_require(td, "k", int, where))
         lam = _float(td, "lambda", where)
-        if not (math.isfinite(lam) and lam >= 0.0):
-            raise SchemaError(f"{where}: field 'lambda' must be finite and at least 0")
         nu_list = _require(td, "nu", list, where)
         if len(nu_list) != space.size:
             raise SchemaError(f"{where}: nu has wrong length")
@@ -247,13 +245,25 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
             raise SchemaError(f"{where}: field 'nu' has wrong type")
         values = _require(td, "atom_terminal", list, where)
         try:
-            nu = StoppingTime(space, [INFINITY if t is None else t for t in nu_list])
             terminal = space.rv(_numbers(values, "atom_terminal"))
-            require_finite(terminal, "atom_terminal")
         except Exception as exc:
             raise SchemaError(f"{where}: {exc}") from exc
-        triples.append(AtomTriple(k, lam, terminal, nu))
+        times = [INFINITY if t is None else t for t in nu_list]
+        triples.append(_triple(space, where, k, lam, times, terminal))
     return Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
+
+
+def _triple(space, where, k, lam, times, terminal) -> AtomTriple:
+    """The triple at ``where`` after the value checks of every reader: lambda
+    finite and at least 0, nu a stopping time, the atom terminal finite."""
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise SchemaError(f"{where}: field 'lambda' must be finite and at least 0")
+    try:
+        nu = StoppingTime(space, times)
+        require_finite(terminal, "atom_terminal")
+    except Exception as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    return AtomTriple(k, lam, terminal, nu)
 
 
 def _read(path) -> bytes:
@@ -293,6 +303,40 @@ def load_martingale(path):
         a.flags.writeable = False
     _last = (raw, f, doc["space"])
     return _last[1:]
+
+
+#: (bytes, space, flavor, defn, p, q, [(k, lambda, nu times, atom terminal)]) of the
+#: last decomposition document dump_decomposition wrote
+_written = None
+
+
+def dump_decomposition(d: Decomposition, doc, path=None):
+    """dump_json of ``doc``, the decomposition_to_doc of ``d`` with any further
+    fields.  Written to ``path``, its bytes and the fields of ``d``, d's arrays
+    read-only, are kept for load_decomposition."""
+    global _written
+    _written = None
+    text = dump_json(doc, path)
+    if path is not None:
+        for t in d.triples:
+            t.terminal.flags.writeable = t.nu.times.flags.writeable = False
+        _written = (text.encode("utf-8"), d.space, d.flavor, d.defn, float(d.p), float(d.q),
+                    [(t.k, t.lam, t.nu.times, t.terminal) for t in d.triples])
+    return text
+
+
+def load_decomposition(path, space: FilteredSpace) -> Decomposition:
+    """The decomposition document at ``path``, against ``space``.  Bytes equal to
+    those dump_decomposition last wrote, of a decomposition on ``space`` itself,
+    are not decoded: the triples are rebuilt from the kept fields, with the value
+    checks decomposition_from_doc makes.  Other bytes are decoded."""
+    raw = _read(path)
+    if _written is not None and _written[0] == raw and _written[1] is space:
+        _, _, flavor, defn, p, q, rows = _written
+        triples = [_triple(space, f"decomposition.triples[{i}]", *row)
+                   for i, row in enumerate(rows)]
+        return Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
+    return decomposition_from_doc(load_json(path, raw), space)
 
 
 def dump_json(doc, path=None):

@@ -108,21 +108,27 @@ def from_terminal(space: FilteredSpace, x) -> Martingale:
 
 def differences(f: Martingale) -> np.ndarray:
     """Rows d_0 = 0, d_n = f_n - f_{n-1}."""
-    d = np.empty_like(f.levels)
+    return _differences(f.levels)
+
+
+def _differences(levels):
+    d = np.empty_like(levels)
     d[0] = 0.0
-    d[1:] = f.levels[1:] - f.levels[:-1]
+    d[1:] = levels[1:] - levels[:-1]
     return d
 
 
 def quadratic_variation_partial(f: Martingale) -> np.ndarray:
     """Row n is S_n(f) = (sum_{i<=n} |d_i f|^2)^{1/2}."""
-    d, e = scaled(differences(f))  # squares of the scaled d cannot overflow
+    levels, e = scaled(f.levels)  # no difference of the scaled levels overflows
+    d = _differences(levels)
     return times_pow2(np.sqrt(np.cumsum(d * d, axis=0)), e)
 
 
 def conditional_quadratic_variation_partial(f: Martingale) -> np.ndarray:
     """Row n is s_n(f); the i-th summand is E_{i-1}|d_i f|^2."""
-    d, e = scaled(differences(f))
+    levels, e = scaled(f.levels)
+    d = _differences(levels)
     terms = np.zeros_like(d)
     terms[1:] = condition_rows(f.space, d[1:] * d[1:])
     return times_pow2(np.sqrt(np.cumsum(terms, axis=0)), e)

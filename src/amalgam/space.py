@@ -255,9 +255,12 @@ class StoppingTime:
             finite = t[t != INFINITY]
             if finite.size and (finite.min() < 0 or finite.max() > space.depth):
                 raise SpaceError("stopping-time values out of range")
-            for n in range(space.depth + 1):
-                if not _constant_on_cells(space.level_labels[n], space.level_sizes[n], t == n):
-                    raise SpaceError(f"level set {{time == {n}}} not measurable at {n}")
+            # row n is {time == n}: all levels in one pass over the cells of every level
+            stops = t == np.arange(space.depth + 1)[:, None]
+            if not _constant_on_cells(space.cell_labels, space.cell_offsets[-1], stops):
+                n = next(n for n, row in enumerate(stops) if not _constant_on_cells(
+                    space.level_labels[n], space.level_sizes[n], row))
+                raise SpaceError(f"level set {{time == {n}}} not measurable at {n}")
 
     @property
     def support(self):

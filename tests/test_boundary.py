@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from amalgam import FilteredSpace, SpaceError, from_terminal, jsonio
+from amalgam import (INFINITY, FilteredSpace, SpaceError, StoppingTime, decompose,
+                     from_terminal, jsonio)
 from amalgam.cli import main
 
 # -- canonical writer ------------------------------------------------------------
@@ -335,6 +336,12 @@ def _near_the_top(name):
         space = FilteredSpace(s.outcomes, s.prob, [s.cells(n) for n in range(4)],
                               [[o] for o in s.outcomes])
         return space, [1e308, -1e308] * 4
+    if name == "three":
+        # neighbouring levels of opposite sign: f_2 - f_1 at b is beyond the float range
+        space = FilteredSpace(["a", "b", "c"], [0.01, 0.49, 0.5],
+                              [[["a", "b", "c"]], [["a", "b"], ["c"]], [["a"], ["b"], ["c"]]],
+                              [["a", "b", "c"]])
+        return space, [-1.7e308, 1.7e308, -1.632e308]
     return _dyadic3(), [3.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0, -3.0]
 
 
@@ -344,6 +351,7 @@ _NEAR_THE_TOP = [
     ("two", ["duality", "--p", "0.5", "--q", "1"], 2),
     ("four", ["decompose", "--flavor", "s", "--defn", "weighted", "--p", "1", "--q", "1"], 0),
     ("eight", ["norms", "--p", "1", "--q", "0.5"], 0),
+    ("three", ["norms", "--p", "1", "--q", "1"], 0),
     ("plain", ["decompose", "--p", "1", "--q", "1", "--eta-grid", "0.001"], 0),
 ]
 
@@ -366,7 +374,12 @@ def test_results_beyond_the_float_range_are_inf_or_refused(tmp_path, capsys, nam
                                 "not a positive finite float\n")
         return
     doc = json.loads(captured.out)
-    if argv[0] == "norms":
+    if name == "three":
+        # s(f) is finite; S(f) at a is about 3.7e308, so hardy_S and q_space are not
+        norms = doc["norms"]
+        assert norms["hardy_s"] == pytest.approx(1.666e308, rel=1e-12)
+        assert norms["hardy_S"] == norms["q_space"] == math.inf
+    elif argv[0] == "norms":
         # every norm is 8 * 1e308 or more
         assert list(doc["norms"].values()) == [math.inf] * 5
     else:
@@ -540,6 +553,111 @@ def test_remembered_arrays_are_read_only(tmp_path):
                   f.space.cell_masses):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+# -- no decode of the decomposition document this process wrote ------------------
+
+
+def _decode_counts(monkeypatch):
+    """Paths load_json reads and docs decomposition_from_doc decodes, from now on."""
+    calls = {"load_json": [], "decomposition_from_doc": []}
+    for name in calls:
+        def counted(first, *args, name=name, orig=getattr(jsonio, name)):
+            calls[name].append(first)
+            return orig(first, *args)
+        monkeypatch.setattr(jsonio, name, counted)
+    monkeypatch.setattr(jsonio, "_last", None)
+    monkeypatch.setattr(jsonio, "_written", None)
+    return calls
+
+
+@pytest.mark.parametrize("flavor, defn", [("s", "simple"), ("S", "weighted")])
+def test_verify_of_the_decomposition_just_written_does_not_decode_it(
+        tmp_path, monkeypatch, capsys, flavor, defn):
+    calls = _decode_counts(monkeypatch)
+    mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    assert main(["decompose", "--input", mp, "--p", "0.5", "--q", "1", "--flavor", flavor,
+                 "--defn", defn, "--output", dp]) == 0
+    verify = ["verify", "--input", mp, "--decomposition", dp]
+    assert main(verify) == 0
+    kept = capsys.readouterr().out
+    assert calls == {"load_json": [mp], "decomposition_from_doc": []}
+    jsonio._written = None
+    assert main(verify) == 0
+    assert capsys.readouterr().out == kept
+    assert calls["load_json"] == [mp, dp] and len(calls["decomposition_from_doc"]) == 1
+
+
+def test_decomposition_rewritten_after_decompose_is_decoded_again(tmp_path, monkeypatch,
+                                                                   capsys):
+    calls = _decode_counts(monkeypatch)
+    mp, dp = str(tmp_path / "mart.json"), tmp_path / "dec.json"
+    jsonio.dump_json(_worked_doc(), mp)
+    assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--output", str(dp)]) == 0
+    doc = json.loads(dp.read_text(encoding="utf-8"))
+    doc["triples"][0]["lambda"] *= 2
+    doc["triples"][1]["nu"] = [1, None] * 4  # w0 stops at 1, its level-1 sibling w1 never
+    jsonio.dump_json(doc, str(dp))
+    assert main(["verify", "--input", mp, "--decomposition", str(dp)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: decomposition.triples[1]: level set {time == 1} not measurable at 1\n")
+    assert calls["load_json"] == [mp, str(dp)] and len(calls["decomposition_from_doc"]) == 1
+
+
+def test_kept_decomposition_arrays_are_read_only(tmp_path):
+    mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--output", dp]) == 0
+    f, _ = jsonio.load_martingale(mp)
+    kept = [(times, terminal) for _, _, times, terminal in jsonio._written[-1]]
+    rebuilt = jsonio.load_decomposition(dp, f.space)
+    assert len(rebuilt.triples) == len(kept) > 0
+    for t, arrays in zip(rebuilt.triples, kept):
+        assert t.nu.times is arrays[0] and t.terminal is arrays[1]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("terminal", "atom_terminal must be finite"),
+    ("nu", "level set {time == 1} not measurable at 1"),
+    ("lambda", "field 'lambda' must be finite and at least 0"),
+])
+def test_kept_decomposition_with_bad_values_is_refused_as_decoded(tmp_path, monkeypatch,
+                                                                  capsys, fault, message):
+    calls = _decode_counts(monkeypatch)
+    mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    f, _ = jsonio.load_martingale(mp)
+    d = decompose(f, 1.0, 1.0)
+    t = d.triples[1]
+    if fault == "terminal":
+        t.terminal = np.where(np.arange(8) == 3, math.inf, t.terminal)
+    elif fault == "nu":
+        t.nu = StoppingTime(f.space, [1, INFINITY] * 4, validate=False)
+    else:
+        t.lam = -t.lam
+    jsonio.dump_decomposition(d, jsonio.decomposition_to_doc(d), dp)
+    verify = ["verify", "--input", mp, "--decomposition", dp]
+    for memo in (True, False):
+        if not memo:
+            jsonio._written = None
+        assert main(verify) == 2
+        assert capsys.readouterr() == ("", f"error: decomposition.triples[1]: {message}\n")
+        assert len(calls["decomposition_from_doc"]) == (0 if memo else 1)
+
+
+def test_stopping_time_names_its_first_unmeasurable_level():
+    space = _dyadic3()
+    # w0 stops at 1 and w1 at 2: {time == 1} splits a level-1 cell, {time == 2} a level-2 one
+    for times in ([1, 2] + [INFINITY] * 6, [2, 1] + [INFINITY] * 6):
+        with pytest.raises(SpaceError, match=r"^level set \{time == 1\} not measurable at 1$"):
+            StoppingTime(space, times)
+    with pytest.raises(SpaceError, match=r"^level set \{time == 2\} not measurable at 2$"):
+        StoppingTime(space, [INFINITY] * 4 + [2, 3, INFINITY, INFINITY])
+    StoppingTime(space, [1] * 4 + [2, 2, 3, INFINITY])
 
 
 @pytest.mark.parametrize("command", ["norms", "duality"])
