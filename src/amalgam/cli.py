@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: norms, decompose, verify, duality, explore, gen, selftest.
-Exit codes: 0 all checks pass, 1 a certificate failed, 2 bad input.
+Exit codes: 0 all checks pass, 1 a certificate failed, 2 bad input or path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .duality import certify_duality, pairing, reverse_minkowski_check
 from .harness import BLOCK_POLICIES, CorpusSpec, GENERATORS, explore_embeddings, generate
 from .martingale import conditional_quadratic_variation, quadratic_variation
 from .norms import all_five_norms, lp_norm, lpq_norm
-from .space import IDENTITY_TOL, SLACK, TOL, SpaceError, at_most, same_space, scale_of
+from .space import IDENTITY_TOL, SLACK, TOL, at_most, same_space, scale_of
 
 OK, CERT_FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (jsonio.SchemaError, SpaceError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

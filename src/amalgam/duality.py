@@ -10,7 +10,6 @@ certified lower bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -95,14 +94,6 @@ def _quotients(a, pb, masses, p, q):
     return np.sqrt(a / pb) / (lq_aggregate(masses, p, q) / pb)
 
 
-def _stacked(times, m):
-    """Int64 (rows, m) blocks of at most _BLOCK_ELEMS elements from time vectors."""
-    it = iter(times)
-    per = max(1, _BLOCK_ELEMS // m)
-    while rows := list(itertools.islice(it, per)):
-        yield np.array(rows, dtype=np.int64)
-
-
 class _Supremum:
     """Running sup of the quotient over scored candidates.
 
@@ -131,14 +122,12 @@ class _Supremum:
         self.value = top
         self.times = tied[np.lexsort(tied.T[::-1])[0]]
 
-    def add_blocks(self, blocks):
-        """Score int64 (rows, M) blocks of times."""
-        for block in blocks:
+    def add_stack(self, times):
+        """Score an int64 (rows, M) stack of times in blocks of at most _BLOCK_ELEMS elements."""
+        per = max(1, _BLOCK_ELEMS // self.space.size)
+        for start in range(0, len(times), per):
+            block = times[start:start + per]
             self._fold(*_row_sums(self.space, self.levels, self.g, block), block.__getitem__)
-
-    def add_times(self, times):
-        """Score an iterable of time vectors in bounded row blocks."""
-        self.add_blocks(_stacked(times, self.space.size))
 
     def add_cells(self):
         """Score every cell first-entry time, all levels in one pass.
@@ -235,14 +224,16 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
     if mode == "exact":
         try:
             # the count is checked before the first block is yielded
-            sup.add_blocks(stopping_time_blocks(space, cap))
+            for block in stopping_time_blocks(space, cap):
+                sup.add_stack(block)
             actual = "exact-enumeration"
         except EnumerationOverflow:
             pass
     if actual == "heuristic-family":
         sup.add_cells()
-        sup.add_times(_ladder_rows(space, gm))
-    sup.add_times(nu.times for nu in extra_candidates)
+        sup.add_stack(_ladder_rows(space, gm))
+    extra = np.array([nu.times for nu in extra_candidates], dtype=np.int64)
+    sup.add_stack(extra.reshape(-1, space.size))
     value = float(times_pow2(sup.value, e))
     return CampanatoResult(value, sup.winner(), actual, sup.examined)
 
@@ -286,8 +277,9 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", cap=10**6) -> Dual
 
     atomwise = 0.0
     small, levels, e = _scaled(g, gm)
-    ladder = _stacked((t.nu.times for t in d.triples), space.size)
-    a = [a_k for block in ladder for a_k in _row_sums(space, levels, small, block)[0]]
+    # one stack of all rungs: the decomposition already holds an (M,) atom per rung
+    ladder = np.array([t.nu.times for t in d.triples], dtype=np.int64).reshape(-1, space.size)
+    a = _row_sums(space, levels, small, ladder)[0]
     for t, a_k in zip(d.triples, a):
         a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
         atomwise += t.lam * a_l2 * float(times_pow2(math.sqrt(a_k), e))

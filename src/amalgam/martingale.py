@@ -13,8 +13,7 @@ import numpy as np
 
 from .space import (
     INFINITY, SLACK, TOL, FilteredSpace, SpaceError, StoppingTime, at_most, binary_exponent,
-    condition_rows, conditional_ess_sup, is_measurable, require_finite, scale_of, scaled,
-    times_pow2,
+    condition_rows, ess_sup_rows, require_finite, scale_of, scaled, times_pow2,
 )
 
 
@@ -75,9 +74,13 @@ class PredictorEnvelope:
                 raise SpaceError("envelope must be non-negative")
             if not at_most(lv[:-1] - slack, lv[1:]):
                 raise SpaceError("envelope must be non-decreasing")
-            for n in range(space.depth + 1):
-                if not is_measurable(space, lv[n], n):
-                    raise SpaceError(f"envelope level {n} not adapted")
+            # level n is measurable: its F_n majorants of lv and -lv meet up to
+            # SLACK * max(1, max|lv[n]|), as is_measurable compares
+            spread = ess_sup_rows(space, lv) + ess_sup_rows(space, -lv)
+            scale = np.maximum(1.0, np.abs(lv).max(axis=1))[:, None]
+            adapted = np.less_equal(spread, SLACK * scale).all(axis=1)
+            if not adapted.all():
+                raise SpaceError(f"envelope level {int(adapted.argmin())} not adapted")
 
     @property
     def final(self) -> np.ndarray:
@@ -238,10 +241,6 @@ def minimal_envelope(f: Martingale, flavor="S") -> PredictorEnvelope:
     target = quadratic_variation_partial(f) if flavor == "S" else np.abs(f.levels)
     N = f.space.depth
     beta = np.zeros_like(f.levels)
-    prev = np.zeros(f.space.size)
-    for n in range(N):
-        need = conditional_ess_sup(f.space, target[n + 1], n)
-        prev = np.maximum(prev, need)
-        beta[n] = prev
-    beta[N] = prev
+    beta[:N] = np.maximum.accumulate(ess_sup_rows(f.space, target[1:]), axis=0)
+    beta[N] = beta[max(N - 1, 0)]  # the last row repeats; at depth 0 it stays 0
     return PredictorEnvelope(f.space, beta, flavor, validate=False)

@@ -144,22 +144,21 @@ class FilteredSpace:
             self.level_sizes.append(count)
         if self.level_sizes[0] != 1:
             raise SpaceError("partition 0 must be the trivial partition")
-        for n in range(self.depth):
-            # partition n+1 refines partition n: coarse labels constant on fine cells
-            if not _constant_on_cells(
-                self.level_labels[n + 1], self.level_sizes[n + 1], self.level_labels[n]
-            ):
-                raise SpaceError(f"partition {n + 1} does not refine partition {n}")
+        self.cell_offsets = np.cumsum([0] + self.level_sizes)
+        self.cell_labels = np.stack(self.level_labels) + self.cell_offsets[:-1, None]
+        # partition n+1 refines partition n: coarse labels constant on fine cells
+        refines = _constant_on_cells(self.cell_labels[1:], self.cell_offsets[-1],
+                                     self.cell_labels[:-1])
+        if not refines.all():
+            n = int(refines.argmin())
+            raise SpaceError(f"partition {n + 1} does not refine partition {n}")
 
         self.block_labels, self.n_blocks = self._partition_labels(blocks, "blocks")
 
         # the cells of all levels are summed in one pass; every conditioning
         # call reads the cached masses
-        self.cell_offsets = np.cumsum([0] + self.level_sizes)
-        self.cell_labels = np.stack(self.level_labels) + self.cell_offsets[:-1, None]
         self.cell_masses = _kernels.cell_sums(self.cell_labels.ravel(), self.cell_offsets[-1],
                                               np.tile(self.prob, self.depth + 1))
-        self._parent_cells = None
 
     # -- construction helpers -------------------------------------------
 
@@ -257,9 +256,9 @@ class StoppingTime:
                 raise SpaceError("stopping-time values out of range")
             # row n is {time == n}: all levels in one pass over the cells of every level
             stops = t == np.arange(space.depth + 1)[:, None]
-            if not _constant_on_cells(space.cell_labels, space.cell_offsets[-1], stops):
-                n = next(n for n, row in enumerate(stops) if not _constant_on_cells(
-                    space.level_labels[n], space.level_sizes[n], row))
+            ok = _constant_on_cells(space.cell_labels, space.cell_offsets[-1], stops)
+            if not ok.all():
+                n = int(ok.argmin())
                 raise SpaceError(f"level set {{time == {n}}} not measurable at {n}")
 
     @property
@@ -277,28 +276,29 @@ def same_space(a: FilteredSpace, b: FilteredSpace) -> bool:
     the same probabilities, and the same partitions up to cell order."""
 
     def same_partition(la, na, lb, nb):
-        # each labelling is a function of the other: the same cells
-        return _constant_on_cells(la, na, lb) and _constant_on_cells(lb, nb, la)
+        # each labelling is a function of the other, row by row: the same cells
+        return bool(_constant_on_cells(la, na, lb).all() and _constant_on_cells(lb, nb, la).all())
 
     return a is b or (
         a.outcomes == b.outcomes
         and np.array_equal(a.prob, b.prob)
         and a.depth == b.depth
-        and all(same_partition(la, na, lb, nb) for la, na, lb, nb in zip(
-            a.level_labels, a.level_sizes, b.level_labels, b.level_sizes))
+        and same_partition(a.cell_labels, a.cell_offsets[-1], b.cell_labels, b.cell_offsets[-1])
         and same_partition(a.block_labels, a.n_blocks, b.block_labels, b.n_blocks)
     )
 
 
-def _constant_on_cells(labels, n_cells, values) -> bool:
-    """Whether ``values`` is constant on every cell of the partition ``labels``.
+def _constant_on_cells(labels, n_cells, values):
+    """Whether each row of ``values`` is constant on every cell of its row of
+    ``labels``: one bool per row, or one bool for a single row.
 
     Writes some member's value to each cell, then checks that every member
-    equals its cell's value.
+    equals its cell's value.  Rows must number disjoint cells, as the rows of
+    cell_labels do, so one scatter serves every row.
     """
     cell = np.empty(n_cells, dtype=values.dtype)
     cell[labels] = values
-    return bool(np.array_equal(cell[labels], values))
+    return (cell[labels] == values).all(axis=-1)
 
 
 def conditional_expectation(space: FilteredSpace, x, n) -> np.ndarray:
@@ -307,26 +307,38 @@ def conditional_expectation(space: FilteredSpace, x, n) -> np.ndarray:
     return condition_rows(space, space.rv(x)[None], n)[0]
 
 
+def _fit_rows(space, rows, first):
+    """(rows as floats, the cell_labels of levels first..first + len(rows) - 1)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    labels = space.cell_labels[first:first + len(rows)]
+    if first < 0 or rows.shape != labels.shape:
+        raise SpaceError(f"rows of shape {rows.shape} do not fit levels {first}..{space.depth}")
+    return rows, labels
+
+
 def condition_rows(space: FilteredSpace, rows, first=0) -> np.ndarray:
     """Row i is E[rows[i] | F_{first + i}], every row in one cell_sums pass.
 
     Each cell sums its members in outcome order whether its level is
     conditioned alone or stacked, so a row gets the same bits in any stack.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    labels = space.cell_labels[first:first + len(rows)]
-    if first < 0 or rows.shape != labels.shape:
-        raise SpaceError(f"rows of shape {rows.shape} do not fit levels {first}..{space.depth}")
+    rows, labels = _fit_rows(space, rows, first)
     sums = _kernels.cell_sums(labels.ravel(), len(space.cell_masses), (space.prob * rows).ravel())
     return (sums / space.cell_masses)[labels]
 
 
 def conditional_ess_sup(space: FilteredSpace, x, n) -> np.ndarray:
-    """Smallest F_n-measurable majorant: per-cell maximum."""
+    """Smallest F_n-measurable majorant: per-cell maximum, one row of ess_sup_rows."""
     space._check_level(n)
-    x = space.rv(x)
-    labels = space.level_labels[n]
-    return _kernels.cell_max(labels, space.level_sizes[n], x)[labels]
+    return ess_sup_rows(space, space.rv(x)[None], n)[0]
+
+
+def ess_sup_rows(space: FilteredSpace, rows, first=0) -> np.ndarray:
+    """Row i is the smallest F_{first + i}-measurable majorant of rows[i], every
+    row in one cell_max pass; a maximum is exact, so a row gets the same bits
+    in any stack."""
+    rows, labels = _fit_rows(space, rows, first)
+    return _kernels.cell_max(labels.ravel(), len(space.cell_masses), rows.ravel())[labels]
 
 
 def is_measurable(space: FilteredSpace, x, n) -> bool:
@@ -353,18 +365,13 @@ def _groups(labels, n_groups):
 
 
 def _parents(space):
-    """parents[n][c] = the partition-n cell holding partition-(n+1) cell c.
+    """parents[n][c] = the partition-n cell holding partition-(n+1) cell c, n < N.
 
-    Built once per space: the parent map of level n+1 is one scatter.
+    One scatter over cell_labels gives every cell of levels 1..N its parent.
     """
-    if space._parent_cells is None:
-        out = []
-        for n in range(space.depth):
-            parent = np.empty(space.level_sizes[n + 1], dtype=np.int64)
-            parent[space.level_labels[n + 1]] = space.level_labels[n]
-            out.append(parent)
-        space._parent_cells = out
-    return space._parent_cells
+    parent = np.empty(len(space.cell_masses), dtype=np.int64)
+    parent[space.cell_labels[1:]] = space.cell_labels[:-1] - space.cell_offsets[:-2, None]
+    return np.split(parent, space.cell_offsets[1:-1])[1:]
 
 
 def _radices(space):

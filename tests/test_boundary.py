@@ -660,6 +660,42 @@ def test_stopping_time_names_its_first_unmeasurable_level():
     StoppingTime(space, [1] * 4 + [2, 2, 3, INFINITY])
 
 
+@pytest.mark.parametrize("command", ["decompose", "norms", "explore", "gen"])
+def test_unusable_output_path_is_input_error(tmp_path, capsys, command):
+    mp = str(tmp_path / "mart.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    missing = str(tmp_path / "missing" / "out.json")
+    pq = ["--p", "1", "--q", "1"]
+    argv, path = {  # a missing directory, an existing directory, an existing file
+        "decompose": (["decompose", "--input", mp, *pq, "--output", missing], missing),
+        "norms": (["norms", "--input", mp, *pq, "--output", str(tmp_path)], str(tmp_path)),
+        "explore": (["explore", "--count", "1", *pq, "--csv", missing], missing),
+        "gen": (["gen", "--count", "1", "--out-dir", mp], mp),
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert path in captured.err
+    if command == "decompose":
+        assert jsonio._written is None  # nothing is kept from a failed write
+
+
+def test_one_outcome_depth_zero_space_runs_every_command(tmp_path, capsys):
+    space = FilteredSpace(["w"], [1.0], [[["w"]]], [["w"]])
+    mp, dp, gp = (str(tmp_path / f"{role}.json") for role in ("f", "dec", "g"))
+    jsonio.dump_json(jsonio.martingale_to_doc(from_terminal(space, [0.0])), mp)
+    jsonio.dump_json(jsonio.function_to_doc(space, [0.0]), gp)
+    pq = ["--p", "0.5", "--q", "1"]
+    for argv in (["norms", *pq], ["decompose", *pq, "--output", dp],
+                 ["verify", "--decomposition", dp],
+                 ["duality", *pq, "--g", gp, "--mode", "exact"],
+                 ["duality", *pq, "--g", gp, "--mode", "heuristic"]):
+        assert main([*argv, "--input", mp]) == 0, argv
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["norms", "duality"])
 def test_line_endings_and_bad_bytes_decode_as_a_text_file_reads_them(tmp_path, capsys, command):
     space = _dyadic3()

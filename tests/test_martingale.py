@@ -29,6 +29,7 @@ from amalgam.space import (
     TOL,
     _constant_on_cells,
     at_most,
+    conditional_ess_sup,
     scale_of,
     stopping_time_blocks,
 )
@@ -326,6 +327,21 @@ def test_random_admissible_envelopes_dominate_minimal():
             assert np.all(cand.levels >= beta.levels - 1e-12)
 
 
+@given(small_martingales(random_weights=True))
+def test_minimal_envelope_matches_its_per_level_loop(case):
+    space, f = case
+    for flavor in ("S", "star"):
+        target = quadratic_variation_partial(f) if flavor == "S" else np.abs(f.levels)
+        # beta_n = max(beta_{n-1}, F_n majorant of the level-(n+1) target); beta_N = beta_{N-1}
+        want = np.zeros_like(f.levels)
+        prev = np.zeros(space.size)
+        for n in range(space.depth):
+            prev = np.maximum(prev, conditional_ess_sup(space, target[n + 1], n))
+            want[n] = prev
+        want[space.depth] = prev
+        assert minimal_envelope(f, flavor).levels.tobytes() == want.tobytes()  # bit for bit
+
+
 def test_envelope_validation_rejects_bad_shapes(coin):
     space, f = coin
     with pytest.raises(ValueError):
@@ -338,8 +354,13 @@ def test_envelope_validation_rejects_bad_shapes(coin):
         PredictorEnvelope(space, [[1, 1], [0.5, 0.5]], "S")  # decreasing
     with pytest.raises(SpaceError):
         PredictorEnvelope(space, [[-1, -1], [1, 1]], "S")  # negative
-    with pytest.raises(SpaceError):
-        # not adapted at level 0
+    with pytest.raises(SpaceError, match="^envelope level 0 not adapted$"):
         PredictorEnvelope(space, [[1, 2], [2, 2]], "S")
+    outcomes = list("abcdefgh")
+    filtration = [[outcomes[j:j + (8 >> n)] for j in range(0, 8, 8 >> n)] for n in range(4)]
+    eight = FilteredSpace(outcomes, [1 / 8] * 8, filtration, [outcomes])
+    with pytest.raises(SpaceError, match="^envelope level 1 not adapted$"):
+        # levels 1 and 2 each split a cell; the first is named
+        PredictorEnvelope(eight, [[1] * 8, [1] * 7 + [2], [2] * 7 + [3], [3] * 8], "S")
     # admissible, but too small to dominate |f_1| = 1 from level 0
     assert not dominates(PredictorEnvelope(space, [[0.5, 0.5], [2, 2]], "star"), f)

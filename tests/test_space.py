@@ -25,6 +25,7 @@ from amalgam.space import (
     _constant_on_cells,
     at_most,
     condition_rows,
+    ess_sup_rows,
     scale_of,
     stopping_time_blocks,
 )
@@ -53,12 +54,12 @@ def test_space_invariants_enforced():
     with pytest.raises(SpaceError):
         # blocks must cover the outcome set
         FilteredSpace(["a", "b"], [0.5, 0.5], [[["a", "b"]]], [["a"]])
-    with pytest.raises(SpaceError):
-        # second partition must refine the first
+    with pytest.raises(SpaceError, match="^partition 2 does not refine partition 1$"):
+        # partitions 2 and 3 do not refine their predecessors; the first is named
         FilteredSpace(
             ["a", "b", "c"],
             [0.4, 0.3, 0.3],
-            [[["a", "b", "c"]], [["a", "b"], ["c"]], [["a"], ["b", "c"]]],
+            [[["a", "b", "c"]], [["a", "b"], ["c"]], [["a"], ["b", "c"]], [["a", "c"], ["b"]]],
             [["a", "b", "c"]],
         )
 
@@ -116,12 +117,14 @@ def test_condition_rows_match_one_level_at_a_time(space, data):
     values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=k * space.size,
                                 max_size=k * space.size))
     rows = np.array(values, dtype=np.float64).reshape(k, space.size)
-    got = condition_rows(space, rows, first)
-    assert got.shape == rows.shape
-    for i, row in enumerate(rows):
-        assert np.array_equal(got[i], conditional_expectation(space, row, first + i))
-    with pytest.raises(SpaceError):  # one row past level N
-        condition_rows(space, np.zeros((space.depth + 2 - first, space.size)), first)
+    for stacked, one in ((condition_rows, conditional_expectation),
+                         (ess_sup_rows, conditional_ess_sup)):
+        got = stacked(space, rows, first)
+        assert got.shape == rows.shape
+        for i, row in enumerate(rows):
+            assert np.array_equal(got[i], one(space, row, first + i))
+        with pytest.raises(SpaceError, match="^rows of shape .* do not fit levels"):
+            stacked(space, np.zeros((space.depth + 2 - first, space.size)), first)  # past level N
 
 
 @given(small_trees(random_weights=True), st.data())
