@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .martingale import (
+    FLAVORS,
     Martingale,
     _ladder_statistic,
     conditional_quadratic_variation,
@@ -32,7 +33,6 @@ from .space import (
     times_pow2,
 )
 
-FLAVORS = ("s", "S", "star")
 DEFNS = ("simple", "weighted")
 DEFAULT_ETA_GRID = (0.25, 0.5, 0.75, 1.0)
 

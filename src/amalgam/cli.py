@@ -22,7 +22,6 @@ from .atoms import (
     certify_bounds,
     decompose,
     reconstruct,
-    source_norm_for,
     verify_atom,
 )
 from .duality import certify_duality, pairing, reverse_minkowski_check
@@ -62,11 +61,9 @@ def cmd_norms(args):
 def cmd_decompose(args):
     f, _ = jsonio.load_martingale(args.input)
     d = decompose(f, args.p, args.q, flavor=args.flavor, defn=args.defn)
-    doc = jsonio.decomposition_to_doc(d)
     grid = _parse_grid(args.eta_grid) if args.eta_grid else DEFAULT_ETA_GRID
     cert = certify_bounds(d, eta_grid=grid)
-    doc["certificate"] = jsonio.certificate_to_doc(cert)
-    text = jsonio.dump_decomposition(d, doc, args.output)
+    text = jsonio.dump_decomposition(d, cert, args.output)
     if args.output is None:
         sys.stdout.write(text)
     return OK if cert.passed else CERT_FAIL
@@ -74,8 +71,7 @@ def cmd_decompose(args):
 
 def cmd_verify(args):
     f, _ = jsonio.load_martingale(args.input)
-    d = jsonio.load_decomposition(args.decomposition, f.space)
-    d.source_norm = source_norm_for(f, d.flavor, d.p, d.q)
+    d = jsonio.load_decomposition(args.decomposition, f)
     rs = _parse_grid(args.r) if args.r else [2.0, 4.0, math.inf]
     rs = [r for r in rs if r > max(d.p, 1.0)]
     if not rs:

@@ -17,7 +17,9 @@ import numpy as np
 
 from . import _kernels
 from .atoms import decompose, ladder_constant
-from .martingale import Martingale, _ladder_statistic, from_terminal, ladder_times, stopped
+from .martingale import (
+    FLAVORS, Martingale, _ladder_statistic, from_terminal, ladder_times, stopped,
+)
 from .norms import _check_exponent, lpq_norm, lq_aggregate
 from .space import (
     _BLOCK_ELEMS,
@@ -35,18 +37,16 @@ from .space import SLACK, TOL, at_most, scale_of
 
 def phi(space: FilteredSpace, subset, p, q) -> float:
     """||1_A||_{p,q} / P(A) for a non-null A, given as a list of outcome identifiers."""
-    _check_exponent("p", p)
-    _check_exponent("q", q, inf_ok=True)
     mask = np.zeros(space.size, dtype=bool)
     for o in subset:
         i = space.index.get(o)
         if i is None:
             raise SpaceError(f"unknown outcome {o!r}")
         mask[i] = True
-    pa, masses = _masses(space, np.zeros(space.size, dtype=np.int64), 1, space.prob * mask)
-    if pa[0] <= 0.0:
+    pa = float(space.prob[mask].sum())
+    if pa <= 0.0:
         raise SpaceError("phi is undefined on null sets")
-    return float(lq_aggregate(masses, p, q)[0] / pa[0])
+    return lpq_norm(space, mask.astype(float), p, q) / pa
 
 
 @dataclass
@@ -160,7 +160,7 @@ def _ladder_rows(space, gm):
     envelopes.  The zero time is the level-0 cell's first-entry time.
     """
     distinct = {}
-    for flavor in ("s", "S", "star"):
+    for flavor in FLAVORS:
         for times in ladder_times(_ladder_statistic(gm, flavor))[1]:
             distinct[times.tobytes()] = times
     rows = np.array(list(distinct.values()), dtype=np.int64).reshape(-1, space.size)

@@ -63,7 +63,7 @@ def _tree_space(rng, depth, branching, random_tree, block_policy, block_param):
                 new_weights.append(w * parts[j])
         cells = new_cells
         weights = np.array(new_weights)
-    outcomes = [ids[-1] if depth > 0 else "c" for ids in cells]
+    outcomes = [ids[-1] for ids in cells]
     weights = weights / weights.sum()
 
     filtration = []
@@ -90,18 +90,13 @@ def generate(spec: CorpusSpec):
     """Deterministic corpus of (space, martingale) pairs."""
     rng = np.random.default_rng(spec.seed)
     out = []
+    random_tree = spec.generator == "random-tree"
     for _ in range(spec.count):
-        if spec.generator == "dyadic":
-            space = _tree_space(rng, spec.depth, 2, False,
-                                spec.block_policy, spec.block_param)
-            x = rng.standard_normal(space.size)
-        elif spec.generator == "random-tree":
-            space = _tree_space(rng, spec.depth, spec.max_branching, True,
-                                spec.block_policy, spec.block_param)
+        space = _tree_space(rng, spec.depth, spec.max_branching if random_tree else 2,
+                            random_tree, spec.block_policy, spec.block_param)
+        if spec.generator != "coin-walk":
             x = rng.standard_normal(space.size)
         else:  # coin-walk: terminal = sum of +-1 steps along the dyadic path
-            space = _tree_space(rng, spec.depth, 2, False,
-                                spec.block_policy, spec.block_param)
             x = np.zeros(space.size)
             for n in range(1, space.depth + 1):
                 signs = np.where(space.level_labels[n] % 2 == 0, 1.0, -1.0)

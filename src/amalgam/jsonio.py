@@ -16,8 +16,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .atoms import AtomTriple, BoundsCertificate, Decomposition, DEFNS, FLAVORS
-from .atoms import source_norm_for  # noqa: F401  (re-exported)
+from .atoms import AtomTriple, BoundsCertificate, Decomposition, DEFNS, FLAVORS, source_norm_for
 from .martingale import Martingale, from_terminal
 from .space import INFINITY, FilteredSpace, StoppingTime, require_finite
 
@@ -310,13 +309,13 @@ def load_martingale(path):
 _written = None
 
 
-def dump_decomposition(d: Decomposition, doc, path=None):
-    """dump_json of ``doc``, the decomposition_to_doc of ``d`` with any further
-    fields.  Written to ``path``, its bytes and the fields of ``d``, d's arrays
-    read-only, are kept for load_decomposition."""
+def dump_decomposition(d: Decomposition, cert: BoundsCertificate, path=None):
+    """dump_json of the decomposition_to_doc of ``d`` with ``cert`` as its
+    "certificate".  Written to ``path``, its bytes and the fields of ``d``, d's
+    arrays read-only, are kept for load_decomposition."""
     global _written
     _written = None
-    text = dump_json(doc, path)
+    text = dump_json({**decomposition_to_doc(d), "certificate": certificate_to_doc(cert)}, path)
     if path is not None:
         for t in d.triples:
             t.terminal.flags.writeable = t.nu.times.flags.writeable = False
@@ -325,18 +324,22 @@ def dump_decomposition(d: Decomposition, doc, path=None):
     return text
 
 
-def load_decomposition(path, space: FilteredSpace) -> Decomposition:
-    """The decomposition document at ``path``, against ``space``.  Bytes equal to
-    those dump_decomposition last wrote, of a decomposition on ``space`` itself,
-    are not decoded: the triples are rebuilt from the kept fields, with the value
-    checks decomposition_from_doc makes.  Other bytes are decoded."""
+def load_decomposition(path, f: Martingale) -> Decomposition:
+    """The decomposition document at ``path``, of the martingale ``f``, with its
+    source norm set.  Bytes equal to those dump_decomposition last wrote, of a
+    decomposition on f's space itself, are not decoded: the triples are rebuilt
+    from the kept fields, with the value checks decomposition_from_doc makes.
+    Other bytes are decoded."""
     raw = _read(path)
-    if _written is not None and _written[0] == raw and _written[1] is space:
-        _, _, flavor, defn, p, q, rows = _written
+    if _written is not None and _written[0] == raw and _written[1] is f.space:
+        _, space, flavor, defn, p, q, rows = _written
         triples = [_triple(space, f"decomposition.triples[{i}]", *row)
                    for i, row in enumerate(rows)]
-        return Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
-    return decomposition_from_doc(load_json(path, raw), space)
+        d = Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
+    else:
+        d = decomposition_from_doc(load_json(path, raw), f.space)
+    d.source_norm = source_norm_for(f, d.flavor, d.p, d.q)
+    return d
 
 
 def dump_json(doc, path=None):

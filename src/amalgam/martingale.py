@@ -49,6 +49,10 @@ class Martingale:
         return f"Martingale(depth={self.space.depth}, size={self.space.size})"
 
 
+#: the ladder flavors: the s-ladder of H^s and the envelope ladders of Q and P
+FLAVORS = ("s", "S", "star")
+
+
 class PredictorEnvelope:
     """Adapted, non-negative, non-decreasing dominator of S_n(f) or |f_n|.
 
@@ -56,7 +60,7 @@ class PredictorEnvelope:
     |f_n| <= beta_{n-1}, both for n >= 1.
     """
 
-    FLAVORS = ("S", "star")
+    FLAVORS = FLAVORS[1:]
 
     def __init__(self, space: FilteredSpace, levels, flavor, validate=True):
         if flavor not in self.FLAVORS:
@@ -103,9 +107,9 @@ def from_terminal(space: FilteredSpace, x) -> Martingale:
     # at x's own scale: a centred constant is rounding noise, not a martingale
     if not at_most(abs(mean), SLACK * float(np.max(np.abs(x)))):
         raise SpaceError(f"terminal value has nonzero mean {mean!r}")
-    levels = np.zeros((space.depth + 1, space.size))
-    # remove the rounding-level mean so f_0 = 0 exactly
-    levels[1:] = condition_rows(space, np.broadcast_to(x, (space.depth, space.size)), 1) - mean
+    # remove the rounding-level mean, and set f_0 = 0 exactly
+    levels = condition_rows(space, np.broadcast_to(x, (space.depth + 1, space.size))) - mean
+    levels[0] = 0.0
     return Martingale(space, levels, validate=False)
 
 
@@ -236,8 +240,6 @@ def minimal_envelope(f: Martingale, flavor="S") -> PredictorEnvelope:
     minimality makes the envelope-norm infimum exact for every monotone
     norm.
     """
-    if flavor not in PredictorEnvelope.FLAVORS:
-        raise ValueError(f"flavor must be one of {PredictorEnvelope.FLAVORS}")
     target = quadratic_variation_partial(f) if flavor == "S" else np.abs(f.levels)
     N = f.space.depth
     beta = np.zeros_like(f.levels)

@@ -302,42 +302,42 @@ def _constant_on_cells(labels, n_cells, values):
 
 
 def conditional_expectation(space: FilteredSpace, x, n) -> np.ndarray:
-    """E[x | F_n]: per-cell probability-weighted average, one row of condition_rows."""
+    """E[x | F_n]: per-cell probability-weighted average, row n of condition_rows."""
     space._check_level(n)
-    return condition_rows(space, space.rv(x)[None], n)[0]
+    return condition_rows(space, np.broadcast_to(space.rv(x), (n + 1, space.size)))[n]
 
 
-def _fit_rows(space, rows, first):
-    """(rows as floats, the cell_labels of levels first..first + len(rows) - 1)."""
+def _fit_rows(space, rows):
+    """(rows as floats, the cell_labels of levels 0..len(rows) - 1)."""
     rows = np.asarray(rows, dtype=np.float64)
-    labels = space.cell_labels[first:first + len(rows)]
-    if first < 0 or rows.shape != labels.shape:
-        raise SpaceError(f"rows of shape {rows.shape} do not fit levels {first}..{space.depth}")
+    labels = space.cell_labels[:len(rows)]
+    if rows.shape != labels.shape:
+        raise SpaceError(f"rows of shape {rows.shape} do not fit levels 0..{space.depth}")
     return rows, labels
 
 
-def condition_rows(space: FilteredSpace, rows, first=0) -> np.ndarray:
-    """Row i is E[rows[i] | F_{first + i}], every row in one cell_sums pass.
+def condition_rows(space: FilteredSpace, rows) -> np.ndarray:
+    """Row n is E[rows[n] | F_n], every row in one cell_sums pass.
 
     Each cell sums its members in outcome order whether its level is
     conditioned alone or stacked, so a row gets the same bits in any stack.
     """
-    rows, labels = _fit_rows(space, rows, first)
+    rows, labels = _fit_rows(space, rows)
     sums = _kernels.cell_sums(labels.ravel(), len(space.cell_masses), (space.prob * rows).ravel())
     return (sums / space.cell_masses)[labels]
 
 
 def conditional_ess_sup(space: FilteredSpace, x, n) -> np.ndarray:
-    """Smallest F_n-measurable majorant: per-cell maximum, one row of ess_sup_rows."""
+    """Smallest F_n-measurable majorant: per-cell maximum, row n of ess_sup_rows."""
     space._check_level(n)
-    return ess_sup_rows(space, space.rv(x)[None], n)[0]
+    return ess_sup_rows(space, np.broadcast_to(space.rv(x), (n + 1, space.size)))[n]
 
 
-def ess_sup_rows(space: FilteredSpace, rows, first=0) -> np.ndarray:
-    """Row i is the smallest F_{first + i}-measurable majorant of rows[i], every
-    row in one cell_max pass; a maximum is exact, so a row gets the same bits
-    in any stack."""
-    rows, labels = _fit_rows(space, rows, first)
+def ess_sup_rows(space: FilteredSpace, rows) -> np.ndarray:
+    """Row n is the smallest F_n-measurable majorant of rows[n], every row in
+    one cell_max pass; a maximum is exact, so a row gets the same bits in any
+    stack."""
+    rows, labels = _fit_rows(space, rows)
     return _kernels.cell_max(labels.ravel(), len(space.cell_masses), rows.ravel())[labels]
 
 
@@ -375,7 +375,8 @@ def _parents(space):
 
 
 def _radices(space):
-    """Per-cell stopping-time counts and strides, bottom-up, as Python ints.
+    """Per-cell stopping-time counts and strides, bottom-up, as Python ints,
+    and the _parents map they are built on.
 
     counts[n][c] counts the stopping times of the subtree at partition-n
     cell c: a cell at level n < N stops everyone now or defers to its
@@ -395,7 +396,7 @@ def _radices(space):
             later[cell] *= counts[0][kid]
         counts.insert(0, [1 + x for x in later])
         strides.insert(0, stride)
-    return counts, strides
+    return counts, strides, parents
 
 
 def count_stopping_times(space: FilteredSpace) -> int:
@@ -417,14 +418,13 @@ def stopping_time_blocks(space: FilteredSpace, cap=10**6):
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    counts, strides = _radices(space)
+    counts, strides, parents = _radices(space)
     total = counts[0][0]
     if total > cap:
         raise EnumerationOverflow(total, cap)
     # every count and stride is at most total <= cap, so int64 holds them
     radix = [np.array(c, dtype=np.int64) for c in counts[1:]]
     strides = [np.array(s, dtype=np.int64) for s in strides]
-    parents = _parents(space)
     per = max(1, _BLOCK_ELEMS // space.size)
     for start in range(0, total, per):
         local = np.arange(start, min(start + per, total), dtype=np.int64)[:, None]

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from amalgam import (INFINITY, FilteredSpace, SpaceError, StoppingTime, decompose,
-                     from_terminal, jsonio)
+from amalgam import (INFINITY, FilteredSpace, SpaceError, StoppingTime, certify_bounds,
+                     decompose, from_terminal, jsonio)
+from amalgam.atoms import source_norm_for
 from amalgam.cli import main
 
 # -- canonical writer ------------------------------------------------------------
@@ -611,13 +612,29 @@ def test_kept_decomposition_arrays_are_read_only(tmp_path):
     assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--output", dp]) == 0
     f, _ = jsonio.load_martingale(mp)
     kept = [(times, terminal) for _, _, times, terminal in jsonio._written[-1]]
-    rebuilt = jsonio.load_decomposition(dp, f.space)
+    rebuilt = jsonio.load_decomposition(dp, f)
     assert len(rebuilt.triples) == len(kept) > 0
     for t, arrays in zip(rebuilt.triples, kept):
         assert t.nu.times is arrays[0] and t.terminal is arrays[1]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+
+def test_loaded_decomposition_carries_its_source_norm(tmp_path, monkeypatch):
+    calls = _decode_counts(monkeypatch)
+    mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    assert main(["decompose", "--input", mp, "--p", "0.5", "--q", "1", "--flavor", "S",
+                 "--output", dp]) == 0
+    f, _ = jsonio.load_martingale(mp)
+    want = source_norm_for(f, "S", 0.5, 1.0)
+    assert want > 0.0
+    for memo in (True, False):
+        if not memo:
+            jsonio._written = None
+        assert jsonio.load_decomposition(dp, f).source_norm == want
+        assert len(calls["decomposition_from_doc"]) == (0 if memo else 1)
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -632,6 +649,7 @@ def test_kept_decomposition_with_bad_values_is_refused_as_decoded(tmp_path, monk
     jsonio.dump_json(_worked_doc(), mp)
     f, _ = jsonio.load_martingale(mp)
     d = decompose(f, 1.0, 1.0)
+    cert = certify_bounds(d)  # of the sound triples: a negative lambda cannot be certified
     t = d.triples[1]
     if fault == "terminal":
         t.terminal = np.where(np.arange(8) == 3, math.inf, t.terminal)
@@ -639,7 +657,7 @@ def test_kept_decomposition_with_bad_values_is_refused_as_decoded(tmp_path, monk
         t.nu = StoppingTime(f.space, [1, INFINITY] * 4, validate=False)
     else:
         t.lam = -t.lam
-    jsonio.dump_decomposition(d, jsonio.decomposition_to_doc(d), dp)
+    jsonio.dump_decomposition(d, cert, dp)
     verify = ["verify", "--input", mp, "--decomposition", dp]
     for memo in (True, False):
         if not memo:

@@ -21,7 +21,8 @@ from amalgam import (
     reverse_minkowski_check,
     stop,
 )
-from amalgam.duality import oscillation
+from amalgam.duality import _masses, oscillation
+from amalgam.norms import lpq_norm, lq_aggregate
 from amalgam.space import binary_exponent
 from amalgam.martingale import (
     _ladder_statistic,
@@ -57,6 +58,19 @@ def test_phi_off_diagonal(dyadic2):
         phi(dyadic2, [], 1.0, 1.0)
     with pytest.raises(SpaceError):
         phi(dyadic2, ["nope"], 1.0, 1.0)
+
+
+@given(small_trees(random_weights=True, max_blocks=3), st.data(),
+       st.sampled_from([0.05, 0.5, 1.0, 2.5]), st.sampled_from([0.05, 0.7, 1.0, 3.0, math.inf]))
+def test_phi_is_the_indicator_norm_over_the_mass(space, data, p, q):
+    subset = data.draw(st.lists(st.sampled_from(space.outcomes), min_size=1, unique=True))
+    mask = np.isin(np.array(space.outcomes), subset)
+    pa = float(space.prob[mask].sum())
+    got = phi(space, subset, p, q)
+    assert got == pytest.approx(lpq_norm(space, mask.astype(float), p, q) / pa)
+    # the block masses of A aggregated in l_q, as phi once computed it
+    total, masses = _masses(space, np.zeros(space.size, dtype=np.int64), 1, space.prob * mask)
+    assert got == pytest.approx(float(lq_aggregate(masses, p, q)[0] / total[0]))
 
 
 def test_campanato_two_point_exact(coin):

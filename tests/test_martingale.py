@@ -33,7 +33,7 @@ from amalgam.space import (
     scale_of,
     stopping_time_blocks,
 )
-from conftest import random_martingale, random_tree_space, small_martingales
+from conftest import centred, random_martingale, random_tree_space, small_martingales, small_trees
 
 SQ2 = np.sqrt(2.0)
 
@@ -43,6 +43,25 @@ def test_from_terminal_worked_example(worked_example):
     assert np.allclose(f.levels[0], 0.0)
     assert np.allclose(f.levels[1], [1, 1, -1, -1])
     assert np.allclose(f.levels[2], [2, 0, -1, -1])
+
+
+@given(small_trees(random_weights=True), st.data())
+def test_from_terminal_matches_its_per_cell_loop(space, data):
+    x = centred(space, np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=space.size,
+                                                   max_size=space.size))))
+    mean = float(space.prob @ x)
+    want = np.empty((space.depth + 1, space.size))
+    for n in range(space.depth + 1):
+        for cell in space.cells(n):
+            members = [space.index[o] for o in cell]
+            total = mass = 0.0
+            for i in members:  # in outcome order, as the kernel adds
+                total += space.prob[i] * x[i]
+                mass += space.prob[i]
+            want[n, members] = total / mass - mean
+    want[0] = 0.0
+    got = from_terminal(space, x).levels
+    assert got.tobytes() == want.tobytes()  # bit for bit, with row 0 exactly +0.0
 
 
 def test_from_terminal_rejects_nonzero_mean(dyadic2):
@@ -344,7 +363,7 @@ def test_minimal_envelope_matches_its_per_level_loop(case):
 
 def test_envelope_validation_rejects_bad_shapes(coin):
     space, f = coin
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^flavor must be one of \('S', 'star'\)$"):
         minimal_envelope(f, "nope")
     with pytest.raises(ValueError, match="^flavor must be one of"):
         PredictorEnvelope(space, [[1, 1], [1, 1]], "nope")
