@@ -29,8 +29,8 @@ from .martingale import (
 )
 from .norms import _check_exponent, lpq_norm
 from .space import (
-    INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, condition_rows, scale_of, scaled,
-    times_pow2,
+    INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, condition_rows, require_space,
+    scale_of, scaled, times_pow2,
 )
 
 DEFNS = ("simple", "weighted")
@@ -167,6 +167,7 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
     The r-independent work, residual, statistic and support, runs once."""
     rs = [default_r(d.flavor)] if rs is None else rs
     space = d.space
+    require_space(t.nu, space)
     terminal = t.terminal
     scale = scale_of(terminal)
 

@@ -28,6 +28,7 @@ from .space import (
     FilteredSpace,
     SpaceError,
     StoppingTime,
+    require_space,
     scaled,
     stopping_time_blocks,
     times_pow2,
@@ -39,7 +40,7 @@ def phi(space: FilteredSpace, subset, p, q) -> float:
     """||1_A||_{p,q} / P(A) for a non-null A, given as a list of outcome identifiers."""
     mask = np.zeros(space.size, dtype=bool)
     for o in subset:
-        i = space.index.get(o)
+        i = space.position(o)
         if i is None:
             raise SpaceError(f"unknown outcome {o!r}")
         mask[i] = True
@@ -189,6 +190,7 @@ def _scaled(g, gm):
 
 def oscillation(space: FilteredSpace, g, gm: Martingale, nu: StoppingTime, p, q):
     """Campanato quotient of one candidate; None when B is empty."""
+    require_space(nu, space)
     g, levels, e = _scaled(g, gm)
     a, pb, masses = _row_sums(space, levels, g, nu.times[None])
     if pb[0] <= 0.0:
@@ -218,6 +220,8 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
 
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+    for nu in extra_candidates:
+        require_space(nu, space)
     small, levels, e = _scaled(g, gm)
     sup = _Supremum(space, small, levels, p, q)
     actual = "heuristic-family"

@@ -38,8 +38,15 @@ class CorpusSpec:
             raise ValueError("count must be >= 1 and depth >= 0")
         if self.block_param < 0:
             raise ValueError(f"block_param must be >= 0, got {self.block_param}")
-        if self.max_branching ** self.depth > MAX_OUTCOMES:
+        if self.max_branching < 1:
+            raise ValueError(f"max_branching must be >= 1, got {self.max_branching}")
+        if self.branching ** self.depth > MAX_OUTCOMES:
             raise ValueError(f"outcome bound {MAX_OUTCOMES} exceeded")
+
+    @property
+    def branching(self) -> int:
+        """The most children a cell gets: max_branching on random trees, else 2."""
+        return self.max_branching if self.generator == "random-tree" else 2
 
 
 def _tree_space(rng, depth, branching, random_tree, block_policy, block_param):
@@ -90,10 +97,9 @@ def generate(spec: CorpusSpec):
     """Deterministic corpus of (space, martingale) pairs."""
     rng = np.random.default_rng(spec.seed)
     out = []
-    random_tree = spec.generator == "random-tree"
     for _ in range(spec.count):
-        space = _tree_space(rng, spec.depth, spec.max_branching if random_tree else 2,
-                            random_tree, spec.block_policy, spec.block_param)
+        space = _tree_space(rng, spec.depth, spec.branching, spec.generator == "random-tree",
+                            spec.block_policy, spec.block_param)
         if spec.generator != "coin-walk":
             x = rng.standard_normal(space.size)
         else:  # coin-walk: terminal = sum of +-1 steps along the dyadic path

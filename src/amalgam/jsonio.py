@@ -119,9 +119,14 @@ def space_to_doc(space: FilteredSpace) -> dict:
         "schema": SCHEMA,
         "outcomes": [str(o) for o in space.outcomes],
         "prob": space.prob.tolist(),
-        "filtration": [space.cells(n) for n in range(space.depth + 1)],
-        "blocks": space.block_cells(),
+        "filtration": [_names(space.cells(n)) for n in range(space.depth + 1)],
+        "blocks": _names(space.block_cells()),
     }
+
+
+def _names(cells):
+    """Cells with each member written as the outcomes are, so any outcome reads back."""
+    return [list(map(str, cell)) for cell in cells]
 
 
 def space_from_doc(doc) -> FilteredSpace:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .space import (
     INFINITY, SLACK, TOL, FilteredSpace, SpaceError, StoppingTime, at_most, binary_exponent,
-    condition_rows, ess_sup_rows, require_finite, scale_of, scaled, times_pow2,
+    condition_rows, ess_sup_rows, require_finite, require_space, scale_of, scaled, times_pow2,
 )
 
 
@@ -165,8 +165,7 @@ def stopped(levels, times) -> np.ndarray:
 
 def stop(f: Martingale, nu: StoppingTime) -> Martingale:
     """Stopped martingale f^nu with levels f_{min(n, nu)}."""
-    if nu.space is not f.space:
-        raise SpaceError("stopping time lives on a different space")
+    require_space(nu, f.space)
     steps = np.arange(f.space.depth + 1)[:, None]
     return Martingale(f.space, stopped(f.levels, np.minimum(nu.times, steps)), validate=False)
 

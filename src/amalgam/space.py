@@ -188,10 +188,7 @@ class FilteredSpace:
             if not cell:
                 return "empty cell"
             for o in cell:
-                try:
-                    i = self.index.get(o)
-                except TypeError:  # unhashable, so no outcome
-                    i = None
+                i = self.position(o)
                 if i is None:
                     return f"unknown outcome {o!r}"
                 if i in seen:
@@ -200,6 +197,13 @@ class FilteredSpace:
         return "cells do not cover the outcome set"
 
     # -- basic accessors --------------------------------------------------
+
+    def position(self, o):
+        """The index of outcome o, or None when o is no outcome (an unhashable o included)."""
+        try:
+            return self.index.get(o)
+        except TypeError:
+            return None
 
     @property
     def depth(self) -> int:
@@ -246,10 +250,15 @@ class StoppingTime:
 
     def __init__(self, space: FilteredSpace, times, validate=True):
         self.space = space
-        t = np.asarray(times, dtype=np.int64)
+        t = np.asarray(times)
         if t.shape != (space.size,):
             raise SpaceError("stopping time has wrong length")
-        self.times = t
+        # the int64 cast would read 0.5 as 0 and True as 1, and warn on NaN; no float is INFINITY
+        if validate and t.dtype.kind not in "iu" and not (
+                t.dtype.kind == "f" and np.isin(t, np.arange(space.depth + 1)).all()):
+            raise SpaceError(f"stopping-time values must be integers, or whole floats in "
+                             f"0..{space.depth}")
+        self.times = t = t.astype(np.int64, copy=False)
         if validate:
             finite = t[t != INFINITY]
             if finite.size and (finite.min() < 0 or finite.max() > space.depth):
@@ -269,6 +278,12 @@ class StoppingTime:
     def __repr__(self):
         shown = ["inf" if t == INFINITY else str(t) for t in self.times]
         return f"StoppingTime([{', '.join(shown)}])"
+
+
+def require_space(nu: StoppingTime, space: FilteredSpace):
+    """Refuse a stopping time nu that lives on another space than ``space``."""
+    if nu.space is not space:
+        raise SpaceError("stopping time lives on a different space")
 
 
 def same_space(a: FilteredSpace, b: FilteredSpace) -> bool:

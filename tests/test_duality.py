@@ -20,6 +20,7 @@ from amalgam import (
     representer,
     reverse_minkowski_check,
     stop,
+    verify_atom,
 )
 from amalgam.duality import _masses, oscillation
 from amalgam.norms import lpq_norm, lq_aggregate
@@ -58,6 +59,8 @@ def test_phi_off_diagonal(dyadic2):
         phi(dyadic2, [], 1.0, 1.0)
     with pytest.raises(SpaceError):
         phi(dyadic2, ["nope"], 1.0, 1.0)
+    with pytest.raises(SpaceError, match=r"^unknown outcome \['w1'\]$"):
+        phi(dyadic2, [["w1"]], 1.0, 1.0)  # unhashable, so no outcome
 
 
 @given(small_trees(random_weights=True, max_blocks=3), st.data(),
@@ -71,6 +74,38 @@ def test_phi_is_the_indicator_norm_over_the_mass(space, data, p, q):
     # the block masses of A aggregated in l_q, as phi once computed it
     total, masses = _masses(space, np.zeros(space.size, dtype=np.int64), 1, space.prob * mask)
     assert got == pytest.approx(float(lq_aggregate(masses, p, q)[0] / total[0]))
+
+
+def _two_filtrations():
+    """Spaces a and b on one outcome set, with one probability vector and one block
+    partition, and a stopping time of b that is none of a: {nu = 1} = {d}."""
+    outcomes = list("abcdef")
+    prob = np.random.default_rng(1).dirichlet(np.ones(6))
+    blocks = [list("abd"), list("cef")]
+    singletons = [[o] for o in outcomes]
+    a = FilteredSpace(outcomes, prob, [[outcomes], [list("abc"), list("def")],
+                                       [list("ab"), ["c"], ["d"], list("ef")], singletons],
+                      blocks)
+    b = FilteredSpace(outcomes, prob, [[outcomes]] + [singletons] * 3, blocks)
+    return a, StoppingTime(b, [3, INFINITY, INFINITY, 1, INFINITY, INFINITY])
+
+
+@pytest.mark.parametrize("entry", ["campanato_norm", "oscillation", "verify_atom"])
+def test_a_stopping_time_of_another_space_is_refused(entry):
+    a, nu = _two_filtrations()
+    g = centred(a, np.array([0.46, 0.25, 0.18, -0.09, 0.43, -0.85]))
+    exact = campanato_norm(a, g, 0.3, 1, mode="exact")
+    assert exact.mode == "exact-enumeration" and exact.norm_value == pytest.approx(17.2559)
+    with pytest.raises(SpaceError, match="^stopping time lives on a different space$"):
+        if entry == "campanato_norm":  # scored, nu gave 21.04 > the exact supremum
+            campanato_norm(a, g, 0.3, 1, mode="exact", extra_candidates=[nu])
+        elif entry == "oscillation":
+            oscillation(a, g, from_terminal(a, g), nu, 0.3, 1)
+        else:
+            d = decompose(from_terminal(a, g), 1, 1)
+            t = d.triples[0]
+            t.nu = StoppingTime(nu.space, t.nu.times)
+            verify_atom(d, t)
 
 
 def test_campanato_two_point_exact(coin):

@@ -7,6 +7,7 @@ import pytest
 
 from amalgam import (
     CorpusSpec,
+    FilteredSpace,
     Martingale,
     explore_embeddings,
     from_terminal,
@@ -30,6 +31,15 @@ def test_corpus_spec_validation():
         CorpusSpec(depth=40, max_branching=2)  # exceeds the outcome bound
     with pytest.raises(ValueError, match="block_param"):
         CorpusSpec(block_policy="level-cells", block_param=-1)
+
+
+@pytest.mark.parametrize("generator", ["dyadic", "coin-walk"])
+def test_corpus_spec_bounds_the_branching_its_generator_uses(generator):
+    # these trees split in two whatever max_branching says: 2^13 outcomes, not 1^13
+    CorpusSpec(generator=generator, depth=12, max_branching=1)
+    with pytest.raises(ValueError, match=f"^outcome bound {MAX_OUTCOMES} exceeded$"):
+        CorpusSpec(generator=generator, depth=13, max_branching=1)
+    CorpusSpec(generator="random-tree", depth=13, max_branching=1)  # 1 outcome
 
 
 def test_generate_deterministic():
@@ -95,6 +105,16 @@ def test_space_round_trip(dyadic2):
     assert np.array_equal(back.prob, dyadic2.prob)
     assert back.block_cells() == dyadic2.block_cells()
     # canonical form is stable under a second round trip
+    assert jsonio.canonical_dumps(jsonio.space_to_doc(back)) == jsonio.canonical_dumps(doc)
+
+
+def test_space_with_non_string_outcomes_round_trips():
+    space = FilteredSpace([1, 2, 3], [0.25, 0.25, 0.5], [[[1, 2, 3]], [[1, 2], [3]]],
+                          [[1], [2, 3]])
+    doc = jsonio.space_to_doc(space)
+    back = jsonio.space_from_doc(json.loads(jsonio.canonical_dumps(doc)))
+    assert back.outcomes == ("1", "2", "3")
+    assert back.cells(1) == [["1", "2"], ["3"]] and back.block_cells() == [["1"], ["2", "3"]]
     assert jsonio.canonical_dumps(jsonio.space_to_doc(back)) == jsonio.canonical_dumps(doc)
 
 
@@ -292,6 +312,18 @@ def test_cli_corpus_rejects_a_negative_block_param(tmp_path, capsys, command):
     argv += ["--out-dir", str(tmp_path)] if command == "gen" else ["--p", "1", "--q", "1"]
     assert main(argv) == 2
     assert "block_param" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--generator", "random-tree", "--max-branching", "0"], "max_branching must be >= 1, got 0"),
+    (["--generator", "dyadic", "--max-branching", "-1"], "max_branching must be >= 1, got -1"),
+    (["--generator", "dyadic", "--depth", "13", "--max-branching", "1"],
+     f"outcome bound {MAX_OUTCOMES} exceeded"),
+], ids=["random-tree-0", "dyadic-negative", "dyadic-depth-13"])
+def test_cli_gen_refuses_a_branching_it_cannot_build(tmp_path, capsys, flags, message):
+    assert main(["gen", "--count", "1", "--out-dir", str(tmp_path), *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not list(tmp_path.iterdir())
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -250,6 +251,16 @@ def test_stopping_time_measurability(dyadic2):
         StoppingTime(dyadic2, [0, 0, 0, 1])
     with pytest.raises(SpaceError, match="^stopping time has wrong length$"):
         StoppingTime(dyadic2, [0, 0, 0])
+
+
+@pytest.mark.parametrize("times", [[0.5] * 4, [1.9] * 4, [math.nan] * 4, [True] * 4],
+                         ids=["half", "fraction", "nan", "bool"])
+def test_stopping_time_values_must_be_whole(dyadic2, times):
+    # a whole float is a time; these would be cast to 0, 1, a warning and 1
+    assert StoppingTime(dyadic2, [1.0, 1.0, 2.0, 2.0]).times.tolist() == [1, 1, 2, 2]
+    with pytest.raises(SpaceError, match=r"^stopping-time values must be integers, or whole "
+                                         r"floats in 0\.\.2$"):
+        StoppingTime(dyadic2, times)
 
 
 def brute_force_stopping_times(space):
