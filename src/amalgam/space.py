@@ -256,7 +256,7 @@ class StoppingTime:
         # the int64 cast would read 0.5 as 0 and True as 1, and warn on NaN; no float is INFINITY
         if validate and t.dtype.kind not in "iu" and not (
                 t.dtype.kind == "f" and np.isin(t, np.arange(space.depth + 1)).all()):
-            raise SpaceError(f"stopping-time values must be integers, or whole floats in "
+            raise SpaceError(f"stopping-time values must be int64 integers, or whole floats in "
                              f"0..{space.depth}")
         self.times = t = t.astype(np.int64, copy=False)
         if validate:

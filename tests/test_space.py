@@ -258,7 +258,7 @@ def test_stopping_time_measurability(dyadic2):
 def test_stopping_time_values_must_be_whole(dyadic2, times):
     # a whole float is a time; these would be cast to 0, 1, a warning and 1
     assert StoppingTime(dyadic2, [1.0, 1.0, 2.0, 2.0]).times.tolist() == [1, 1, 2, 2]
-    with pytest.raises(SpaceError, match=r"^stopping-time values must be integers, or whole "
+    with pytest.raises(SpaceError, match=r"^stopping-time values must be int64 integers, or whole "
                                          r"floats in 0\.\.2$"):
         StoppingTime(dyadic2, times)
 
