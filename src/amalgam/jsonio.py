@@ -263,7 +263,8 @@ def _triple(space, where, k, lam, times, terminal) -> AtomTriple:
     if not (math.isfinite(lam) and lam >= 0.0):
         raise SchemaError(f"{where}: field 'lambda' must be finite and at least 0")
     try:
-        nu = StoppingTime(space, times)
+        # every reader hands over ints: the typed cast is exact, or refuses one beyond int64
+        nu = StoppingTime(space, np.asarray(times, dtype=np.int64))
         require_finite(terminal, "atom_terminal")
     except Exception as exc:
         raise SchemaError(f"{where}: {exc}") from exc
