@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: norms, decompose, verify, duality, explore, gen, selftest.
+Subcommands: norms, decompose, verify, duality, explore, gen.
 Exit codes: 0 all checks pass, 1 a certificate failed, 2 bad input or path.
 """
 
@@ -24,11 +24,10 @@ from .atoms import (
     reconstruct,
     verify_atom,
 )
-from .duality import certify_duality, pairing, reverse_minkowski_check
+from .duality import certify_duality, pairing
 from .harness import BLOCK_POLICIES, CorpusSpec, GENERATORS, explore_embeddings, generate
-from .martingale import conditional_quadratic_variation, quadratic_variation
-from .norms import all_five_norms, lp_norm, lpq_norm
-from .space import IDENTITY_TOL, SLACK, TOL, at_most, same_space, scale_of
+from .norms import all_five_norms
+from .space import SLACK, at_most, same_space, scale_of
 
 OK, CERT_FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -181,74 +180,6 @@ def cmd_gen(args):
     return OK
 
 
-def cmd_selftest(args):
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-
-    def check(name, ok):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
-
-    corpus = []
-    for depth, branching in [(2, 2), (3, 2), (2, 3), (4, 2)]:
-        spec = CorpusSpec(
-            generator="random-tree",
-            count=5,
-            seed=int(rng.integers(0, 2**32)),
-            depth=depth,
-            max_branching=branching,
-            block_policy="random-partition",
-            block_param=2,
-        )
-        corpus.extend(generate(spec))
-
-    ok = True
-    for space, f in corpus:
-        for flavor in FLAVORS:
-            for defn in DEFNS:
-                d = decompose(f, 0.7, 1.0, flavor=flavor, defn=defn)
-                resid = np.abs(reconstruct(d) - f.levels)
-                ok = ok and at_most(resid, IDENTITY_TOL * scale_of(f.levels))
-                for t in d.triples:
-                    ok = ok and verify_atom(d, t)[0].passed
-                ok = ok and certify_bounds(d).passed
-    check("ladder reconstruction, atoms and two-sided certificates", ok)
-
-    ok = True
-    for space, f in corpus:
-        e_term = float(space.prob @ f.terminal**2)
-        e_s = float(space.prob @ conditional_quadratic_variation(f) ** 2)
-        e_S = float(space.prob @ quadratic_variation(f) ** 2)
-        ok = ok and at_most([abs(e_term - e_s), abs(e_term - e_S)],
-                            IDENTITY_TOL * scale_of(e_term))
-    check("L2 isometry of both quadratic variations", ok)
-
-    ok = True
-    for space, f in corpus[:10]:
-        g = rng.standard_normal(space.size)
-        for p, q in [(0.5, 0.5), (1.5, 1.5)]:
-            ref = lp_norm(space, g, p)
-            ok = ok and at_most(abs(lpq_norm(space, g, p, q) - ref), TOL * scale_of(ref))
-    check("amalgam norm matches plain L_p on the diagonal", ok)
-
-    ok = True
-    for space, _ in corpus[:5]:
-        fs = [rng.standard_normal(space.size) for _ in range(4)]
-        ok = ok and reverse_minkowski_check(space, fs, 0.5, 0.5).ok
-    check("reverse Minkowski at small exponents", ok)
-
-    ok = True
-    for space, f in corpus[:5]:
-        g = rng.standard_normal(space.size)
-        g -= float(space.prob @ g)
-        ok = ok and certify_duality(f, g, 0.5, 1.0, mode="heuristic").chain_ok
-    check("duality chain certificate", ok)
-
-    return OK if failures == 0 else CERT_FAIL
-
-
 @functools.cache
 def build_parser():
     """The CLI's parser, built once per process: parse_args keeps no state in it."""
@@ -313,10 +244,6 @@ def build_parser():
     add_corpus(sp)
     sp.add_argument("--out-dir", dest="out_dir", required=True)
     sp.set_defaults(func=cmd_gen)
-
-    sp = sub.add_parser("selftest", help="run the built-in property battery")
-    sp.add_argument("--seed", type=int, default=7)
-    sp.set_defaults(func=cmd_selftest)
 
     return ap
 

@@ -29,8 +29,6 @@ INFINITY = np.iinfo(np.int64).max
 TOL = 1e-12
 #: accumulated arithmetic (conditioning chains, ladders) and certificate checks
 SLACK = 1e3 * TOL
-#: selftest identities: reconstruction and the L2 isometry
-IDENTITY_TOL = 1e-10
 
 
 def scale_of(*values) -> float:

@@ -1,6 +1,5 @@
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from amalgam import (
     from_terminal,
     generate,
 )
-from amalgam import cli, harness, jsonio
+from amalgam import harness, jsonio
 from amalgam.cli import main
 from amalgam.harness import MAX_OUTCOMES
 from amalgam.norms import FIVE_NORMS
@@ -325,22 +324,6 @@ def test_cli_gen_refuses_a_branching_it_cannot_build(tmp_path, capsys, flags, me
     assert main(["gen", "--count", "1", "--out-dir", str(tmp_path), *flags]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not list(tmp_path.iterdir())
-
-
-def test_cli_selftest(capsys):
-    assert main(["selftest", "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 5
-    assert all(l.startswith("PASS") for l in lines)
-
-
-def test_cli_selftest_reports_a_failing_check(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "certify_duality", lambda *a, **k: SimpleNamespace(chain_ok=False))
-    assert main(["selftest", "--seed", "7"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "FAIL  duality chain certificate"
-    assert all(l.startswith("PASS") for l in lines[:-1])
 
 
 def test_cli_explore_flags_a_vanishing_denominator(capsys, monkeypatch):
