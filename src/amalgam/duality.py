@@ -308,11 +308,13 @@ def representer(space: FilteredSpace, functional_values) -> np.ndarray:
     pairs whose terminals span the zero-mean functions; solved as a
     linear system in the outcome basis.
     """
-    rows = [space.prob]  # zero-mean constraint
+    # each equation at its own power of two: the checks below see no scale
+    rows = [scaled(space.prob)[0]]  # zero-mean constraint
     rhs = [0.0]
     for x, v in functional_values:
-        rows.append(space.prob * space.rv(x))
-        rhs.append(float(v))
+        row, e = scaled(space.prob * space.rv(x))
+        rows.append(row)
+        rhs.append(times_pow2(float(v), -e))
     a = np.vstack(rows)
     b = np.array(rhs)
     # a numerical-rank cutoff, not a comparison tolerance

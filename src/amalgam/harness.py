@@ -186,8 +186,9 @@ def explore_embeddings(corpus, p, q) -> EmbeddingTable:
             bad = False
             for rec in norms:
                 na, nb = rec[a], rec[b]
-                if nb <= TOL:
-                    if na > TOL and (a, b) in checked:
+                # only the zero martingale has a zero norm: rounding cannot reach 0
+                if nb == 0.0:
+                    if na > 0.0 and (a, b) in checked:
                         bad = True
                     continue
                 ratios.append(na / nb)

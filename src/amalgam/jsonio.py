@@ -7,6 +7,7 @@ diff cleanly.  Stopping-time infinity is encoded as JSON null.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import io
@@ -115,9 +116,14 @@ def _check_schema(doc, where):
 
 
 def space_to_doc(space: FilteredSpace) -> dict:
+    outcomes = [str(o) for o in space.outcomes]
+    if len(set(outcomes)) < len(outcomes):
+        shared = collections.Counter(outcomes).most_common(1)[0][0]
+        raise SchemaError(f"space: distinct outcomes share the string {shared!r}, "
+                          "so the document would not read back")
     return {
         "schema": SCHEMA,
-        "outcomes": [str(o) for o in space.outcomes],
+        "outcomes": outcomes,
         "prob": space.prob.tolist(),
         "filtration": [_names(space.cells(n)) for n in range(space.depth + 1)],
         "blocks": _names(space.block_cells()),

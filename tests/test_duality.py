@@ -243,6 +243,24 @@ def test_representer_rejects_rank_deficient_and_inconsistent(coin):
                            ([0.0, 1.0], 0.0)])
 
 
+def test_representer_verdicts_do_not_depend_on_the_scale_of_its_pairs():
+    # scaling every pair (x, v) by 2^k gives the same system: g keeps every
+    # bit, and a pair that contradicts another is refused at every k
+    rng = np.random.default_rng(44)
+    for _ in range(5):
+        space = random_tree_space(rng, depth=2, branching=4)
+        g = rng.standard_normal(space.size)
+        g -= float(space.prob @ g)
+        pairs = [(x, float(space.prob @ (x * g))) for x in np.eye(space.size)]
+        want = representer(space, pairs)
+        for k in range(-60, 61):
+            c = 2.0 ** k
+            scaled_pairs = [(x * c, v * c) for x, v in pairs]
+            assert np.array_equal(representer(space, scaled_pairs), want), k
+            with pytest.raises(SpaceError, match="inconsistent"):
+                representer(space, scaled_pairs + [(pairs[0][0] * c, (pairs[0][1] + 1) * c)])
+
+
 def test_reverse_minkowski_holds():
     rng = np.random.default_rng(43)
     for _ in range(20):

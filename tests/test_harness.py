@@ -84,6 +84,18 @@ def test_explore_embeddings_diagonal():
     assert len(csv.splitlines()) == 21
 
 
+@pytest.mark.parametrize("p, q", [(1.0, 1.0), (0.5, 1.0)])
+@pytest.mark.parametrize("k", [-600, -50, 50, 600])
+def test_explore_embeddings_do_not_depend_on_the_scale_of_f(p, q, k):
+    # the five norms scale by 2^k exactly, so every ratio keeps every bit;
+    # only a zero norm is zero, however small f is
+    corpus = generate(CorpusSpec(generator="random-tree", count=50, seed=11,
+                                 depth=3, max_branching=2,
+                                 block_policy="random-partition", block_param=2))
+    small = [(space, Martingale(space, f.levels * 2.0**k)) for space, f in corpus]
+    assert explore_embeddings(small, p, q).to_csv() == explore_embeddings(corpus, p, q).to_csv()
+
+
 def test_explore_embeddings_off_diagonal():
     corpus = generate(CorpusSpec(generator="dyadic", count=5, seed=3, depth=2,
                                  block_policy="level-cells", block_param=1))
@@ -115,6 +127,13 @@ def test_space_with_non_string_outcomes_round_trips():
     assert back.outcomes == ("1", "2", "3")
     assert back.cells(1) == [["1", "2"], ["3"]] and back.block_cells() == [["1"], ["2", "3"]]
     assert jsonio.canonical_dumps(jsonio.space_to_doc(back)) == jsonio.canonical_dumps(doc)
+
+
+def test_space_whose_outcomes_share_a_string_is_refused_at_the_writer():
+    # 1 and "1" are distinct outcomes, but both would be written as "1"
+    space = FilteredSpace([1, "1"], [0.5, 0.5], [[[1, "1"]], [[1], ["1"]]], [[1, "1"]])
+    with pytest.raises(jsonio.SchemaError, match="^space: distinct outcomes share the string '1'"):
+        jsonio.space_to_doc(space)
 
 
 def test_martingale_round_trip(worked_example):
