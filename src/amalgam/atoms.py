@@ -291,7 +291,8 @@ def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertifi
     for eta, agg in zip(eta_grid, _aggregates(d, eta_grid)):
         # C(eta) * 0 is 0 also where C(eta) is beyond the float range
         budget = margin * ladder_constant(eta) * d.source_norm if d.source_norm else 0.0
-        upper_ok = at_most(agg, budget * (1.0 + SLACK) + SLACK)
-        converse_ok = at_most(d.source_norm, agg * (1.0 + SLACK) + SLACK)
+        # relative slack only: the verdicts are the same at every scale of f
+        upper_ok = at_most(agg, budget * (1.0 + SLACK))
+        converse_ok = at_most(d.source_norm, agg * (1.0 + SLACK))
         entries.append(BoundEntry(eta, agg, budget, upper_ok, converse_ok))
     return BoundsCertificate(d.source_norm, entries)

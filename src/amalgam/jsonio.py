@@ -36,11 +36,15 @@ def canonical_dumps(doc) -> str:
     of containers are walked in Python: each list of scalars, and the
     scalar items of each dict, take one call of the C encoder, whose item
     separator carries the newline and indent.
+
+    A 1-D numpy array is written as its list: a float64 array as its floats, an
+    int64 array as stopping times, with INFINITY as null.  Each distinct value
+    (distinct bits, for floats) is encoded once.
     """
     return _dumps(doc, "") + "\n"
 
 
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
 @functools.cache
@@ -56,6 +60,10 @@ def _dumps(x, pad):
         return _leaf_encoder(pad)(x)
     inner = pad + "  "
     sep = ",\n" + inner
+    if isinstance(x, np.ndarray):
+        if x.ndim != 1 or x.dtype not in (np.float64, np.int64):
+            return _dumps(x.tolist(), pad)
+        return "[\n" + inner + _row(x, inner) + "\n" + pad + "]" if x.size else "[]"
     if isinstance(x, dict):
         scalars = {k: v for k, v in x.items() if not isinstance(v, _CONTAINERS)}
         text = _leaf_encoder(inner)(scalars)[1:-1]
@@ -79,6 +87,19 @@ def _dumps(x, pad):
                 isinstance(v, _CONTAINERS) for v in x):
             return "[\n" + inner + text[1:-1] + "\n" + pad + "]"
     return "[\n" + inner + sep.join(_dumps(v, inner) for v in x) + "\n" + pad + "]" if x else "[]"
+
+
+def _row(x, pad):
+    """The items of a float64 or int64 array at indent ``pad``, one encoder call
+    for its distinct values: a row of atom values holds few."""
+    keys = x.view(np.int64).tolist()
+    distinct = list(dict.fromkeys(keys))
+    values = np.array(distinct, dtype=np.int64).view(x.dtype).tolist()
+    if x.dtype == np.int64:
+        values = [None if t == INFINITY else t for t in values]
+    sep = ",\n" + pad
+    text = dict(zip(distinct, _leaf_encoder(pad)(values)[1:-1].split(sep)))
+    return sep.join(map(text.__getitem__, keys))
 
 
 def _require(doc, key, kind=None, where="document"):
@@ -195,10 +216,6 @@ def function_from_doc(doc, space=None, space_doc=None):
     return space, x
 
 
-def _nu_to_list(nu: StoppingTime | None):
-    return None if nu is None else [None if t == INFINITY else t for t in nu.times.tolist()]
-
-
 def decomposition_to_doc(d: Decomposition) -> dict:
     return {
         "schema": SCHEMA,
@@ -210,8 +227,8 @@ def decomposition_to_doc(d: Decomposition) -> dict:
             {
                 "k": t.k,
                 "lambda": float(t.lam),
-                "nu": _nu_to_list(t.nu),
-                "atom_terminal": t.terminal.tolist(),
+                "nu": t.nu.times,
+                "atom_terminal": t.terminal,
             }
             for t in d.triples
         ],
@@ -285,35 +302,91 @@ def _read(path) -> bytes:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def load_json(path, raw=None):
-    """The document at ``path``, or in its bytes ``raw``, read as UTF-8 text mode reads it."""
+def load_json(path, raw=None, known=None):
+    """The document at ``path``, or in its bytes ``raw``, read as UTF-8 text mode reads it.
+
+    ``known`` maps top-level member names to None or to the (value text, value)
+    pair of an object member read before.  A member written as that text is not
+    decoded again: its value is the pair's value itself.  A name mapped to None
+    gets this document's pair, where that member is an object.  The result and
+    every error are those of ``json.loads``, which reads any text the walk of
+    the members does not follow to its end.
+    """
     try:
         raw = _read(path) if raw is None else raw
-        return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        doc = None if known is None else _walk(text, known)
+        return json.loads(text) if doc is None else doc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
-#: (bytes, f, space document) of the last martingale document load_martingale decoded
+_ws = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder().scan_once
+
+
+def _walk(text, known):
+    """json.loads of an object document, member by member, with ``known`` as
+    load_json takes it; None where the text is not such a document."""
+    doc, spans = {}, {}
+    i, sep = _ws(text).end(), "{"
+    try:
+        while text.startswith(sep, i):
+            key = _ws(text, i + 1).end()
+            name, i = _scan(text, key)
+            i = _ws(text, i).end()
+            if not (text.startswith('"', key) and text.startswith(":", i)):
+                return None
+            start = _ws(text, i + 1).end()
+            pair = known.get(name)
+            if pair is not None and text.startswith(pair[0], start):
+                doc[name], i = pair[1], start + len(pair[0])
+            else:
+                doc[name], i = _scan(text, start)
+            spans[name] = start, i
+            i, sep = _ws(text, i).end(), ","
+    except (StopIteration, json.JSONDecodeError):  # a value the scanner refuses
+        return None
+    if not (doc and text.startswith("}", i) and _ws(text, i + 1).end() == len(text)):
+        return None
+    for name, pair in known.items():
+        if pair is None and isinstance(doc.get(name), dict):
+            known[name] = text[slice(*spans[name])], doc[name]
+    return doc
+
+
+#: (bytes, f, space document, (its text, space document)) of the last martingale
+#: document load_martingale decoded
 _last = None
 
 
 def load_martingale(path):
     """(f, space document) of a martingale file; the same pair when its bytes
     equal those last decoded here.  Otherwise load_json and martingale_from_doc
-    decode them, and the pair, f's arrays read-only, is kept."""
+    decode them, and the pair, f's arrays read-only, is kept with the text of
+    the space member."""
     global _last
     raw = _read(path)
     if _last is not None and _last[0] == raw:
-        return _last[1:]
+        return _last[1:3]
     _last = None
-    doc = load_json(path, raw)
+    known = {"space": None}
+    doc = load_json(path, raw, known)
     f = martingale_from_doc(doc)
     s = f.space
     for a in (f.levels, s.prob, s.cell_labels, s.cell_masses, s.block_labels, *s.level_labels):
         a.flags.writeable = False
-    _last = (raw, f, doc["space"])
-    return _last[1:]
+    _last = (raw, f, doc["space"], known["space"])
+    return _last[1:3]
+
+
+def load_function(path, f):
+    """(space, values) of the function document at ``path``, to pair with ``f``.
+    When f is the martingale load_martingale last returned, a space member equal
+    to f's space document is f's space, and one written as in f's file is not
+    decoded: it is f's space document itself."""
+    kept = _last if _last is not None and _last[1] is f else (None, f, None, None)
+    return function_from_doc(load_json(path, None, {"space": kept[3]}), f.space, kept[2])
 
 
 #: (bytes, space, flavor, defn, p, q, [(k, lambda, nu times, atom terminal)]) of the

@@ -29,6 +29,7 @@ from amalgam import (
 from amalgam.atoms import (
     DEFNS, FLAVORS, atom_statistic, default_r, rung_weight, source_norm_for,
 )
+from amalgam.harness import CorpusSpec, generate
 from amalgam.space import SLACK, at_most, condition_rows, scale_of
 from conftest import random_martingale, random_tree_space, small_martingales
 
@@ -239,6 +240,20 @@ def test_certify_bounds_random_all_variants():
                 d = decompose(f, p, q, flavor=flavor, defn=defn)
                 cert = certify_bounds(d)
                 assert cert.passed, (flavor, defn, p, q, cert.failing_etas())
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-11, 1e-12, 1e-14])
+def test_certify_bounds_fails_an_inflated_decomposition_at_every_scale(scale):
+    # every lambda x50 puts each aggregate 32-37 times over its budget; an
+    # absolute slack once let that pass where f is small
+    (space, f), = generate(CorpusSpec(generator="random-tree", seed=5, depth=3, max_branching=3,
+                                      block_policy="random-partition", block_param=2))
+    d = decompose(Martingale(space, f.levels * scale), 0.5, 1.0)
+    for t in d.triples:
+        t.lam *= 50
+    cert = certify_bounds(d)
+    assert not cert.passed
+    assert all(e.aggregate > 1.5 * e.budget for e in cert.entries[1:])
 
 
 def test_converse_survives_coefficient_inflation():

@@ -41,6 +41,48 @@ def test_canonical_dumps_of_mixed_lists_and_tuples():
         assert jsonio.canonical_dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, math.inf,
+            math.nan]
+
+
+@st.composite
+def _rows(draw):
+    """A float64 row drawn from a few values, so most repeat, or an int64 row of
+    stopping times with INFINITY; of 0, 1 or many entries."""
+    n = draw(st.sampled_from([0, 1, 2, 9, 300]))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.floats() | st.sampled_from(_SPECIAL), min_size=1, max_size=6))
+        dtype = np.float64
+    else:
+        pool = draw(st.lists(st.integers(0, 9) | st.just(INFINITY), min_size=1, max_size=4))
+        dtype = np.int64
+    picks = np.random.default_rng(draw(st.integers(0, 2 ** 16))).integers(0, len(pool), n)
+    return np.array(pool, dtype=dtype)[picks]
+
+
+def _listed(doc):
+    """doc with each row as its list, INFINITY written as None."""
+    if isinstance(doc, np.ndarray):
+        return [None if v == INFINITY and doc.dtype == np.int64 else v for v in doc.tolist()]
+    if isinstance(doc, dict):
+        return {k: _listed(v) for k, v in doc.items()}
+    return [_listed(v) for v in doc] if isinstance(doc, list) else doc
+
+
+@given(st.lists(_rows(), min_size=1, max_size=3), _json_values)
+def test_canonical_dumps_of_rows_is_json_dumps_of_their_lists(rows, other):
+    doc = {"rows": rows, "triple": {"nu": rows[0], "lambda": 0.5, "other": other}}
+    want = json.dumps(_listed(doc), sort_keys=True, indent=2) + "\n"
+    assert jsonio.canonical_dumps(doc) == want
+    assert jsonio.canonical_dumps(rows[0]) == json.dumps(_listed(rows[0]), indent=2) + "\n"
+
+
+def test_rows_that_are_not_1d_float64_or_int64_are_written_as_their_lists():
+    for row in (np.array([[0.5, -0.0], [1.0, 0.5]]), np.array([1, 2], dtype=np.int32),
+                np.array([True, False]), np.array([0.5, 0.25], dtype=">f8")):
+        assert jsonio.canonical_dumps({"r": row}) == json.dumps({"r": row.tolist()}, indent=2) + "\n"
+
+
 # -- malformed spaces --------------------------------------------------------------
 
 _GOOD = {"filtration": [[["a", "b", "c"]], [["a", "b"], ["c"]]], "blocks": [["a", "b", "c"]]}
@@ -554,6 +596,143 @@ def test_remembered_arrays_are_read_only(tmp_path):
                   f.space.cell_masses):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+# -- g's space member, written as in f's file, is f's space document ------------
+
+
+def _read(data, known=None):
+    """What load_json makes of ``data``: the document as JSON text, or the error."""
+    try:
+        return json.dumps(jsonio.load_json("doc.json", data, known))
+    except jsonio.SchemaError as exc:
+        return str(exc)
+
+
+@given(st.dictionaries(_text, _json_values, max_size=3), _json_values,
+       st.sampled_from([None, 0, 2]), st.sampled_from(["", "cut", "x", ",", "}", "\ufeff", " "]),
+       st.data())
+def test_member_walk_reads_every_text_as_json_loads(members, space, indent, edit, data):
+    # f's object member "space" is kept with its text, then g's text is read with it
+    f_text = json.dumps({**members, "space": {"v": space}}, indent=indent)
+    known = {"space": None}
+    assert _read(f_text.encode(), known) == _read(f_text.encode())
+    assert json.dumps(known["space"][1]) == json.dumps({"v": space})
+    g_text = json.dumps({"space": {"v": space}, **members, "values": [0.5]}, indent=indent)
+    i = data.draw(st.integers(0, len(g_text)))
+    text = g_text[:i] + (g_text[i:] if edit == "cut" else edit + g_text[i:])
+    assert _read(text.encode(), dict(known)) == _read(text.encode())
+
+
+def _g_texts():
+    """(f's document, g's text, g's space member text) on _dyadic3, written canonically."""
+    doc = _worked_doc()
+    g = jsonio.function_to_doc(_dyadic3(), [1.0, -1.0, 2.0, -2.0, 0.0, 0.0, 3.0, -3.0])
+    member = jsonio.canonical_dumps({"space": doc["space"]})[len('{\n  "space": '):-len("\n}\n")]
+    return doc, jsonio.canonical_dumps(g), member
+
+
+def test_g_space_written_as_in_f_is_f_space_document(tmp_path):
+    doc, g_text, member = _g_texts()
+    assert f'"space": {member},' in g_text
+    mp, gp = str(tmp_path / "mart.json"), tmp_path / "g.json"
+    jsonio.dump_json(doc, mp)
+    gp.write_text(g_text, encoding="utf-8")
+    f, space_doc = jsonio.load_martingale(mp)
+    assert jsonio._last[3] == (member, space_doc)
+    got = jsonio.load_json(str(gp), None, {"space": jsonio._last[3]})
+    assert got["space"] is space_doc and got == json.loads(g_text)
+    space, _ = jsonio.load_function(str(gp), f)
+    assert space is f.space
+
+
+@pytest.mark.parametrize("fault", ["garbage", "bom", "cut in the space", "cut after the space",
+                                   "cut before the brace", "trailing comma", "no colon",
+                                   "bare name"])
+def test_g_with_a_copy_of_f_space_and_a_fault_is_refused_as_json_loads_refuses_it(
+        tmp_path, capsys, fault):
+    doc, g_text, member = _g_texts()
+    end = g_text.index(member) + len(member)
+    text = {"garbage": g_text + "x",
+            "bom": "\ufeff" + g_text,
+            "cut in the space": g_text[:end - 30],
+            "cut after the space": g_text[:end],
+            "cut before the brace": g_text.rstrip()[:-1],
+            "trailing comma": g_text.rstrip()[:-1] + ",}",
+            "no colon": g_text.replace('"values":', '"values"'),
+            "bare name": g_text.replace('"values":', "values:")}[fault]
+    mp, gp = str(tmp_path / "mart.json"), tmp_path / "g.json"
+    jsonio.dump_json(doc, mp)
+    gp.write_bytes(text.encode("utf-8"))
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    argv = ["duality", "--input", mp, "--g", str(gp), "--p", "0.5", "--q", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {gp}: invalid JSON at line {want.value.lineno}, column {want.value.colno}\n")
+
+
+def _duality_of(tmp_path, doc, g_text):
+    mp, gp = str(tmp_path / "mart.json"), tmp_path / "g.json"
+    jsonio.dump_json(doc, mp)
+    gp.write_text(g_text, encoding="utf-8")
+    return main(["duality", "--input", mp, "--g", str(gp), "--p", "0.5", "--q", "1"])
+
+
+@pytest.mark.parametrize("order", ["f's last", "f's first"])
+def test_g_with_two_space_members_keeps_the_last(tmp_path, monkeypatch, capsys, order):
+    doc, g_text, member = _g_texts()
+    assert _duality_of(tmp_path, doc, g_text) == 0
+    want = capsys.readouterr()
+    tilted = jsonio.space_to_doc(_dyadic3())
+    tilted["prob"] = [0.0625, 0.1875] + [0.125] * 6
+    other = jsonio.canonical_dumps(tilted)[:-1].replace("\n", "\n  ")
+    pair = [member, other] if order == "f's first" else [other, member]
+    text = g_text.replace(f'"space": {member},', '"space": {},\n  "space": {},'.format(*pair))
+    assert json.loads(text)["space"] == json.loads(pair[1])
+    monkeypatch.setattr(jsonio, "_last", None)
+    code = _duality_of(tmp_path, doc, text)
+    if order == "f's last":
+        assert (code, capsys.readouterr()) == (0, want)
+    else:
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: martingale and function live on different spaces\n")
+
+
+@pytest.mark.parametrize("written", ["compact", "reordered", "tilted"])
+def test_g_space_written_otherwise_is_decoded_and_compared(tmp_path, monkeypatch, capsys,
+                                                           written):
+    doc, g_text, member = _g_texts()
+    assert _duality_of(tmp_path, doc, g_text) == 0
+    want = capsys.readouterr()
+    space_doc = json.loads(member)
+    if written == "compact":
+        other = json.dumps(space_doc)
+    else:
+        if written == "reordered":
+            space_doc["filtration"][3].reverse()
+        else:
+            space_doc["prob"] = [0.0625, 0.1875] + [0.125] * 6
+        other = jsonio.canonical_dumps(space_doc)[:-1].replace("\n", "\n  ")
+    text = g_text.replace(member, other)
+    calls = []
+
+    def counted(space_doc):
+        calls.append(space_doc)
+        return decode(space_doc)
+
+    decode = jsonio.space_from_doc
+    monkeypatch.setattr(jsonio, "space_from_doc", counted)
+    monkeypatch.setattr(jsonio, "_last", None)
+    code = _duality_of(tmp_path, doc, text)
+    assert len(calls) == (1 if written == "compact" else 2)
+    if written == "tilted":
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: martingale and function live on different spaces\n")
+    else:
+        assert (code, capsys.readouterr()) == (0, want)
 
 
 # -- no decode of the decomposition document this process wrote ------------------

@@ -22,7 +22,11 @@ from amalgam import (
     stop,
     verify_atom,
 )
+from amalgam import duality
+from amalgam.atoms import ladder_constant
 from amalgam.duality import _masses, oscillation
+from amalgam.harness import CorpusSpec, generate
+from amalgam.martingale import Martingale
 from amalgam.norms import lpq_norm, lq_aggregate
 from amalgam.space import binary_exponent
 from amalgam.martingale import (
@@ -201,6 +205,20 @@ def test_certify_duality_worked_example_range():
             assert cert.second_gap >= -1e-9
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9])
+def test_certify_duality_fails_a_short_budget_at_every_scale(monkeypatch, scale):
+    # a chain constant 1000 times too small leaves the atom-wise bound 23 times
+    # over budget; a slack floored at 1 once let that pass where f and g are small
+    (space, f), = generate(CorpusSpec(generator="random-tree", seed=5, depth=3, max_branching=3,
+                                      block_policy="random-partition", block_param=2))
+    g = np.random.default_rng(0).standard_normal(space.size)
+    g -= float(space.prob @ g)
+    monkeypatch.setattr(duality, "ladder_constant", lambda eta: ladder_constant(eta) / 1000)
+    cert = certify_duality(Martingale(space, f.levels * scale), g * scale, 0.5, 1.0)
+    assert cert.atomwise_bound > 20 * cert.budget
+    assert not cert.chain_ok
+
+
 def test_certify_duality_exact_mode_small_space(coin):
     space, f = coin
     cert = certify_duality(f, [1.0, -1.0], 1.0, 1.0, mode="exact")
@@ -259,6 +277,20 @@ def test_representer_verdicts_do_not_depend_on_the_scale_of_its_pairs():
             assert np.array_equal(representer(space, scaled_pairs), want), k
             with pytest.raises(SpaceError, match="inconsistent"):
                 representer(space, scaled_pairs + [(pairs[0][0] * c, (pairs[0][1] + 1) * c)])
+
+
+@pytest.mark.parametrize("k", [0, -20, -30, -40, -600, 600])
+def test_representer_refuses_a_contradiction_when_only_the_values_are_scaled(dyadic2, k):
+    # x fixed and every value times 2^k: a pair doubling the first value is
+    # refused at every k, as the residual is weighed against max|value|
+    g = np.array([1.0, -2.0, 3.0, -2.0])
+    g -= float(dyadic2.prob @ g)
+    pairs = [(x, float(dyadic2.prob @ (x * g))) for x in np.eye(4)]
+    want = np.ldexp(representer(dyadic2, pairs), k)
+    pairs = [(x, math.ldexp(v, k)) for x, v in pairs]
+    assert np.array_equal(representer(dyadic2, pairs), want)
+    with pytest.raises(SpaceError, match="inconsistent"):
+        representer(dyadic2, pairs + [(pairs[0][0], 2 * pairs[0][1])])
 
 
 def test_reverse_minkowski_holds():

@@ -254,6 +254,20 @@ def test_cli_verify_detects_tampered_lambda(tmp_path, worked_example, capsys):
     assert report["reconstruction"]["max_residual"] > 0.1
 
 
+@pytest.mark.parametrize("k", [0, -40, -600])
+def test_cli_verify_weighs_the_reconstruction_at_the_scale_of_f(tmp_path, worked_example, k):
+    # one lambda off by 2^-10 of itself; a slack floored at 1 once let that pass for small f
+    space, f = worked_example
+    mp = _write_martingale(tmp_path, Martingale(space, np.ldexp(f.levels, k)))
+    dp, out = str(tmp_path / "dec.json"), str(tmp_path / "report.json")
+    assert main(["decompose", "--input", mp, "--p", "2", "--q", "2", "--output", dp]) == 0
+    doc = jsonio.load_json(dp)
+    doc["triples"][0]["lambda"] *= 1 + 2.0 ** -10
+    jsonio.dump_json(doc, dp)
+    assert main(["verify", "--input", mp, "--decomposition", dp, "--output", out]) == 1
+    assert not jsonio.load_json(out)["reconstruction"]["ok"]
+
+
 def test_cli_verify_detects_tampered_atom(tmp_path, worked_example):
     _, f = worked_example
     mp = _write_martingale(tmp_path, f)
