@@ -37,9 +37,9 @@ def canonical_dumps(doc) -> str:
     scalar items of each dict, take one call of the C encoder, whose item
     separator carries the newline and indent.
 
-    A 1-D numpy array is written as its list: a float64 array as its floats, an
-    int64 array as stopping times, with INFINITY as null.  Each distinct value
-    (distinct bits, for floats) is encoded once.
+    A numpy array is written as its list, a 1-D int64 array as stopping times
+    with INFINITY as null.  A 1-D float64 array has each distinct value
+    encoded once.
     """
     return _dumps(doc, "") + "\n"
 
@@ -61,9 +61,11 @@ def _dumps(x, pad):
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(x, np.ndarray):
-        if x.ndim != 1 or x.dtype not in (np.float64, np.int64):
-            return _dumps(x.tolist(), pad)
-        return "[\n" + inner + _row(x, inner) + "\n" + pad + "]" if x.size else "[]"
+        if x.dtype == np.float64 and x.ndim == 1 and x.size:
+            return "[\n" + inner + _floats(x, inner) + "\n" + pad + "]"
+        # an int64 row is stopping times; any other array is its list
+        one_d = x.ndim == 1 and x.dtype == np.int64
+        x = [None if t == INFINITY else t for t in x.tolist()] if one_d else x.tolist()
     if isinstance(x, dict):
         scalars = {k: v for k, v in x.items() if not isinstance(v, _CONTAINERS)}
         text = _leaf_encoder(inner)(scalars)[1:-1]
@@ -89,16 +91,14 @@ def _dumps(x, pad):
     return "[\n" + inner + sep.join(_dumps(v, inner) for v in x) + "\n" + pad + "]" if x else "[]"
 
 
-def _row(x, pad):
-    """The items of a float64 or int64 array at indent ``pad``, one encoder call
-    for its distinct values: a row of atom values holds few."""
+def _floats(x, pad):
+    """The items of a float64 row at indent ``pad``, one encoder call for its
+    distinct values (by bits, so -0.0 stays apart): a row of atom values holds
+    few.  An int's repr costs less than the lookups, so int rows take none."""
     keys = x.view(np.int64).tolist()
-    distinct = list(dict.fromkeys(keys))
-    values = np.array(distinct, dtype=np.int64).view(x.dtype).tolist()
-    if x.dtype == np.int64:
-        values = [None if t == INFINITY else t for t in values]
+    distinct = dict(zip(keys, x.tolist()))
     sep = ",\n" + pad
-    text = dict(zip(distinct, _leaf_encoder(pad)(values)[1:-1].split(sep)))
+    text = dict(zip(distinct, _leaf_encoder(pad)(list(distinct.values()))[1:-1].split(sep)))
     return sep.join(map(text.__getitem__, keys))
 
 
