@@ -93,6 +93,7 @@ def _dumps(x, pad):
 
 #: float rows shorter than this are encoded whole: an 8-entry row with half its
 #: values repeated writes 9 % slower through the memo, a 16-entry one 3 % faster
+#: (CPython 3.11, numpy 2.4, 2-vCPU x86-64 host)
 _MEMO_MIN = 16
 
 
