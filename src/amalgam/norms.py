@@ -47,13 +47,14 @@ def lpq_norm(space: FilteredSpace, values, p, q) -> float:
 def _blocked_norm(space, labels, n_blocks, values, p, q) -> float:
     """lpq_norm over the partition ``labels`` of the outcomes.
 
-    The norm is homogeneous, so the direct branch takes it of g / 2^e with
-    max|g| / 2^e in (1/2, 1] and scales back: no power overflows.
+    The norm is homogeneous, so both branches take it of g / 2^e with
+    max|g| / 2^e in (1/2, 1] and scale back: no power overflows, and g * 2^k
+    gives the norm times 2^k to the bit.
     """
     g = np.abs(space.rv(values))
-    top = float(g.max())
-    if top == 0.0:
+    if float(g.max()) == 0.0:
         return 0.0
+    g, e = scaled(g)
     if p < _LOG_SPACE_CUTOFF:
         # g^p rounds to 1 and loses the answer; with m_j the block maximum,
         # int_j g^p = m_j^p P_j (1 + sum P expm1(p log(g / m_j)) / P_j)
@@ -67,8 +68,7 @@ def _blocked_norm(space, labels, n_blocks, values, p, q) -> float:
         pos = mass > 0.0
         logs[pos] = (p * np.log(peak[pos]) + np.log(mass[pos])
                      + np.log1p(excess[pos] / mass[pos]))
-        return float(lq_aggregate(None, p, q, logs[None])[0])
-    g, e = scaled(g)
+        return float(times_pow2(lq_aggregate(None, p, q, logs[None])[0], e))
     integrals = _kernels.cell_sums(labels, n_blocks, space.prob * g ** p)
     return float(times_pow2(lq_aggregate(integrals[None], p, q)[0], e))
 

@@ -84,7 +84,7 @@ def test_explore_embeddings_diagonal():
     assert len(csv.splitlines()) == 21
 
 
-@pytest.mark.parametrize("p, q", [(1.0, 1.0), (0.5, 1.0)])
+@pytest.mark.parametrize("p, q", [(1.0, 1.0), (0.5, 1.0), (0.05, 0.05), (0.05, 1.0)])
 @pytest.mark.parametrize("k", [-600, -50, 50, 600])
 def test_explore_embeddings_do_not_depend_on_the_scale_of_f(p, q, k):
     # the five norms scale by 2^k exactly, so every ratio keeps every bit;
