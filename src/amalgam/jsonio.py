@@ -8,7 +8,6 @@ diff cleanly.  Stopping-time infinity is encoded as JSON null.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import io
 import json
@@ -245,7 +244,9 @@ def certificate_to_doc(cert: BoundsCertificate) -> dict:
     """Source norm and per-eta entries of a two-sided bound certificate."""
     return {
         "source_norm": cert.source_norm,
-        "entries": [dataclasses.asdict(e) for e in cert.entries],
+        "entries": [{"eta": e.eta, "aggregate": e.aggregate, "budget": e.budget,
+                     "upper_ok": e.upper_ok, "converse_ok": e.converse_ok}
+                    for e in cert.entries],
     }
 
 
