@@ -193,9 +193,15 @@ def _threshold_time(space, stat_rows, threshold) -> StoppingTime:
 
 
 def _threshold_times(stat_rows, thresholds) -> np.ndarray:
-    """Row i: the first n whose statistic exceeds thresholds[i], else infinity."""
-    exceeded = stat_rows[None] > np.asarray(thresholds, dtype=np.float64)[:, None, None]
-    return np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), INFINITY)
+    """Row i: the first n whose statistic exceeds thresholds[i], else infinity.
+
+    Every column of ``stat_rows`` must be non-decreasing in n, as every
+    _ladder_statistic is: then the rows exceeding a threshold are the last
+    ones, and the first of them is the count of rows at or under it.
+    """
+    under = stat_rows[None] <= np.asarray(thresholds, dtype=np.float64)[:, None, None]
+    first = np.count_nonzero(under, axis=1)
+    return np.where(first == len(stat_rows), INFINITY, first)
 
 
 def ladder_window(stat_rows):
@@ -221,6 +227,8 @@ def ladder_window(stat_rows):
 
 def ladder_times(stat_rows):
     """(ks, times): the window's rungs k_min..k_max+1 and their (K+1, M) times.
+
+    Each column of ``stat_rows`` is non-decreasing in n, as _threshold_times needs.
 
     Every rung comes from one comparison; the top rung, and one whose 2^k
     is beyond the float range, never stops.  With no window, ks is empty

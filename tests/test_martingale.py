@@ -23,7 +23,9 @@ from amalgam import (
     quadratic_variation_partial,
     stop,
 )
-from amalgam.martingale import _ladder_statistic, dominates, ladder_window, stopped
+from amalgam.martingale import (
+    _ladder_statistic, _threshold_times, dominates, ladder_window, stopped,
+)
 from amalgam.space import (
     SLACK,
     TOL,
@@ -383,3 +385,38 @@ def test_envelope_validation_rejects_bad_shapes(coin):
         PredictorEnvelope(eight, [[1] * 8, [1] * 7 + [2], [2] * 7 + [3], [3] * 8], "S")
     # admissible, but too small to dominate |f_1| = 1 from level 0
     assert not dominates(PredictorEnvelope(space, [[0.5, 0.5], [2, 2]], "star"), f)
+
+
+def _first_exceedance(stat_rows, thresholds):
+    """_threshold_times as an any/argmax over every row: an oracle that needs
+    no monotone columns."""
+    exceeded = stat_rows[None] > np.asarray(thresholds, dtype=np.float64)[:, None, None]
+    return np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), INFINITY)
+
+
+@given(small_martingales(max_outcomes=8, random_weights=True, max_blocks=2),
+       st.lists(st.floats(-1e4, 1e4), max_size=4))
+def test_threshold_times_by_counting_are_the_first_exceedances(case, extra):
+    space, f = case
+    for flavor in ("s", "S", "star"):
+        stat = _ladder_statistic(f, flavor)
+        # the ladder's own thresholds, each value of the statistic, and a few drawn
+        window = ladder_window(stat)
+        ks = [] if window is None else range(window[0], window[1] + 2)
+        thresholds = [2.0 ** k for k in ks] + stat.ravel().tolist() + extra
+        got = _threshold_times(stat, thresholds)
+        assert got.dtype == np.int64
+        assert got.tolist() == _first_exceedance(stat, thresholds).tolist()
+
+
+_extended = st.floats(allow_nan=False, width=64)
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_threshold_times_by_counting_face_infinities(rows, cols, data):
+    # any non-decreasing columns, inf among them, against infinite thresholds too
+    stat = np.sort(np.array(data.draw(st.lists(_extended, min_size=rows * cols,
+                                               max_size=rows * cols))).reshape(rows, cols), axis=0)
+    thresholds = data.draw(st.lists(st.one_of(_extended, st.sampled_from([-np.inf, np.inf])),
+                                    min_size=1, max_size=4))
+    assert _threshold_times(stat, thresholds).tolist() == _first_exceedance(stat, thresholds).tolist()
