@@ -11,7 +11,7 @@ certified lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class CampanatoResult:
     attaining_nu: StoppingTime | None
     mode: str  # "exact-enumeration" or "heuristic-family"
     candidates_examined: int
+    #: sqrt(A) = ||(g - g_nu) 1_B||_2 of each extra candidate, in the order given
+    extra_l2: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 # -- batched scoring -----------------------------------------------------------
@@ -124,11 +126,16 @@ class _Supremum:
         self.times = tied[np.lexsort(tied.T[::-1])[0]]
 
     def add_stack(self, times):
-        """Score an int64 (rows, M) stack of times in blocks of at most _BLOCK_ELEMS elements."""
+        """Score an int64 (rows, M) stack of times in blocks of at most
+        _BLOCK_ELEMS elements; returns the A of each row."""
         per = max(1, _BLOCK_ELEMS // self.space.size)
+        a = [np.zeros(0)]
         for start in range(0, len(times), per):
             block = times[start:start + per]
-            self._fold(*_row_sums(self.space, self.levels, self.g, block), block.__getitem__)
+            sums = _row_sums(self.space, self.levels, self.g, block)
+            self._fold(*sums, block.__getitem__)
+            a.append(sums[0])
+        return np.concatenate(a)
 
     def add_cells(self):
         """Score every cell first-entry time, all levels in one pass.
@@ -209,8 +216,9 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
 
     The heuristic family is every cell first-entry time, scored for all
     cells at once, and the distinct ladder rungs that are no such time.
-    ``extra_candidates`` are scored as given, repeats included.  The count
-    of candidates examined leaves out those with an empty B.
+    ``extra_candidates`` are scored as given, repeats included, in one stack
+    with those rungs; the result keeps each one's sqrt(A).  The count of
+    candidates examined leaves out those with an empty B.
     ``gm``, if given, is g's martingale ``from_terminal(space, g)``.
     """
     _check_exponent("p", p)
@@ -233,13 +241,16 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
             actual = "exact-enumeration"
         except EnumerationOverflow:
             pass
+    extra = np.array([nu.times for nu in extra_candidates], dtype=np.int64).reshape(-1, space.size)
+    stack = extra
     if actual == "heuristic-family":
         sup.add_cells()
-        sup.add_stack(_ladder_rows(space, gm))
-    extra = np.array([nu.times for nu in extra_candidates], dtype=np.int64)
-    sup.add_stack(extra.reshape(-1, space.size))
+        stack = np.vstack([_ladder_rows(space, gm), extra])
+    # the winner does not depend on the order of the rows
+    a = sup.add_stack(stack)[len(stack) - len(extra):]
     value = float(times_pow2(sup.value, e))
-    return CampanatoResult(value, sup.winner(), actual, sup.examined)
+    return CampanatoResult(value, sup.winner(), actual, sup.examined,
+                           times_pow2(np.sqrt(a), e))
 
 
 def pairing(f: Martingale, g) -> float:
@@ -279,17 +290,13 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", cap=10**6) -> Dual
     d = decompose(f, p, q, flavor="s", defn="simple")
     lhs = abs(pairing(f, g))
 
-    atomwise = 0.0
-    small, levels, e = _scaled(g, gm)
-    # one stack of all rungs: the decomposition already holds an (M,) atom per rung
-    ladder = np.array([t.nu.times for t in d.triples], dtype=np.int64).reshape(-1, space.size)
-    a = _row_sums(space, levels, small, ladder)[0]
-    for t, a_k in zip(d.triples, a):
-        a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
-        atomwise += t.lam * a_l2 * float(times_pow2(math.sqrt(a_k), e))
-
+    # the rungs are scored as candidates, and each one's sqrt(A) comes back
     camp = campanato_norm(space, g, p, q, mode=mode, cap=cap,
                           extra_candidates=[t.nu for t in d.triples], gm=gm)
+    atomwise = 0.0
+    for t, osc in zip(d.triples, camp.extra_l2):
+        a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
+        atomwise += t.lam * a_l2 * float(osc)
     const = ladder_constant(1.0)
     budget = const * d.source_norm * camp.norm_value
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from amalgam import (
     INFINITY,
@@ -28,14 +28,14 @@ from amalgam.duality import _masses, oscillation
 from amalgam.harness import CorpusSpec, generate
 from amalgam.martingale import Martingale
 from amalgam.norms import lpq_norm, lq_aggregate
-from amalgam.space import binary_exponent
+from amalgam.space import binary_exponent, stopping_time_blocks, times_pow2
 from amalgam.martingale import (
     _ladder_statistic,
     _threshold_time,
     ladder_window,
     minimal_envelope,
 )
-from conftest import centred, random_martingale, random_tree_space, small_trees
+from conftest import centred, random_martingale, random_tree_space, small_martingales, small_trees
 
 
 @pytest.mark.parametrize("p, q", [(-1.0, 1.0), (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
@@ -228,6 +228,53 @@ def test_certify_duality_exact_mode_small_space(coin):
     assert cert.pairing_abs == pytest.approx(1.0)
     assert cert.hardy_norm == pytest.approx(1.0)
     assert cert.campanato.norm_value == pytest.approx(1.0)
+
+
+def _certify_with_rungs_apart(f, g, p, q, mode, cap):
+    """(atom-wise bound, Campanato value, attaining times, route, candidates
+    examined) as certify_duality found them when it summed f's rungs for the
+    bound and then scored them in a stack of their own: an oracle."""
+    space = f.space
+    gm = from_terminal(space, g)
+    d = decompose(f, p, q, flavor="s", defn="simple")
+    small, levels, e = duality._scaled(g, gm)
+    ladder = np.array([t.nu.times for t in d.triples], dtype=np.int64).reshape(-1, space.size)
+    atomwise = 0.0
+    for t, a_k in zip(d.triples, duality._row_sums(space, levels, small, ladder)[0]):
+        a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
+        atomwise += t.lam * a_l2 * float(times_pow2(math.sqrt(a_k), e))
+    sup = duality._Supremum(space, small, levels, p, q)
+    route = "heuristic-family"
+    if mode == "exact" and count_stopping_times(space) <= cap:
+        for block in stopping_time_blocks(space, cap):
+            sup.add_stack(block)
+        route = "exact-enumeration"
+    if route == "heuristic-family":
+        sup.add_cells()
+        sup.add_stack(duality._ladder_rows(space, gm))
+    sup.add_stack(ladder)
+    return atomwise, float(times_pow2(sup.value, e)), sup.times, route, sup.examined
+
+
+@settings(max_examples=100)
+@given(small_martingales(max_outcomes=12, random_weights=True, max_blocks=3), st.data())
+def test_certify_duality_scores_each_rung_once_as_it_scored_them_apart(case, data):
+    space, f = case
+    g = centred(space, np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=space.size,
+                                                   max_size=space.size))))
+    p, q = data.draw(st.sampled_from([(0.5, 1.0), (0.75, 0.75), (0.25, 0.5), (0.05, 0.5),
+                                      (1.0, 1.0)]))
+    for mode in ("heuristic", "exact"):
+        cert = certify_duality(f, g, p, q, mode=mode, cap=ORACLE_CAP)
+        atomwise, value, times, route, examined = _certify_with_rungs_apart(
+            f, g, p, q, mode, ORACLE_CAP)
+        camp = cert.campanato
+        assert (cert.atomwise_bound, camp.norm_value, camp.mode, camp.candidates_examined) == (
+            atomwise, value, route, examined)
+        if times is None:
+            assert camp.attaining_nu is None
+        else:
+            assert camp.attaining_nu.times.tolist() == times.tolist()
 
 
 def test_certify_duality_rejects_out_of_range(worked_example):
