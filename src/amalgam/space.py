@@ -10,6 +10,7 @@ functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -134,24 +135,28 @@ class FilteredSpace:
 
         if not filtration:
             raise SpaceError("filtration must have at least one level")
-        self.level_labels = []
-        self.level_sizes = []
-        for n, part in enumerate(filtration):
-            labels, count = self._partition_labels(part, f"filtration level {n}")
-            self.level_labels.append(labels)
-            self.level_sizes.append(count)
-        if self.level_sizes[0] != 1:
+        parts = [*filtration, blocks]
+        labels, counts = self._label_rows(parts)
+        depth = len(parts) - 2
+        if len(counts) <= depth:
+            n = len(counts)
+            raise SpaceError(f"filtration level {n}: {self._partition_fault(parts[n])}")
+        if counts[0] != 1:
             raise SpaceError("partition 0 must be the trivial partition")
+        self.level_sizes = counts[:depth + 1]
         self.cell_offsets = np.cumsum([0] + self.level_sizes)
-        self.cell_labels = np.stack(self.level_labels) + self.cell_offsets[:-1, None]
+        self.cell_labels = labels[:depth + 1]
         # partition n+1 refines partition n: coarse labels constant on fine cells
         refines = _constant_on_cells(self.cell_labels[1:], self.cell_offsets[-1],
                                      self.cell_labels[:-1])
         if not refines.all():
             n = int(refines.argmin())
             raise SpaceError(f"partition {n + 1} does not refine partition {n}")
-
-        self.block_labels, self.n_blocks = self._partition_labels(blocks, "blocks")
+        if len(counts) == depth + 1:
+            raise SpaceError(f"blocks: {self._partition_fault(blocks)}")
+        self.level_labels = list(self.cell_labels - self.cell_offsets[:-1, None])
+        self.block_labels = labels[-1] - self.cell_offsets[-1]
+        self.n_blocks = counts[-1]
 
         # the cells of all levels are summed in one pass; every conditioning
         # call reads the cached masses
@@ -160,27 +165,48 @@ class FilteredSpace:
 
     # -- construction helpers -------------------------------------------
 
-    def _partition_labels(self, cells, what):
-        """Cell id of every outcome, and the cell count, in one pass.
+    def _label_rows(self, partitions):
+        """(labels, counts) of the partitions up to the first that is no
+        partition of the outcomes, all in one pass.
 
-        With every cell non-empty and exactly M known members, covering the
-        outcome set means no outcome is in two cells.
+        Row i of the int64 labels is the cell of every outcome in
+        partitions[i], the cells of all partitions numbered on in order, and
+        counts[i] is its cell count.
+
+        A partition whose cells, read in order, list the outcomes in outcome
+        order is labelled by its cell sizes alone, with no name lookup; any
+        other takes one index pass.  With every cell non-empty and exactly M
+        known members, covering the outcome set means no outcome is in two
+        cells.
         """
-        try:
-            sizes = [len(cell) for cell in cells]
-            index = self.index
-            members = [index[o] for cell in cells for o in cell]
-        except (KeyError, TypeError):
-            members = None
-        if members is not None and len(members) == self.size and 0 not in sizes:
-            labels = np.full(self.size, -1, dtype=np.int64)
-            labels[members] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-            if np.all(labels >= 0):
-                return labels, len(sizes)
-        raise SpaceError(f"{what}: {self._partition_fault(cells)}")
+        order, index, m = list(self.outcomes), self.index, self.size
+        sizes, counts, scattered = [], [], []
+        for cells in partitions:
+            try:
+                lens = list(map(len, cells))
+                flat = list(itertools.chain.from_iterable(cells))
+                members = None if flat == order else list(map(index.__getitem__, flat))
+            except (KeyError, TypeError, ValueError):  # ValueError: an array member's ==
+                break
+            if len(flat) != m or 0 in lens:
+                break
+            if members is not None:
+                scattered.append((len(counts), members))
+            sizes += lens
+            counts.append(len(lens))
+        # a row lists its members' cells in member order: outcome order but
+        # where the members were scattered
+        labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes).reshape(-1, m)
+        for i, members in scattered:
+            row = np.full(m, -1, dtype=np.int64)
+            row[members] = labels[i]
+            if not np.all(row >= 0):
+                return labels[:i], counts[:i]
+            labels[i] = row
+        return labels, counts
 
     def _partition_fault(self, cells):
-        """The first fault met in cell order: what _partition_labels rejects."""
+        """The first fault met in cell order: what _label_rows rejects."""
         seen = set()
         for cell in cells:
             if not cell:

@@ -368,3 +368,132 @@ def test_enumerated_times_are_valid():
     space = random_tree_space(rng, depth=2, branching=3)
     for nu in enumerate_stopping_times(space):
         StoppingTime(space, nu.times)  # validates level sets
+
+
+# -- one-pass labels ---------------------------------------------------------------
+
+
+def _per_partition_labels(space, cells, what):
+    """The labels of one partition as FilteredSpace built them one partition
+    at a time, before every partition was labelled in one pass: an oracle."""
+    try:
+        sizes = [len(cell) for cell in cells]
+        index = space.index
+        members = [index[o] for cell in cells for o in cell]
+    except (KeyError, TypeError):
+        members = None
+    if members is not None and len(members) == space.size and 0 not in sizes:
+        labels = np.full(space.size, -1, dtype=np.int64)
+        labels[members] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        if np.all(labels >= 0):
+            return labels, len(sizes)
+    raise SpaceError(f"{what}: {space._partition_fault(cells)}")
+
+
+def _per_level_labels(space, filtration, blocks):
+    """(level labels, level sizes, block labels, block count) of the per-level
+    loop and its checks, in their order, or the SpaceError it raised.  ``space``
+    lends its outcome index."""
+    level_labels, level_sizes = [], []
+    for n, part in enumerate(filtration):
+        labels, count = _per_partition_labels(space, part, f"filtration level {n}")
+        level_labels.append(labels)
+        level_sizes.append(count)
+    if level_sizes[0] != 1:
+        raise SpaceError("partition 0 must be the trivial partition")
+    offsets = np.cumsum([0] + level_sizes)
+    cell_labels = np.stack(level_labels) + offsets[:-1, None]
+    refines = _constant_on_cells(cell_labels[1:], offsets[-1], cell_labels[:-1])
+    if not refines.all():
+        n = int(refines.argmin())
+        raise SpaceError(f"partition {n + 1} does not refine partition {n}")
+    return level_labels, level_sizes, *_per_partition_labels(space, blocks, "blocks")
+
+
+@st.composite
+def _laid_out(draw):
+    """(space, filtration, blocks): a space's partitions with their cells in
+    order, the cells shuffled, or the members shuffled within their cells."""
+    space = draw(small_trees(max_outcomes=8, max_blocks=3))
+    parts = [space.cells(n) for n in range(space.depth + 1)] + [space.block_cells()]
+    rnd = draw(st.randoms(use_true_random=False))
+    layout = draw(st.sampled_from(["in order", "cells shuffled", "members shuffled"]))
+    for cells in parts:
+        if layout == "cells shuffled":
+            rnd.shuffle(cells)
+        elif layout == "members shuffled":
+            for cell in cells:
+                rnd.shuffle(cell)
+    return space, parts[:-1], parts[-1]
+
+
+def _built_or_refused(build):
+    try:
+        return build()
+    except SpaceError as exc:
+        return str(exc)
+
+
+@given(_laid_out())
+def test_one_pass_labels_are_the_per_level_labels(case):
+    space, filtration, blocks = case
+    got = FilteredSpace(space.outcomes, space.prob, filtration, blocks)
+    levels, sizes, block_labels, n_blocks = _per_level_labels(space, filtration, blocks)
+    assert [x.tolist() for x in got.level_labels] == [x.tolist() for x in levels]
+    assert got.level_sizes == sizes
+    assert got.block_labels.tolist() == block_labels.tolist()
+    assert got.n_blocks == n_blocks
+    offsets = np.cumsum([0] + sizes)
+    assert got.cell_offsets.tolist() == offsets.tolist()
+    assert got.cell_labels.tolist() == (np.stack(levels) + offsets[:-1, None]).tolist()
+
+
+#: ways to break one partition: each gives a fault, or a partition that
+#: may not refine its coarser level
+_FAULTS = ("drop", "repeat", "swap", "unknown", "empty cell", "unhashable", "array", "split")
+
+
+def _break(cells, fault, rnd):
+    cells = [list(cell) for cell in cells]
+    cell = rnd.choice(cells)
+    i = rnd.randrange(len(cell))
+    if fault == "drop":
+        del cell[i]
+    elif fault == "repeat":  # a member of some cell in place of another
+        cell[i] = rnd.choice(rnd.choice(cells))
+    elif fault == "swap":  # two members trade cells: still a partition
+        other = rnd.choice(cells)
+        j = rnd.randrange(len(other))
+        cell[i], other[j] = other[j], cell[i]
+    elif fault == "unknown":
+        cell[i] = "zz"
+    elif fault == "empty cell":
+        cells.insert(rnd.randrange(len(cells) + 1), [])
+    elif fault == "unhashable":
+        cell[i] = [cell[i]]
+    elif fault == "array":  # equal to no outcome: its == is elementwise
+        cell[i] = np.array([cell[i], cell[i]])
+    else:  # a cell in two: still a partition
+        cells.append(cell[i:])
+        del cell[i:]
+    return [c for c in cells if c or fault == "empty cell"]
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@settings(max_examples=60)
+@given(case=_laid_out(), data=st.data())
+def test_malformed_partitions_are_refused_as_the_per_level_loop_refused_them(fault, case, data):
+    # levels 1..N and the blocks (index N + 1), one or more of them broken
+    space, filtration, blocks = case
+    rnd = data.draw(st.randoms(use_true_random=False))
+    parts = filtration + [blocks]
+    for n in data.draw(st.sets(st.integers(1, space.depth + 1), min_size=1)):
+        parts[n] = _break(parts[n], fault, rnd)
+    filtration, blocks = parts[:-1], parts[-1]
+    got = _built_or_refused(lambda: FilteredSpace(space.outcomes, space.prob, filtration, blocks))
+    want = _built_or_refused(lambda: _per_level_labels(space, filtration, blocks))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert [x.tolist() for x in got.level_labels] == [x.tolist() for x in want[0]]
+        assert got.block_labels.tolist() == want[2].tolist()
