@@ -27,7 +27,7 @@ from .atoms import (
 from .duality import certify_duality, pairing
 from .harness import BLOCK_POLICIES, CorpusSpec, GENERATORS, explore_embeddings, generate
 from .norms import all_five_norms
-from .space import SLACK, at_most, same_space
+from .space import SLACK, at_most, same_space, scale_of
 
 OK, CERT_FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -78,7 +78,7 @@ def cmd_verify(args):
 
     recon = np.max(np.abs(reconstruct(d) - f.levels), axis=1).tolist()
     worst = float(np.max(recon))  # np.max keeps a NaN; max() would drop it
-    recon_ok = at_most(recon, SLACK * float(np.max(np.abs(f.levels))))
+    recon_ok = at_most(recon, SLACK * scale_of(f.levels))
 
     atom_reports = []
     atoms_ok = True

@@ -33,7 +33,7 @@ from .space import (
     stopping_time_blocks,
     times_pow2,
 )
-from .space import SLACK, TOL, at_most
+from .space import SLACK, at_most, scale_of
 
 
 def phi(space: FilteredSpace, subset, p, q) -> float:
@@ -206,7 +206,7 @@ def oscillation(space: FilteredSpace, g, gm: Martingale, nu: StoppingTime, p, q)
 
 
 def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
-                   extra_candidates=(), gm=None) -> CampanatoResult:
+                   extra_candidates=()) -> CampanatoResult:
     """sup over stopping times of the phi-weighted stopped oscillation.
 
     ``mode="exact"`` enumerates all stopping times when the count fits
@@ -219,12 +219,11 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
     ``extra_candidates`` are scored as given, repeats included, in one stack
     with those rungs; the result keeps each one's sqrt(A).  The count of
     candidates examined leaves out those with an empty B.
-    ``gm``, if given, is g's martingale ``from_terminal(space, g)``.
     """
     _check_exponent("p", p)
     _check_exponent("q", q, inf_ok=True)
     g = space.rv(g)
-    gm = from_terminal(space, g) if gm is None else gm
+    gm = from_terminal(space, g)
 
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
@@ -284,15 +283,12 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", cap=10**6) -> Dual
     if not (0 < p <= q <= 1):
         raise ValueError(f"duality chain requires 0 < p <= q <= 1, got ({p}, {q})")
     space = f.space
-    g = space.rv(g)
-    gm = from_terminal(space, g)
-
     d = decompose(f, p, q, flavor="s", defn="simple")
     lhs = abs(pairing(f, g))
 
     # the rungs are scored as candidates, and each one's sqrt(A) comes back
     camp = campanato_norm(space, g, p, q, mode=mode, cap=cap,
-                          extra_candidates=[t.nu for t in d.triples], gm=gm)
+                          extra_candidates=[t.nu for t in d.triples])
     atomwise = 0.0
     for t, osc in zip(d.triples, camp.extra_l2):
         a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
@@ -300,7 +296,7 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic", cap=10**6) -> Dual
     const = ladder_constant(1.0)
     budget = const * d.source_norm * camp.norm_value
 
-    slack = SLACK * max(lhs, atomwise, budget)  # no floor: the verdict is scale-free
+    slack = SLACK * scale_of(lhs, atomwise, budget)
     ok = at_most(lhs, atomwise + slack) and at_most(atomwise, budget + slack)
     return DualityCertificate(
         lhs, atomwise, budget, camp, d.source_norm, const, ok,
@@ -328,8 +324,8 @@ def representer(space: FilteredSpace, functional_values) -> np.ndarray:
     if np.linalg.matrix_rank(a, tol=1e-10) < space.size:
         raise SpaceError("functional values do not span the zero-mean space")
     g, *_ = np.linalg.lstsq(a, b, rcond=None)
-    resid = float(np.max(np.abs(a @ g - b)))
-    if not at_most(resid, SLACK * float(np.max(np.abs(b)))):
+    resid = scale_of(a @ g - b)
+    if not at_most(resid, SLACK * scale_of(b)):
         raise SpaceError(f"inconsistent functional values (residual {resid!r})")
     return g
 
@@ -361,4 +357,4 @@ def reverse_minkowski_check(space: FilteredSpace, fs, p, q) -> ReverseMinkowskiR
     lhs = sum(lpq_norm(space, x, p, q) for x in fs)
     total = np.sum(np.abs(np.vstack(fs)), axis=0)
     rhs = lpq_norm(space, total, p, q)
-    return ReverseMinkowskiReport(lhs, rhs, at_most(lhs, rhs * (1.0 + SLACK) + TOL))
+    return ReverseMinkowskiReport(lhs, rhs, at_most(lhs, rhs * (1.0 + SLACK)))

@@ -13,7 +13,8 @@ import numpy as np
 
 from .space import (
     INFINITY, SLACK, TOL, FilteredSpace, SpaceError, StoppingTime, at_most, binary_exponent,
-    condition_rows, ess_sup_rows, require_finite, require_space, scale_of, scaled, times_pow2,
+    condition_rows, ess_sup_rows, measurable_rows, require_finite, require_space, scale_of,
+    scaled, times_pow2,
 )
 
 
@@ -30,7 +31,7 @@ class Martingale:
         self.levels = lv
         if validate:
             require_finite(lv, "martingale levels")
-            scale = float(np.max(np.abs(lv)))  # at f's own scale: atoms magnify f
+            scale = scale_of(lv)  # at f's own scale: atoms magnify f
             if not at_most(np.abs(lv[0]), TOL * scale):
                 raise SpaceError("f_0 must vanish")
             # row n < N: E_n[f_{n+1}] = f_n; row N: E_N[f_N] = f_N, f is adapted
@@ -78,11 +79,7 @@ class PredictorEnvelope:
                 raise SpaceError("envelope must be non-negative")
             if not at_most(lv[:-1] - slack, lv[1:]):
                 raise SpaceError("envelope must be non-decreasing")
-            # level n is measurable: its F_n majorants of lv and -lv meet up to
-            # SLACK * max(1, max|lv[n]|), as is_measurable compares
-            spread = ess_sup_rows(space, lv) + ess_sup_rows(space, -lv)
-            scale = np.maximum(1.0, np.abs(lv).max(axis=1))[:, None]
-            adapted = np.less_equal(spread, SLACK * scale).all(axis=1)
+            adapted = measurable_rows(space, lv)
             if not adapted.all():
                 raise SpaceError(f"envelope level {int(adapted.argmin())} not adapted")
 
@@ -105,7 +102,7 @@ def from_terminal(space: FilteredSpace, x) -> Martingale:
     require_finite(x, "terminal value")
     mean = float(space.prob @ x)
     # at x's own scale: a centred constant is rounding noise, not a martingale
-    if not at_most(abs(mean), SLACK * float(np.max(np.abs(x)))):
+    if not at_most(abs(mean), SLACK * scale_of(x)):
         raise SpaceError(f"terminal value has nonzero mean {mean!r}")
     # remove the rounding-level mean, and set f_0 = 0 exactly
     levels = condition_rows(space, np.broadcast_to(x, (space.depth + 1, space.size))) - mean

@@ -22,9 +22,9 @@ INFINITY = np.iinfo(np.int64).max
 
 
 # -- tolerance policy ----------------------------------------------------------
-# The only tolerances in the package.  Checks scale them by the size of the
-# values compared (usually scale_of()) and test through at_most(), which a
-# NaN never passes.
+# The only tolerances in the package.  Every check scales one by scale_of() of
+# the values it compares, with no floor, so no verdict depends on their scale,
+# and tests through at_most(), which a NaN never passes.
 
 #: comparisons after a single rounding step
 TOL = 1e-12
@@ -33,8 +33,8 @@ SLACK = 1e3 * TOL
 
 
 def scale_of(*values) -> float:
-    """max(1, max|x|) over all given arrays and scalars."""
-    return max(1.0, *(float(np.max(np.abs(x))) for x in values))
+    """max|x| over all given arrays and scalars; a NaN among them is the result."""
+    return float(np.max([np.max(np.abs(x)) for x in values]))
 
 
 def at_most(x, bound) -> bool:
@@ -67,7 +67,7 @@ def binary_exponent(top: float) -> int:
 
 def scaled(x):
     """(x * 2^-e, e) with e = binary_exponent(max|x|), so max|x| * 2^-e is in (1/2, 1]."""
-    e = binary_exponent(float(np.max(np.abs(x))))
+    e = binary_exponent(scale_of(x))
     return np.ldexp(x, -e), e
 
 
@@ -381,10 +381,17 @@ def ess_sup_rows(space: FilteredSpace, rows) -> np.ndarray:
 
 
 def is_measurable(space: FilteredSpace, x, n) -> bool:
-    """Whether x is constant up to SLACK on every partition-n cell."""
-    x = space.rv(x)
-    return at_most(conditional_ess_sup(space, x, n) + conditional_ess_sup(space, -x, n),
-                   SLACK * scale_of(x))
+    """Whether x is F_n-measurable up to SLACK: row n of measurable_rows."""
+    space._check_level(n)
+    return bool(measurable_rows(space, np.broadcast_to(space.rv(x), (n + 1, space.size)))[n])
+
+
+def measurable_rows(space: FilteredSpace, rows) -> np.ndarray:
+    """Row n of the float array ``rows``: whether rows[n] is constant up to
+    SLACK * scale_of(rows[n]) on every partition-n cell, as its F_n majorants
+    of x and -x show."""
+    spread = ess_sup_rows(space, rows) + ess_sup_rows(space, -rows)
+    return np.array([at_most(s, SLACK * scale_of(x)) for s, x in zip(spread, rows)])
 
 
 def regularity_constant(space: FilteredSpace) -> float:

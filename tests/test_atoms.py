@@ -164,6 +164,15 @@ def test_verify_atom_flags_vanishing_and_support_violations(dyadic2):
     assert not rep.support_ok    # s(a) > 0 on {w3, w4} where nu = inf
 
 
+@pytest.mark.parametrize("k", [0, -40])
+def test_verify_atom_weighs_the_vanishing_residual_at_the_atom_scale(dyadic2, k):
+    # a constant has E_0 a != 0 on {nu >= 0}; a slack floored at 1 once passed it when small
+    t = AtomTriple(0, 1.0, np.full(4, np.ldexp(1.0, k)), StoppingTime(dyadic2, [0] * 4))
+    d = Decomposition(dyadic2, "s", "simple", 2.0, 2.0, [t], source_norm=0.0)
+    for rep in verify_atom(d, t, [2.0, 4.0, math.inf]):
+        assert not rep.vanishing_ok and rep.vanishing_residual == np.ldexp(1.0, k)
+
+
 def test_decomposed_atoms_respect_rung_cap():
     # the statistic of lambda_k a^k never exceeds twice the rung 2^k
     rng = np.random.default_rng(33)

@@ -279,12 +279,39 @@ def test_cli_verify_detects_tampered_atom(tmp_path, worked_example):
     assert main(["verify", "--input", mp, "--decomposition", dp]) == 1
 
 
+def test_cli_verify_refuses_a_small_rung_with_a_nonzero_mean(tmp_path):
+    # E_0 a = 5e-10 on {nu >= 0}: no atom, though a slack floored at 1 once passed it
+    assert main(["gen", "--generator", "dyadic", "--count", "1", "--depth", "2",
+                 "--out-dir", str(tmp_path)]) == 0
+    mp, dp = str(tmp_path / "mart_0000.json"), str(tmp_path / "dec.json")
+    assert main(["decompose", "--input", mp, "--p", "0.5", "--q", "1", "--output", dp]) == 0
+    doc = jsonio.load_json(dp)
+    doc["triples"].append({"k": 5, "lambda": 1e-4, "nu": [0, 0, 0, 0],
+                           "atom_terminal": [5e-10] * 4})
+    jsonio.dump_json(doc, dp)
+    out = str(tmp_path / "report.json")
+    assert main(["verify", "--input", mp, "--decomposition", dp, "--output", out]) == 1
+    report = jsonio.load_json(out)
+    assert report["reconstruction"]["ok"] and report["bounds"]["ok"]
+    failed = [r for r in report["atoms"]["reports"] if not r["passed"]]
+    assert {r["k"] for r in failed} == {5} and len(failed) == 3
+    assert all(r["vanishing_residual"] == 5e-10 for r in failed)
+
+
 def test_cli_malformed_json_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["norms", "--input", str(bad), "--p", "1", "--q", "1"]) == 2
     missing = str(tmp_path / "missing.json")
     assert main(["norms", "--input", missing, "--p", "1", "--q", "1"]) == 2
+
+
+def test_cli_duality_refuses_a_function_with_a_nonzero_mean(tmp_path, coin, capsys):
+    space, f = coin
+    mp, gp = _write_martingale(tmp_path, f), str(tmp_path / "g.json")
+    jsonio.dump_json(jsonio.function_to_doc(space, [1.0, 0.5]), gp)
+    assert main(["duality", "--input", mp, "--g", gp, "--p", "1", "--q", "1"]) == 2
+    assert capsys.readouterr().err == "error: terminal value has nonzero mean 0.75\n"
 
 
 def test_cli_duality(tmp_path, coin, capsys):

@@ -387,6 +387,18 @@ def test_envelope_validation_rejects_bad_shapes(coin):
     assert not dominates(PredictorEnvelope(space, [[0.5, 0.5], [2, 2]], "star"), f)
 
 
+@pytest.mark.parametrize("k", [0, -40])
+def test_envelope_checks_do_not_depend_on_the_scale_of_their_inputs(dyadic2, k):
+    # a slack floored at 1 once passed both for small inputs
+    split = np.ldexp([[1, 1, 1, 1], [1, 2, 2, 2], [2, 2, 2, 2]], k)
+    with pytest.raises(SpaceError, match="^envelope level 1 not adapted$"):
+        PredictorEnvelope(dyadic2, split, "star")
+    f = from_terminal(dyadic2, np.ldexp([1.0, -1.0, 3.0, -3.0], k))
+    for flavor in PredictorEnvelope.FLAVORS:
+        half = PredictorEnvelope(dyadic2, np.full((3, 4), np.ldexp(0.5, k)), flavor)
+        assert not dominates(half, f)
+
+
 def _first_exceedance(stat_rows, thresholds):
     """_threshold_times as an any/argmax over every row: an oracle that needs
     no monotone columns."""

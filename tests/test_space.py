@@ -173,14 +173,22 @@ def test_is_measurable(dyadic2):
 
 
 def test_is_measurable_compares_at_slack(dyadic2):
-    # SLACK = 1e-9 relative to max(1, max|x|): a 1e-10 wobble passes, 1e-8 does not
+    # SLACK = 1e-9 relative to max|x|: a 1e-10 wobble passes, 1e-8 does not
     assert is_measurable(dyadic2, [1, 1 + 1e-10, -1, -1], 1)
     assert not is_measurable(dyadic2, [1, 1 + 1e-8, -1, -1], 1)
 
 
+@pytest.mark.parametrize("k", [0, -40])
+def test_is_measurable_does_not_depend_on_the_scale_of_x(dyadic2, k):
+    # a slack floored at 1 once passed the split cell {w1, w2} for small x
+    assert not is_measurable(dyadic2, np.ldexp([1.0, 2.0, -1.0, -1.0], k), 1)
+
+
 def test_tolerance_policy():
     assert SLACK == 1e3 * TOL == 1e-9
-    assert scale_of(0.5, [-3.0, 2.0]) == 3.0 and scale_of([1e-3]) == 1.0
+    assert scale_of(0.5, [-3.0, 2.0]) == 3.0 and scale_of([1e-3]) == 1e-3
+    # no floor of 1, and a NaN is the scale, so a check against it never passes
+    assert math.isnan(scale_of([1.0, np.nan], 2.0))
     assert at_most([0.0, 1.0], 1.0) and not at_most([0.0, 1.5], 1.0)
     # NaN on either side never passes, unlike np.max(err) > bound
     assert not at_most([0.0, np.nan], 1.0)
