@@ -9,6 +9,7 @@ envelopes of both flavors.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -24,12 +25,17 @@ from .space import FilteredSpace, scaled, times_pow2
 
 #: exponent magnitude below which powers are taken in log space
 _LOG_SPACE_CUTOFF = 0.1
+#: the least normal float: a power below it has lost bits
+_TINY = sys.float_info.min
 
 
 def _check_exponent(name, x, inf_ok=False):
-    """Exponents lie in (0, inf), or (0, inf] when ``inf_ok``; NaN never does."""
+    """Exponents lie in (0, inf), or (0, inf] when ``inf_ok``; NaN never does.
+    A subnormal one is refused: its reciprocal is beyond the float range."""
     if not (0 < x < math.inf or (inf_ok and x == math.inf)):
         raise ValueError(f"{name} must lie in (0, inf{']' if inf_ok else ')'}, got {x}")
+    if x < _TINY:
+        raise ValueError(f"{name} = {x!r} is subnormal: below {_TINY!r}")
 
 
 def lpq_norm(space: FilteredSpace, values, p, q) -> float:
@@ -55,22 +61,24 @@ def _blocked_norm(space, labels, n_blocks, values, p, q) -> float:
     if float(g.max()) == 0.0:
         return 0.0
     g, e = scaled(g)
-    if p < _LOG_SPACE_CUTOFF:
-        # g^p rounds to 1 and loses the answer; with m_j the block maximum,
-        # int_j g^p = m_j^p P_j (1 + sum P expm1(p log(g / m_j)) / P_j)
-        # over {g > 0}, and no power is taken outside the logs
-        on = g > 0.0
-        peak = _kernels.cell_max(labels, n_blocks, g)
-        mass = _kernels.cell_sums(labels[on], n_blocks, space.prob[on])
-        rel = np.log(g[on] / peak[labels[on]])
-        excess = _kernels.cell_sums(labels[on], n_blocks, space.prob[on] * np.expm1(p * rel))
-        logs = np.full(n_blocks, -math.inf)
-        pos = mass > 0.0
-        logs[pos] = (p * np.log(peak[pos]) + np.log(mass[pos])
-                     + np.log1p(excess[pos] / mass[pos]))
-        return float(times_pow2(lq_aggregate(None, p, q, logs[None])[0], e))
-    integrals = _kernels.cell_sums(labels, n_blocks, space.prob * g ** p)
-    return float(times_pow2(lq_aggregate(integrals[None], p, q)[0], e))
+    powers = g ** p
+    # the direct branch needs every power of a positive g to be a normal
+    # float: below the cutoff g^p rounds to 1, and a large p underflows it
+    if p >= _LOG_SPACE_CUTOFF and not np.any((powers < _TINY) & (g > 0.0)):
+        integrals = _kernels.cell_sums(labels, n_blocks, space.prob * powers)
+        return float(times_pow2(lq_aggregate(integrals[None], p, q)[0], e))
+    # with m_j the block maximum, int_j g^p = m_j^p P_j (1 + sum P expm1(p log(g / m_j)) / P_j)
+    # over {g > 0}, and no power is taken outside the logs
+    on = g > 0.0
+    peak = _kernels.cell_max(labels, n_blocks, g)
+    mass = _kernels.cell_sums(labels[on], n_blocks, space.prob[on])
+    rel = np.log(g[on] / peak[labels[on]])
+    excess = _kernels.cell_sums(labels[on], n_blocks, space.prob[on] * np.expm1(p * rel))
+    logs = np.full(n_blocks, -math.inf)
+    pos = mass > 0.0
+    logs[pos] = (p * np.log(peak[pos]) + np.log(mass[pos])
+                 + np.log1p(excess[pos] / mass[pos]))
+    return float(times_pow2(lq_aggregate(None, p, q, logs[None])[0], e))
 
 
 def lq_aggregate(integrals, p, q, logs=None) -> np.ndarray:
@@ -78,24 +86,40 @@ def lq_aggregate(integrals, p, q, logs=None) -> np.ndarray:
 
     Row r of the (rows, J) ``integrals`` becomes [sum_j I_rj^{q/p}]^{1/q},
     or max_j I_rj^{1/p} when q = inf; a zero integral contributes nothing.
-    Below ``_LOG_SPACE_CUTOFF`` the powers are taken in log space, from
+    The powers are taken in log space below ``_LOG_SPACE_CUTOFF``, from
     ``logs`` when the caller has them more accurately than log(integrals)
-    (``integrals`` may then be None).  Every row needs a positive integral.
+    (``integrals`` may then be None), and in any row where a positive
+    integral's I^{q/p} leaves the normal float range: the choice is made
+    per row, so a row gets the same bits in any stack.  In log space, a row
+    where (q/p) max_j log I_j is beyond the float range, as every row is when
+    q = inf, is the limit of the sum: max_j I_j^{1/p} times c^{1/q} for c tied
+    maxima.  Every row needs a positive integral.
     """
-    if min(p, q) >= _LOG_SPACE_CUTOFF:
-        if math.isinf(q):
-            return np.max(integrals, axis=1) ** (1.0 / p)
-        return _row_totals(integrals ** (q / p)) ** (1.0 / q)
-    # log 0 is -inf, and exp of a value beyond the float range is inf
-    with np.errstate(divide="ignore", over="ignore"):
+    # log 0 is -inf, a power beyond the float range is inf, and the NaN of a
+    # row beyond it is replaced
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if logs is None and min(p, q) >= _LOG_SPACE_CUTOFF:
+            if math.isinf(q):
+                return np.max(integrals, axis=1) ** (1.0 / p)
+            powers = integrals ** (q / p)
+            out = _row_totals(powers) ** (1.0 / q)
+            # the powers of zero integrals are the only ones allowed under _TINY
+            lost = (powers < _TINY) != (integrals == 0.0)
+            if lost.any() or math.inf in out:
+                rows = lost.any(axis=1) | (out == math.inf)
+                out[rows] = lq_aggregate(None, p, q, np.log(integrals[rows]))
+            return out
         if logs is None:
             logs = np.log(integrals)
-        if math.isinf(q):
-            return np.exp(np.max(logs, axis=1) / p)
-        # tiny exponents overflow the direct power chain; stay in logs
         z = (q / p) * logs
         m = np.max(z, axis=1)
-        return np.exp((m + np.log(_row_totals(np.exp(z - m[:, None])))) / q)
+        out = np.exp((m + np.log(_row_totals(np.exp(z - m[:, None])))) / q)
+        far = ~np.isfinite(m)
+        if far.any():
+            top = np.max(logs[far], axis=1)
+            ties = np.count_nonzero(logs[far] == top[:, None], axis=1)
+            out[far] = np.exp(top / p) * ties ** (1.0 / q)
+        return out
 
 
 def _row_totals(x):

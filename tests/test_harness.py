@@ -207,6 +207,16 @@ def test_cli_norms_of_huge_values_are_finite(tmp_path, coin, capsys):
         assert value == pytest.approx(1e200, rel=1e-12), name
 
 
+@pytest.mark.parametrize("p, q", [("1e-320", "1"), ("5e-324", "5e-324")])
+def test_cli_norms_refuses_a_subnormal_exponent(tmp_path, worked_example, capsys, p, q):
+    # such p once printed NaN with a RuntimeWarning, or 0.5 for every norm, and exit 0
+    mp = _write_martingale(tmp_path, worked_example[1])
+    assert main(["norms", "--input", mp, "--p", p, "--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: p = {float(p)!r} is subnormal: below ")
+
+
 def test_cli_decompose_then_verify(tmp_path, worked_example):
     _, f = worked_example
     mp = _write_martingale(tmp_path, f)

@@ -1,4 +1,6 @@
+import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from amalgam import (
     q_space_norm,
     quadratic_variation_partial,
 )
+from amalgam.norms import lq_aggregate
 from conftest import random_martingale, random_tree_space, small_trees
 
 
@@ -124,7 +127,7 @@ def test_norms_do_not_overflow_on_representable_values(coin):
                        [[0.0, 0.0], [1e200, 1e200]], rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("p", [1e-300, 1e-12])
+@pytest.mark.parametrize("p", [sys.float_info.min, 1e-300, 1e-12])
 def test_lpq_tiny_exponents_reach_the_geometric_mean(coin, p):
     # on values 1 and 2 with weights 1/2, log E[g^p] / p = log(2)/2 + p log(2)^2/8
     # + O(p^3), so the limit p = q -> 0 is the geometric mean sqrt(2)
@@ -135,6 +138,58 @@ def test_lpq_tiny_exponents_reach_the_geometric_mean(coin, p):
     assert lp_norm(space, [1.0, 2.0], p) == pytest.approx(expect, rel=1e-12)
 
 
+def _lpq_by_definition(space, g, p, q):
+    """||g||_{p,q} from its definition in 60-digit decimal arithmetic, whose
+    exponent range no power here leaves."""
+    with decimal.localcontext(decimal.Context(prec=60, Emin=-10**15, Emax=10**15)):
+        d = decimal.Decimal
+        integrals = [d(0)] * space.n_blocks
+        for w, x, j in zip(space.prob.tolist(), np.abs(g).tolist(), space.block_labels):
+            integrals[j] += d(w) * d(x) ** d(p)
+        integrals = [i for i in integrals if i > 0]
+        if math.isinf(q):
+            return float(max(integrals) ** (1 / d(p)))
+        return float(sum(i ** (d(q) / d(p)) for i in integrals) ** (1 / d(q)))
+
+
+EXPONENTS_P = (0.1, 0.5, 1.0, 3.0, 1100.0, 5000.0)
+EXPONENTS_Q = (0.1, 1.0, 50.0, 1000.0, 1e6, math.inf)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_lpq_matches_its_definition_across_the_exponent_range(n_blocks):
+    # large p underflowed g^p, and large q/p the block integrals' powers, to a norm of 0
+    rng = np.random.default_rng(40 + n_blocks)
+    space = random_tree_space(rng, depth=2, branching=3, n_blocks=n_blocks)
+    g = rng.standard_normal(space.size)
+    g[0] = 0.0
+    for p in EXPONENTS_P:
+        for q in EXPONENTS_Q:
+            want = _lpq_by_definition(space, g, p, q)
+            assert lpq_norm(space, g, p, q) == pytest.approx(want, rel=1e-13, abs=0), (p, q)
+
+
+@pytest.mark.parametrize("q", [0.1, 1.0, 1000.0, 1e6, 1e308])
+def test_a_one_block_norm_is_its_value_at_q_inf(q):
+    # with one block, (I^{q/p})^{1/q} = I^{1/p} for every q; beyond the float
+    # range q/p leaves only the maxima, as q = inf does
+    rng = np.random.default_rng(44)
+    space = random_tree_space(rng, depth=3, branching=2, n_blocks=1)
+    g = rng.standard_normal(space.size)
+    for p in EXPONENTS_P:
+        want = lpq_norm(space, g, p, math.inf)
+        assert lpq_norm(space, g, p, q) == pytest.approx(want, rel=1e-13, abs=0), p
+
+
+def test_lq_aggregate_takes_each_row_alone():
+    # a row whose powers leave the normal float range takes the log-space
+    # route by itself, so it gets the same bits in any stack
+    rows = np.array([[0.5, 0.25, 0.0], [1e-120, 0.5, 0.5], [0.9, 0.0, 0.1], [1.0, 1.0, 0.0]])
+    for p, q in ((1.0, 3.0), (0.5, 1000.0), (0.5, 1e308), (0.05, 1.0), (2.0, math.inf)):
+        alone = [lq_aggregate(row[None], p, q)[0] for row in rows]
+        assert lq_aggregate(rows, p, q).tolist() == alone
+
+
 def test_lpq_rejects_bad_exponents(dyadic2):
     with pytest.raises(ValueError):
         lpq_norm(dyadic2, np.ones(4), 0.0, 1.0)
@@ -142,6 +197,15 @@ def test_lpq_rejects_bad_exponents(dyadic2):
         lpq_norm(dyadic2, np.ones(4), math.inf, 1.0)
     with pytest.raises(ValueError):
         lpq_norm(dyadic2, np.ones(4), 1.0, -1.0)
+
+
+@pytest.mark.parametrize("p, q", [(5e-324, 1.0), (1e-320, 1.0), (1.0, 5e-324),
+                                  (5e-324, 5e-324)])
+def test_lpq_refuses_subnormal_exponents(dyadic2, p, q):
+    # 1 / 5e-324 is beyond the float range: such p once gave NaN, or 0.5 for every g
+    name, x = ("p", p) if p < 1.0 else ("q", q)
+    with pytest.raises(ValueError, match=f"^{name} = {x!r} is subnormal: below "):
+        lpq_norm(dyadic2, np.ones(4), p, q)
 
 
 def test_lp_rejects_bad_exponents_but_takes_infinity(dyadic2):
