@@ -165,12 +165,21 @@ def space_from_doc(doc) -> FilteredSpace:
     _check_schema(doc, "space")
     outcomes = _require(doc, "outcomes", list, "space")
     prob = _require(doc, "prob", list, "space")
-    filtration = _require(doc, "filtration", list, "space")
-    blocks = _require(doc, "blocks", list, "space")
+    filtration = [_cells(level, f"filtration[{n}]")
+                  for n, level in enumerate(_require(doc, "filtration", list, "space"))]
+    blocks = _cells(_require(doc, "blocks", list, "space"), "blocks")
     try:
         return FilteredSpace(outcomes, _numbers(prob, "prob"), filtration, blocks)
     except Exception as exc:
         raise SchemaError(f"space: {exc}") from exc
+
+
+def _cells(cells, where):
+    """``cells`` if it is an array of arrays: FilteredSpace would read a string
+    cell as its characters and an object cell as its keys."""
+    if type(cells) is not list or not set(map(type, cells)) <= {list}:
+        raise SchemaError(f"space: {where} must be an array of arrays")
+    return cells
 
 
 def martingale_to_doc(f: Martingale) -> dict:

@@ -183,6 +183,8 @@ class FilteredSpace:
         sizes, counts, scattered = [], [], []
         for cells in partitions:
             try:
+                if any(issubclass(t, str) for t in set(map(type, cells))):
+                    break  # its characters would read as outcomes
                 lens = list(map(len, cells))
                 flat = list(itertools.chain.from_iterable(cells))
                 members = None if flat == order else list(map(index.__getitem__, flat))
@@ -209,6 +211,8 @@ class FilteredSpace:
         """The first fault met in cell order: what _label_rows rejects."""
         seen = set()
         for cell in cells:
+            if isinstance(cell, str):
+                return f"cell {cell!r} is a string, not a list of outcomes"
             if not cell:
                 return "empty cell"
             for o in cell:

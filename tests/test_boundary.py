@@ -132,6 +132,42 @@ def test_malformed_space_is_named(tmp_path, capsys, field, level, cells, message
     assert captured.out == ""
 
 
+# (field, level, entry, where) over the outcomes a, b and cd: the string "ab",
+# or the keys of {"a": 0, "b": 1}, once read as the cell ["a", "b"]
+_NOT_ARRAYS = [
+    ("filtration", 1, ["ab", ["cd"]], "filtration[1]"),
+    ("filtration", 1, [["cd"], {"a": 0, "b": 1}], "filtration[1]"),
+    ("filtration", 1, {"ab": 0, "cd": 1}, "filtration[1]"),
+    ("blocks", None, ["ab", ["cd"]], "blocks"),
+    ("blocks", None, [{"a": 0, "b": 1}, ["cd"]], "blocks"),
+]
+
+
+@pytest.mark.parametrize("field, level, entry, where", _NOT_ARRAYS)
+def test_a_space_level_or_cell_that_is_no_array_is_named(tmp_path, capsys, field, level,
+                                                         entry, where):
+    doc = {"schema": jsonio.SCHEMA, "outcomes": ["a", "b", "cd"], "prob": [0.25, 0.25, 0.5],
+           "filtration": [[["a", "b", "cd"]], [["a", "b"], ["cd"]]], "blocks": [["a", "b", "cd"]]}
+    if level is None:
+        doc[field] = entry
+    else:
+        doc[field][level] = entry
+    assert _norms_of(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: space: {where} must be an array of arrays\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field", ["filtration level 1", "blocks"])
+def test_a_string_cell_is_refused(field):
+    level = ["ab", ["cd"]]
+    filtration = [[["a", "b", "cd"]], level if field != "blocks" else [["a", "b"], ["cd"]]]
+    blocks = level if field == "blocks" else [["a", "b", "cd"]]
+    with pytest.raises(SpaceError, match=f"^{field}: cell 'ab' is a string, not a list of "
+                                         "outcomes$"):
+        FilteredSpace(["a", "b", "cd"], [0.25, 0.25, 0.5], filtration, blocks)
+
+
 def test_martingale_not_adapted_at_its_last_level_is_input_error(tmp_path, capsys):
     space = {"schema": jsonio.SCHEMA, "outcomes": ["a", "b"], "prob": [0.5, 0.5],
              "filtration": [[["a", "b"]], [["a", "b"]]], "blocks": [["a", "b"]]}
