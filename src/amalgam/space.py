@@ -392,8 +392,8 @@ def is_measurable(space: FilteredSpace, x, n) -> bool:
 
 def measurable_rows(space: FilteredSpace, rows) -> np.ndarray:
     """Row n of the float array ``rows``: whether rows[n] is constant up to
-    SLACK * scale_of(rows[n]) on every partition-n cell, as its F_n majorants
-    of x and -x show."""
+    SLACK * scale_of(rows[n]) on every partition-n cell, where the F_n
+    majorants of rows[n] and -rows[n] must meet."""
     spread = ess_sup_rows(space, rows) + ess_sup_rows(space, -rows)
     return np.array([at_most(s, SLACK * scale_of(x)) for s, x in zip(spread, rows)])
 
