@@ -10,6 +10,7 @@ functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -34,7 +35,7 @@ SLACK = 1e3 * TOL
 
 def scale_of(*values) -> float:
     """max|x| over all given arrays and scalars; a NaN among them is the result."""
-    return float(np.max([np.max(np.abs(x)) for x in values]))
+    return float(functools.reduce(np.maximum, [np.max(np.abs(x)) for x in values]))
 
 
 def at_most(x, bound) -> bool:
