@@ -105,8 +105,9 @@ def lq_aggregate(integrals, p, q, logs=None) -> np.ndarray:
             out = _row_totals(powers) ** (1.0 / q)
             # the powers of zero integrals are the only ones allowed under _TINY
             lost = (powers < _TINY) != (integrals == 0.0)
-            if lost.any() or math.inf in out:
-                rows = lost.any(axis=1) | (out == math.inf)
+            lost |= powers == math.inf
+            if lost.any():
+                rows = lost.any(axis=1)
                 out[rows] = lq_aggregate(None, p, q, np.log(integrals[rows]))
             return out
         if logs is None:
