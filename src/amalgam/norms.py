@@ -64,7 +64,7 @@ def _blocked_norm(space, labels, n_blocks, values, p, q) -> float:
     powers = g ** p
     # the direct branch needs every power of a positive g to be a normal
     # float: below the cutoff g^p rounds to 1, and a large p underflows it
-    if p >= _LOG_SPACE_CUTOFF and not np.any((powers < _TINY) & (g > 0.0)):
+    if p >= _LOG_SPACE_CUTOFF and not ((powers < _TINY) & (g > 0.0)).any():
         integrals = _kernels.cell_sums(labels, n_blocks, space.prob * powers)
         return float(times_pow2(lq_aggregate(integrals[None], p, q)[0], e))
     # with m_j the block maximum, int_j g^p = m_j^p P_j (1 + sum P expm1(p log(g / m_j)) / P_j)

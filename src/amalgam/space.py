@@ -35,7 +35,7 @@ SLACK = 1e3 * TOL
 
 def scale_of(*values) -> float:
     """max|x| over all given arrays and scalars; a NaN among them is the result."""
-    return float(functools.reduce(np.maximum, [np.max(np.abs(x)) for x in values]))
+    return float(functools.reduce(np.maximum, [np.abs(x).max() for x in values]))
 
 
 def at_most(x, bound) -> bool:
