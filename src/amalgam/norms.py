@@ -31,7 +31,7 @@ _TINY = sys.float_info.min
 
 def _check_exponent(name, x, inf_ok=False):
     """Exponents lie in (0, inf), or (0, inf] when ``inf_ok``; NaN never does.
-    A subnormal one is refused: its reciprocal is beyond the float range."""
+    A subnormal one is refused: it has lost bits, and 1/x overflows for most."""
     if not (0 < x < math.inf or (inf_ok and x == math.inf)):
         raise ValueError(f"{name} must lie in (0, inf{']' if inf_ok else ')'}, got {x}")
     if x < _TINY:
