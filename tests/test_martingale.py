@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from amalgam import (
     stop,
 )
 from amalgam.martingale import (
-    _ladder_statistic, _threshold_times, dominates, ladder_window, stopped,
+    _ladder_statistic, _running, _threshold_times, dominates, ladder_window, stopped,
 )
 from amalgam.space import (
     SLACK,
@@ -219,6 +220,22 @@ def test_conditional_qv_of_the_tail_after_a_stop(case, data):
     got = conditional_quadratic_variation(f_nu) ** 2
     want = s_g ** 2 - s_nu ** 2
     assert at_most(np.abs(got - want), SLACK * scale_of(s_g ** 2))
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (2, 3), (11, 64)])
+def test_running_is_accumulate_along_levels_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0])
+    special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308]
+    x = rng.standard_normal(shape) * np.ldexp(1.0, rng.integers(-1070, 1020, shape))
+    x.flat[rng.integers(0, x.size, x.size // 3)] = rng.choice(special, x.size // 3)
+    with np.errstate(all="ignore"):  # inf - inf and overflow, in both
+        pairs = [(_running(np.add, x.copy()), np.cumsum(x, axis=0)),
+                 (_running(np.maximum, x.copy()), np.maximum.accumulate(x, axis=0))]
+    for got, want in pairs:
+        # a NaN compares by place: its payload is not part of the result
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 def test_ladder_stopping_time_worked_example(worked_example):
