@@ -390,7 +390,8 @@ def load_martingale(path):
     doc = load_json(path, raw, known)
     f = martingale_from_doc(doc)
     s = f.space
-    for a in (f.levels, s.prob, s.cell_labels, s.cell_masses, s.block_labels, *s.level_labels):
+    for a in (f.levels, s.prob, s.cell_labels, s.cell_masses, s.cell_counts, s.block_labels,
+              *s.level_labels):
         a.flags.writeable = False
     _last = (raw, f, doc["space"], known["space"])
     return _last[1:3]

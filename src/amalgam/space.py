@@ -107,7 +107,8 @@ class FilteredSpace:
     blocks : partition of the outcome set (single list of cells)
 
     Cell c of partition n (``level_labels[n] == c``) is cell
-    ``cell_offsets[n] + c`` of ``cell_labels`` and ``cell_masses``.
+    ``cell_offsets[n] + c`` of ``cell_labels``, ``cell_masses`` and
+    ``cell_counts``, its number of members.
     """
 
     def __init__(self, outcomes, prob, filtration, blocks):
@@ -163,6 +164,7 @@ class FilteredSpace:
         # call reads the cached masses
         self.cell_masses = _kernels.cell_sums(self.cell_labels.ravel(), self.cell_offsets[-1],
                                               np.tile(self.prob, self.depth + 1))
+        self.cell_counts = np.bincount(self.cell_labels.ravel(), minlength=self.cell_offsets[-1])
 
     # -- construction helpers -------------------------------------------
 
@@ -289,14 +291,17 @@ class StoppingTime:
                              f"0..{space.depth}")
         self.times = t = t.astype(np.int64, copy=False)
         if validate:
-            finite = t[t != INFINITY]
+            on = np.flatnonzero(t != INFINITY)
+            finite = t[on]
             if finite.size and (finite.min() < 0 or finite.max() > space.depth):
                 raise SpaceError("stopping-time values out of range")
-            # row n is {time == n}: all levels in one pass over the cells of every level
-            stops = t == np.arange(space.depth + 1)[:, None]
-            ok = _constant_on_cells(space.cell_labels, space.cell_offsets[-1], stops)
-            if not ok.all():
-                n = int(ok.argmin())
+            # each stopping outcome names its cell at its own time: {time == n} is
+            # a union of level-n cells when all members of each named cell name it
+            named = np.bincount(space.cell_labels[finite, on], minlength=len(space.cell_counts))
+            torn = (named != 0) & (named != space.cell_counts)
+            if torn.any():
+                # cells are numbered level by level, so the first torn one is at the least n
+                n = int(np.searchsorted(space.cell_offsets, torn.argmax(), side="right")) - 1
                 raise SpaceError(f"level set {{time == {n}}} not measurable at {n}")
 
     @property

@@ -261,6 +261,34 @@ def test_stopping_time_measurability(dyadic2):
         StoppingTime(dyadic2, [0, 0, 0])
 
 
+@given(small_trees(max_outcomes=12, max_depth=4), st.data())
+def test_stopping_time_check_agrees_with_the_level_by_level_check(space, data):
+    """StoppingTime counts the members of each cell its outcomes name; its
+    verdict and failing level are those of the (N+1, M) check of every
+    {time == n} against the level-n cells, kept here as the oracle."""
+    values = [*range(space.depth + 1), INFINITY]
+    kind = data.draw(st.sampled_from(["measurable", "moved", "free"]))
+    if kind == "free":
+        times = np.array(data.draw(st.lists(st.sampled_from(values), min_size=space.size,
+                                            max_size=space.size)), dtype=np.int64)
+    else:
+        # the first level whose drawn cell flag is up: measurable at its own time
+        n_cells = int(space.cell_offsets[-1])
+        up = np.array(data.draw(st.lists(st.booleans(), min_size=n_cells,
+                                         max_size=n_cells)))[space.cell_labels]
+        times = np.where(up.any(axis=0), up.argmax(axis=0), INFINITY)
+        if kind == "moved":
+            times[data.draw(st.integers(0, space.size - 1))] = data.draw(st.sampled_from(values))
+    stops = times == np.arange(space.depth + 1)[:, None]
+    ok = _constant_on_cells(space.cell_labels, space.cell_offsets[-1], stops)
+    if ok.all():
+        assert StoppingTime(space, times).times.tolist() == times.tolist()
+    else:
+        n = int(ok.argmin())
+        with pytest.raises(SpaceError, match=rf"^level set \{{time == {n}\}} not measurable at {n}$"):
+            StoppingTime(space, times)
+
+
 @pytest.mark.parametrize("times", [[0.5] * 4, [1.9] * 4, [math.nan] * 4, [True] * 4],
                          ids=["half", "fraction", "nan", "bool"])
 def test_stopping_time_values_must_be_whole(dyadic2, times):
