@@ -37,10 +37,18 @@ def canonical_dumps(doc) -> str:
     separator carries the newline and indent.
 
     A numpy array is written as its list, a 1-D int64 array as stopping times
-    with INFINITY as null.  A 1-D float64 array of at least _MEMO_MIN entries
-    has each distinct value encoded once.
+    with INFINITY as null.  The walk leaves a NUL in place of the items of
+    each 1-D float64 or int64 array of at least _MEMO_MIN entries (the ASCII
+    encoder writes no NUL), and _row_texts writes those rows in one batch.
     """
-    return _dumps(doc, "") + "\n"
+    rows = []
+    text = _dumps(doc, "", rows)
+    if rows:
+        pieces = [None] * (2 * len(rows) + 1)
+        pieces[::2] = text.split("\0")
+        pieces[1::2] = _row_texts(rows)
+        text = "".join(pieces)
+    return text + "\n"
 
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)
@@ -53,15 +61,17 @@ def _leaf_encoder(pad):
                             check_circular=False).encode
 
 
-def _dumps(x, pad):
-    """The indent-2 form of ``x`` nested at indent ``pad``."""
+def _dumps(x, pad, rows):
+    """The indent-2 form of ``x`` nested at indent ``pad``, with each row to
+    batch appended to ``rows`` as (array, indent of its items)."""
     if not isinstance(x, _CONTAINERS):
         return _leaf_encoder(pad)(x)
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(x, np.ndarray):
-        if x.dtype == np.float64 and x.ndim == 1 and x.size >= _MEMO_MIN:
-            return "[\n" + inner + _floats(x, inner) + "\n" + pad + "]"
+        if x.ndim == 1 and x.dtype in (np.float64, np.int64) and x.size >= _MEMO_MIN:
+            rows.append((x, inner))
+            return "[\n" + inner + "\0\n" + pad + "]"
         # an int64 row is stopping times; any other array is its list
         one_d = x.ndim == 1 and x.dtype == np.int64
         x = [None if t == INFINITY else t for t in x.tolist()] if one_d else x.tolist()
@@ -71,7 +81,7 @@ def _dumps(x, pad):
         if len(scalars) < len(x):
             # '"key": value' items in key order; no encoded string holds sep
             items = iter(text.split(sep))
-            text = sep.join(encode_basestring_ascii(k) + ": " + _dumps(x[k], inner)
+            text = sep.join(encode_basestring_ascii(k) + ": " + _dumps(x[k], inner, rows)
                             if isinstance(x[k], _CONTAINERS) else next(items)
                             for k in sorted(x))
         return "{\n" + inner + text + "\n" + pad + "}" if x else "{}"
@@ -82,29 +92,46 @@ def _dumps(x, pad):
         except TypeError:  # not all strings
             pass
     if x and not isinstance(x[0], _CONTAINERS):
-        text = _leaf_encoder(inner)(x)
-        # a bracket past the first is in a string, unless x holds a container
-        if not ("[" in text[1:] or "{" in text[1:]) or not any(
-                isinstance(v, _CONTAINERS) for v in x):
-            return "[\n" + inner + text[1:-1] + "\n" + pad + "]"
-    return "[\n" + inner + sep.join(_dumps(v, inner) for v in x) + "\n" + pad + "]" if x else "[]"
+        try:
+            text = _leaf_encoder(inner)(x)
+        except TypeError:  # an array among the items, which the C encoder does not write
+            pass
+        else:
+            # a bracket past the first is in a string, unless x holds a container
+            if not ("[" in text[1:] or "{" in text[1:]) or not any(
+                    isinstance(v, _CONTAINERS) for v in x):
+                return "[\n" + inner + text[1:-1] + "\n" + pad + "]"
+    return ("[\n" + inner + sep.join(_dumps(v, inner, rows) for v in x) + "\n" + pad + "]"
+            if x else "[]")
 
 
-#: float rows shorter than this are encoded whole: an 8-entry row with half its
-#: values repeated writes 9 % slower through the memo, a 16-entry one 3 % faster
-#: (CPython 3.11, numpy 2.4, 2-vCPU x86-64 host)
+#: rows shorter than this are encoded whole, as lists: through a per-row memo of
+#: distinct values, an 8-entry float row with half its values repeated wrote 9 %
+#: slower, a 16-entry one 3 % faster (CPython 3.11, numpy 2.4, 2-vCPU x86-64 host)
 _MEMO_MIN = 16
 
 
-def _floats(x, pad):
-    """The items of a float64 row at indent ``pad``, one encoder call for its
-    distinct values (by bits, so -0.0 stays apart): a row of atom values holds
-    few.  An int's repr costs less than the lookups, so int rows take none."""
-    keys = x.view(np.int64).tolist()
-    distinct = dict(zip(keys, x.tolist()))
-    sep = ",\n" + pad
-    text = dict(zip(distinct, _leaf_encoder(pad)(list(distinct.values()))[1:-1].split(sep)))
-    return sep.join(map(text.__getitem__, keys))
+def _row_texts(rows):
+    """The items of each (array, indent) of ``rows`` at its indent.  The rows of
+    one dtype take one np.unique of their bits, so -0.0 stays apart from 0.0,
+    and one encoder call for the distinct values: atom rows share few, rows
+    of stopping times fewer."""
+    texts = [None] * len(rows)
+    for dtype in (np.float64, np.int64):
+        at = [i for i, (x, _) in enumerate(rows) if x.dtype == dtype]
+        if not at:
+            continue
+        bits, inverse = np.unique(np.concatenate([rows[i][0] for i in at]).view(np.int64),
+                                  return_inverse=True)
+        values = (bits.view(np.float64).tolist() if dtype is np.float64
+                  else [None if t == INFINITY else t for t in bits.tolist()])
+        tokens = np.array(_leaf_encoder("")(values)[1:-1].split(",\n"), dtype=object)[inverse]
+        end = 0
+        for i in at:
+            x, pad = rows[i]
+            texts[i] = (",\n" + pad).join(tokens[end:end + x.size].tolist())
+            end += x.size
+    return texts
 
 
 def _require(doc, key, kind=None, where="document"):

@@ -9,7 +9,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from amalgam import (INFINITY, FilteredSpace, SpaceError, StoppingTime, certify_bounds,
                      decompose, from_terminal, jsonio)
@@ -42,22 +42,45 @@ def test_canonical_dumps_of_mixed_lists_and_tuples():
 
 
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, math.inf,
-            math.nan]
+            -math.inf, math.nan]
+_INT64 = np.iinfo(np.int64)
+_TIMES = [0, 1, 9, -1, INFINITY, INFINITY - 1, _INT64.min]
 
 
 @st.composite
-def _rows(draw):
-    """A float64 row drawn from a few values, so most repeat, or an int64 row of
-    stopping times with INFINITY; of 0, 1 or many entries."""
-    n = draw(st.sampled_from([0, 1, 2, 9, 16, 300]))  # below and above _MEMO_MIN
+def _rows(draw, shared):
+    """A float64 row drawn from a few values, so most repeat, or an int64 row
+    of stopping times with INFINITY and other int64 values; of 0, 1 or many
+    entries.  Rows of one dtype draw from ``shared`` values too."""
+    n = draw(st.sampled_from([0, 1, 2, 9, 15, 16, 17, 300]))  # around _MEMO_MIN
     if draw(st.booleans()):
-        pool = draw(st.lists(st.floats() | st.sampled_from(_SPECIAL), min_size=1, max_size=6))
+        own = st.floats() | st.sampled_from(_SPECIAL)
         dtype = np.float64
     else:
-        pool = draw(st.lists(st.integers(0, 9) | st.just(INFINITY), min_size=1, max_size=4))
+        own = st.integers(_INT64.min, _INT64.max) | st.sampled_from(_TIMES)
         dtype = np.int64
+    pool = draw(st.lists(own, min_size=1, max_size=6)) + shared[dtype]
     picks = np.random.default_rng(draw(st.integers(0, 2 ** 16))).integers(0, len(pool), n)
     return np.array(pool, dtype=dtype)[picks]
+
+
+_shared_rows = st.fixed_dictionaries({
+    np.float64: st.lists(st.floats() | st.sampled_from(_SPECIAL), max_size=3),
+    np.int64: st.lists(st.sampled_from(_TIMES), max_size=3),
+}).flatmap(lambda shared: st.lists(_rows(shared), min_size=1, max_size=4))
+
+# every case at once: both dtypes at two depths, values shared across rows,
+# lengths around _MEMO_MIN, and rows[0] written twice
+_ALL_ROWS = [
+    np.array((_SPECIAL * 2)[:17]),
+    np.array([0, 1, INFINITY, INFINITY - 1, _INT64.min, -1, 9] * 2 + [INFINITY] * 2, dtype=np.int64),
+    np.array(_SPECIAL[::-1] + [0.5, -0.0, 0.5, 5e-324, -5e-324]),
+    np.array([INFINITY, -1, _INT64.min, 0, 3] * 3 + [2, 2], dtype=np.int64),
+    np.array(_SPECIAL[:8] * 2),
+    np.array(_TIMES * 2 + [5], dtype=np.int64),
+    np.array(_SPECIAL * 30),
+]
+assert sorted(map(len, _ALL_ROWS)) == [15, 15, 16, 16, 17, 17, 300]
 
 
 def _listed(doc):
@@ -69,12 +92,20 @@ def _listed(doc):
     return [_listed(v) for v in doc] if isinstance(doc, list) else doc
 
 
-@given(st.lists(_rows(), min_size=1, max_size=3), _json_values)
+@example(_ALL_ROWS, None)
+@given(_shared_rows, _json_values)
 def test_canonical_dumps_of_rows_is_json_dumps_of_their_lists(rows, other):
-    doc = {"rows": rows, "triple": {"nu": rows[0], "lambda": 0.5, "other": other}}
+    doc = {"rows": rows,
+           "triple": {"nu": rows[0], "lambda": 0.5, "other": other, "deeper": {"rows": rows[1:]}}}
     want = json.dumps(_listed(doc), sort_keys=True, indent=2) + "\n"
     assert jsonio.canonical_dumps(doc) == want
     assert jsonio.canonical_dumps(rows[0]) == json.dumps(_listed(rows[0]), indent=2) + "\n"
+
+
+def test_an_array_after_a_scalar_in_a_list_is_written_as_its_list():
+    doc = {"b": [1.5, {"c": np.linspace(0, 1, 17)}], "d": [2, np.arange(3), "x"]}
+    want = {"b": [1.5, {"c": np.linspace(0, 1, 17).tolist()}], "d": [2, [0, 1, 2], "x"]}
+    assert jsonio.canonical_dumps(doc) == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
 def test_rows_that_are_not_1d_float64_or_int64_are_written_as_their_lists():
