@@ -38,8 +38,8 @@ def canonical_dumps(doc) -> str:
 
     A numpy array is written as its list, a 1-D int64 array as stopping times
     with INFINITY as null.  The walk leaves a NUL in place of the items of
-    each 1-D float64 or int64 array of at least _MEMO_MIN entries (the ASCII
-    encoder writes no NUL), and _row_texts writes those rows in one batch.
+    each non-empty 1-D float64 or int64 array (the ASCII encoder writes no
+    NUL), and _row_texts writes those rows in one batch.
     """
     rows = []
     text = _dumps(doc, "", rows)
@@ -69,12 +69,10 @@ def _dumps(x, pad, rows):
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(x, np.ndarray):
-        if x.ndim == 1 and x.dtype in (np.float64, np.int64) and x.size >= _MEMO_MIN:
+        if x.ndim == 1 and x.dtype in (np.float64, np.int64) and x.size:
             rows.append((x, inner))
             return "[\n" + inner + "\0\n" + pad + "]"
-        # an int64 row is stopping times; any other array is its list
-        one_d = x.ndim == 1 and x.dtype == np.int64
-        x = [None if t == INFINITY else t for t in x.tolist()] if one_d else x.tolist()
+        x = x.tolist()
     if isinstance(x, dict):
         scalars = {k: v for k, v in x.items() if not isinstance(v, _CONTAINERS)}
         text = _leaf_encoder(inner)(scalars)[1:-1]
@@ -103,12 +101,6 @@ def _dumps(x, pad, rows):
                 return "[\n" + inner + text[1:-1] + "\n" + pad + "]"
     return ("[\n" + inner + sep.join(_dumps(v, inner, rows) for v in x) + "\n" + pad + "]"
             if x else "[]")
-
-
-#: rows shorter than this are encoded whole, as lists: through a per-row memo of
-#: distinct values, an 8-entry float row with half its values repeated wrote 9 %
-#: slower, a 16-entry one 3 % faster (CPython 3.11, numpy 2.4, 2-vCPU x86-64 host)
-_MEMO_MIN = 16
 
 
 def _row_texts(rows):

@@ -52,7 +52,7 @@ def _rows(draw, shared):
     """A float64 row drawn from a few values, so most repeat, or an int64 row
     of stopping times with INFINITY and other int64 values; of 0, 1 or many
     entries.  Rows of one dtype draw from ``shared`` values too."""
-    n = draw(st.sampled_from([0, 1, 2, 9, 15, 16, 17, 300]))  # around _MEMO_MIN
+    n = draw(st.sampled_from([0, 1, 2, 9, 15, 16, 17, 300]))
     if draw(st.booleans()):
         own = st.floats() | st.sampled_from(_SPECIAL)
         dtype = np.float64
@@ -70,7 +70,7 @@ _shared_rows = st.fixed_dictionaries({
 }).flatmap(lambda shared: st.lists(_rows(shared), min_size=1, max_size=4))
 
 # every case at once: both dtypes at two depths, values shared across rows,
-# lengths around _MEMO_MIN, and rows[0] written twice
+# short and long rows, and rows[0] written twice
 _ALL_ROWS = [
     np.array((_SPECIAL * 2)[:17]),
     np.array([0, 1, INFINITY, INFINITY - 1, _INT64.min, -1, 9] * 2 + [INFINITY] * 2, dtype=np.int64),
@@ -79,8 +79,10 @@ _ALL_ROWS = [
     np.array(_SPECIAL[:8] * 2),
     np.array(_TIMES * 2 + [5], dtype=np.int64),
     np.array(_SPECIAL * 30),
+    np.array([-0.0, 0.0]),
+    np.array([INFINITY], dtype=np.int64),
 ]
-assert sorted(map(len, _ALL_ROWS)) == [15, 15, 16, 16, 17, 17, 300]
+assert sorted(map(len, _ALL_ROWS)) == [1, 2, 15, 15, 16, 16, 17, 17, 300]
 
 
 def _listed(doc):
