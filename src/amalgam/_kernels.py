@@ -10,7 +10,7 @@ import numpy as np
 
 def cell_sums(labels, n_cells, weights):
     # labels: int array, weights: float array of equal length
-    return np.bincount(labels, weights=weights, minlength=n_cells).astype(np.float64)
+    return np.bincount(labels, weights=weights, minlength=n_cells)
 
 
 def cell_max(labels, n_cells, values):

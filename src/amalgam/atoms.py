@@ -154,7 +154,6 @@ class AtomReport:
     measured: float
     bound: float
     vanishing_residual: float
-    support_leak: float
 
     @property
     def passed(self) -> bool:
@@ -200,8 +199,7 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
             # the simple bound keeps its own rounding: pr / |B| differs in the last bit
             bound = pr * pb ** (-1.0 / d.p) if d.defn == "simple" else pr / size
             size_ok = at_most(measured, bound * (1.0 + SLACK))
-        reports.append(AtomReport(vanishing_ok, size_ok, support_ok, measured, bound,
-                                  residual, leak))
+        reports.append(AtomReport(vanishing_ok, size_ok, support_ok, measured, bound, residual))
     return reports
 
 

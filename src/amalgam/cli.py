@@ -27,7 +27,7 @@ from .atoms import (
 from .duality import certify_duality, pairing
 from .harness import BLOCK_POLICIES, CorpusSpec, GENERATORS, explore_embeddings, generate
 from .norms import all_five_norms
-from .space import SLACK, at_most, same_space, scale_of
+from .space import SLACK, at_most, scale_of
 
 OK, CERT_FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -39,37 +39,35 @@ def _parse_grid(text):
         raise jsonio.SchemaError(f"bad numeric list {text!r}") from exc
 
 
-def _emit(doc, path):
-    text = jsonio.dump_json(doc, path)
+def _emit(text, path):
+    """A document's text goes to stdout unless it was written to ``path``."""
     if path is None:
         sys.stdout.write(text)
 
 
 def cmd_norms(args):
-    f, _ = jsonio.load_martingale(args.input)
+    f = jsonio.load_martingale(args.input)
     doc = {
         "schema": jsonio.SCHEMA,
         "p": args.p,
         "q": args.q,
         "norms": {k: float(v) for k, v in all_five_norms(f, args.p, args.q).items()},
     }
-    _emit(doc, args.output)
+    _emit(jsonio.dump_json(doc, args.output), args.output)
     return OK
 
 
 def cmd_decompose(args):
-    f, _ = jsonio.load_martingale(args.input)
+    f = jsonio.load_martingale(args.input)
     d = decompose(f, args.p, args.q, flavor=args.flavor, defn=args.defn)
     grid = _parse_grid(args.eta_grid) if args.eta_grid else DEFAULT_ETA_GRID
     cert = certify_bounds(d, eta_grid=grid)
-    text = jsonio.dump_decomposition(d, cert, args.output)
-    if args.output is None:
-        sys.stdout.write(text)
+    _emit(jsonio.dump_decomposition(d, cert, args.output), args.output)
     return OK if cert.passed else CERT_FAIL
 
 
 def cmd_verify(args):
-    f, _ = jsonio.load_martingale(args.input)
+    f = jsonio.load_martingale(args.input)
     d = jsonio.load_decomposition(args.decomposition, f)
     rs = _parse_grid(args.r) if args.r else [2.0, 4.0, math.inf]
     rs = [r for r in rs if r > max(d.p, 1.0)]
@@ -111,15 +109,13 @@ def cmd_verify(args):
         "atoms": {"ok": atoms_ok, "reports": atom_reports},
         "bounds": {"ok": cert.passed, **jsonio.certificate_to_doc(cert)},
     }
-    _emit(doc, args.output)
+    _emit(jsonio.dump_json(doc, args.output), args.output)
     return OK if passed else CERT_FAIL
 
 
 def cmd_duality(args):
-    f, _ = jsonio.load_martingale(args.input)
-    space, g = jsonio.load_function(args.g, f)
-    if not same_space(space, f.space):
-        raise jsonio.SchemaError("martingale and function live on different spaces")
+    f = jsonio.load_martingale(args.input)
+    g = jsonio.load_function(args.g, f)
     cert = certify_duality(f, g, args.p, args.q, mode=args.mode)
     nu = cert.campanato.attaining_nu
     doc = {
@@ -141,7 +137,7 @@ def cmd_duality(args):
         "chain_ok": cert.chain_ok,
         "slack": {"first": cert.first_gap, "second": cert.second_gap},
     }
-    _emit(doc, args.output)
+    _emit(jsonio.dump_json(doc, args.output), args.output)
     return OK if cert.chain_ok else CERT_FAIL
 
 
@@ -190,9 +186,9 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_pq(sp, p_default=None, q_default=None):
-        sp.add_argument("--p", type=float, required=p_default is None, default=p_default)
-        sp.add_argument("--q", type=float, required=q_default is None, default=q_default)
+    def add_pq(sp):
+        sp.add_argument("--p", type=float, required=True)
+        sp.add_argument("--q", type=float, required=True)
 
     sp = sub.add_parser("norms", help="all five norms of a martingale document")
     sp.add_argument("--input", required=True)

@@ -89,7 +89,6 @@ def _tree_space(rng, depth, branching, random_tree, block_policy, block_param):
         labels = rng.integers(0, j, size=len(outcomes))
         labels[rng.permutation(len(outcomes))[:j]] = np.arange(j)  # no empty block
         blocks = [[outcomes[i] for i in np.flatnonzero(labels == b)] for b in range(j)]
-        blocks = [b for b in blocks if b]
     return FilteredSpace(outcomes, weights, filtration, blocks)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .atoms import AtomTriple, BoundsCertificate, Decomposition, DEFNS, FLAVORS, source_norm_for
 from .martingale import Martingale, from_terminal
-from .space import INFINITY, FilteredSpace, StoppingTime, require_finite
+from .space import INFINITY, FilteredSpace, StoppingTime, require_finite, same_space
 
 SCHEMA = "amalgam/1"
 
@@ -89,16 +89,8 @@ def _dumps(x, pad, rows):
             return "[\n" + inner + sep.join(map(encode_basestring_ascii, x)) + "\n" + pad + "]"
         except TypeError:  # not all strings
             pass
-    if x and not isinstance(x[0], _CONTAINERS):
-        try:
-            text = _leaf_encoder(inner)(x)
-        except TypeError:  # an array among the items, which the C encoder does not write
-            pass
-        else:
-            # a bracket past the first is in a string, unless x holds a container
-            if not ("[" in text[1:] or "{" in text[1:]) or not any(
-                    isinstance(v, _CONTAINERS) for v in x):
-                return "[\n" + inner + text[1:-1] + "\n" + pad + "]"
+    if x and not any(issubclass(t, _CONTAINERS) for t in set(map(type, x))):
+        return "[\n" + inner + _leaf_encoder(inner)(x)[1:-1] + "\n" + pad + "]"
     return ("[\n" + inner + sep.join(_dumps(v, inner, rows) for v in x) + "\n" + pad + "]"
             if x else "[]")
 
@@ -390,39 +382,39 @@ def _walk(text, known):
     return doc
 
 
-#: (bytes, f, space document, (its text, space document)) of the last martingale
-#: document load_martingale decoded
+#: (bytes, f, (text, value) of its space member) of the last martingale document
+#: load_martingale decoded
 _last = None
 
 
 def load_martingale(path):
-    """(f, space document) of a martingale file; the same pair when its bytes
-    equal those last decoded here.  Otherwise load_json and martingale_from_doc
-    decode them, and the pair, f's arrays read-only, is kept with the text of
-    the space member."""
+    """The martingale f of a martingale file; the same f when its bytes equal
+    those last decoded here.  Otherwise load_json and martingale_from_doc
+    decode them, and f, its levels read-only, is kept with the text and value
+    of the space member."""
     global _last
     raw = _read(path)
     if _last is not None and _last[0] == raw:
-        return _last[1:3]
+        return _last[1]
     _last = None
     known = {"space": None}
-    doc = load_json(path, raw, known)
-    f = martingale_from_doc(doc)
-    s = f.space
-    for a in (f.levels, s.prob, s.cell_labels, s.cell_masses, s.cell_counts, s.block_labels,
-              *s.level_labels):
-        a.flags.writeable = False
-    _last = (raw, f, doc["space"], known["space"])
-    return _last[1:3]
+    f = martingale_from_doc(load_json(path, raw, known))
+    f.levels.flags.writeable = False
+    _last = (raw, f, known["space"])
+    return f
 
 
 def load_function(path, f):
-    """(space, values) of the function document at ``path``, to pair with ``f``.
-    When f is the martingale load_martingale last returned, a space member equal
-    to f's space document is f's space, and one written as in f's file is not
-    decoded: it is f's space document itself."""
-    kept = _last if _last is not None and _last[1] is f else (None, f, None, None)
-    return function_from_doc(load_json(path, None, {"space": kept[3]}), f.space, kept[2])
+    """The values of the function document at ``path`` on f's space, or a
+    SchemaError when it lives on another.  When f is the martingale load_martingale
+    last returned, a space member equal to f's space document is f's space, and one
+    written as in f's file is not decoded: it is f's space document itself."""
+    member = _last[2] if _last is not None and _last[1] is f else None
+    space, values = function_from_doc(load_json(path, None, {"space": member}), f.space,
+                                      None if member is None else member[1])
+    if not same_space(space, f.space):
+        raise SchemaError("martingale and function live on different spaces")
+    return values
 
 
 #: (bytes, space, flavor, defn, p, q, [(k, lambda, nu times, atom terminal)]) of the

@@ -108,7 +108,8 @@ class FilteredSpace:
 
     Cell c of partition n (``level_labels[n] == c``) is cell
     ``cell_offsets[n] + c`` of ``cell_labels``, ``cell_masses`` and
-    ``cell_counts``, its number of members.
+    ``cell_counts``, its number of members.  Every array a space holds is
+    read-only, ``prob`` a copy of the one given, as many objects share a space.
     """
 
     def __init__(self, outcomes, prob, filtration, blocks):
@@ -124,7 +125,7 @@ class FilteredSpace:
             raise SpaceError("duplicate outcomes")
 
         try:
-            p = np.asarray(prob, dtype=np.float64)
+            p = np.array(prob, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise SpaceError(f"probabilities must be numbers: {exc}") from exc
         if p.shape != (self.size,):
@@ -165,6 +166,9 @@ class FilteredSpace:
         self.cell_masses = _kernels.cell_sums(self.cell_labels.ravel(), self.cell_offsets[-1],
                                               np.tile(self.prob, self.depth + 1))
         self.cell_counts = np.bincount(self.cell_labels.ravel(), minlength=self.cell_offsets[-1])
+        for a in (*vars(self).values(), *self.level_labels):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     # -- construction helpers -------------------------------------------
 

@@ -631,14 +631,14 @@ def test_file_rewritten_in_place_is_decoded_again(tmp_path):
     mp = tmp_path / "mart.json"
     doc = _worked_doc()
     jsonio.dump_json(doc, str(mp))
-    before, _ = jsonio.load_martingale(str(mp))
+    before = jsonio.load_martingale(str(mp))
     last = doc["levels"][-1]
     last[0], last[1] = last[1], last[0]  # siblings of equal mass: still a martingale
     size = mp.stat().st_size
     jsonio.dump_json(doc, str(mp))
     assert mp.stat().st_size == size
-    after, space_doc = jsonio.load_martingale(str(mp))
-    assert after is not before and space_doc == doc["space"]
+    after = jsonio.load_martingale(str(mp))
+    assert after is not before and jsonio._last[2][1] == doc["space"]
     assert after.levels.tolist() == doc["levels"]
 
 
@@ -658,11 +658,11 @@ def test_failed_decode_is_not_remembered(tmp_path, capsys):
 def test_remembered_arrays_are_read_only(tmp_path):
     mp = str(tmp_path / "mart.json")
     jsonio.dump_json(_worked_doc(), mp)
-    f, space_doc = jsonio.load_martingale(mp)
-    again = jsonio.load_martingale(mp)
-    assert again[0] is f and again[1] is space_doc
-    for array in (f.levels, f.terminal, f.space.prob, f.space.level_labels[1],
-                  f.space.cell_masses):
+    f = jsonio.load_martingale(mp)
+    assert jsonio.load_martingale(mp) is f
+    held = {k: a for k, a in vars(f.space).items() if isinstance(a, np.ndarray)}
+    assert {"prob", "cell_offsets", "cell_labels", "cell_masses"} <= set(held)
+    for array in (f.levels, f.terminal, *held.values(), *f.space.level_labels):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -701,18 +701,40 @@ def _g_texts():
     return doc, jsonio.canonical_dumps(g), member
 
 
-def test_g_space_written_as_in_f_is_f_space_document(tmp_path):
+def test_g_space_written_as_in_f_is_f_space_document(tmp_path, monkeypatch):
     doc, g_text, member = _g_texts()
     assert f'"space": {member},' in g_text
     mp, gp = str(tmp_path / "mart.json"), tmp_path / "g.json"
     jsonio.dump_json(doc, mp)
     gp.write_text(g_text, encoding="utf-8")
-    f, space_doc = jsonio.load_martingale(mp)
-    assert jsonio._last[3] == (member, space_doc)
-    got = jsonio.load_json(str(gp), None, {"space": jsonio._last[3]})
+    f = jsonio.load_martingale(mp)
+    text, space_doc = jsonio._last[2]
+    assert text == member and space_doc == doc["space"]
+    got = jsonio.load_json(str(gp), None, {"space": jsonio._last[2]})
     assert got["space"] is space_doc and got == json.loads(g_text)
-    space, _ = jsonio.load_function(str(gp), f)
-    assert space is f.space
+    calls = []
+
+    def counted(space_doc):
+        calls.append(space_doc)
+        return decode(space_doc)
+
+    decode = jsonio.space_from_doc
+    monkeypatch.setattr(jsonio, "space_from_doc", counted)
+    values = jsonio.load_function(str(gp), f)
+    assert calls == [] and values.tolist() == got["values"]
+
+
+def test_function_on_another_space_is_refused_where_it_is_loaded(tmp_path):
+    doc, g_text, member = _g_texts()
+    tilted = jsonio.space_to_doc(_dyadic3())
+    tilted["prob"] = [0.0625, 0.1875] + [0.125] * 6
+    mp, gp = str(tmp_path / "mart.json"), str(tmp_path / "g.json")
+    jsonio.dump_json(doc, mp)
+    jsonio.dump_json({**json.loads(g_text), "space": tilted}, gp)
+    f = jsonio.load_martingale(mp)
+    with pytest.raises(jsonio.SchemaError) as info:
+        jsonio.load_function(gp, f)
+    assert str(info.value) == "martingale and function live on different spaces"
 
 
 @pytest.mark.parametrize("fault", ["garbage", "bom", "cut in the space", "cut after the space",
@@ -858,7 +880,7 @@ def test_kept_decomposition_arrays_are_read_only(tmp_path):
     mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
     jsonio.dump_json(_worked_doc(), mp)
     assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--output", dp]) == 0
-    f, _ = jsonio.load_martingale(mp)
+    f = jsonio.load_martingale(mp)
     kept = [(times, terminal) for _, _, times, terminal in jsonio._written[-1]]
     rebuilt = jsonio.load_decomposition(dp, f)
     assert len(rebuilt.triples) == len(kept) > 0
@@ -875,7 +897,7 @@ def test_loaded_decomposition_carries_its_source_norm(tmp_path, monkeypatch):
     jsonio.dump_json(_worked_doc(), mp)
     assert main(["decompose", "--input", mp, "--p", "0.5", "--q", "1", "--flavor", "S",
                  "--output", dp]) == 0
-    f, _ = jsonio.load_martingale(mp)
+    f = jsonio.load_martingale(mp)
     want = source_norm_for(f, "S", 0.5, 1.0)
     assert want > 0.0
     for memo in (True, False):
@@ -895,7 +917,7 @@ def test_kept_decomposition_with_bad_values_is_refused_as_decoded(tmp_path, monk
     calls = _decode_counts(monkeypatch)
     mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
     jsonio.dump_json(_worked_doc(), mp)
-    f, _ = jsonio.load_martingale(mp)
+    f = jsonio.load_martingale(mp)
     d = decompose(f, 1.0, 1.0)
     cert = certify_bounds(d)  # of the sound triples: a negative lambda cannot be certified
     t = d.triples[1]

@@ -65,6 +65,14 @@ def test_space_invariants_enforced():
         )
 
 
+def test_space_copies_the_probabilities_it_is_given():
+    outcomes, prob = ["a", "b", "c", "d"], np.full(4, 0.25)
+    space = FilteredSpace(outcomes, prob, [[outcomes]], [outcomes])
+    assert not np.shares_memory(space.prob, prob) and not space.prob.flags.writeable
+    prob[0] = 0.5
+    assert space.prob.tolist() == [0.25] * 4
+
+
 @pytest.mark.parametrize("values", [{"w1": 1.0, "w2": -1.0}, ["x", "y", "z", "w"], [1.0, -1.0]],
                          ids=["mapping", "strings", "wrong-length"])
 def test_random_variables_refuse_anything_but_a_numeric_array(dyadic2, values):
