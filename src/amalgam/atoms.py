@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .martingale import (
     quadratic_variation,
     stopped,
 )
-from .norms import _check_exponent, lpq_norm
+from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate
 from .space import (
     INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, condition_rows, require_space,
     scale_of, scaled, times_pow2,
@@ -46,8 +46,6 @@ class AtomTriple:
     lam: float
     terminal: np.ndarray
     nu: StoppingTime
-    #: (key, (P(B), |B|)) that rung_size keeps; the key is what the size depends on
-    sized: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -83,32 +81,24 @@ def default_r(flavor: str) -> float:
     return 2.0 if flavor == "s" else math.inf
 
 
-def _support_size(space: FilteredSpace, mask, p, q, defn):
-    """(P(B), |B|) of a rung's support B: |B| is P(B)^{1/p} (simple) or ||1_B||_{p,q}
-    (weighted), and 0 when P(B) = 0.  A nonempty B whose size is not a normal
-    float is refused: lambda_k would be 0, or the bound P(B)^{-1/p} overflow."""
-    pb = float(space.prob[mask].sum())
-    if pb <= 0.0:
-        return pb, 0.0
-    size = pb ** (1.0 / p) if defn == "simple" else lpq_norm(space, mask.astype(float), p, q)
-    if not sys.float_info.min <= size < math.inf:
-        raise ValueError(f"p = {p!r} is too small: a rung of mass {pb!r} has support size "
-                         f"{size!r}, not a normal float")
-    return pb, size
-
-
-def _size_key(d: Decomposition, t: AtomTriple):
-    """What t's support size depends on; nu compares by identity."""
-    return d.p, d.q, d.defn, t.nu
-
-
-def rung_size(d: Decomposition, t: AtomTriple):
-    """_support_size of t's support in d's definition, computed once per triple:
-    decompose, verify_atom and rung_weight share it."""
-    key = _size_key(d, t)
-    if t.sized is None or t.sized[0] != key:
-        t.sized = key, _support_size(d.space, t.nu.support, d.p, d.q, d.defn)
-    return t.sized[1]
+def _sizes(d: Decomposition, supports):
+    """Yield (P(B), |B|) for each row B of the (K, M) masks ``supports``: |B| is
+    P(B)^{1/p} (simple) or ||1_B||_{p,q}, the l_q aggregate of B's block masses
+    (weighted), and 0 when P(B) = 0.  A nonempty B whose size is not a normal float
+    is refused as its row is reached: lambda_k would be 0, or P(B)^{-1/p} overflow."""
+    space, p, k = d.space, d.p, len(supports)
+    _check_exponent("p", p)
+    if d.defn == "weighted":
+        _check_exponent("q", d.q, inf_ok=True)
+        w = (space.prob * np.reshape(supports, (k, space.size))).ravel()
+        sizes = lq_aggregate(_masses(space, np.repeat(np.arange(k), space.size), k, w)[1], p, d.q)
+    for i, b in enumerate(supports):
+        pb = float(space.prob[b].sum())
+        size = pb ** (1.0 / p) if d.defn == "simple" else float(sizes[i])
+        if pb > 0.0 and not sys.float_info.min <= size < math.inf:
+            raise ValueError(f"p = {p!r} is too small: a rung of mass {pb!r} has support size "
+                             f"{size!r}, not a normal float")
+        yield pb, size
 
 
 def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
@@ -130,17 +120,16 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     ks, times = ladder_times(stat)
     # row k is the terminal f_{nu^k} of the stopped martingale f^{nu^k}
     rows = stopped(f.levels, times)
-    for k, nu_times, below, above in zip(ks, times, rows, rows[1:]):
-        pb, size = _support_size(space, nu_times != INFINITY, p, q, defn)
+    # the sizes come last, so each rung's is checked just before its lambda
+    for k, nu_times, below, above, (pb, size) in zip(
+            ks, times, rows, rows[1:], _sizes(dec, times[:-1] != INFINITY)):
         if pb > 0.0:  # an empty rung has lambda_k = 0 and a zero atom: omitted
             lam = float(times_pow2(size, k + base_exp))
             if not 0.0 < lam < math.inf:
                 raise ValueError(f"rung k = {k}: lambda_k = 2^{k + base_exp} * {size!r} "
                                  f"is {lam!r}, not a positive finite float")
             nu = StoppingTime(space, nu_times, validate=False)
-            t = AtomTriple(k, lam, (above - below) / lam, nu)
-            t.sized = _size_key(dec, t), (pb, size)
-            dec.triples.append(t)
+            dec.triples.append(AtomTriple(k, lam, (above - below) / lam, nu))
     return dec
 
 
@@ -178,7 +167,7 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
 
     stat = atom_statistic(d.flavor, Martingale(space, e, validate=False))
     mask = t.nu.support
-    pb, size = rung_size(d, t)
+    [(pb, size)] = _sizes(d, [mask])
 
     leak = float(np.max(stat[~mask])) if (~mask).any() else 0.0
     support_ok = at_most(leak, SLACK * scale)
@@ -218,7 +207,7 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 
 def rung_weight(d: Decomposition, t: AtomTriple) -> float:
     """lambda_k normalized by the support size in the matching definition."""
-    pb, size = rung_size(d, t)
+    [(pb, size)] = _sizes(d, [t.nu.support])
     return t.lam / size if pb > 0.0 else 0.0
 
 
@@ -228,8 +217,10 @@ def aggregate_eta_norm(d: Decomposition, eta) -> float:
 
 
 def _aggregates(d: Decomposition, etas) -> list:
-    """aggregate_eta_norm at each eta; each rung's support and weight are computed once."""
-    rungs = [(t.nu.support, rung_weight(d, t)) for t in d.triples]
+    """aggregate_eta_norm at each eta; the rungs are sized and weighed once, in one pass."""
+    supports = [t.nu.support for t in d.triples]
+    rungs = [(b, t.lam / size if pb > 0.0 else 0.0)
+             for t, b, (pb, size) in zip(d.triples, supports, _sizes(d, supports))]
     norms = []
     for eta in etas:
         if not 0 < eta <= 1:
@@ -282,8 +273,11 @@ def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertifi
     Upper side: aggregate(eta) <= C(eta) * source norm, with the extra
     factor 2 budget for the envelope flavors (their ladders carry 2^{k+2}
     and the admissible-envelope slack is a factor 2).  Converse side with
-    constant 1: source norm <= aggregate(eta).
+    constant 1: source norm <= aggregate(eta).  An empty grid is refused.
     """
+    eta_grid = tuple(eta_grid)  # read once: _aggregates and the entries both walk it
+    if not eta_grid:
+        raise ValueError("eta_grid must hold at least one eta")
     margin = 2.0 if d.flavor in ("S", "star") else 1.0
     entries = []
     for eta, agg in zip(eta_grid, _aggregates(d, eta_grid)):

@@ -20,20 +20,11 @@ from .atoms import decompose, ladder_constant
 from .martingale import (
     FLAVORS, Martingale, _ladder_statistic, from_terminal, ladder_times, stopped,
 )
-from .norms import _check_exponent, lpq_norm, lq_aggregate
+from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate
 from .space import (
-    _BLOCK_ELEMS,
-    INFINITY,
-    EnumerationOverflow,
-    FilteredSpace,
-    SpaceError,
-    StoppingTime,
-    require_space,
-    scaled,
-    stopping_time_blocks,
-    times_pow2,
+    _BLOCK_ELEMS, ENUMERATION_CAP, INFINITY, SLACK, EnumerationOverflow, FilteredSpace, SpaceError,
+    StoppingTime, at_most, require_space, scale_of, scaled, stopping_time_blocks, times_pow2,
 )
-from .space import SLACK, at_most, scale_of
 
 
 def phi(space: FilteredSpace, subset, p, q) -> float:
@@ -67,18 +58,6 @@ class CampanatoResult:
 # scored from those three sums only.  Each is a cell_sums over a label array
 # in outcome order, so a stopping time gets the same bits as a stacked row
 # as it does as a cell first-entry time.
-
-def _masses(space, cells, n_cells, w):
-    """Total and (n_cells, J) per-block sums of the weights w on each cell.
-
-    ``cells`` and ``w`` run over whole copies of the outcome set, one copy
-    per row of the stack they come from.
-    """
-    J = space.n_blocks
-    blocks = np.tile(space.block_labels, len(cells) // space.size)
-    return (_kernels.cell_sums(cells, n_cells, w),
-            _kernels.cell_sums(cells * J + blocks, n_cells * J, w).reshape(n_cells, J))
-
 
 def _row_sums(space, levels, g, times):
     """A, P(B) and the block masses of each row of a (rows, M) times stack.
@@ -205,7 +184,7 @@ def oscillation(space: FilteredSpace, g, gm: Martingale, nu: StoppingTime, p, q)
     return float(times_pow2(_quotients(a, pb, masses, p, q)[0], e))
 
 
-def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
+def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=ENUMERATION_CAP,
                    extra_candidates=()) -> CampanatoResult:
     """sup over stopping times of the phi-weighted stopped oscillation.
 
@@ -227,6 +206,7 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=10**6,
 
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+    extra_candidates = list(extra_candidates)  # read once: checked, then stacked
     for nu in extra_candidates:
         require_space(nu, space)
     small, levels, e = _scaled(g, gm)
@@ -272,7 +252,8 @@ class DualityCertificate:
     second_gap: float
 
 
-def certify_duality(f: Martingale, g, p, q, mode="heuristic", cap=10**6) -> DualityCertificate:
+def certify_duality(f: Martingale, g, p, q, mode="heuristic",
+                    cap=ENUMERATION_CAP) -> DualityCertificate:
     """Certify |E[fg]| <= atom-wise bound <= C * ||f||_{H^s} * ||g||_{L_2,phi}.
 
     Valid for 0 < p <= q <= 1.  The atom-wise bound follows the ladder

@@ -93,7 +93,7 @@ def lq_aggregate(integrals, p, q, logs=None) -> np.ndarray:
     per row, so a row gets the same bits in any stack.  In log space, a row
     where (q/p) max_j log I_j is beyond the float range, as every row is when
     q = inf, is the limit of the sum: max_j I_j^{1/p} times c^{1/q} for c tied
-    maxima.  Every row needs a positive integral.
+    maxima.  A row with no positive integral is 0.
     """
     # log 0 is -inf, a power beyond the float range is inf, and the NaN of a
     # row beyond it is replaced
@@ -126,6 +126,18 @@ def lq_aggregate(integrals, p, q, logs=None) -> np.ndarray:
 def _row_totals(x):
     """Row sums in column order, so equal rows sum to equal bits in any stack."""
     return np.cumsum(x, axis=1)[:, -1]
+
+
+def _masses(space, cells, n_cells, w):
+    """Total and (n_cells, J) per-block sums of the weights w on each cell.
+
+    ``cells`` and ``w`` run over whole copies of the outcome set, one copy
+    per row of the stack they come from.
+    """
+    J = space.n_blocks
+    blocks = np.tile(space.block_labels, len(cells) // space.size)
+    return (_kernels.cell_sums(cells, n_cells, w),
+            _kernels.cell_sums(cells * J + blocks, n_cells * J, w).reshape(n_cells, J))
 
 
 def lp_norm(space: FilteredSpace, values, p) -> float:

@@ -83,6 +83,8 @@ def times_pow2(x, e):
 #: enumeration included; at 2^13 the exact route peaks below a
 #: materialised enumeration.
 _BLOCK_ELEMS = 1 << 13
+#: default cap on the stopping-time count of an exact enumeration
+ENUMERATION_CAP = 10**6
 
 
 class EnumerationOverflow(RuntimeError):
@@ -464,7 +466,7 @@ def count_stopping_times(space: FilteredSpace) -> int:
     return _radices(space)[0][0][0]
 
 
-def stopping_time_blocks(space: FilteredSpace, cap=10**6):
+def stopping_time_blocks(space: FilteredSpace, cap=ENUMERATION_CAP):
     """Yield every distinct stopping time as rows of int64 (rows, M) blocks.
 
     A block holds at most max(1, _BLOCK_ELEMS // M) rows.  The count is
@@ -497,7 +499,7 @@ def stopping_time_blocks(space: FilteredSpace, cap=10**6):
         yield stop[:, space.level_labels[space.depth]]
 
 
-def enumerate_stopping_times(space: FilteredSpace, cap=10**6):
+def enumerate_stopping_times(space: FilteredSpace, cap=ENUMERATION_CAP):
     """Yield every distinct stopping time, or raise EnumerationOverflow.
 
     One StoppingTime per row of stopping_time_blocks, in the same order.

@@ -27,10 +27,12 @@ from amalgam import (
     verify_atom,
 )
 from amalgam.atoms import (
-    DEFNS, FLAVORS, atom_statistic, default_r, rung_weight, source_norm_for,
+    DEFNS, FLAVORS, _power, _sizes, atom_statistic, default_r, rung_weight, source_norm_for,
 )
 from amalgam.harness import CorpusSpec, generate
-from amalgam.space import SLACK, at_most, condition_rows, scale_of
+from amalgam.martingale import _ladder_statistic, ladder_times
+from amalgam.norms import lpq_norm
+from amalgam.space import INFINITY, SLACK, at_most, condition_rows, scale_of, times_pow2
 from conftest import random_martingale, random_tree_space, small_martingales
 
 SQ2 = np.sqrt(2.0)
@@ -265,6 +267,33 @@ def test_certify_bounds_fails_an_inflated_decomposition_at_every_scale(scale):
     assert all(e.aggregate > 1.5 * e.budget for e in cert.entries[1:])
 
 
+def _inflated_dyadic_corpus_member():
+    """The first martingale of ``gen --generator dyadic --depth 3 --seed 2`` at (0.5, 1),
+    with every lambda times 50 and every atom over 50: its bounds fail."""
+    (space, f), = generate(CorpusSpec(generator="dyadic", depth=3, seed=2))
+    d = decompose(f, 0.5, 1.0)
+    d.triples = [AtomTriple(t.k, t.lam * 50, t.terminal / 50, t.nu) for t in d.triples]
+    return d
+
+
+def test_certify_bounds_checks_every_eta_of_a_generator_grid():
+    # the grid was once consumed by the aggregates before the entries read
+    # it, so a generator gave no entries and passed
+    d = _inflated_dyadic_corpus_member()
+    want = certify_bounds(d, eta_grid=[0.25, 0.5])
+    assert not want.passed
+    got = certify_bounds(d, eta_grid=(eta for eta in (0.25, 0.5)))
+    assert got == want
+    assert got.failing_etas() == [0.25, 0.5]
+
+
+def test_certify_bounds_refuses_an_empty_grid():
+    d = _inflated_dyadic_corpus_member()
+    for grid in ((), [], iter(())):
+        with pytest.raises(ValueError, match="^eta_grid must hold at least one eta$"):
+            certify_bounds(d, eta_grid=grid)
+
+
 def test_converse_survives_coefficient_inflation():
     # scaling lambda_k up (and the atom down) keeps every atom valid and
     # keeps the converse inequality with constant 1
@@ -370,3 +399,107 @@ def test_verify_atom_measures_large_statistics_without_overflow(coin):
     reps = verify_atom(d, t, [2.0, 4.0, math.inf])
     assert [rep.measured for rep in reps] == [pytest.approx(1e100, rel=1e-15)] * 3
     assert all(rep.bound == 1.0 for rep in reps)
+
+
+# -- rung sizes ---------------------------------------------------------------
+# The reference route sizes each support B on its own: P(B) as a pairwise sum,
+# P(B)^{1/p} as a Python float power, and ||1_B||_{p,q} as lpq_norm of the
+# indicator.  _sizes takes the weighted sizes from the block masses of all the
+# rungs at once; every figure must keep its bits.
+
+# each branch of lq_aggregate: direct, log space for p or for q below 0.1, q = inf
+# in both, rows whose powers underflow (large q / p), and a large p
+_BRANCH_PQ = [(0.5, 1.0), (0.05, 1.0), (1.0, 0.05), (0.5, math.inf), (0.05, math.inf),
+              (0.5, 400.0), (1500.0, 2.0)]
+
+
+def _reference_size(d, support):
+    pb = float(d.space.prob[support].sum())
+    if pb <= 0.0:
+        return pb, 0.0
+    if d.defn == "simple":
+        return pb, pb ** (1.0 / d.p)
+    return pb, lpq_norm(d.space, support.astype(float), d.p, d.q)
+
+
+def _assert_sizes_follow_the_reference(d, etas=(0.25, 1.0)):
+    sizes = [_reference_size(d, t.nu.support) for t in d.triples]
+    assert list(_sizes(d, [t.nu.support for t in d.triples])) == sizes
+    weights = [t.lam / size if pb > 0.0 else 0.0 for t, (pb, size) in zip(d.triples, sizes)]
+    assert [rung_weight(d, t) for t in d.triples] == weights
+    aggregates = []
+    for eta in etas:
+        fieldv = np.zeros(d.space.size)
+        for t, w in zip(d.triples, weights):
+            fieldv[t.nu.support] += w ** eta
+        aggregates.append(_power(lpq_norm(d.space, fieldv, d.p / eta, d.q / eta), 1.0 / eta))
+    assert [aggregate_eta_norm(d, eta) for eta in etas] == aggregates
+    assert [e.aggregate for e in certify_bounds(d, etas).entries] == aggregates
+    rs = [2.0, math.inf]
+    for t, (pb, size) in zip(d.triples, sizes):
+        prs = [1.0 if math.isinf(r) else pb ** (1.0 / r) for r in rs]
+        bounds = [pr * pb ** (-1.0 / d.p) if d.defn == "simple" else pr / size for pr in prs]
+        reports = verify_atom(d, t, rs)
+        assert [rep.bound for rep in reports] == bounds
+        assert [rep.size_ok for rep in reports] == [
+            at_most(rep.measured, b * (1.0 + SLACK)) for rep, b in zip(reports, bounds)]
+    return sizes
+
+
+@given(small_martingales(random_weights=True, max_blocks=3), st.sampled_from(ALL_COMBOS))
+def test_rung_sizes_match_the_indicator_norm_route(case, variant):
+    space, f = case
+    flavor, defn = variant
+    base = 1 if flavor == "s" else 2
+    for p, q in _BRANCH_PQ:
+        try:
+            d = decompose(f, p, q, flavor=flavor, defn=defn)
+        except ValueError as exc:
+            assert "is too small: a rung of mass" in str(exc) or str(exc).startswith("rung k =")
+            continue
+        sizes = _assert_sizes_follow_the_reference(d)
+        assert [t.lam for t in d.triples] == [
+            float(times_pow2(size, t.k + base)) for t, (_, size) in zip(d.triples, sizes)]
+
+
+def test_sizes_follow_edits_of_the_decomposition():
+    # nothing is kept on a triple: a size read after p, q or the definition
+    # changed is the size in the new ones
+    (space, f), = generate(CorpusSpec(generator="random-tree", seed=5, depth=3, max_branching=3,
+                                      block_policy="random-partition", block_param=2))
+    d = decompose(f, 0.5, 1.0)
+    seen = [_assert_sizes_follow_the_reference(d)]
+    for name, value in (("p", 0.75), ("defn", "weighted"), ("q", 3.0), ("p", 0.4)):
+        setattr(d, name, value)
+        seen.append(_assert_sizes_follow_the_reference(d))
+        assert seen[-1] != seen[-2], name
+
+
+def _refusal_case():
+    """Singleton level-2 cells in two blocks, f of order 1e25: at (0.00095, 0.0005)
+    the whole space weighs 2^947 and {a, b} weighs 2^-1053, a subnormal."""
+    outcomes = ["a", "b", "c", "d"]
+    space = FilteredSpace(outcomes, [0.25] * 4,
+                          [[outcomes], [outcomes[:2], outcomes[2:]], [[o] for o in outcomes]],
+                          [outcomes[:2], outcomes[2:]])
+    return space, from_terminal(space, [8e25, -1e25, -3e25, -4e25])
+
+
+def test_a_rung_is_refused_for_its_lambda_before_a_later_rung_for_its_size():
+    space, f = _refusal_case()
+    p, q = 0.00095, 0.0005
+    ks, times = ladder_times(_ladder_statistic(f, "s"))
+    assert list(ks) == [83, 84, 85, 86]
+    # rung 85 stops on {a, b}, whose weighted size is not a normal float ...
+    assert np.array_equal(times[2] != INFINITY, [True, True, False, False])
+    assert 0.0 < lpq_norm(space, [1.0, 1.0, 0.0, 0.0], p, q) < np.finfo(float).tiny
+    # ... but rung 83's lambda is refused first, as the ladder reaches it first
+    with pytest.raises(ValueError) as exc:
+        decompose(f, p, q, defn="weighted")
+    assert str(exc.value) == ("rung k = 83: lambda_k = 2^84 * 1.535718732131559e+285 is inf, "
+                              "not a positive finite float")
+    # the simple sizes of rungs 83 and 84 are 1, so rung 85 is the first refused
+    with pytest.raises(ValueError) as exc:
+        decompose(f, p, q, defn="simple")
+    assert str(exc.value) == ("p = 0.00095 is too small: a rung of mass 0.5 has support size "
+                              "1.337582e-317, not a normal float")

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -24,11 +25,11 @@ from amalgam import (
 )
 from amalgam import duality
 from amalgam.atoms import ladder_constant
-from amalgam.duality import _masses, oscillation
+from amalgam.duality import oscillation
 from amalgam.harness import CorpusSpec, generate
 from amalgam.martingale import Martingale
-from amalgam.norms import lpq_norm, lq_aggregate
-from amalgam.space import binary_exponent, stopping_time_blocks, times_pow2
+from amalgam.norms import _masses, lpq_norm, lq_aggregate
+from amalgam.space import ENUMERATION_CAP, binary_exponent, stopping_time_blocks, times_pow2
 from amalgam.martingale import (
     _ladder_statistic,
     _threshold_time,
@@ -130,6 +131,24 @@ def test_campanato_skips_a_candidate_with_an_empty_support(worked_example):
         assert (got.norm_value, got.candidates_examined) == (base.norm_value,
                                                              base.candidates_examined)
         assert got.attaining_nu.times.tolist() == base.attaining_nu.times.tolist()
+
+
+def test_campanato_scores_extras_given_as_a_generator():
+    # the space check once consumed a generator, so its candidates went unscored
+    (space, f), = generate(CorpusSpec(generator="dyadic", depth=3, seed=2))
+    nus = [t.nu for t in decompose(f, 0.5, 1.0).triples]
+    want = campanato_norm(space, f.terminal, 0.5, 1.0, mode="heuristic", extra_candidates=nus)
+    assert want.candidates_examined == 19 and len(want.extra_l2) == 3
+    got = campanato_norm(space, f.terminal, 0.5, 1.0, mode="heuristic",
+                         extra_candidates=(nu for nu in nus))
+    assert got.candidates_examined == want.candidates_examined
+    assert got.extra_l2.tobytes() == want.extra_l2.tobytes()
+    assert got.norm_value == want.norm_value
+
+
+def test_every_enumeration_cap_defaults_to_the_one_constant():
+    for fn in (campanato_norm, certify_duality, stopping_time_blocks, enumerate_stopping_times):
+        assert inspect.signature(fn).parameters["cap"].default is ENUMERATION_CAP
 
 
 def test_campanato_heuristic_is_lower_bound():

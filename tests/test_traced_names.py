@@ -6,6 +6,7 @@ neither runs nor writes anything under ``perfbench/``.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -32,3 +33,14 @@ def test_every_traced_name_exists():
     missing = [f"{table}: amalgam.{module}.{attr}" for table, module, attr in names
                if not hasattr(importlib.import_module(f"amalgam.{module}"), attr)]
     assert not missing, missing
+
+
+def test_arguments_the_tracer_reads_by_position_keep_their_place():
+    # the tracer reads these arguments from ``args`` by index: a reordered
+    # signature would miscount silently in a traced run
+    for module, fn, index, name in (("duality", "campanato_norm", 6, "extra_candidates"),
+                                    ("jsonio", "load_json", 0, "path"),
+                                    ("jsonio", "dump_json", 1, "path"),
+                                    ("_kernels", "cell_sums", 0, "labels")):
+        params = inspect.signature(getattr(importlib.import_module(f"amalgam.{module}"), fn))
+        assert list(params.parameters)[index] == name, (module, fn)
