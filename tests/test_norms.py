@@ -183,11 +183,15 @@ def test_a_one_block_norm_is_its_value_at_q_inf(q):
 
 def test_lq_aggregate_takes_each_row_alone():
     # a row whose powers leave the normal float range takes the log-space
-    # route by itself, so it gets the same bits in any stack
-    rows = np.array([[0.5, 0.25, 0.0], [1e-120, 0.5, 0.5], [0.9, 0.0, 0.1], [1.0, 1.0, 0.0]])
-    for p, q in ((1.0, 3.0), (0.5, 1000.0), (0.5, 1e308), (0.05, 1.0), (2.0, math.inf)):
+    # route by itself, so it gets the same bits in any stack; a row with no
+    # positive integral (an empty rung's support) is 0 on every route
+    rows = np.array([[0.5, 0.25, 0.0], [1e-120, 0.5, 0.5], [0.9, 0.0, 0.1], [1.0, 1.0, 0.0],
+                     [0.0, 0.0, 0.0]])
+    for p, q in ((1.0, 3.0), (0.5, 1000.0), (0.5, 1e308), (0.05, 1.0), (2.0, math.inf),
+                 (1.0, 0.05), (0.05, math.inf)):
         alone = [lq_aggregate(row[None], p, q)[0] for row in rows]
         assert lq_aggregate(rows, p, q).tolist() == alone
+        assert alone[-1] == 0.0
 
 
 def test_lpq_rejects_bad_exponents(dyadic2):
