@@ -217,7 +217,7 @@ def aggregate_eta_norm(d: Decomposition, eta) -> float:
 
 
 def _aggregates(d: Decomposition, etas) -> list:
-    """aggregate_eta_norm at each eta; the rungs are sized and weighed once, in one pass."""
+    """aggregate_eta_norm at each eta; every rung's size and weight are taken once, in one pass."""
     supports = [t.nu.support for t in d.triples]
     rungs = [(b, t.lam / size if pb > 0.0 else 0.0)
              for t, b, (pb, size) in zip(d.triples, supports, _sizes(d, supports))]
