@@ -53,6 +53,7 @@ from .atoms import (
     decompose,
     ladder_constant,
     reconstruct,
+    reconstruction_residuals,
     verify_atom,
 )
 from .duality import (

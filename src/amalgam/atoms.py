@@ -205,6 +205,13 @@ def reconstruct(d: Decomposition) -> np.ndarray:
     return condition_rows(d.space, np.broadcast_to(total, (d.space.depth + 1, d.space.size)))
 
 
+def reconstruction_residuals(d: Decomposition, f: Martingale):
+    """(residual, ok): each level's max|reconstruct(d)_n - f_n|, and whether every
+    one is at most SLACK at f's own scale.  A NaN residual fails."""
+    residual = np.max(np.abs(reconstruct(d) - f.levels), axis=1)
+    return residual, at_most(residual, SLACK * scale_of(f.levels))
+
+
 def rung_weight(d: Decomposition, t: AtomTriple) -> float:
     """lambda_k normalized by the support size in the matching definition."""
     [(pb, size)] = _sizes(d, [t.nu.support])

@@ -7,12 +7,11 @@ Exit codes: 0 all checks pass, 1 a certificate failed, 2 bad input or path.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import jsonio
 from .atoms import (
@@ -21,18 +20,20 @@ from .atoms import (
     FLAVORS,
     certify_bounds,
     decompose,
-    reconstruct,
+    reconstruction_residuals,
     verify_atom,
 )
 from .duality import certify_duality, pairing
 from .harness import BLOCK_POLICIES, CorpusSpec, GENERATORS, explore_embeddings, generate
 from .norms import all_five_norms
-from .space import SLACK, at_most, scale_of
 
 OK, CERT_FAIL, INPUT_ERROR = 0, 1, 2
 
 
-def _parse_grid(text):
+def _parse_grid(text, default):
+    """The floats of a comma list, or ``default`` when the flag is absent or empty."""
+    if not text:
+        return default
     try:
         return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
@@ -41,8 +42,13 @@ def _parse_grid(text):
 
 def _emit(text, path):
     """A document's text goes to stdout unless it was written to ``path``."""
-    if path is None:
+    if not path:
         sys.stdout.write(text)
+
+
+def _bounds(d, args):
+    """The bound certificate of ``d`` over the --eta-grid values."""
+    return certify_bounds(d, eta_grid=_parse_grid(args.eta_grid, DEFAULT_ETA_GRID))
 
 
 def cmd_norms(args):
@@ -60,8 +66,7 @@ def cmd_norms(args):
 def cmd_decompose(args):
     f = jsonio.load_martingale(args.input)
     d = decompose(f, args.p, args.q, flavor=args.flavor, defn=args.defn)
-    grid = _parse_grid(args.eta_grid) if args.eta_grid else DEFAULT_ETA_GRID
-    cert = certify_bounds(d, eta_grid=grid)
+    cert = _bounds(d, args)
     _emit(jsonio.dump_decomposition(d, cert, args.output), args.output)
     return OK if cert.passed else CERT_FAIL
 
@@ -69,33 +74,13 @@ def cmd_decompose(args):
 def cmd_verify(args):
     f = jsonio.load_martingale(args.input)
     d = jsonio.load_decomposition(args.decomposition, f)
-    rs = _parse_grid(args.r) if args.r else [2.0, 4.0, math.inf]
-    rs = [r for r in rs if r > max(d.p, 1.0)]
+    rs = [r for r in _parse_grid(args.r, (2.0, 4.0, math.inf)) if r > max(d.p, 1.0)]
     if not rs:
         raise ValueError(f"--r: no exponent satisfies r > max(p, 1) = {max(d.p, 1.0)!r}")
-
-    recon = np.max(np.abs(reconstruct(d) - f.levels), axis=1).tolist()
-    worst = float(np.max(recon))  # np.max keeps a NaN; max() would drop it
-    recon_ok = at_most(recon, SLACK * scale_of(f.levels))
-
-    atom_reports = []
-    atoms_ok = True
-    for t in d.triples:
-        for r, rep in zip(rs, verify_atom(d, t, rs)):
-            atoms_ok = atoms_ok and rep.passed
-            atom_reports.append(
-                {
-                    "k": t.k,
-                    "r": "inf" if math.isinf(r) else r,
-                    "passed": rep.passed,
-                    "measured": rep.measured,
-                    "bound": rep.bound,
-                    "vanishing_residual": rep.vanishing_residual,
-                }
-            )
-
-    grid = _parse_grid(args.eta_grid) if args.eta_grid else DEFAULT_ETA_GRID
-    cert = certify_bounds(d, eta_grid=grid)
+    recon, recon_ok = reconstruction_residuals(d, f)
+    reports = [(t.k, r, rep) for t in d.triples for r, rep in zip(rs, verify_atom(d, t, rs))]
+    atoms_ok = all(rep.passed for _, _, rep in reports)
+    cert = _bounds(d, args)
 
     passed = recon_ok and atoms_ok and cert.passed
     doc = {
@@ -103,10 +88,15 @@ def cmd_verify(args):
         "passed": passed,
         "reconstruction": {
             "ok": recon_ok,
-            "residual_per_level": recon,
-            "max_residual": worst,
+            "residual_per_level": recon.tolist(),
+            "max_residual": float(recon.max()),  # keeps a NaN, which builtin max() may drop
         },
-        "atoms": {"ok": atoms_ok, "reports": atom_reports},
+        "atoms": {
+            "ok": atoms_ok,
+            "reports": [{"k": k, "r": "inf" if math.isinf(r) else r, "passed": rep.passed,
+                         "measured": rep.measured, "bound": rep.bound,
+                         "vanishing_residual": rep.vanishing_residual} for k, r, rep in reports],
+        },
         "bounds": {"ok": cert.passed, **jsonio.certificate_to_doc(cert)},
     }
     _emit(jsonio.dump_json(doc, args.output), args.output)
@@ -142,15 +132,8 @@ def cmd_duality(args):
 
 
 def _corpus_spec(args):
-    return CorpusSpec(
-        generator=args.generator,
-        count=args.count,
-        seed=args.seed,
-        depth=args.depth,
-        max_branching=args.max_branching,
-        block_policy=args.block_policy,
-        block_param=args.block_param,
-    )
+    """The corpus flags' dests are CorpusSpec's field names."""
+    return CorpusSpec(**{fd.name: getattr(args, fd.name) for fd in dataclasses.fields(CorpusSpec)})
 
 
 def cmd_explore(args):
@@ -160,8 +143,7 @@ def cmd_explore(args):
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.csv)
     return CERT_FAIL if table.violations else OK
 
 
@@ -169,10 +151,8 @@ def cmd_gen(args):
     corpus = generate(_corpus_spec(args))
     os.makedirs(args.out_dir, exist_ok=True)
     for i, (_, mart) in enumerate(corpus):
-        jsonio.dump_json(
-            jsonio.martingale_to_doc(mart),
-            os.path.join(args.out_dir, f"mart_{i:04d}.json"),
-        )
+        path = os.path.join(args.out_dir, f"mart_{i:04d}.json")
+        jsonio.dump_json(jsonio.martingale_to_doc(mart), path)
     print(f"wrote {len(corpus)} martingale documents to {args.out_dir}")
     return OK
 
@@ -186,59 +166,53 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # each option that several subcommands share is declared once, in a parent
+    doc, eta, corpus = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    doc.add_argument("--input", required=True, help="martingale document")
+    doc.add_argument("--output")
+    eta.add_argument("--eta-grid", dest="eta_grid")
+    corpus.add_argument("--generator", choices=GENERATORS, default="dyadic")
+    corpus.add_argument("--count", type=int, default=10)
+    corpus.add_argument("--seed", type=int, default=0)
+    corpus.add_argument("--depth", type=int, default=3)
+    corpus.add_argument("--max-branching", dest="max_branching", type=int, default=2)
+    corpus.add_argument("--block-policy", dest="block_policy", choices=BLOCK_POLICIES,
+                        default="single")
+    corpus.add_argument("--block-param", dest="block_param", type=int, default=0)
+
     def add_pq(sp):
+        # added last: argparse names missing required flags in declaration order
         sp.add_argument("--p", type=float, required=True)
         sp.add_argument("--q", type=float, required=True)
 
-    sp = sub.add_parser("norms", help="all five norms of a martingale document")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--output")
+    sp = sub.add_parser("norms", parents=[doc], help="all five norms of a martingale document")
     add_pq(sp)
     sp.set_defaults(func=cmd_norms)
 
-    sp = sub.add_parser("decompose", help="emit a decomposition document")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--output")
+    sp = sub.add_parser("decompose", parents=[doc, eta], help="emit a decomposition document")
     sp.add_argument("--flavor", choices=FLAVORS, default="s")
     sp.add_argument("--defn", choices=DEFNS, default="simple")
-    sp.add_argument("--eta-grid", dest="eta_grid")
     add_pq(sp)
     sp.set_defaults(func=cmd_decompose)
 
-    sp = sub.add_parser("verify", help="certify a decomposition against a martingale")
-    sp.add_argument("--input", required=True)
+    sp = sub.add_parser("verify", parents=[doc, eta],
+                        help="certify a decomposition against a martingale")
     sp.add_argument("--decomposition", required=True)
-    sp.add_argument("--output")
-    sp.add_argument("--eta-grid", dest="eta_grid")
     sp.add_argument("--r", help="comma list of verification exponents, e.g. 2,4,inf")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("duality", help="Campanato and pairing certificate")
-    sp.add_argument("--input", required=True, help="martingale document")
+    sp = sub.add_parser("duality", parents=[doc], help="Campanato and pairing certificate")
     sp.add_argument("--g", required=True, help="zero-mean function document")
-    sp.add_argument("--output")
     sp.add_argument("--mode", choices=("exact", "heuristic"), default="heuristic")
     add_pq(sp)
     sp.set_defaults(func=cmd_duality)
 
-    def add_corpus(sp):
-        sp.add_argument("--generator", choices=GENERATORS, default="dyadic")
-        sp.add_argument("--count", type=int, default=10)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--depth", type=int, default=3)
-        sp.add_argument("--max-branching", dest="max_branching", type=int, default=2)
-        sp.add_argument("--block-policy", dest="block_policy",
-                        choices=BLOCK_POLICIES, default="single")
-        sp.add_argument("--block-param", dest="block_param", type=int, default=0)
-
-    sp = sub.add_parser("explore", help="norm-embedding ratio tables (CSV)")
-    add_corpus(sp)
+    sp = sub.add_parser("explore", parents=[corpus], help="norm-embedding ratio tables (CSV)")
     add_pq(sp)
     sp.add_argument("--csv", help="write CSV here instead of stdout")
     sp.set_defaults(func=cmd_explore)
 
-    sp = sub.add_parser("gen", help="emit a corpus of martingale documents")
-    add_corpus(sp)
+    sp = sub.add_parser("gen", parents=[corpus], help="emit a corpus of martingale documents")
     sp.add_argument("--out-dir", dest="out_dir", required=True)
     sp.set_defaults(func=cmd_gen)
 

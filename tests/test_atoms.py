@@ -23,12 +23,14 @@ from amalgam import (
     p_space_norm,
     q_space_norm,
     reconstruct,
+    reconstruction_residuals,
     stop,
     verify_atom,
 )
 from amalgam.atoms import (
     DEFNS, FLAVORS, _power, _sizes, atom_statistic, default_r, rung_weight, source_norm_for,
 )
+from amalgam.cli import main
 from amalgam.harness import CorpusSpec, generate
 from amalgam.martingale import _ladder_statistic, ladder_times
 from amalgam.norms import lpq_norm
@@ -124,7 +126,25 @@ def test_atoms_are_stopped_differences_and_reconstruct_f(case, variant):
         # the atom's table is its terminal conditioned at every level
         levels = condition_rows(space, np.broadcast_to(t.terminal, rung.shape))
         assert at_most(np.abs(levels - rung), SLACK * scale_of(rung))
-    assert at_most(np.abs(reconstruct(d) - f.levels), SLACK * scale_of(f.levels))
+    assert reconstruction_residuals(d, f)[1]
+
+
+def test_reconstruction_residuals_are_those_verify_prints(tmp_path, capsys):
+    [(space, f)] = generate(CorpusSpec(generator="random-tree", depth=3, seed=7, max_branching=3))
+    mp, dp = str(tmp_path / "f.json"), str(tmp_path / "dec.json")
+    jsonio.dump_json(jsonio.martingale_to_doc(f), mp)
+    assert main(["decompose", "--input", mp, "--p", "0.5", "--q", "1", "--defn", "weighted",
+                 "--output", dp]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--input", mp, "--decomposition", dp]) == 0
+    block = json.loads(capsys.readouterr().out)["reconstruction"]
+    residual, ok = reconstruction_residuals(jsonio.load_decomposition(dp, f), f)
+    assert block["residual_per_level"] == residual.tolist() and block["ok"] is ok is True
+    assert len(residual) == space.depth + 1
+    d = decompose(f, 0.5, 1.0)
+    d.triples[0].terminal = np.full(space.size, math.nan)
+    residual, ok = reconstruction_residuals(d, f)
+    assert np.isnan(residual).all() and ok is False
 
 
 @given(small_martingales(random_weights=True, max_blocks=2), st.sampled_from(ALL_COMBOS),
@@ -375,7 +395,7 @@ def test_small_exponents_certify_or_are_refused(case, p, q):
                 assert rep.passed, (flavor, defn, t.k, rep)
                 assert math.isfinite(rep.measured) and math.isfinite(rep.bound)
         assert certify_bounds(d).passed, (flavor, defn)
-        assert at_most(np.abs(reconstruct(d) - f.levels), SLACK * scale_of(f.levels))
+        assert reconstruction_residuals(d, f)[1]
 
 
 def test_rounding_noise_is_not_a_martingale():

@@ -2,8 +2,8 @@
 
 Scaling by 2^k is exact, and each check weighs its slack against scale_of()
 of the values it compares, with no floor, so nothing but the printed
-quantities may change: norms, lambda_k, the bound budgets and the Campanato
-value by exactly 2^k, and the pairing side of the duality chain by 2^2k.  (The
+quantities may change: norms, lambda_k, the bound budgets, the reconstruction
+residuals and the Campanato value by exactly 2^k, and the pairing side of the duality chain by 2^2k.  (The
 eta aggregates scale by 2^k too, but through powers of 2^(k eta), so not to
 the bit.)
 """
@@ -25,13 +25,12 @@ from amalgam import (
     from_terminal,
     is_measurable,
     minimal_envelope,
-    reconstruct,
+    reconstruction_residuals,
     reverse_minkowski_check,
     verify_atom,
 )
 from amalgam.atoms import DEFNS, FLAVORS
 from amalgam.martingale import dominates
-from amalgam.space import SLACK, at_most, scale_of
 from conftest import centred, small_trees
 
 # (p, q) pairs: the benchmark's duality pairs, the diagonal at 1, one below
@@ -62,8 +61,9 @@ def _run(space, x, y, k, p, q, flavor, defn):
     cert = certify_bounds(d)
     verdicts += [(e.upper_ok, e.converse_ok) for e in cert.entries]
     scaled += [(e.budget, 1) for e in cert.entries]
-    recon = np.max(np.abs(reconstruct(d) - f.levels), axis=1)
-    verdicts.append(at_most(recon, SLACK * scale_of(f.levels)))
+    residual, ok = reconstruction_residuals(d, f)
+    verdicts.append(ok)
+    scaled += [(r, 1) for r in residual]
 
     # an atom of d does not scale with f; g, set in as an atom where each rung
     # stops, does, so its size condition changes with k, but not the other two
