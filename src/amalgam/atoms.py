@@ -230,8 +230,7 @@ def _aggregates(d: Decomposition, etas) -> list:
              for t, b, (pb, size) in zip(d.triples, supports, _sizes(d, supports))]
     norms = []
     for eta in etas:
-        if not 0 < eta <= 1:
-            raise ValueError(f"eta must lie in (0, 1], got {eta}")
+        _check_eta(eta)
         fieldv = np.zeros(d.space.size)
         for support, w in rungs:
             fieldv[support] += w ** eta
@@ -239,9 +238,18 @@ def _aggregates(d: Decomposition, etas) -> list:
     return norms
 
 
+def _check_eta(eta):
+    """Refuse an eta outside (0, 1], NaN included."""
+    if not 0 < eta <= 1:
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+
+
 def ladder_constant(eta: float) -> float:
-    """Upper-bound constant (4^eta / (2^eta - 1))^{1/eta} from the ladder sum."""
-    return _power(4.0 ** eta / (2.0 ** eta - 1.0), 1.0 / eta)
+    """Upper-bound constant (4^eta / (2^eta - 1))^{1/eta} from the ladder sum;
+    inf where 2^eta - 1 rounds to 0, as C(eta) grows without bound as eta -> 0."""
+    _check_eta(eta)
+    den = 2.0 ** eta - 1.0
+    return _power(4.0 ** eta / den, 1.0 / eta) if den else math.inf
 
 
 def _power(x, y) -> float:

@@ -250,6 +250,33 @@ def test_ladder_constant_values():
     assert ladder_constant(0.001) == math.inf
 
 
+def test_ladder_constant_is_inf_where_its_denominator_rounds_to_zero():
+    # 2^eta - 1 is exactly 0.0 at eta = 1e-17, and C(eta) grows without bound as eta -> 0
+    assert 2.0 ** 1e-17 - 1.0 == 0.0
+    assert ladder_constant(1e-17) == ladder_constant(1e-300) == math.inf
+    assert ladder_constant(1.0) == 4.0  # the duality constant keeps every bit
+
+
+@pytest.mark.parametrize("eta", [-1.0, 0.0, 1.5, math.nan, math.inf])
+def test_ladder_constant_and_the_aggregates_refuse_the_same_etas(worked_example, eta):
+    d = decompose(worked_example[1], 2, 2)
+    for call in (lambda: ladder_constant(eta), lambda: aggregate_eta_norm(d, eta)):
+        with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\], got "):
+            call()
+
+
+def test_cli_decompose_and_verify_take_an_eta_whose_constant_is_inf(tmp_path, capsys):
+    assert main(["gen", "--generator", "dyadic", "--depth", "3", "--seed", "2", "--count", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    mp, dp = str(tmp_path / "mart_0000.json"), str(tmp_path / "dec.json")
+    assert main(["decompose", "--input", mp, "--p", "0.5", "--q", "1", "--eta-grid", "1e-17",
+                 "--output", dp]) == 0
+    assert main(["verify", "--input", mp, "--decomposition", dp, "--eta-grid", "1e-17"]) == 0
+    [entry] = json.loads(capsys.readouterr().out)["bounds"]["entries"]
+    assert entry["budget"] == math.inf and entry["upper_ok"] and entry["converse_ok"]
+
+
 def test_certify_bounds_worked_example(worked_example):
     space, f = worked_example
     d = decompose(f, 2, 2, flavor="s", defn="simple")
