@@ -72,8 +72,11 @@ def _row_sums(space, levels, g, times):
 
 
 def _quotients(a, pb, masses, p, q):
-    """sqrt(A / P(B)) / phi(B) per row."""
-    return np.sqrt(a / pb) / (lq_aggregate(masses, p, q) / pb)
+    """sqrt(A / P(B)) / phi(B) per row: 0 where A = 0, whatever phi(B) is, as where
+    phi(B) underflows to 0, and inf where the quotient is beyond the float range."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = np.sqrt(a / pb) / (lq_aggregate(masses, p, q) / pb)
+    return np.where(a == 0.0, 0.0, vals)
 
 
 class _Supremum:

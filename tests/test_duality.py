@@ -189,6 +189,20 @@ def test_campanato_is_exact_at_huge_and_tiny_scales(coin):
         assert cert.campanato.norm_value == c * base.campanato.norm_value
 
 
+def test_a_candidate_with_no_oscillation_scores_zero_where_its_phi_underflows():
+    # on a last-level cell g - g_N = 0, so A = 0, and at p = q = 0.002 phi(B) of a
+    # mass of 1/8 underflows to 0: the quotient was 0/0
+    (space, f), = generate(CorpusSpec(generator="dyadic", depth=3, seed=2))
+    assert lq_aggregate(np.array([[0.125]]), 0.002, 0.002)[0] == 0.0
+    cell = StoppingTime(space, [3] + [INFINITY] * 7)
+    assert oscillation(space, f.terminal, f, cell, 0.002, 0.002) == 0.0
+    for mode in ("exact", "heuristic"):
+        res = campanato_norm(space, f.terminal, 0.002, 0.002, mode=mode)
+        assert res.norm_value == 2.716815215754641e+300
+        assert res.attaining_nu.times.tolist() == [INFINITY] * 2 + [2, 2] + [INFINITY] * 4
+        assert certify_duality(f, f.terminal, 0.002, 0.002, mode=mode).chain_ok
+
+
 def test_campanato_homogeneous(coin):
     space, _ = coin
     base = campanato_norm(space, [1.0, -1.0], 0.5, 1.0, mode="exact").norm_value
