@@ -94,7 +94,7 @@ def _sizes(d: Decomposition, supports):
         sizes = lq_aggregate(_masses(space, np.repeat(np.arange(k), space.size), k, w)[1], p, d.q)
     for i, b in enumerate(supports):
         pb = float(space.prob[b].sum())
-        size = pb ** (1.0 / p) if d.defn == "simple" else float(sizes[i])
+        size = _power(pb, 1.0 / p) if d.defn == "simple" else float(sizes[i])
         if pb > 0.0 and not sys.float_info.min <= size < math.inf:
             raise ValueError(f"p = {p!r} is too small: a rung of mass {pb!r} has support size "
                              f"{size!r}, not a normal float")

@@ -275,7 +275,9 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic",
                           extra_candidates=[t.nu for t in d.triples])
     atomwise = 0.0
     for t, osc in zip(d.triples, camp.extra_l2):
-        a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
+        # ||a||_2 at the atom's own power of two: at a tiny p, a^2 leaves the float range
+        small, e = scaled(t.terminal)
+        a_l2 = float(times_pow2(math.sqrt(float(space.prob @ small ** 2)), e))
         atomwise += t.lam * a_l2 * float(osc)
     const = ladder_constant(1.0)
     budget = const * d.source_norm * camp.norm_value

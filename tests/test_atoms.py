@@ -265,6 +265,15 @@ def test_ladder_constant_and_the_aggregates_refuse_the_same_etas(worked_example,
             call()
 
 
+def test_a_simple_rung_whose_mass_rounds_above_1_is_refused_at_a_tiny_p():
+    # the rung of all of Omega sums to 1 + 2^-52, whose 1e300-th power is beyond the float range
+    (space, f), = generate(CorpusSpec(generator="random-tree", depth=3, max_branching=3, seed=1))
+    assert float(space.prob.sum()) > 1.0
+    with pytest.raises(ValueError, match=r"^p = 1e-300 is too small: a rung of mass "
+                                         r"1\.0000000000000002 has support size inf, not a"):
+        decompose(f, 1e-300, 1e-300)
+
+
 def test_cli_decompose_and_verify_take_an_eta_whose_constant_is_inf(tmp_path, capsys):
     assert main(["gen", "--generator", "dyadic", "--depth", "3", "--seed", "2", "--count", "1",
                  "--out-dir", str(tmp_path)]) == 0

@@ -203,6 +203,20 @@ def test_a_candidate_with_no_oscillation_scores_zero_where_its_phi_underflows():
         assert certify_duality(f, f.terminal, 0.002, 0.002, mode=mode).chain_ok
 
 
+def test_the_atomwise_bound_takes_each_atom_norm_at_its_own_scale():
+    # at p = 0.002 a rung of mass 1/4 has lambda near 2^-1000, so its atom's
+    # square leaves the float range, while lambda * ||a||_2 does not
+    (space, f), = generate(CorpusSpec(generator="dyadic", depth=3, seed=78,
+                                      block_policy="random-partition", block_param=1))
+    d = decompose(f, 0.002, 0.002)
+    assert max(np.max(np.abs(t.terminal)) for t in d.triples) > 1e155
+    cert = certify_duality(f, f.terminal, 0.002, 0.002)
+    assert cert.chain_ok and math.isfinite(cert.atomwise_bound)
+    rungs = [math.sqrt(float(space.prob @ (t.lam * t.terminal) ** 2)) for t in d.triples]
+    assert cert.atomwise_bound == pytest.approx(
+        sum(r * float(osc) for r, osc in zip(rungs, cert.campanato.extra_l2)), rel=1e-12)
+
+
 def test_campanato_homogeneous(coin):
     space, _ = coin
     base = campanato_norm(space, [1.0, -1.0], 0.5, 1.0, mode="exact").norm_value
