@@ -144,7 +144,7 @@ def cmd_explore(args):
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(text)
     _emit(text, args.csv)
-    return CERT_FAIL if table.violations else OK
+    return OK
 
 
 def cmd_gen(args):

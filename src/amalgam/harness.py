@@ -9,7 +9,7 @@ import numpy as np
 
 from .martingale import from_terminal
 from .norms import FIVE_NORMS, all_five_norms
-from .space import TOL, FilteredSpace
+from .space import FilteredSpace
 
 MAX_OUTCOMES = 4096
 
@@ -118,7 +118,6 @@ class EmbeddingRow:
     max_ratio: float
     median_ratio: float
     samples: int
-    violation: bool  # numerator positive while denominator vanished
 
 
 @dataclass
@@ -126,69 +125,32 @@ class EmbeddingTable:
     p: float
     q: float
     rows: list = field(default_factory=list)
-    checked_items: list = field(default_factory=list)
-
-    @property
-    def violations(self):
-        return [r for r in self.rows if r.violation]
 
     def to_csv(self) -> str:
-        lines = ["numerator,denominator,max_ratio,median_ratio,samples,violation"]
+        lines = ["numerator,denominator,max_ratio,median_ratio,samples"]
         for r in self.rows:
             lines.append(
                 f"{r.numerator},{r.denominator},{r.max_ratio!r},"
-                f"{r.median_ratio!r},{r.samples},{int(r.violation)}"
+                f"{r.median_ratio!r},{r.samples}"
             )
         return "\n".join(lines) + "\n"
 
 
-# Directional embeddings that hold for classical martingale Hardy spaces on
-# the p = q diagonal: (numerator, denominator, p-range) triples.
-_DIAGONAL_ITEMS = [
-    ("hardy_star", "hardy_s", (0.0, 2.0)),
-    ("hardy_S", "hardy_s", (0.0, 2.0)),
-    ("hardy_s", "hardy_star", (2.0, np.inf)),
-    ("hardy_s", "hardy_S", (2.0, np.inf)),
-    ("hardy_star", "p_space", (0.0, np.inf)),
-    ("hardy_S", "q_space", (0.0, np.inf)),
-    ("hardy_star", "q_space", (0.0, np.inf)),
-    ("hardy_S", "p_space", (0.0, np.inf)),
-    ("hardy_s", "p_space", (0.0, np.inf)),
-    ("hardy_s", "q_space", (0.0, np.inf)),
-]
-
-
 def explore_embeddings(corpus, p, q) -> EmbeddingTable:
-    """Ratio table for every ordered pair of the five norms.
-
-    On the p = q diagonal the directional items above are flagged when a
-    denominator norm vanishes while the numerator does not (the bounding
-    constants themselves are not pinned, so only direction is checkable).
-    Off-diagonal the table is purely exploratory.
-    """
+    """Ratio table for every ordered pair of the five norms."""
     if not corpus:
         raise ValueError("corpus is empty")
     norms = [all_five_norms(mart, p, q) for _, mart in corpus]
-    checked = []
-    if abs(p - q) <= TOL:
-        for num, den, (lo, hi) in _DIAGONAL_ITEMS:
-            in_range = (p >= lo) if np.isinf(hi) else (p <= hi)
-            if in_range:
-                checked.append((num, den))
-
-    table = EmbeddingTable(p, q, checked_items=[f"{a}<= C*{b}" for a, b in checked])
+    table = EmbeddingTable(p, q)
     for a in FIVE_NORMS:
         for b in FIVE_NORMS:
             if a == b:
                 continue
             ratios = []
-            bad = False
             for rec in norms:
                 na, nb = rec[a], rec[b]
                 # only the zero martingale has a zero norm: rounding cannot reach 0
                 if nb == 0.0:
-                    if na > 0.0 and (a, b) in checked:
-                        bad = True
                     continue
                 ratios.append(na / nb)
             table.rows.append(
@@ -196,7 +158,7 @@ def explore_embeddings(corpus, p, q) -> EmbeddingTable:
                     a, b,
                     max(ratios) if ratios else float("nan"),
                     statistics.median(ratios) if ratios else float("nan"),
-                    len(ratios), bad,
+                    len(ratios),
                 )
             )
     return table

@@ -71,16 +71,26 @@ def test_coin_walk_terminal_shape():
     assert np.max(np.abs(f.terminal)) <= 3 + 1e-9
 
 
+# f* <= ||f||_P and S(f) <= ||f||_Q hold pointwise, so with constant 1 in every L_{p,q}
+CONSTANT_ONE = (("hardy_star", "p_space"), ("hardy_S", "q_space"))
+
+
+def _assert_constant_one_rows_hold(table):
+    rows = {(r.numerator, r.denominator): r for r in table.rows}
+    for pair in CONSTANT_ONE:
+        assert rows[pair].max_ratio <= 1 + 1e-12, (pair, rows[pair].max_ratio)
+
+
 def test_explore_embeddings_diagonal():
     corpus = generate(CorpusSpec(generator="random-tree", count=20, seed=2,
                                  depth=3, max_branching=2,
                                  block_policy="random-partition", block_param=2))
     table = explore_embeddings(corpus, 1.0, 1.0)
     assert len(table.rows) == 20  # all ordered pairs of the five norms
-    assert table.checked_items  # the diagonal direction list is active
-    assert not table.violations
+    assert all(r.samples == 20 for r in table.rows)
+    _assert_constant_one_rows_hold(table)
     csv = table.to_csv()
-    assert csv.splitlines()[0].startswith("numerator,denominator")
+    assert csv.splitlines()[0] == "numerator,denominator,max_ratio,median_ratio,samples"
     assert len(csv.splitlines()) == 21
 
 
@@ -100,8 +110,8 @@ def test_explore_embeddings_off_diagonal():
     corpus = generate(CorpusSpec(generator="dyadic", count=5, seed=3, depth=2,
                                  block_policy="level-cells", block_param=1))
     table = explore_embeddings(corpus, 0.5, 1.0)
-    assert table.checked_items == []  # exploratory only
-    assert not table.violations
+    assert all(r.samples == 5 for r in table.rows)
+    _assert_constant_one_rows_hold(table)
     with pytest.raises(ValueError):
         explore_embeddings([], 1.0, 1.0)
 
@@ -396,15 +406,18 @@ def test_cli_gen_refuses_a_branching_it_cannot_build(tmp_path, capsys, flags, me
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_explore_flags_a_vanishing_denominator(capsys, monkeypatch):
-    # at p = q, hardy_star <= C * hardy_s is checked: hardy_s = 0 < hardy_star violates it
+def test_cli_explore_skips_a_vanishing_denominator(capsys, monkeypatch):
+    # a ratio over hardy_s = 0 is no sample: its rows are empty, and the rest are whole
     monkeypatch.setattr(harness, "all_five_norms",
                         lambda f, p, q: {**dict.fromkeys(FIVE_NORMS, 1.0), "hardy_s": 0.0})
-    assert main(["explore", "--count", "2", "--depth", "2", "--p", "1", "--q", "1"]) == 1
+    assert main(["explore", "--count", "2", "--depth", "2", "--p", "1", "--q", "1"]) == 0
     rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
-    flagged = {(r[0], r[1]) for r in rows if r[-1] == "1"}
-    assert ("hardy_star", "hardy_s") in flagged
-    assert all(den == "hardy_s" for _, den in flagged)
+    assert len(rows) == 20
+    for num, den, max_ratio, median_ratio, samples in rows:
+        if den == "hardy_s":
+            assert (max_ratio, median_ratio, samples) == ("nan", "nan", "0")
+        else:
+            assert samples == "2"
 
 
 # --- boundary checks --------------------------------------------------------
