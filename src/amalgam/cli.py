@@ -23,7 +23,7 @@ from .atoms import (
     reconstruction_residuals,
     verify_atom,
 )
-from .duality import certify_duality, pairing
+from .duality import certify_duality
 from .harness import BLOCK_POLICIES, CorpusSpec, GENERATORS, explore_embeddings, generate
 from .norms import all_five_norms
 
@@ -112,7 +112,7 @@ def cmd_duality(args):
         "schema": jsonio.SCHEMA,
         "p": args.p,
         "q": args.q,
-        "pairing": pairing(f, g),
+        "pairing": cert.pairing,
         "pairing_abs": cert.pairing_abs,
         "atomwise_bound": cert.atomwise_bound,
         "budget": cert.budget,

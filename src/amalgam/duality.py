@@ -243,6 +243,7 @@ def pairing(f: Martingale, g) -> float:
 
 @dataclass
 class DualityCertificate:
+    pairing: float  # E[fg], signed
     pairing_abs: float
     atomwise_bound: float
     budget: float
@@ -268,7 +269,8 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic",
         raise ValueError(f"duality chain requires 0 < p <= q <= 1, got ({p}, {q})")
     space = f.space
     d = decompose(f, p, q, flavor="s", defn="simple")
-    lhs = abs(pairing(f, g))
+    signed = pairing(f, g)
+    lhs = abs(signed)
 
     # the rungs are scored as candidates, and each one's sqrt(A) comes back
     camp = campanato_norm(space, g, p, q, mode=mode, cap=cap,
@@ -285,7 +287,7 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic",
     slack = SLACK * scale_of(lhs, atomwise, budget)
     ok = at_most(lhs, atomwise + slack) and at_most(atomwise, budget + slack)
     return DualityCertificate(
-        lhs, atomwise, budget, camp, d.source_norm, const, ok,
+        signed, lhs, atomwise, budget, camp, d.source_norm, const, ok,
         atomwise - lhs, budget - atomwise,
     )
 

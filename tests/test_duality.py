@@ -273,6 +273,9 @@ def test_certify_duality_exact_mode_small_space(coin):
     assert cert.campanato.mode == "exact-enumeration"
     # E[f1 g] = 1 with ||f||_{H^s} = 1 and Campanato norm 1
     assert cert.pairing_abs == pytest.approx(1.0)
+    assert cert.pairing == pairing(f, [1.0, -1.0])  # the signed value, computed once
+    flipped = certify_duality(f, [-1.0, 1.0], 1.0, 1.0, mode="exact")
+    assert (flipped.pairing, flipped.pairing_abs) == (-cert.pairing, cert.pairing_abs)
     assert cert.hardy_norm == pytest.approx(1.0)
     assert cert.campanato.norm_value == pytest.approx(1.0)
 
