@@ -149,8 +149,8 @@ def explore_embeddings(corpus, p, q) -> EmbeddingTable:
             ratios = []
             for rec in norms:
                 na, nb = rec[a], rec[b]
-                # only the zero martingale has a zero norm: rounding cannot reach 0
-                if nb == 0.0:
+                # a norm outside the normal floats (f = 0 among them) leaves no ratio
+                if not (np.finfo(float).tiny <= min(na, nb) and max(na, nb) < np.inf):
                     continue
                 ratios.append(na / nb)
             table.rows.append(

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from amalgam import (
     CorpusSpec,
@@ -78,7 +79,8 @@ CONSTANT_ONE = (("hardy_star", "p_space"), ("hardy_S", "q_space"))
 def _assert_constant_one_rows_hold(table):
     rows = {(r.numerator, r.denominator): r for r in table.rows}
     for pair in CONSTANT_ONE:
-        assert rows[pair].max_ratio <= 1 + 1e-12, (pair, rows[pair].max_ratio)
+        # a row with no sample has a nan maximum: no ratio to bound
+        assert rows[pair].samples == 0 or rows[pair].max_ratio <= 1 + 1e-12, rows[pair]
 
 
 def test_explore_embeddings_diagonal():
@@ -104,6 +106,19 @@ def test_explore_embeddings_do_not_depend_on_the_scale_of_f(p, q, k):
                                  block_policy="random-partition", block_param=2))
     small = [(space, Martingale(space, f.levels * 2.0**k)) for space, f in corpus]
     assert explore_embeddings(small, p, q).to_csv() == explore_embeddings(corpus, p, q).to_csv()
+
+
+@given(st.sampled_from(harness.GENERATORS), st.sampled_from(harness.BLOCK_POLICIES),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 2 ** 16),
+       st.sampled_from([0.002, 0.05, 0.5, 1.0, 2.0, 1e3]),
+       st.sampled_from([0.002, 0.05, 0.5, 1.0, 2.0, 1e3, math.inf]),
+       st.sampled_from([-600, 0, 600]))
+def test_explore_embeddings_keep_the_constant_one_rows_at_most_1(generator, policy, depth,
+                                                                 param, seed, p, q, k):
+    corpus = generate(CorpusSpec(generator=generator, count=3, seed=seed, depth=depth,
+                                 max_branching=3, block_policy=policy, block_param=param))
+    scaled = [(space, Martingale(space, f.levels * 2.0**k)) for space, f in corpus]
+    _assert_constant_one_rows_hold(explore_embeddings(scaled, p, q))
 
 
 def test_explore_embeddings_off_diagonal():
@@ -407,14 +422,15 @@ def test_cli_gen_refuses_a_branching_it_cannot_build(tmp_path, capsys, flags, me
 
 
 def test_cli_explore_skips_a_vanishing_denominator(capsys, monkeypatch):
-    # a ratio over hardy_s = 0 is no sample: its rows are empty, and the rest are whole
+    # a zero hardy_s, over or under another norm, is no sample: its rows are empty, and
+    # the rest are whole
     monkeypatch.setattr(harness, "all_five_norms",
                         lambda f, p, q: {**dict.fromkeys(FIVE_NORMS, 1.0), "hardy_s": 0.0})
     assert main(["explore", "--count", "2", "--depth", "2", "--p", "1", "--q", "1"]) == 0
     rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 20
     for num, den, max_ratio, median_ratio, samples in rows:
-        if den == "hardy_s":
+        if "hardy_s" in (num, den):
             assert (max_ratio, median_ratio, samples) == ("nan", "nan", "0")
         else:
             assert samples == "2"
