@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from amalgam import (
     INFINITY,
+    AtomTriple,
+    Decomposition,
     FilteredSpace,
     SpaceError,
     StoppingTime,
@@ -29,7 +31,14 @@ from amalgam.duality import oscillation
 from amalgam.harness import CorpusSpec, generate
 from amalgam.martingale import Martingale
 from amalgam.norms import _masses, lpq_norm, lq_aggregate
-from amalgam.space import ENUMERATION_CAP, binary_exponent, stopping_time_blocks, times_pow2
+from amalgam.space import (
+    SLACK,
+    ENUMERATION_CAP,
+    binary_exponent,
+    scaled,
+    stopping_time_blocks,
+    times_pow2,
+)
 from amalgam.martingale import (
     _ladder_statistic,
     _threshold_time,
@@ -151,19 +160,63 @@ def test_every_enumeration_cap_defaults_to_the_one_constant():
         assert inspect.signature(fn).parameters["cap"].default is ENUMERATION_CAP
 
 
-def test_campanato_heuristic_is_lower_bound():
-    rng = np.random.default_rng(40)
-    for _ in range(15):
-        space = random_tree_space(rng, depth=2, branching=2, n_blocks=2)
-        g = rng.standard_normal(space.size)
-        g -= float(space.prob @ g)
-        for p, q in ((0.5, 1.0), (1.0, 1.0)):
-            exact = campanato_norm(space, g, p, q, mode="exact")
-            heur = campanato_norm(space, g, p, q, mode="heuristic")
-            assert exact.mode == "exact-enumeration"
-            assert heur.mode == "heuristic-family"
-            # the exact family holds every heuristic candidate, scored to the same bits
-            assert heur.norm_value <= exact.norm_value
+# stopping-time counts above this are skipped: they would make enumeration slow
+FEW_THOUSAND = 3000
+
+
+@st.composite
+def enumerable_cases(draw):
+    """A tree of at most 16 outcomes and 1-3 blocks with at most FEW_THOUSAND
+    stopping times, and a zero-mean g on it."""
+    space = draw(small_trees(max_outcomes=16, random_weights=True, max_blocks=3))
+    assume(count_stopping_times(space) <= FEW_THOUSAND)
+    g = centred(space, np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=space.size,
+                                              max_size=space.size))))
+    return space, g
+
+
+@given(enumerable_cases())
+def test_campanato_heuristic_is_lower_bound(case):
+    # With J blocks, the heuristic is exact when p = q <= 1, or J = 1 and p <= 1: then
+    # ||1_B||_{p,q} = P(B)^{1/p}, and by the mediant inequality a cell first-entry
+    # time attains the supremum
+    space, g = case
+    for p, q in ((0.25, 0.25), (0.5, 0.5), (1.0, 1.0), (0.25, 0.5), (0.5, 1.0), (0.5, 2.0),
+                 (1.0, math.inf), (1.5, 1.5), (2.0, 1.0)):
+        exact = campanato_norm(space, g, p, q, mode="exact", cap=FEW_THOUSAND)
+        heur = campanato_norm(space, g, p, q, mode="heuristic")
+        assert exact.mode == "exact-enumeration"
+        assert heur.mode == "heuristic-family"
+        # the exact family holds every heuristic candidate, scored to the same bits
+        assert heur.norm_value <= exact.norm_value
+        if p <= 1 and (p == q or space.n_blocks == 1):
+            # the cells sum A and P(B) in another order than the winner's own row
+            assert exact.norm_value <= heur.norm_value * (1 + 1e-12)
+
+
+@given(enumerable_cases())
+def test_the_extremal_atom_attains_the_campanato_value(case):
+    # at the winner nu with B = {nu < inf}, a = (g - g^nu) / c with
+    # c = ||g - g^nu||_2 ||1_B||_{p,q} / P(B)^{1/2} is a weighted (p, q, 2) s-atom,
+    # and E[a g] = E[(g - g^nu)^2] / c is the quotient of nu
+    space, g = case
+    assume(np.any(g))  # g = 0 scores 0 at every candidate, and no winner is named
+    small, e = scaled(g)  # the atom is the same for g * 2^-e, and E[a g] scales by 2^e
+    gm = from_terminal(space, small)
+    for p, q in ((0.25, 0.5), (0.5, 1.0), (0.75, 0.75), (1.0, 1.0)):
+        d = Decomposition(space, "s", "weighted", p, q, [], 0.0)
+        for mode in ("exact", "heuristic"):
+            res = campanato_norm(space, g, p, q, mode=mode, cap=FEW_THOUSAND)
+            nu = res.attaining_nu
+            b = nu.support.astype(float)
+            diff = small - stop(gm, nu).terminal
+            c = (math.sqrt(float(space.prob @ diff ** 2)) * lpq_norm(space, b, p, q)
+                 / math.sqrt(float(space.prob @ b)))
+            atom = AtomTriple(0, 1.0, diff / c, nu)
+            [report] = verify_atom(d, atom, [2.0])
+            assert report.passed, (mode, p, q, report)
+            attained = float(times_pow2(float(space.prob @ (atom.terminal * small)), e))
+            assert abs(attained - res.norm_value) <= SLACK * res.norm_value, (mode, p, q)
 
 
 def test_campanato_overflow_falls_back(coin):

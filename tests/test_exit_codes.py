@@ -1,8 +1,8 @@
 """The CLI's exit-code contract: a call returns 0, 1 or 2, and nothing escapes ``main``.
 
 Each example generates one small seeded tree, then runs norms, decompose, verify
-and, where the duality chain is defined, duality on it, at exponents from the
-edges of the float range.  A RuntimeWarning is an error under the pytest
+and, where the duality chain is defined, duality on it, and explore on two such
+trees, at exponents from the edges of the float range.  A RuntimeWarning is an error under the pytest
 configuration, so a call that warns fails too.
 """
 
@@ -21,7 +21,8 @@ CODES = (0, 1, 2)
 
 
 def _pipeline(work, spec, p, q, eta, r, flavor, defn, mode):
-    """Exit codes of the four document subcommands on the tree of ``spec``."""
+    """Exit codes of the four document subcommands on the tree of ``spec``.  ``explore``
+    runs on two trees of ``spec`` and certifies nothing, so it exits 0 or 2."""
     assert main(["gen", *spec, "--count", "1", "--out-dir", work]) == 0
     mp, dp, gp = (os.path.join(work, name) for name in ("mart_0000.json", "dec.json", "g.json"))
     f = jsonio.load_martingale(mp)
@@ -38,6 +39,7 @@ def _pipeline(work, spec, p, q, eta, r, flavor, defn, mode):
     if 0 < float(p) <= float(q) <= 1:
         codes.append(main(["duality", "--input", mp, "--g", gp, *pq, "--mode", mode,
                            "--output", out]))
+    assert main(["explore", *spec, "--count", "2", *pq]) in (0, 2)
     return codes
 
 
