@@ -2,8 +2,8 @@
 
 Each example generates one small seeded tree, then runs norms, decompose, verify
 and, where the duality chain is defined, duality on it, and explore on two such
-trees, at exponents from the edges of the float range.  A RuntimeWarning is an error under the pytest
-configuration, so a call that warns fails too.
+trees, at exponents from the edges of the float range.  A RuntimeWarning is an
+error under the pytest configuration, so a call that warns fails too.
 """
 
 import os
