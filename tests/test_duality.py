@@ -32,8 +32,8 @@ from amalgam.harness import CorpusSpec, generate
 from amalgam.martingale import Martingale
 from amalgam.norms import _masses, lpq_norm, lq_aggregate
 from amalgam.space import (
-    SLACK,
     ENUMERATION_CAP,
+    SLACK,
     binary_exponent,
     scaled,
     stopping_time_blocks,
