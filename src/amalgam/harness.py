@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import statistics
+from itertools import chain, islice
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,35 +51,30 @@ class CorpusSpec:
 
 
 def _tree_space(rng, depth, branching, random_tree, block_policy, block_param):
-    """Build a refining partition tree; dyadic trees split evenly."""
-    # paths[i] is the list of ancestor cell ids of outcome i per level
-    cells = [["c"]]  # level 0: single cell id per outcome, one outcome so far
-    weights = np.array([1.0])
-    for n in range(depth):
-        new_cells = []
-        new_weights = []
-        for ids, w in zip(cells, weights):
+    """Build a refining partition tree level by level; dyadic trees split evenly.
+
+    Child j of cell c is named c + "j" for j <= 9 and c + "[j]" after, so the child
+    suffixes are prefix-free; a level-n cell is the run of outcomes its children cover."""
+    names, weights, counts = ["c"], np.array([1.0]), []
+    for _ in range(depth):
+        ks, new_names, new_weights = [], [], []
+        for name, w in zip(names, weights):
             k = int(rng.integers(1, branching + 1)) if random_tree else branching
             if random_tree and k == 1 and rng.random() < 0.5:
                 k = min(branching, 2)
-            if random_tree:
-                parts = rng.dirichlet(np.ones(k) * 4.0)
-            else:
-                parts = np.full(k, 1.0 / k)
-            for j in range(k):
-                new_cells.append(ids + [f"{ids[-1]}{j}"])
-                new_weights.append(w * parts[j])
-        cells = new_cells
-        weights = np.array(new_weights)
-    outcomes = [ids[-1] for ids in cells]
-    weights = weights / weights.sum()
+            parts = rng.dirichlet(np.ones(k) * 4.0) if random_tree else np.full(k, 1.0 / k)
+            ks.append(k)
+            new_names += [name + (str(j) if j <= 9 else f"[{j}]") for j in range(k)]
+            new_weights.append(w * parts)
+        names, weights = new_names, np.concatenate(new_weights)
+        counts.append(ks)
+    outcomes, weights = names, weights / weights.sum()
 
-    filtration = []
-    for n in range(depth + 1):
-        groups = {}
-        for i, ids in enumerate(cells):
-            groups.setdefault(ids[n], []).append(outcomes[i])
-        filtration.append(list(groups.values()))
+    filtration = [[[o] for o in outcomes]]
+    for ks in reversed(counts):
+        runs = iter(filtration[-1])
+        filtration.append([list(chain.from_iterable(islice(runs, k))) for k in ks])
+    filtration.reverse()
 
     if block_policy == "single":
         blocks = [list(outcomes)]
