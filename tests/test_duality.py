@@ -30,11 +30,13 @@ from amalgam.atoms import ladder_constant
 from amalgam.duality import oscillation
 from amalgam.harness import CorpusSpec, generate
 from amalgam.martingale import Martingale
-from amalgam.norms import _masses, lpq_norm, lq_aggregate
+from amalgam.norms import _masses, hardy_s_norm, lpq_norm, lq_aggregate
 from amalgam.space import (
     ENUMERATION_CAP,
     SLACK,
+    TOL,
     binary_exponent,
+    scale_of,
     scaled,
     stopping_time_blocks,
     times_pow2,
@@ -217,6 +219,58 @@ def test_the_extremal_atom_attains_the_campanato_value(case):
             assert report.passed, (mode, p, q, report)
             attained = float(times_pow2(float(space.prob @ (atom.terminal * small)), e))
             assert abs(attained - res.norm_value) <= SLACK * res.norm_value, (mode, p, q)
+
+
+# the chain's three links hold for every 0 < p, q <= 1, in either order; the
+# Campanato space is proved to be the dual only where p <= q
+CHAIN_PAIRS = ((0.25, 0.5), (0.5, 1.0), (0.75, 0.75), (1.0, 1.0), (0.3, 0.3),
+               (1.0, 0.5), (0.8, 0.3), (0.5, 0.25))
+DUAL_PAIRS = tuple((p, q) for p, q in CHAIN_PAIRS if p <= q)
+
+
+@given(enumerable_cases(), st.data())
+def test_the_duality_inequality_holds_at_the_exact_campanato_value(case, data):
+    # |E[f g]| <= C(1) ||s(f)||_{p,q} ||g||_Camp, with C(1) = 4 and the value by enumeration
+    space, g = case
+    x = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=space.size,
+                                    max_size=space.size)))
+    f = from_terminal(space, centred(space, x))
+    for p, q in CHAIN_PAIRS:
+        camp = campanato_norm(space, g, p, q, mode="exact", cap=FEW_THOUSAND)
+        assert camp.mode == "exact-enumeration"
+        bound = ladder_constant(1.0) * hardy_s_norm(f, p, q) * camp.norm_value
+        assert abs(pairing(f, g)) <= bound * (1 + 1e-12), (p, q)
+
+
+# the stopping times scored per tree, spread evenly over the enumeration
+SAMPLED_TIMES = 64
+
+
+@given(enumerable_cases())
+def test_each_stopped_difference_pairs_with_g_to_its_oscillation(case):
+    # f_nu = g - g^nu vanishes off B = {nu < inf} and is orthogonal to g^nu, so
+    # E[f_nu g] = A(nu) = E[(g - g^nu)^2 1_B].  Then L(nu) = A(nu) / ||s(f_nu)||_{p,q}
+    # bounds the dual norm of g from below, and the duality inequality at f_nu bounds
+    # it by C(1) ||g||_Camp
+    space, g = case
+    gm = from_terminal(space, g)
+    camps = {pq: campanato_norm(space, g, *pq, mode="exact", cap=FEW_THOUSAND).norm_value
+             for pq in DUAL_PAIRS}
+    nus = list(enumerate_stopping_times(space, cap=FEW_THOUSAND))
+    for nu in nus[::math.ceil(len(nus) / SAMPLED_TIMES)]:
+        # a difference of two martingales of the same space is one
+        f_nu = Martingale(space, gm.levels - stop(gm, nu).levels, validate=False)
+        diff, on = f_nu.terminal, nu.support
+        assert not np.any(diff[~on])
+        # where g is constant on B, g^nu = g up to rounding: f_nu = 0, and its noise pairs
+        # with g at g's scale, not at its own
+        if not scale_of(diff) > TOL * scale_of(g):
+            continue
+        a = float(space.prob[on] @ diff[on] ** 2)
+        # relative to the terms of E[f_nu g]: E[f_nu g^nu] = 0 cancels terms of that size
+        assert abs(pairing(f_nu, g) - a) <= SLACK * float(space.prob @ np.abs(diff * g))
+        for (p, q), camp in camps.items():
+            assert a / hardy_s_norm(f_nu, p, q) <= ladder_constant(1.0) * camp * (1 + 1e-12)
 
 
 def test_campanato_overflow_falls_back(coin):

@@ -3,7 +3,9 @@
 Each example generates one small seeded tree, then runs norms, decompose, verify
 and, where the duality chain is defined, duality on it, and explore on two such
 trees, at exponents from the edges of the float range.  A RuntimeWarning is an
-error under the pytest configuration, so a call that warns fails too.
+error under the pytest configuration, so a call that warns fails too.  A second
+property runs ``gen`` and ``explore`` on valid specs of up to 64 children per cell,
+where both must exit 0.
 """
 
 import os
@@ -14,7 +16,7 @@ from hypothesis import given, strategies as st
 from amalgam import jsonio
 from amalgam.atoms import DEFNS, FLAVORS
 from amalgam.cli import main
-from amalgam.harness import GENERATORS
+from amalgam.harness import BLOCK_POLICIES, GENERATORS
 
 EXPONENTS = ("1e-300", "1e-17", "0.002", "0.05", "0.5", "1", "2", "1e300", "inf")
 CODES = (0, 1, 2)
@@ -55,6 +57,19 @@ def test_every_document_call_exits_0_1_or_2(generator, depth, branching, blocks,
     with tempfile.TemporaryDirectory() as work:
         codes = _pipeline(work, spec, p, q, eta, r, flavor, defn, mode)
     assert set(codes) <= set(CODES), codes
+
+
+@given(st.sampled_from(GENERATORS), st.integers(0, 2), st.integers(1, 64),
+       st.sampled_from(BLOCK_POLICIES), st.integers(0, 3), st.integers(0, 2 ** 16))
+def test_gen_and_explore_exit_0_on_every_valid_wide_spec(generator, depth, branching, policy,
+                                                         param, seed):
+    # a cell with more than ten children once named two outcomes alike, and the
+    # space was refused with exit 2
+    spec = ["--generator", generator, "--depth", str(depth), "--max-branching", str(branching),
+            "--block-policy", policy, "--block-param", str(param), "--seed", str(seed)]
+    with tempfile.TemporaryDirectory() as work:
+        assert main(["gen", *spec, "--count", "2", "--out-dir", work]) == 0
+    assert main(["explore", *spec, "--count", "1", "--p", "0.5", "--q", "1"]) == 0
 
 
 def test_the_two_crash_reproducers_exit_0(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,54 @@ def test_coin_walk_terminal_shape():
     # the walk moves by one unit per level, so terminals are in {-3,...,3}
     assert np.all(np.abs(f.terminal - f.terminal.round()) < 1e-9)
     assert np.max(np.abs(f.terminal)) <= 3 + 1e-9
+
+
+def _child_path(name):
+    """The child indices that name an outcome: "c3[12]0" is (3, 12, 0).  Child j is
+    written "j" for j <= 9 and "[j]" from 10 on, and nothing else parses."""
+    assert re.fullmatch(r"c(\d|\[[1-9]\d+\])*", name), name
+    path = tuple(int(t.strip("[]")) for t in re.findall(r"\d|\[\d+\]", name[1:]))
+    assert "c" + "".join(str(j) if j <= 9 else f"[{j}]" for j in path) == name
+    return path
+
+
+@given(st.sampled_from(harness.GENERATORS), st.integers(0, 3), st.data(),
+       st.sampled_from(harness.BLOCK_POLICIES), st.integers(0, 3), st.integers(0, 2 ** 16))
+def test_generated_outcomes_are_distinct_and_each_cell_is_a_run_of_them(generator, depth, data,
+                                                                        policy, param, seed):
+    # max_branching up to 64, as far as branching ** depth <= MAX_OUTCOMES allows
+    widest = 64 if depth < 3 else 16
+    spec = CorpusSpec(generator=generator, seed=seed, depth=depth,
+                      max_branching=data.draw(st.integers(1, widest)),
+                      block_policy=policy, block_param=param)
+    (space, _), = generate(spec)
+    assert len(set(space.outcomes)) == space.size
+    paths = [_child_path(o) for o in space.outcomes]
+    assert {len(path) for path in paths} == {depth}
+    for n in range(depth + 1):
+        labels = space.level_labels[n]
+        # a cell is one run of consecutive outcomes: the label changes only between cells
+        assert np.count_nonzero(np.diff(labels)) == space.level_sizes[n] - 1
+        # a level-n cell is named by its outcomes' first n child indices, so each child's
+        # name starts with its parent's, and two cells never share a name
+        names = {(int(c), path[:n]) for c, path in zip(labels, paths)}
+        assert len(names) == len({name for _, name in names}) == space.level_sizes[n]
+
+
+def test_a_random_tree_with_more_than_ten_children_per_cell_generates():
+    # the root has 12 children and c1 has 12: child 10 of c1 and child 0 of the
+    # root's child 11 were both named "c110", and the space was refused as having
+    # duplicate outcomes
+    (space, _), = generate(CorpusSpec(generator="random-tree", depth=2, max_branching=12,
+                                      seed=71, count=1))
+    assert space.size == 70 and len(set(space.outcomes)) == 70
+    assert {"c1[10]", "c[11]0", "c1[11]", "c[11]1"} <= set(space.outcomes)
+
+
+def test_a_root_with_twelve_children_names_them_c0_to_c9_then_bracketed():
+    (space, _), = generate(CorpusSpec(generator="random-tree", depth=1, max_branching=12,
+                                      seed=7))
+    assert space.outcomes == tuple(f"c{j}" for j in range(10)) + ("c[10]", "c[11]")
 
 
 # f* <= ||f||_P and S(f) <= ||f||_Q hold pointwise, so with constant 1 in every L_{p,q}

@@ -7,21 +7,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amalgam import (
+    CorpusSpec,
     FilteredSpace,
     all_five_norms,
+    conditional_quadratic_variation,
     conditional_quadratic_variation_partial,
     from_terminal,
+    generate,
     hardy_S_norm,
     hardy_s_norm,
     hardy_star_norm,
     lp_norm,
     lpq_norm,
+    maximal_function,
+    minimal_envelope,
     p_space_norm,
     q_space_norm,
+    quadratic_variation,
     quadratic_variation_partial,
+    regularity_constant,
 )
 from amalgam.norms import lq_aggregate
-from conftest import random_martingale, random_tree_space, small_trees
+from conftest import random_martingale, random_tree_space, small_martingales, small_trees
 
 
 def test_lpq_constant_single_block():
@@ -242,6 +249,39 @@ def test_envelope_norms_dominate_pathwise_norms():
         for p, q in ((0.5, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 2.0)):
             assert q_space_norm(f, p, q) >= hardy_S_norm(f, p, q) - 1e-12
             assert p_space_norm(f, p, q) >= hardy_star_norm(f, p, q) - 1e-12
+
+
+# p below and above 1, q on both sides of p, and q = inf
+REGULARITY_PQ = ((0.25, 0.5), (0.5, 0.25), (1.0, 1.0), (2.0, 1.0), (1.0, math.inf))
+
+
+@given(small_martingales(max_outcomes=16, random_weights=True, max_blocks=3))
+def test_the_regularity_bounds_hold_pointwise_and_in_every_norm(case):
+    # With R = max P(parent) / P(child), Cauchy-Schwarz against the mean-zero siblings
+    # gives d_n^2 <= (R - 1) E_{n-1}[d_n^2] on each child.  Summed, S(f) <= sqrt(R-1) s(f);
+    # S_n <= (S_{n-1}^2 + (R-1) s_n^2)^{1/2} bounds the minimal S-envelope, and
+    # f*_n <= f*_{n-1} + sqrt(R-1) s_n the minimal star-envelope
+    space, f = case
+    root = math.sqrt(regularity_constant(space) - 1.0)
+    s, big_s = conditional_quadratic_variation(f), quadratic_variation(f)
+    bounds = (
+        (hardy_S_norm, big_s, root * s),
+        (q_space_norm, minimal_envelope(f, "S").final, np.sqrt(big_s ** 2 + (root * s) ** 2)),
+        (p_space_norm, minimal_envelope(f, "star").final, maximal_function(f) + root * s),
+    )
+    for norm, side, bound in bounds:
+        assert np.all(side <= bound * (1 + 1e-12)), norm.__name__
+        for p, q in REGULARITY_PQ:
+            assert norm(f, p, q) <= lpq_norm(space, bound, p, q) * (1 + 1e-12), (norm, p, q)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_S_equals_s_on_even_dyadic_splits(depth):
+    # R = 2: each child's difference is +-d, so d^2 = E_{n-1}[d^2] at every step
+    for space, f in generate(CorpusSpec(generator="dyadic", count=10, seed=depth, depth=depth)):
+        assert regularity_constant(space) == 2.0
+        s, big_s = conditional_quadratic_variation(f), quadratic_variation(f)
+        assert np.all(np.abs(big_s - s) <= 1e-12 * s)
 
 
 def test_all_five_norms_keys(worked_example):
