@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import statistics
-from itertools import chain, islice
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
