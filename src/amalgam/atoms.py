@@ -27,7 +27,7 @@ from .martingale import (
     quadratic_variation,
     stopped,
 )
-from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate
+from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate, source_norm_for
 from .space import (
     INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, condition_rows, require_space,
     scale_of, scaled, times_pow2,
@@ -70,12 +70,6 @@ def atom_statistic(flavor: str, atom: Martingale) -> np.ndarray:
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def source_norm_for(f: Martingale, flavor, p, q) -> float:
-    """The norm certifying a decomposition of this flavor: that of its ladder
-    statistic's final row, s(f) or the final minimal envelope."""
-    return lpq_norm(f.space, _ladder_statistic(f, flavor)[-1], p, q)
-
-
 def default_r(flavor: str) -> float:
     """Verification exponent: 2 on the s side, infinity for S/star."""
     return 2.0 if flavor == "s" else math.inf
@@ -115,7 +109,7 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     # lambda_k carries 2^{k+1} on the s ladder, 2^{k+2} on envelope ladders
     base_exp = 1 if flavor == "s" else 2
     stat = _ladder_statistic(f, flavor)
-    dec = Decomposition(space, flavor, defn, p, q, [], lpq_norm(space, stat[-1], p, q))
+    dec = Decomposition(space, flavor, defn, p, q, [], source_norm_for(f, flavor, p, q))
 
     ks, times = ladder_times(stat)
     # row k is the terminal f_{nu^k} of the stopped martingale f^{nu^k}
@@ -129,7 +123,9 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
                 raise ValueError(f"rung k = {k}: lambda_k = 2^{k + base_exp} * {size!r} "
                                  f"is {lam!r}, not a positive finite float")
             nu = StoppingTime(space, nu_times, validate=False)
-            dec.triples.append(AtomTriple(k, lam, (above - below) / lam, nu))
+            terminal = (above - below) / lam
+            terminal.flags.writeable = nu.times.flags.writeable = False
+            dec.triples.append(AtomTriple(k, lam, terminal, nu))
     return dec
 
 
@@ -231,6 +227,8 @@ def _aggregates(d: Decomposition, etas) -> list:
     norms = []
     for eta in etas:
         _check_eta(eta)
+        if any(math.isinf(x / eta) and math.isfinite(x) for x in (d.p, d.q)):
+            raise ValueError(f"eta = {eta!r} is too small: p/eta or q/eta leaves the float range")
         fieldv = np.zeros(d.space.size)
         for support, w in rungs:
             fieldv[support] += w ** eta
@@ -282,6 +280,10 @@ class BoundsCertificate:
         return [e.eta for e in self.entries if not (e.upper_ok and e.converse_ok)]
 
 
+#: (key, certificate, the objects it names by id) of the last certify_bounds on read-only arrays
+_certified = None
+
+
 def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertificate:
     """Two-sided certificate for a decomposition.
 
@@ -289,10 +291,19 @@ def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertifi
     factor 2 budget for the envelope flavors (their ladders carry 2^{k+2}
     and the admissible-envelope slack is a factor 2).  Converse side with
     constant 1: source norm <= aggregate(eta).  An empty grid is refused.
+    The last certificate is returned again for equal scalars (value and repr)
+    on the same space and the same read-only nu times and atom terminal arrays.
     """
+    global _certified
     eta_grid = tuple(eta_grid)  # read once: _aggregates and the entries both walk it
     if not eta_grid:
         raise ValueError("eta_grid must hold at least one eta")
+    scalars = d.flavor, d.defn, d.p, d.q, d.source_norm, eta_grid, [(t.k, t.lam) for t in d.triples]
+    held = [d.space] + [a for t in d.triples for a in (t.nu.times, t.terminal)]
+    key = repr(scalars), scalars, [*map(id, held)]
+    kept = not any(a.flags.writeable for a in held[1:])
+    if kept and _certified is not None and _certified[0] == key:
+        return _certified[1]
     margin = 2.0 if d.flavor in ("S", "star") else 1.0
     entries = []
     for eta, agg in zip(eta_grid, _aggregates(d, eta_grid)):
@@ -302,4 +313,7 @@ def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertifi
         upper_ok = at_most(agg, budget * (1.0 + SLACK))
         converse_ok = at_most(d.source_norm, agg * (1.0 + SLACK))
         entries.append(BoundEntry(eta, agg, budget, upper_ok, converse_ok))
-    return BoundsCertificate(d.source_norm, entries)
+    cert = BoundsCertificate(d.source_norm, entries)
+    if kept:
+        _certified = key, cert, held
+    return cert

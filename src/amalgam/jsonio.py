@@ -368,8 +368,9 @@ def _walk(text, known):
             pair = known.get(name)
             if pair is not None and text.startswith(pair[0], start):
                 doc[name], i = pair[1], start + len(pair[0])
-            else:
-                doc[name], i = _scan(text, start)
+            else:  # a level-n row repeats one number per cell of F_n: parse each text once
+                doc[name], i = (json.JSONDecoder(parse_float=functools.cache(float)).scan_once
+                                if name == "levels" else _scan)(text, start)
             spans[name] = start, i
             i, sep = _ws(text, i).end(), ","
     except (StopIteration, json.JSONDecodeError):  # a value the scanner refuses

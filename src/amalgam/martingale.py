@@ -7,6 +7,7 @@ Levels are stored as a (N+1, M) array: row n is f_n over the outcomes.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -122,6 +123,29 @@ def _differences(levels):
     return d
 
 
+def _kept(fn):
+    """``fn(f, *args)``, kept on f while f's levels are read-only, and made read-only."""
+
+    @functools.wraps(fn)
+    def kept(f, *args):
+        if f.levels.flags.writeable:
+            return fn(f, *args)
+        # an entry holds the levels it was taken of, so their id names no other array
+        key = fn, id(f.levels), args, tuple(map(type, args))
+        memo = f.__dict__.setdefault("_kept", {})
+        try:
+            entry = memo.get(key)
+        except TypeError:  # an unhashable argument is not kept
+            return fn(f, *args)
+        if entry is None:
+            entry = memo[key] = f.levels, fn(f, *args)
+            np.asarray(getattr(entry[1], "levels", entry[1])).flags.writeable = False
+        return entry[1]
+
+    return kept
+
+
+@_kept
 def quadratic_variation_partial(f: Martingale) -> np.ndarray:
     """Row n is S_n(f) = (sum_{i<=n} |d_i f|^2)^{1/2}."""
     levels, e = scaled(f.levels)  # no difference of the scaled levels overflows
@@ -129,6 +153,7 @@ def quadratic_variation_partial(f: Martingale) -> np.ndarray:
     return times_pow2(np.sqrt(_running(np.add, d * d)), e)
 
 
+@_kept
 def conditional_quadratic_variation_partial(f: Martingale) -> np.ndarray:
     """Row n is s_n(f); the i-th summand is E_{i-1}|d_i f|^2."""
     levels, e = scaled(f.levels)
@@ -248,6 +273,7 @@ def ladder_times(stat_rows):
     return ks, _threshold_times(stat_rows, times_pow2(1.0, np.array(ks, dtype=np.int64)))
 
 
+@_kept
 def minimal_envelope(f: Martingale, flavor="S") -> PredictorEnvelope:
     """Pointwise-smallest admissible envelope of the given flavor.
 

@@ -16,6 +16,8 @@ import numpy as np
 from . import _kernels
 from .martingale import (
     Martingale,
+    _kept,
+    _ladder_statistic,
     conditional_quadratic_variation,
     maximal_function,
     minimal_envelope,
@@ -173,14 +175,21 @@ def p_space_norm(f: Martingale, p, q) -> float:
     return lpq_norm(f.space, minimal_envelope(f, "star").final, p, q)
 
 
+@_kept
+def source_norm_for(f: Martingale, flavor, p, q) -> float:
+    """The norm certifying a decomposition of this flavor, that of its ladder statistic's
+    final row: hardy_s_norm, q_space_norm or p_space_norm, to the bit."""
+    return lpq_norm(f.space, _ladder_statistic(f, flavor)[-1], p, q)
+
+
 FIVE_NORMS = ("hardy_s", "hardy_S", "hardy_star", "q_space", "p_space")
 
 
 def all_five_norms(f: Martingale, p, q) -> dict:
     return {
-        "hardy_s": hardy_s_norm(f, p, q),
+        "hardy_s": source_norm_for(f, "s", p, q),
         "hardy_S": hardy_S_norm(f, p, q),
         "hardy_star": hardy_star_norm(f, p, q),
-        "q_space": q_space_norm(f, p, q),
-        "p_space": p_space_norm(f, p, q),
+        "q_space": source_norm_for(f, "S", p, q),
+        "p_space": source_norm_for(f, "star", p, q),
     }

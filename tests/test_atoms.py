@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from amalgam import (
     AtomTriple,
@@ -13,15 +13,19 @@ from amalgam import (
     SpaceError,
     StoppingTime,
     aggregate_eta_norm,
+    all_five_norms,
     certify_bounds,
+    conditional_quadratic_variation_partial,
     decompose,
     from_terminal,
     hardy_s_norm,
     jsonio,
     ladder_constant,
     ladder_stopping_time,
+    minimal_envelope,
     p_space_norm,
     q_space_norm,
+    quadratic_variation_partial,
     reconstruct,
     reconstruction_residuals,
     stop,
@@ -286,6 +290,22 @@ def test_cli_decompose_and_verify_take_an_eta_whose_constant_is_inf(tmp_path, ca
     assert entry["budget"] == math.inf and entry["upper_ok"] and entry["converse_ok"]
 
 
+@pytest.mark.parametrize("p, q", [("2", "1"), ("0.5", "2")])
+def test_an_eta_that_takes_p_or_q_beyond_the_float_range_is_named(tmp_path, capsys,
+                                                                   worked_example, p, q):
+    # p/eta or q/eta is 2e308, beyond the float range: the error named p, given as 2, as inf
+    f = worked_example[1]
+    mp = str(tmp_path / "mart.json")
+    jsonio.dump_json(jsonio.martingale_to_doc(f), mp)
+    message = "eta = 1e-308 is too small: p/eta or q/eta leaves the float range"
+    assert main(["decompose", "--input", mp, "--p", p, "--q", q, "--eta-grid", "1e-308"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        aggregate_eta_norm(decompose(f, float(p), float(q)), 1e-308)
+    # q = inf takes any eta: q/eta is inf as q is
+    assert aggregate_eta_norm(decompose(f, 0.5, math.inf), 1e-300) >= 0.0
+
+
 def test_certify_bounds_worked_example(worked_example):
     space, f = worked_example
     d = decompose(f, 2, 2, flavor="s", defn="simple")
@@ -383,6 +403,64 @@ def test_source_norm_is_the_flavors_norm(flavor, p, q):
         want = named(f, p, q)
         assert source_norm_for(f, flavor, p, q) == want
         assert decompose(f, p, q, flavor=flavor).source_norm == want
+
+
+def _writeable_copy(d):
+    """d with a writeable copy of every array: certify_bounds keeps nothing for it."""
+    return Decomposition(d.space, d.flavor, d.defn, d.p, d.q,
+                         [AtomTriple(t.k, t.lam, t.terminal.copy(),
+                                     StoppingTime(d.space, t.nu.times.copy(), validate=False))
+                          for t in d.triples], d.source_norm)
+
+
+_CALLS = ([("norms",)] + [("source", flavor) for flavor in FLAVORS]
+          + [("ladder", *variant) for variant in ALL_COMBOS])
+
+
+def _bits(f, call, p, q, copy):
+    """The exact text of one call's result: the five norms, a source norm, or a
+    decomposition and its certificate, taken of a writeable copy when ``copy``."""
+    if call[0] == "norms":
+        return repr(all_five_norms(f, p, q))
+    if call[0] == "source":
+        return repr(source_norm_for(f, call[1], p, q))
+    d = decompose(f, p, q, flavor=call[1], defn=call[2])
+    cert = certify_bounds(_writeable_copy(d) if copy else d)
+    return (repr(d.source_norm) + jsonio.canonical_dumps(jsonio.decomposition_to_doc(d))
+            + jsonio.canonical_dumps(jsonio.certificate_to_doc(cert)))
+
+
+@settings(max_examples=60)
+@given(small_martingales(max_outcomes=16, random_weights=True, max_blocks=3),
+       st.sampled_from([(0.5, 1.0), (2.0, 0.75), (1.0, math.inf), (0.25, 0.5)]),
+       st.permutations(_CALLS))
+def test_what_a_read_only_martingale_keeps_changes_no_bit(case, pq, order):
+    space, f = case
+    kept = Martingale(space, f.levels.copy(), validate=False)
+    kept.levels.flags.writeable = False
+    plain = Martingale(space, f.levels.copy(), validate=False)
+    # nothing is kept for a writeable f, nor for a writeable copy of its decomposition
+    want = {call: _bits(plain, call, *pq, copy=True) for call in _CALLS}
+    # the first pass on kept fills what it keeps and the second reads it; certify_bounds
+    # keeps its last certificate of decompose's read-only arrays for either f
+    for g in (kept, kept, plain):
+        assert {call: _bits(g, call, *pq, copy=False) for call in order} == want
+    for fn in (conditional_quadratic_variation_partial, quadratic_variation_partial,
+               lambda g: minimal_envelope(g, "S"), lambda g: minimal_envelope(g, "star")):
+        out = fn(kept)
+        assert fn(kept) is out and not np.asarray(getattr(out, "levels", out)).flags.writeable
+        out = fn(plain)
+        assert fn(plain) is not out and np.asarray(getattr(out, "levels", out)).flags.writeable
+    for flavor in FLAVORS:
+        assert source_norm_for(kept, flavor, *pq) is source_norm_for(kept, flavor, *pq)
+    # an unhashable argument is not kept, and the norm is the same
+    assert repr(source_norm_for(kept, "s", np.array(pq[0]), pq[1])) == want[("source", "s")]
+    d = decompose(kept, *pq)
+    assert not any(a.flags.writeable for t in d.triples for a in (t.terminal, t.nu.times))
+    assert certify_bounds(d) is certify_bounds(d)
+    if d.triples:  # with no triple, no array is writeable
+        copy = _writeable_copy(d)
+        assert certify_bounds(copy) is not certify_bounds(copy)
 
 
 def test_decompose_rejects_unknown_variant(worked_example):

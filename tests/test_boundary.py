@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from amalgam import (INFINITY, FilteredSpace, SpaceError, StoppingTime, certify_bounds,
+from amalgam import (INFINITY, FilteredSpace, SpaceError, StoppingTime, atoms, certify_bounds,
                      decompose, from_terminal, jsonio)
 from amalgam.atoms import source_norm_for
 from amalgam.cli import main
@@ -935,6 +935,90 @@ def test_kept_decomposition_with_bad_values_is_refused_as_decoded(tmp_path, monk
         assert main(verify) == 2
         assert capsys.readouterr() == ("", f"error: decomposition.triples[1]: {message}\n")
         assert len(calls["decomposition_from_doc"]) == (0 if memo else 1)
+
+
+@pytest.mark.parametrize("change", ["none", "lambda", "nu"])
+def test_verify_prints_the_certificate_of_the_triples_as_written(tmp_path, monkeypatch, capsys,
+                                                                 change):
+    # the certificate passed to the writer is of the triples before the change: verify,
+    # which takes the kept certificate of unchanged triples, must not print it
+    calls = _decode_counts(monkeypatch)
+    sized = []
+    monkeypatch.setattr(atoms, "_aggregates",
+                        lambda d, etas, orig=atoms._aggregates: sized.append(d) or orig(d, etas))
+    mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    f = jsonio.load_martingale(mp)
+    d = decompose(f, 1.0, 1.0)
+    stale = certify_bounds(d)
+    t = d.triples[1]
+    if change == "lambda":
+        t.lam *= 2
+    elif change == "nu":  # a new nu array, equal to the kept one
+        t.nu = StoppingTime(f.space, t.nu.times.copy())
+    jsonio.dump_decomposition(d, stale, dp)
+    verify = ["verify", "--input", mp, "--decomposition", dp]
+    outputs = []
+    for memo in (True, False):
+        if not memo:
+            jsonio._written = None
+        outputs.append((main(verify), capsys.readouterr()))
+        assert len(calls["decomposition_from_doc"]) == (0 if memo else 1)
+        # the decoded triples' arrays are writeable: nothing is kept for them
+        assert len(sized) == (change != "none") + 1 + (not memo)
+    assert outputs[0] == outputs[1]
+    printed = json.loads(outputs[0][1].out)["bounds"]
+    assert (printed["entries"] != jsonio.certificate_to_doc(stale)["entries"]) == (
+        change == "lambda")
+
+
+_LEVEL_ROWS = {  # levels 0, 1 and 2 on the 4-outcome dyadic space, as written
+    "repeated": ("0, 0, 0, 0", "0.5, 0.5, -0.5, -0.5", "0.25, 0.75, -0.5, -0.5"),
+    "signed zeros": ("-0.0, 0.0, -0.0, 0.0", "1.0, 1.0, -1.0, -1.0", "1.0, 1.0, -1.0, -1.0"),
+    "subnormal": ("5e-324, -5e-324, 0.0, 5e-324", "1.0, 1.0, -1.0, -1.0", "2, 0, -1, -1"),
+    "exponents": ("0, 0, 0, 0", "1E+2, 100.0, -1e2, -100", "1E+2, 1e+2, -100.0, -1E2"),
+    "integers": ("0, 0, 0, 0", "1, 1, -1, -1", "2, 0, -1, -1"),
+    "overflow": ("0, 0, 0, 0", "1e400, 1e400, -1e400, -1e400", "1e400, 1e400, -1e400, -1e400"),
+    "boolean": ("0, 0, 0, 0", "true, 1.0, -1.0, -1.0", "1.0, 1.0, -1.0, -1.0"),
+}
+
+
+def _level_text(name):
+    names = ["w1", "w2", "w3", "w4"]
+    space = jsonio.dump_json(jsonio.space_to_doc(FilteredSpace(
+        names, [0.25] * 4, [[names], [names[:2], names[2:]], [[w] for w in names]], [names])))
+    levels = ", ".join(f"[{row}]" for row in _LEVEL_ROWS[name])
+    return f'{{"levels": [{levels}], "schema": "amalgam/1", "space": {space}}}\n'
+
+
+@pytest.mark.parametrize("name, error", [
+    ("repeated", None), ("signed zeros", None), ("subnormal", None), ("exponents", None),
+    ("integers", None), ("overflow", "martingale: martingale levels must be finite"),
+    ("boolean", "martingale: field 'levels' has wrong type"),
+])
+def test_levels_decode_as_json_loads_decodes_them(tmp_path, monkeypatch, capsys, name, error):
+    # load_martingale parses each distinct number text of the levels once: the values,
+    # and each error with its exit code, are those of json.loads
+    monkeypatch.setattr(jsonio, "_last", None)
+    text = _level_text(name)
+    mp = tmp_path / "mart.json"
+    mp.write_text(text, encoding="utf-8")
+    plain = json.loads(text)
+    walked = jsonio.load_json(str(mp), None, {"space": None})
+    assert repr(walked) == repr(plain)  # every float to the bit, -0.0 and 1 vs 1.0 included
+    if name == "repeated":  # one float object per distinct text
+        assert walked["levels"][1][0] is walked["levels"][1][1]
+    argv = ["norms", "--input", str(mp), "--p", "1", "--q", "1"]
+    if error is None:
+        f = jsonio.load_martingale(str(mp))
+        want = jsonio.martingale_from_doc(plain).levels
+        assert f.levels.tobytes() == want.tobytes()
+        assert main(argv) == 0
+        return
+    with pytest.raises(jsonio.SchemaError, match=f"^{error}$"):
+        jsonio.martingale_from_doc(plain)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_stopping_time_names_its_first_unmeasurable_level():
