@@ -131,7 +131,7 @@ def _kept(fn):
         if f.levels.flags.writeable:
             return fn(f, *args)
         # an entry holds the levels it was taken of, so their id names no other array
-        key = fn, id(f.levels), args, tuple(map(type, args))
+        key = fn.__name__, id(f.levels), args, tuple(map(type, args))
         memo = f.__dict__.setdefault("_kept", {})
         try:
             entry = memo.get(key)

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -445,6 +446,8 @@ def test_what_a_read_only_martingale_keeps_changes_no_bit(case, pq, order):
     # keeps its last certificate of decompose's read-only arrays for either f
     for g in (kept, kept, plain):
         assert {call: _bits(g, call, *pq, copy=False) for call in order} == want
+    # what is kept pickles with f, and the copy gives the same bits
+    assert _bits(pickle.loads(pickle.dumps(kept)), ("norms",), *pq, copy=False) == want[("norms",)]
     for fn in (conditional_quadratic_variation_partial, quadratic_variation_partial,
                lambda g: minimal_envelope(g, "S"), lambda g: minimal_envelope(g, "star")):
         out = fn(kept)
