@@ -280,10 +280,6 @@ class BoundsCertificate:
         return [e.eta for e in self.entries if not (e.upper_ok and e.converse_ok)]
 
 
-#: (key, certificate, the objects it names by id) of the last certify_bounds on read-only arrays
-_certified = None
-
-
 def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertificate:
     """Two-sided certificate for a decomposition.
 
@@ -291,19 +287,10 @@ def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertifi
     factor 2 budget for the envelope flavors (their ladders carry 2^{k+2}
     and the admissible-envelope slack is a factor 2).  Converse side with
     constant 1: source norm <= aggregate(eta).  An empty grid is refused.
-    The last certificate is returned again for equal scalars (value and repr)
-    on the same space and the same read-only nu times and atom terminal arrays.
     """
-    global _certified
     eta_grid = tuple(eta_grid)  # read once: _aggregates and the entries both walk it
     if not eta_grid:
         raise ValueError("eta_grid must hold at least one eta")
-    scalars = d.flavor, d.defn, d.p, d.q, d.source_norm, eta_grid, [(t.k, t.lam) for t in d.triples]
-    held = [d.space] + [a for t in d.triples for a in (t.nu.times, t.terminal)]
-    key = repr(scalars), scalars, [*map(id, held)]
-    kept = not any(a.flags.writeable for a in held[1:])
-    if kept and _certified is not None and _certified[0] == key:
-        return _certified[1]
     margin = 2.0 if d.flavor in ("S", "star") else 1.0
     entries = []
     for eta, agg in zip(eta_grid, _aggregates(d, eta_grid)):
@@ -313,7 +300,4 @@ def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertifi
         upper_ok = at_most(agg, budget * (1.0 + SLACK))
         converse_ok = at_most(d.source_norm, agg * (1.0 + SLACK))
         entries.append(BoundEntry(eta, agg, budget, upper_ok, converse_ok))
-    cert = BoundsCertificate(d.source_norm, entries)
-    if kept:
-        _certified = key, cert, held
-    return cert
+    return BoundsCertificate(d.source_norm, entries)

@@ -46,13 +46,28 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-def _bounds(d, args):
-    """The bound certificate of ``d`` over the --eta-grid values."""
-    return certify_bounds(d, eta_grid=_parse_grid(args.eta_grid, DEFAULT_ETA_GRID))
+# What one process keeps from one main call for the next.  A caller that runs
+# main several times in one process reads a martingale file once per content,
+# and verifies the decomposition decompose just wrote without reading it back.
+
+#: (bytes, f, (text, value) of its space member) of the last martingale file read
+_martingale = None
+#: (bytes, f, d, eta grid, certificate) of the last decomposition cmd_decompose wrote
+_decomposition = None
+
+
+def _load_martingale(path):
+    """The martingale of the file at ``path``: the same f when its bytes equal
+    those last read here."""
+    global _martingale
+    raw = jsonio.read(path)
+    if _martingale is None or _martingale[0] != raw:
+        _martingale = (raw, *jsonio.load_martingale(path, raw))
+    return _martingale[1]
 
 
 def cmd_norms(args):
-    f = jsonio.load_martingale(args.input)
+    f = _load_martingale(args.input)
     doc = {
         "schema": jsonio.SCHEMA,
         "p": args.p,
@@ -64,23 +79,34 @@ def cmd_norms(args):
 
 
 def cmd_decompose(args):
-    f = jsonio.load_martingale(args.input)
+    global _decomposition
+    f = _load_martingale(args.input)
     d = decompose(f, args.p, args.q, flavor=args.flavor, defn=args.defn)
-    cert = _bounds(d, args)
-    _emit(jsonio.dump_decomposition(d, cert, args.output), args.output)
+    grid = _parse_grid(args.eta_grid, DEFAULT_ETA_GRID)
+    cert = certify_bounds(d, grid)
+    text = jsonio.dump_decomposition(d, cert, args.output)
+    if args.output:
+        _decomposition = text.encode("utf-8"), f, d, grid, cert
+    _emit(text, args.output)
     return OK if cert.passed else CERT_FAIL
 
 
 def cmd_verify(args):
-    f = jsonio.load_martingale(args.input)
-    d = jsonio.load_decomposition(args.decomposition, f)
+    f = _load_martingale(args.input)
+    raw = jsonio.read(args.decomposition)
+    # decompose's own d passes every check of the reader: it is not read back
+    kept = _decomposition
+    if kept is None or kept[0] != raw or kept[1] is not f:
+        kept = None
+    d = kept[2] if kept else jsonio.load_decomposition(args.decomposition, f, raw)
     rs = [r for r in _parse_grid(args.r, (2.0, 4.0, math.inf)) if r > max(d.p, 1.0)]
     if not rs:
         raise ValueError(f"--r: no exponent satisfies r > max(p, 1) = {max(d.p, 1.0)!r}")
     recon, recon_ok = reconstruction_residuals(d, f)
     reports = [(t.k, r, rep) for t in d.triples for r, rep in zip(rs, verify_atom(d, t, rs))]
     atoms_ok = all(rep.passed for _, _, rep in reports)
-    cert = _bounds(d, args)
+    grid = _parse_grid(args.eta_grid, DEFAULT_ETA_GRID)
+    cert = kept[4] if kept and repr(kept[3]) == repr(grid) else certify_bounds(d, grid)
 
     passed = recon_ok and atoms_ok and cert.passed
     doc = {
@@ -104,8 +130,8 @@ def cmd_verify(args):
 
 
 def cmd_duality(args):
-    f = jsonio.load_martingale(args.input)
-    g = jsonio.load_function(args.g, f)
+    f = _load_martingale(args.input)
+    g = jsonio.load_function(args.g, f, _martingale[2])
     cert = certify_duality(f, g, args.p, args.q, mode=args.mode)
     nu = cert.campanato.attaining_nu
     doc = {

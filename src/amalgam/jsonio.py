@@ -274,8 +274,10 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
     """Rebuild a decomposition against a known space.
 
     Each atom is kept as its terminal, as read, so that verification reports a
-    tampered atom rather than this reader; _triple makes the value checks.
-    The triples equal those of the decomposition written, bit for bit.
+    tampered atom rather than this reader.  Each triple is checked for the
+    values every decomposition decompose returns has: lambda finite and at
+    least 0, nu a stopping time, the atom terminal finite.  The triples equal
+    those of the decomposition written, bit for bit.
     """
     _check_schema(doc, "decomposition")
     flavor = _require(doc, "flavor", str, "decomposition")
@@ -302,26 +304,21 @@ def decomposition_from_doc(doc, space: FilteredSpace) -> Decomposition:
             terminal = space.rv(_numbers(values, "atom_terminal"))
         except Exception as exc:
             raise SchemaError(f"{where}: {exc}") from exc
-        times = [INFINITY if t is None else t for t in nu_list]
-        triples.append(_triple(space, where, k, lam, times, terminal))
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise SchemaError(f"{where}: field 'lambda' must be finite and at least 0")
+        try:
+            # the typed cast is exact, or refuses a time beyond int64
+            nu = StoppingTime(space, np.asarray([INFINITY if t is None else t for t in nu_list],
+                                                dtype=np.int64))
+            require_finite(terminal, "atom_terminal")
+        except Exception as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+        triples.append(AtomTriple(k, lam, terminal, nu))
     return Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
 
 
-def _triple(space, where, k, lam, times, terminal) -> AtomTriple:
-    """The triple at ``where`` after the value checks of every reader: lambda
-    finite and at least 0, nu a stopping time, the atom terminal finite."""
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise SchemaError(f"{where}: field 'lambda' must be finite and at least 0")
-    try:
-        # every reader hands over ints: the typed cast is exact, or refuses one beyond int64
-        nu = StoppingTime(space, np.asarray(times, dtype=np.int64))
-        require_finite(terminal, "atom_terminal")
-    except Exception as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-    return AtomTriple(k, lam, terminal, nu)
-
-
-def _read(path) -> bytes:
+def read(path) -> bytes:
+    """The bytes of the file at ``path``; a SchemaError names the path it cannot read."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
@@ -340,7 +337,7 @@ def load_json(path, raw=None, known=None):
     the members does not follow to its end.
     """
     try:
-        raw = _read(path) if raw is None else raw
+        raw = read(path) if raw is None else raw
         text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
         doc = None if known is None else _walk(text, known)
         return json.loads(text) if doc is None else doc
@@ -383,34 +380,21 @@ def _walk(text, known):
     return doc
 
 
-#: (bytes, f, (text, value) of its space member) of the last martingale document
-#: load_martingale decoded
-_last = None
-
-
-def load_martingale(path):
-    """The martingale f of a martingale file; the same f when its bytes equal
-    those last decoded here.  Otherwise load_json and martingale_from_doc
-    decode them, and f, its levels read-only, is kept with the text and value
-    of the space member."""
-    global _last
-    raw = _read(path)
-    if _last is not None and _last[0] == raw:
-        return _last[1]
-    _last = None
+def load_martingale(path, raw=None):
+    """(f, space member) of the martingale file at ``path``, or of its bytes ``raw``:
+    f has read-only levels, and the member is the (text, value) pair of the
+    document's ``space`` object that load_function takes, or None."""
     known = {"space": None}
     f = martingale_from_doc(load_json(path, raw, known))
     f.levels.flags.writeable = False
-    _last = (raw, f, known["space"])
-    return f
+    return f, known["space"]
 
 
-def load_function(path, f):
+def load_function(path, f, member=None):
     """The values of the function document at ``path`` on f's space, or a
-    SchemaError when it lives on another.  When f is the martingale load_martingale
-    last returned, a space member equal to f's space document is f's space, and one
-    written as in f's file is not decoded: it is f's space document itself."""
-    member = _last[2] if _last is not None and _last[1] is f else None
+    SchemaError when it lives on another.  ``member`` is the space member
+    load_martingale returned with f: a space member equal to its value is f's
+    space, and one written as its text is not decoded, but is its value itself."""
     space, values = function_from_doc(load_json(path, None, {"space": member}), f.space,
                                       None if member is None else member[1])
     if not same_space(space, f.space):
@@ -418,40 +402,15 @@ def load_function(path, f):
     return values
 
 
-#: (bytes, space, flavor, defn, p, q, [(k, lambda, nu times, atom terminal)]) of the
-#: last decomposition document dump_decomposition wrote
-_written = None
-
-
 def dump_decomposition(d: Decomposition, cert: BoundsCertificate, path=None):
-    """dump_json of the decomposition_to_doc of ``d`` with ``cert`` as its
-    "certificate".  Written to ``path``, its bytes and the fields of ``d``, d's
-    arrays read-only, are kept for load_decomposition."""
-    global _written
-    _written = None
-    text = dump_json({**decomposition_to_doc(d), "certificate": certificate_to_doc(cert)}, path)
-    if path is not None:
-        for t in d.triples:
-            t.terminal.flags.writeable = t.nu.times.flags.writeable = False
-        _written = (text.encode("utf-8"), d.space, d.flavor, d.defn, float(d.p), float(d.q),
-                    [(t.k, t.lam, t.nu.times, t.terminal) for t in d.triples])
-    return text
+    """dump_json of the decomposition_to_doc of ``d`` with ``cert`` as its "certificate"."""
+    return dump_json({**decomposition_to_doc(d), "certificate": certificate_to_doc(cert)}, path)
 
 
-def load_decomposition(path, f: Martingale) -> Decomposition:
-    """The decomposition document at ``path``, of the martingale ``f``, with its
-    source norm set.  Bytes equal to those dump_decomposition last wrote, of a
-    decomposition on f's space itself, are not decoded: the triples are rebuilt
-    from the kept fields, with the value checks decomposition_from_doc makes.
-    Other bytes are decoded."""
-    raw = _read(path)
-    if _written is not None and _written[0] == raw and _written[1] is f.space:
-        _, space, flavor, defn, p, q, rows = _written
-        triples = [_triple(space, f"decomposition.triples[{i}]", *row)
-                   for i, row in enumerate(rows)]
-        d = Decomposition(space, flavor, defn, p, q, triples, source_norm=0.0)
-    else:
-        d = decomposition_from_doc(load_json(path, raw), f.space)
+def load_decomposition(path, f: Martingale, raw=None) -> Decomposition:
+    """The decomposition document at ``path``, or in its bytes ``raw``, of the
+    martingale ``f``, with its source norm set."""
+    d = decomposition_from_doc(load_json(path, raw), f.space)
     d.source_norm = source_norm_for(f, d.flavor, d.p, d.q)
     return d
 

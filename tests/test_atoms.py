@@ -407,7 +407,7 @@ def test_source_norm_is_the_flavors_norm(flavor, p, q):
 
 
 def _writeable_copy(d):
-    """d with a writeable copy of every array: certify_bounds keeps nothing for it."""
+    """d with a writeable copy of every array."""
     return Decomposition(d.space, d.flavor, d.defn, d.p, d.q,
                          [AtomTriple(t.k, t.lam, t.terminal.copy(),
                                      StoppingTime(d.space, t.nu.times.copy(), validate=False))
@@ -442,8 +442,7 @@ def test_what_a_read_only_martingale_keeps_changes_no_bit(case, pq, order):
     plain = Martingale(space, f.levels.copy(), validate=False)
     # nothing is kept for a writeable f, nor for a writeable copy of its decomposition
     want = {call: _bits(plain, call, *pq, copy=True) for call in _CALLS}
-    # the first pass on kept fills what it keeps and the second reads it; certify_bounds
-    # keeps its last certificate of decompose's read-only arrays for either f
+    # the first pass on kept fills what it keeps and the second reads it
     for g in (kept, kept, plain):
         assert {call: _bits(g, call, *pq, copy=False) for call in order} == want
     # what is kept pickles with f, and the copy gives the same bits
@@ -460,10 +459,6 @@ def test_what_a_read_only_martingale_keeps_changes_no_bit(case, pq, order):
     assert repr(source_norm_for(kept, "s", np.array(pq[0]), pq[1])) == want[("source", "s")]
     d = decompose(kept, *pq)
     assert not any(a.flags.writeable for t in d.triples for a in (t.terminal, t.nu.times))
-    assert certify_bounds(d) is certify_bounds(d)
-    if d.triples:  # with no triple, no array is writeable
-        copy = _writeable_copy(d)
-        assert certify_bounds(copy) is not certify_bounds(copy)
 
 
 def test_decompose_rejects_unknown_variant(worked_example):

@@ -6,13 +6,16 @@ import functools
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from amalgam import (INFINITY, FilteredSpace, SpaceError, StoppingTime, atoms, certify_bounds,
-                     decompose, from_terminal, jsonio)
+                     cli, decompose, from_terminal, jsonio)
 from amalgam.atoms import source_norm_for
 from amalgam.cli import main
 
@@ -592,7 +595,7 @@ def test_repeat_call_does_not_decode_again(tmp_path, monkeypatch, capsys):
 
     decode = jsonio.martingale_from_doc
     monkeypatch.setattr(jsonio, "martingale_from_doc", counted)
-    monkeypatch.setattr(jsonio, "_last", None)
+    monkeypatch.setattr(cli, "_martingale", None)
     mp = str(tmp_path / "mart.json")
     jsonio.dump_json(_worked_doc(), mp)
     argv = ["norms", "--input", mp, "--p", "1", "--q", "1"]
@@ -614,7 +617,7 @@ def test_repeat_duality_decodes_no_space(tmp_path, monkeypatch, capsys):
 
     decode = jsonio.space_from_doc
     monkeypatch.setattr(jsonio, "space_from_doc", counted)
-    monkeypatch.setattr(jsonio, "_last", None)
+    monkeypatch.setattr(cli, "_martingale", None)
     mp, gp = str(tmp_path / "mart.json"), str(tmp_path / "g.json")
     jsonio.dump_json(_worked_doc(), mp)
     jsonio.dump_json(jsonio.function_to_doc(_dyadic3(), [1.0, -1.0, 2.0, -2.0, 0.0, 0.0, 3.0,
@@ -627,18 +630,19 @@ def test_repeat_duality_decodes_no_space(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_file_rewritten_in_place_is_decoded_again(tmp_path):
+def test_file_rewritten_in_place_is_decoded_again(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_martingale", None)
     mp = tmp_path / "mart.json"
     doc = _worked_doc()
     jsonio.dump_json(doc, str(mp))
-    before = jsonio.load_martingale(str(mp))
+    before = cli._load_martingale(str(mp))
     last = doc["levels"][-1]
     last[0], last[1] = last[1], last[0]  # siblings of equal mass: still a martingale
     size = mp.stat().st_size
     jsonio.dump_json(doc, str(mp))
     assert mp.stat().st_size == size
-    after = jsonio.load_martingale(str(mp))
-    assert after is not before and jsonio._last[2][1] == doc["space"]
+    after = cli._load_martingale(str(mp))
+    assert after is not before and cli._martingale[2][1] == doc["space"]
     assert after.levels.tolist() == doc["levels"]
 
 
@@ -658,8 +662,8 @@ def test_failed_decode_is_not_remembered(tmp_path, capsys):
 def test_remembered_arrays_are_read_only(tmp_path):
     mp = str(tmp_path / "mart.json")
     jsonio.dump_json(_worked_doc(), mp)
-    f = jsonio.load_martingale(mp)
-    assert jsonio.load_martingale(mp) is f
+    f = cli._load_martingale(mp)
+    assert cli._load_martingale(mp) is f
     held = {k: a for k, a in vars(f.space).items() if isinstance(a, np.ndarray)}
     assert {"prob", "cell_offsets", "cell_labels", "cell_masses"} <= set(held)
     for array in (f.levels, f.terminal, *held.values(), *f.space.level_labels):
@@ -707,10 +711,10 @@ def test_g_space_written_as_in_f_is_f_space_document(tmp_path, monkeypatch):
     mp, gp = str(tmp_path / "mart.json"), tmp_path / "g.json"
     jsonio.dump_json(doc, mp)
     gp.write_text(g_text, encoding="utf-8")
-    f = jsonio.load_martingale(mp)
-    text, space_doc = jsonio._last[2]
+    f, kept = jsonio.load_martingale(mp)
+    text, space_doc = kept
     assert text == member and space_doc == doc["space"]
-    got = jsonio.load_json(str(gp), None, {"space": jsonio._last[2]})
+    got = jsonio.load_json(str(gp), None, {"space": kept})
     assert got["space"] is space_doc and got == json.loads(g_text)
     calls = []
 
@@ -720,7 +724,7 @@ def test_g_space_written_as_in_f_is_f_space_document(tmp_path, monkeypatch):
 
     decode = jsonio.space_from_doc
     monkeypatch.setattr(jsonio, "space_from_doc", counted)
-    values = jsonio.load_function(str(gp), f)
+    values = jsonio.load_function(str(gp), f, kept)
     assert calls == [] and values.tolist() == got["values"]
 
 
@@ -731,9 +735,9 @@ def test_function_on_another_space_is_refused_where_it_is_loaded(tmp_path):
     mp, gp = str(tmp_path / "mart.json"), str(tmp_path / "g.json")
     jsonio.dump_json(doc, mp)
     jsonio.dump_json({**json.loads(g_text), "space": tilted}, gp)
-    f = jsonio.load_martingale(mp)
+    f, kept = jsonio.load_martingale(mp)
     with pytest.raises(jsonio.SchemaError) as info:
-        jsonio.load_function(gp, f)
+        jsonio.load_function(gp, f, kept)
     assert str(info.value) == "martingale and function live on different spaces"
 
 
@@ -781,7 +785,7 @@ def test_g_with_two_space_members_keeps_the_last(tmp_path, monkeypatch, capsys, 
     pair = [member, other] if order == "f's first" else [other, member]
     text = g_text.replace(f'"space": {member},', '"space": {},\n  "space": {},'.format(*pair))
     assert json.loads(text)["space"] == json.loads(pair[1])
-    monkeypatch.setattr(jsonio, "_last", None)
+    monkeypatch.setattr(cli, "_martingale", None)
     code = _duality_of(tmp_path, doc, text)
     if order == "f's last":
         assert (code, capsys.readouterr()) == (0, want)
@@ -815,7 +819,7 @@ def test_g_space_written_otherwise_is_decoded_and_compared(tmp_path, monkeypatch
 
     decode = jsonio.space_from_doc
     monkeypatch.setattr(jsonio, "space_from_doc", counted)
-    monkeypatch.setattr(jsonio, "_last", None)
+    monkeypatch.setattr(cli, "_martingale", None)
     code = _duality_of(tmp_path, doc, text)
     assert len(calls) == (1 if written == "compact" else 2)
     if written == "tilted":
@@ -837,8 +841,8 @@ def _decode_counts(monkeypatch):
             calls[name].append(first)
             return orig(first, *args)
         monkeypatch.setattr(jsonio, name, counted)
-    monkeypatch.setattr(jsonio, "_last", None)
-    monkeypatch.setattr(jsonio, "_written", None)
+    monkeypatch.setattr(cli, "_martingale", None)
+    monkeypatch.setattr(cli, "_decomposition", None)
     return calls
 
 
@@ -854,10 +858,69 @@ def test_verify_of_the_decomposition_just_written_does_not_decode_it(
     assert main(verify) == 0
     kept = capsys.readouterr().out
     assert calls == {"load_json": [mp], "decomposition_from_doc": []}
-    jsonio._written = None
+    cli._decomposition = None
     assert main(verify) == 0
     assert capsys.readouterr().out == kept
     assert calls["load_json"] == [mp, dp] and len(calls["decomposition_from_doc"]) == 1
+
+
+def _counted(monkeypatch, module, name):
+    """The first arguments of each call of ``module.name`` from now on."""
+    seen = []
+    monkeypatch.setattr(module, name, lambda first, *args, orig=getattr(module, name):
+                        seen.append(first) or orig(first, *args))
+    return seen
+
+
+def _fresh(argv):
+    """(exit code, stdout, stderr) of the CLI run on ``argv`` in a new process."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "amalgam.cli", *argv], capture_output=True,
+                          text=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("flavor, defn", [("s", "simple"), ("S", "weighted")])
+def test_norms_decompose_verify_read_one_martingale_once_and_certify_once(
+        tmp_path, monkeypatch, capsys, flavor, defn):
+    calls = _decode_counts(monkeypatch)
+    decoded = _counted(monkeypatch, jsonio, "martingale_from_doc")
+    certified = _counted(monkeypatch, cli, "certify_bounds")
+    mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    pq = ["--p", "0.5", "--q", "1"]
+    verify = ["verify", "--input", mp, "--decomposition", dp]
+    for argv in (["norms", "--input", mp, *pq],
+                 ["decompose", "--input", mp, *pq, "--flavor", flavor, "--defn", defn,
+                  "--output", dp]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert main(verify) == 0
+    out = capsys.readouterr().out
+    assert (len(decoded), calls["decomposition_from_doc"], len(certified)) == (1, [], 1)
+    assert _fresh(verify) == (0, out, "")
+
+
+@pytest.mark.parametrize("written, verified", [
+    ("0.5,1", "0.25,0.75"), ("0.5,1", "1,0.5"), ("1", "1e-300"),
+    ("0.5,1", "0.5,1"), (None, "0.25,0.5,0.75,1"), ("1", "1.0"),
+])
+def test_verify_takes_the_recorded_certificate_only_for_the_same_eta_grid(
+        tmp_path, monkeypatch, capsys, written, verified):
+    _decode_counts(monkeypatch)
+    certified = _counted(monkeypatch, cli, "certify_bounds")
+    mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    grid = [] if written is None else ["--eta-grid", written]
+    assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", *grid, "--output", dp]) == 0
+    verify = ["verify", "--input", mp, "--decomposition", dp, "--eta-grid", verified]
+    code = main(verify)
+    out = capsys.readouterr().out
+    same = [float(x) for x in verified.split(",")] == (
+        [0.25, 0.5, 0.75, 1.0] if written is None else [float(x) for x in written.split(",")])
+    assert len(certified) == (1 if same else 2)
+    assert json.loads(out)["bounds"]["entries"][0]["eta"] == float(verified.split(",")[0])
+    assert _fresh(verify) == (code, out, "")
 
 
 def test_decomposition_rewritten_after_decompose_is_decoded_again(tmp_path, monkeypatch,
@@ -876,17 +939,18 @@ def test_decomposition_rewritten_after_decompose_is_decoded_again(tmp_path, monk
     assert calls["load_json"] == [mp, str(dp)] and len(calls["decomposition_from_doc"]) == 1
 
 
-def test_kept_decomposition_arrays_are_read_only(tmp_path):
+def test_kept_decomposition_arrays_are_read_only(tmp_path, monkeypatch):
     mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
     jsonio.dump_json(_worked_doc(), mp)
     assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--output", dp]) == 0
-    f = jsonio.load_martingale(mp)
-    kept = [(times, terminal) for _, _, times, terminal in jsonio._written[-1]]
-    rebuilt = jsonio.load_decomposition(dp, f)
-    assert len(rebuilt.triples) == len(kept) > 0
-    for t, arrays in zip(rebuilt.triples, kept):
-        assert t.nu.times is arrays[0] and t.terminal is arrays[1]
-        for array in arrays:
+    kept = cli._decomposition[2].triples
+    seen = []
+    monkeypatch.setattr(cli, "verify_atom",
+                        lambda d, t, rs, orig=cli.verify_atom: seen.append(t) or orig(d, t, rs))
+    assert main(["verify", "--input", mp, "--decomposition", dp]) == 0
+    assert len(seen) == len(kept) > 0 and all(t is k for t, k in zip(seen, kept))
+    for t in kept:
+        for array in (t.nu.times, t.terminal):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -897,14 +961,13 @@ def test_loaded_decomposition_carries_its_source_norm(tmp_path, monkeypatch):
     jsonio.dump_json(_worked_doc(), mp)
     assert main(["decompose", "--input", mp, "--p", "0.5", "--q", "1", "--flavor", "S",
                  "--output", dp]) == 0
-    f = jsonio.load_martingale(mp)
+    f = cli._load_martingale(mp)
     want = source_norm_for(f, "S", 0.5, 1.0)
     assert want > 0.0
-    for memo in (True, False):
-        if not memo:
-            jsonio._written = None
-        assert jsonio.load_decomposition(dp, f).source_norm == want
-        assert len(calls["decomposition_from_doc"]) == (0 if memo else 1)
+    assert cli._decomposition[2].source_norm == want
+    assert len(calls["decomposition_from_doc"]) == 0
+    assert jsonio.load_decomposition(dp, f).source_norm == want
+    assert len(calls["decomposition_from_doc"]) == 1
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -917,7 +980,7 @@ def test_kept_decomposition_with_bad_values_is_refused_as_decoded(tmp_path, monk
     calls = _decode_counts(monkeypatch)
     mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
     jsonio.dump_json(_worked_doc(), mp)
-    f = jsonio.load_martingale(mp)
+    f, _ = jsonio.load_martingale(mp)
     d = decompose(f, 1.0, 1.0)
     cert = certify_bounds(d)  # of the sound triples: a negative lambda cannot be certified
     t = d.triples[1]
@@ -927,45 +990,52 @@ def test_kept_decomposition_with_bad_values_is_refused_as_decoded(tmp_path, monk
         t.nu = StoppingTime(f.space, [1, INFINITY] * 4, validate=False)
     else:
         t.lam = -t.lam
-    jsonio.dump_decomposition(d, cert, dp)
     verify = ["verify", "--input", mp, "--decomposition", dp]
     for memo in (True, False):
-        if not memo:
-            jsonio._written = None
+        # with a record of the sound decomposition decompose wrote at dp, or with none,
+        # the other bytes written there are decoded
+        if memo:
+            assert main(["decompose", "--input", mp, "--p", "1", "--q", "1",
+                         "--output", dp]) == 0
+        else:
+            cli._decomposition = None
+        jsonio.dump_decomposition(d, cert, dp)
         assert main(verify) == 2
         assert capsys.readouterr() == ("", f"error: decomposition.triples[1]: {message}\n")
-        assert len(calls["decomposition_from_doc"]) == (0 if memo else 1)
+        assert len(calls["decomposition_from_doc"]) == (1 if memo else 2)
 
 
 @pytest.mark.parametrize("change", ["none", "lambda", "nu"])
 def test_verify_prints_the_certificate_of_the_triples_as_written(tmp_path, monkeypatch, capsys,
                                                                  change):
     # the certificate passed to the writer is of the triples before the change: verify,
-    # which takes the kept certificate of unchanged triples, must not print it
+    # which takes the recorded certificate of the bytes decompose wrote, must not print it
     calls = _decode_counts(monkeypatch)
     sized = []
     monkeypatch.setattr(atoms, "_aggregates",
                         lambda d, etas, orig=atoms._aggregates: sized.append(d) or orig(d, etas))
     mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
     jsonio.dump_json(_worked_doc(), mp)
-    f = jsonio.load_martingale(mp)
+    assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--output", dp]) == 0
+    f = cli._load_martingale(mp)
     d = decompose(f, 1.0, 1.0)
     stale = certify_bounds(d)
     t = d.triples[1]
     if change == "lambda":
         t.lam *= 2
-    elif change == "nu":  # a new nu array, equal to the kept one
+    elif change == "nu":  # a new nu array, equal to the written one
         t.nu = StoppingTime(f.space, t.nu.times.copy())
     jsonio.dump_decomposition(d, stale, dp)
+    # bytes equal to those decompose wrote, of the same f, are verified from its record
+    kept = change != "lambda"
     verify = ["verify", "--input", mp, "--decomposition", dp]
     outputs = []
     for memo in (True, False):
         if not memo:
-            jsonio._written = None
+            cli._decomposition = None
         outputs.append((main(verify), capsys.readouterr()))
-        assert len(calls["decomposition_from_doc"]) == (0 if memo else 1)
-        # the decoded triples' arrays are writeable: nothing is kept for them
-        assert len(sized) == (change != "none") + 1 + (not memo)
+        assert len(calls["decomposition_from_doc"]) == (not kept) + (not memo)
+        assert len(sized) == 2 + (not kept) + (not memo)
     assert outputs[0] == outputs[1]
     printed = json.loads(outputs[0][1].out)["bounds"]
     assert (printed["entries"] != jsonio.certificate_to_doc(stale)["entries"]) == (
@@ -999,7 +1069,7 @@ def _level_text(name):
 def test_levels_decode_as_json_loads_decodes_them(tmp_path, monkeypatch, capsys, name, error):
     # load_martingale parses each distinct number text of the levels once: the values,
     # and each error with its exit code, are those of json.loads
-    monkeypatch.setattr(jsonio, "_last", None)
+    monkeypatch.setattr(cli, "_martingale", None)
     text = _level_text(name)
     mp = tmp_path / "mart.json"
     mp.write_text(text, encoding="utf-8")
@@ -1010,7 +1080,7 @@ def test_levels_decode_as_json_loads_decodes_them(tmp_path, monkeypatch, capsys,
         assert walked["levels"][1][0] is walked["levels"][1][1]
     argv = ["norms", "--input", str(mp), "--p", "1", "--q", "1"]
     if error is None:
-        f = jsonio.load_martingale(str(mp))
+        f, _ = jsonio.load_martingale(str(mp))
         want = jsonio.martingale_from_doc(plain).levels
         assert f.levels.tobytes() == want.tobytes()
         assert main(argv) == 0
@@ -1033,7 +1103,8 @@ def test_stopping_time_names_its_first_unmeasurable_level():
 
 
 @pytest.mark.parametrize("command", ["decompose", "norms", "explore", "gen"])
-def test_unusable_output_path_is_input_error(tmp_path, capsys, command):
+def test_unusable_output_path_is_input_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "_decomposition", None)
     mp = str(tmp_path / "mart.json")
     jsonio.dump_json(_worked_doc(), mp)
     missing = str(tmp_path / "missing" / "out.json")
@@ -1051,7 +1122,7 @@ def test_unusable_output_path_is_input_error(tmp_path, capsys, command):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert path in captured.err
     if command == "decompose":
-        assert jsonio._written is None  # nothing is kept from a failed write
+        assert cli._decomposition is None  # nothing is kept from a failed write
 
 
 def test_one_outcome_depth_zero_space_runs_every_command(tmp_path, capsys):

@@ -27,7 +27,7 @@ def _pipeline(work, spec, p, q, eta, r, flavor, defn, mode):
     runs on two trees of ``spec`` and certifies nothing, so it exits 0 or 2."""
     assert main(["gen", *spec, "--count", "1", "--out-dir", work]) == 0
     mp, dp, gp = (os.path.join(work, name) for name in ("mart_0000.json", "dec.json", "g.json"))
-    f = jsonio.load_martingale(mp)
+    f, _ = jsonio.load_martingale(mp)
     jsonio.dump_json(jsonio.function_to_doc(f.space, f.terminal), gp)
     out = os.path.join(work, "out.json")
     pq = ["--p", p, "--q", q]
