@@ -29,8 +29,8 @@ from .martingale import (
 )
 from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate, source_norm_for
 from .space import (
-    INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, condition_rows, require_space,
-    scale_of, scaled, times_pow2,
+    INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, condition_rows, require_finite,
+    require_space, scale_of, scaled, times_pow2,
 )
 
 DEFNS = ("simple", "weighted")
@@ -90,8 +90,10 @@ def _sizes(d: Decomposition, supports):
         pb = float(space.prob[b].sum())
         size = _power(pb, 1.0 / p) if d.defn == "simple" else float(sizes[i])
         if pb > 0.0 and not sys.float_info.min <= size < math.inf:
-            raise ValueError(f"p = {p!r} is too small: a rung of mass {pb!r} has support size "
-                             f"{size!r}, not a normal float")
+            cause = (f"p = {p!r} is too small" if d.defn == "simple"
+                     else f"p = {p!r} or q = {d.q!r} is too extreme")
+            raise ValueError(f"{cause}: a rung of mass {pb!r} has support size {size!r}, "
+                             "not a normal float")
         yield pb, size
 
 
@@ -109,6 +111,9 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     # lambda_k carries 2^{k+1} on the s ladder, 2^{k+2} on envelope ladders
     base_exp = 1 if flavor == "s" else 2
     stat = _ladder_statistic(f, flavor)
+    if np.isinf(stat[-1]).any():  # the last row is the largest
+        name = {"s": "s(f)", "S": "S(f)", "star": "f*"}[flavor]
+        raise ValueError(f"{name} leaves the float range: the {flavor!r} ladder has no rungs")
     dec = Decomposition(space, flavor, defn, p, q, [], source_norm_for(f, flavor, p, q))
 
     ks, times = ladder_times(stat)
@@ -123,7 +128,13 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
                 raise ValueError(f"rung k = {k}: lambda_k = 2^{k + base_exp} * {size!r} "
                                  f"is {lam!r}, not a positive finite float")
             nu = StoppingTime(space, nu_times, validate=False)
-            terminal = (above - below) / lam
+            with np.errstate(over="ignore"):
+                terminal = (above - below) / lam
+                if not np.isfinite(terminal).all():
+                    # two levels near the float top: their difference is taken of their halves
+                    terminal = np.where(np.isfinite(terminal), terminal,
+                                        (above / 2 - below / 2) / lam * 2)
+                    require_finite(terminal, f"rung k = {k}: atom_terminal")
             terminal.flags.writeable = nu.times.flags.writeable = False
             dec.triples.append(AtomTriple(k, lam, terminal, nu))
     return dec

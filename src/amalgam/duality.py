@@ -269,12 +269,12 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic",
         raise ValueError(f"duality chain requires 0 < p <= q <= 1, got ({p}, {q})")
     space = f.space
     d = decompose(f, p, q, flavor="s", defn="simple")
-    signed = pairing(f, g)
-    lhs = abs(signed)
-
-    # the rungs are scored as candidates, and each one's sqrt(A) comes back
+    # the rungs are scored as candidates, and each one's sqrt(A) comes back; g is
+    # checked there, by from_terminal, before it is paired with f
     camp = campanato_norm(space, g, p, q, mode=mode, cap=cap,
                           extra_candidates=[t.nu for t in d.triples])
+    signed = pairing(f, g)
+    lhs = abs(signed)
     atomwise = 0.0
     for t, osc in zip(d.triples, camp.extra_l2):
         # ||a||_2 at the atom's own power of two: at a tiny p, a^2 leaves the float range

@@ -106,7 +106,9 @@ def from_terminal(space: FilteredSpace, x) -> Martingale:
     if not at_most(abs(mean), SLACK * scale_of(x)):
         raise SpaceError(f"terminal value has nonzero mean {mean!r}")
     # remove the rounding-level mean, and set f_0 = 0 exactly
-    levels = condition_rows(space, np.broadcast_to(x, (space.depth + 1, space.size))) - mean
+    with np.errstate(over="ignore"):
+        levels = condition_rows(space, np.broadcast_to(x, (space.depth + 1, space.size))) - mean
+    require_finite(levels, f"terminal value minus its mean {mean!r}")
     levels[0] = 0.0
     return Martingale(space, levels, validate=False)
 

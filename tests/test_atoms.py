@@ -1,10 +1,11 @@
 import json
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from amalgam import (
     AtomTriple,
@@ -39,7 +40,9 @@ from amalgam.cli import main
 from amalgam.harness import CorpusSpec, generate
 from amalgam.martingale import _ladder_statistic, ladder_times
 from amalgam.norms import lpq_norm
-from amalgam.space import INFINITY, SLACK, at_most, condition_rows, scale_of, times_pow2
+from amalgam.space import (
+    INFINITY, SLACK, at_most, binary_exponent, condition_rows, scale_of, times_pow2,
+)
 from conftest import random_martingale, random_tree_space, small_martingales
 
 SQ2 = np.sqrt(2.0)
@@ -489,6 +492,24 @@ def test_default_r():
 _exponents = st.floats(math.log(0.003), math.log(2.0)).map(math.exp)  # log-uniform
 
 
+def _size_refusal(defn, p, q):
+    """The start of the message that refuses a rung's support size in ``defn``."""
+    if defn == "simple":
+        return f"p = {p!r} is too small: a rung of mass "
+    return f"p = {p!r} or q = {q!r} is too extreme: a rung of mass "
+
+
+def test_a_weighted_size_beyond_the_float_range_names_q():
+    # the weighted size of Omega at (500, 0.001) is inf because of q, not of p
+    (space, f), = generate(CorpusSpec(generator="random-tree", depth=3, max_branching=3, seed=3,
+                                      block_policy="random-partition", block_param=4))
+    with pytest.raises(ValueError) as exc:
+        decompose(f, 500.0, 0.001, defn="weighted")
+    assert str(exc.value) == ("p = 500.0 or q = 0.001 is too extreme: a rung of mass 1.0 has "
+                              "support size inf, not a normal float")
+    decompose(f, 500.0, 0.001)  # the simple size takes no q
+
+
 @given(small_martingales(random_weights=True, max_blocks=2), _exponents,
        _exponents | st.just(math.inf))
 def test_small_exponents_certify_or_are_refused(case, p, q):
@@ -500,7 +521,7 @@ def test_small_exponents_certify_or_are_refused(case, p, q):
         try:
             d = decompose(f, p, q, flavor=flavor, defn=defn)
         except ValueError as exc:
-            assert "is too small: a rung of mass" in str(exc)
+            assert str(exc).startswith(_size_refusal(defn, p, q))
             continue
         for t in d.triples:
             for rep in verify_atom(d, t, rs):
@@ -520,6 +541,69 @@ def test_rounding_noise_is_not_a_martingale():
     with pytest.raises(SpaceError, match="martingale property fails at step 0"):
         Martingale(space, [[0.0, 0.0], [2.0 ** -106] * 2])
     assert decompose(Martingale(space, np.zeros((2, 2))), 1.0, 1.0).triples == []
+
+
+def _float_top_case():
+    """Level-1 cells {a, b} and {c, d}, singleton level 2: f_2 - f_1 at a is 1.5 times
+    the largest float, though every level is finite."""
+    top = sys.float_info.max
+    outcomes = ["a", "b", "c", "d"]
+    space = FilteredSpace(outcomes, [0.05, 0.15, 0.4, 0.4],
+                          [[outcomes], [outcomes[:2], outcomes[2:]], [[o] for o in outcomes]],
+                          [outcomes])
+    return space, from_terminal(space, [top, -top, top / 8, top / 8])
+
+
+@pytest.mark.parametrize("defn", DEFNS)
+@pytest.mark.parametrize("p", [0.25, 0.5, 1.0])
+def test_an_atom_at_the_float_top_is_finite_and_reads_back(tmp_path, capsys, defn, p):
+    space, f = _float_top_case()
+    assert np.isfinite(f.levels).all()
+    d = decompose(f, p, 1.0, defn=defn)
+    assert [t.k for t in d.triples] == [1021, 1022, 1023]
+    assert all(np.isfinite(t.terminal).all() for t in d.triples)
+    with pytest.raises(ValueError, match=r"^S\(f\) leaves the float range: the 'S' ladder has "
+                                         r"no rungs$"):
+        decompose(f, p, 1.0, flavor="S", defn=defn)
+    mp, dp = str(tmp_path / "f.json"), str(tmp_path / "dec.json")
+    jsonio.dump_json(jsonio.martingale_to_doc(f), mp)
+    pq = ["--p", str(p), "--q", "1", "--defn", defn]
+    assert main(["decompose", "--input", mp, *pq, "--output", dp]) == 0
+    text = (tmp_path / "dec.json").read_text(encoding="utf-8")
+    assert "Infinity" not in text.split('"triples"')[1]
+    _assert_reads_back(d, json.loads(text))
+    assert main(["decompose", "--input", mp, *pq, "--flavor", "S"]) == 2
+    assert capsys.readouterr().err == (
+        "error: S(f) leaves the float range: the 'S' ladder has no rungs\n")
+
+
+def _assert_reads_back(d, doc):
+    """decomposition_from_doc of ``doc`` gives the triples of ``d``, bit for bit."""
+    back = jsonio.decomposition_from_doc(doc, d.space)
+    assert (back.flavor, back.defn, repr(back.p), repr(back.q)) == (
+        d.flavor, d.defn, repr(float(d.p)), repr(float(d.q)))
+    def bits(triples):
+        return [(t.k, repr(t.lam), t.terminal.tobytes(), t.nu.times.tobytes()) for t in triples]
+
+    assert bits(back.triples) == bits(d.triples)
+
+
+@settings(max_examples=100)
+@given(small_martingales(max_blocks=2, random_weights=True),
+       st.integers(1000, 1024) | st.integers(-1074, 1024), st.sampled_from(ALL_COMBOS),
+       st.sampled_from([(0.5, 1.0), (1.0, 1.0), (2.0, math.inf)]))
+@example(_float_top_case(), 0, ("s", "simple"), (1.0, 1.0))  # random draws rarely overflow
+def test_every_decomposition_reads_back_bit_for_bit_up_to_the_float_top(case, shift, variant, pq):
+    # verify reads decompose's own decomposition from cli's record without these checks
+    space, f = case
+    levels = times_pow2(f.levels, min(shift, 1024 - binary_exponent(scale_of(f.levels))))
+    if not np.isfinite(levels).all():  # the largest entry was a power of two
+        return
+    try:
+        d = decompose(Martingale(space, levels, validate=False), *pq, *variant)
+    except ValueError:
+        return
+    _assert_reads_back(d, json.loads(jsonio.canonical_dumps(jsonio.decomposition_to_doc(d))))
 
 
 def test_verify_atom_measures_large_statistics_without_overflow(coin):
@@ -587,7 +671,7 @@ def test_rung_sizes_match_the_indicator_norm_route(case, variant):
         try:
             d = decompose(f, p, q, flavor=flavor, defn=defn)
         except ValueError as exc:
-            assert "is too small: a rung of mass" in str(exc) or str(exc).startswith("rung k =")
+            assert str(exc).startswith((_size_refusal(defn, p, q), "rung k ="))
             continue
         sizes = _assert_sizes_follow_the_reference(d)
         assert [t.lam for t in d.triples] == [

@@ -522,6 +522,35 @@ def _tilted():
     return space, from_terminal(space, [2.0, 0.0, -1.0, 0.0])
 
 
+@pytest.mark.parametrize("argv", [
+    ["duality", "--mode", "exact", "--p", "1", "--q", "1"],
+    ["duality", "--mode", "heuristic", "--p", "0.5", "--q", "1"],
+    ["norms", "--p", "1", "--q", "1"],
+])
+def test_a_finite_g_whose_centred_levels_overflow_is_refused(tmp_path, capsys, argv):
+    # g's mean, 1.2e292, is within SLACK of 0, but -max - mean is beyond the float range
+    outcomes = ["a", "b", "c"]
+    space = FilteredSpace(outcomes, [0.5191163258730965, 0.458204489701599, 0.022679184425304533],
+                          [[outcomes], [[o] for o in outcomes]], [outcomes])
+    g = [-1.1940921598734821e308, 1.4418081092205702e308, -sys.float_info.max]
+    message = "terminal value minus its mean 1.2302942142496346e+292 must be finite"
+    with pytest.raises(SpaceError) as info:
+        from_terminal(space, g)
+    assert str(info.value) == message
+    mp, gp = str(tmp_path / "mart.json"), str(tmp_path / "g.json")
+    f = from_terminal(space, [1.0, -1.0, -2.685803643958842])
+    if argv[0] == "duality":
+        jsonio.dump_json(jsonio.martingale_to_doc(f), mp)
+        jsonio.dump_json(jsonio.function_to_doc(space, g), gp)
+        argv = [*argv, "--g", gp]
+    else:  # a martingale document given by its terminal
+        jsonio.dump_json({"schema": jsonio.SCHEMA, "space": jsonio.space_to_doc(space),
+                          "terminal": g}, mp)
+        message = "martingale: " + message
+    assert main([*argv, "--input", mp]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("tamper", ["prob", "filtration", "blocks"])
 def test_duality_rejects_g_on_another_space(tmp_path, capsys, tamper):
     space, f = _tilted()
