@@ -13,7 +13,9 @@ once in each copy, the base first in odd pairs and the work tree first in
 even ones.  Each side's records are copied into DIR/base-records and
 DIR/new-records.  Then it prints ``perfbench/compare.py``'s table of the two
 and, for every end-to-end metric of ``BENCHMARK.json``, the pairs the work
-tree won, ties counting for neither side.  Nothing in the checkout changes;
+tree won and lost, ties counting for neither side, whether its median lies
+below, inside or above the base's quartiles, and whether it is worse than the
+base median by more than the metric's bound.  Nothing in the checkout changes;
 DIR (default: a new temporary directory) keeps the copies and records.
 """
 
@@ -69,22 +71,29 @@ def records(directory):
 
 
 def pairs_won(base, new, spec):
-    """Lines of the pairs won per workload and end-to-end metric, with each side's
-    median and the base's quartiles."""
+    """Lines of the pairs won and lost per workload and end-to-end metric, ties
+    counting for neither side, with each side's median, the base's quartiles,
+    where the new median lies against them, and whether it is worse than the
+    base median by more than the metric's bound."""
     lines = []
     workloads = sorted({r["workload"] for r in base} & {r["workload"] for r in new})
     for w in workloads:
         for metric in spec["end_to_end"]:
-            name, higher = metric["name"], metric["better"] == "higher"
+            name, bound = metric["name"], metric["bound"]
+            sign = 1 if metric["better"] == "higher" else -1  # a gain is a positive change
             b = {r["seed"]: r["end_to_end"][name]["value"] for r in base if r["workload"] == w}
             n = {r["seed"]: r["end_to_end"][name]["value"] for r in new if r["workload"] == w}
             seeds = sorted(set(b) & set(n))
-            won = sum((n[s] > b[s]) if higher else (n[s] < b[s]) for s in seeds)
+            won = sum(sign * (n[s] - b[s]) > 0 for s in seeds)
+            lost = sum(sign * (n[s] - b[s]) < 0 for s in seeds)
             bv, nv = [b[s] for s in seeds], [n[s] for s in seeds]
             q1, _, q3 = statistics.quantiles(bv, n=4) if len(bv) > 1 else (bv[0],) * 3
-            lines.append(f"{w:<18} {name:<12} won {won}/{len(seeds)}  base "
-                         f"{statistics.median(bv):.4g} [{q1:.4g}, {q3:.4g}] -> new "
-                         f"{statistics.median(nv):.4g}")
+            bm, nm = statistics.median(bv), statistics.median(nv)
+            side = "below" if nm < q1 else "above" if nm > q3 else "inside"
+            worse = sign * (nm - bm) < -bound * abs(bm)
+            lines.append(f"{w:<18} {name:<12} won {won} lost {lost} of {len(seeds)}  base "
+                         f"{bm:.4g} [{q1:.4g}, {q3:.4g}] -> new {nm:.4g}  {side} the quartiles, "
+                         f"{'worse than' if worse else 'within'} the bound {bound:g}")
     return lines
 
 
