@@ -111,9 +111,8 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     # lambda_k carries 2^{k+1} on the s ladder, 2^{k+2} on envelope ladders
     base_exp = 1 if flavor == "s" else 2
     stat = _ladder_statistic(f, flavor)
-    if np.isinf(stat[-1]).any():  # the last row is the largest
-        name = {"s": "s(f)", "S": "S(f)", "star": "f*"}[flavor]
-        raise ValueError(f"{name} leaves the float range: the {flavor!r} ladder has no rungs")
+    if np.isinf(stat[-1]).any():  # the last row is the largest; f* cannot overflow
+        raise ValueError(f"{flavor}(f) leaves the float range: the {flavor!r} ladder has no rungs")
     dec = Decomposition(space, flavor, defn, p, q, [], source_norm_for(f, flavor, p, q))
 
     ks, times = ladder_times(stat)

@@ -49,7 +49,6 @@ def _emit(text, path):
 # What one process keeps from one main call for the next.  A caller that runs
 # main several times in one process reads a martingale file once per content,
 # and verifies the decomposition decompose just wrote without reading it back.
-
 #: (bytes, f, (text, value) of its space member) of the last martingale file read
 _martingale = None
 #: (bytes, f, d, eta grid, certificate) of the last decomposition cmd_decompose wrote
@@ -59,9 +58,11 @@ _decomposition = None
 def _load_martingale(path):
     """The martingale of the file at ``path``: the same f when its bytes equal
     those last read here."""
-    global _martingale
+    global _martingale, _decomposition
     raw = jsonio.read(path)
     if _martingale is None or _martingale[0] != raw:
+        # dropped before the decode, and a decomposition of the old f is never read again
+        _martingale = _decomposition = None
         _martingale = (raw, *jsonio.load_martingale(path, raw))
     return _martingale[1]
 

@@ -930,6 +930,19 @@ def test_norms_decompose_verify_read_one_martingale_once_and_certify_once(
     assert _fresh(verify) == (0, out, "")
 
 
+def test_a_new_martingale_file_drops_the_decomposition_record(tmp_path, monkeypatch):
+    # the record of another f could never be read again, and it would hold that f alive
+    _decode_counts(monkeypatch)
+    mp, other, dp = (str(tmp_path / name) for name in ("mart.json", "other.json", "dec.json"))
+    jsonio.dump_json(_worked_doc(), mp)
+    jsonio.dump_json(jsonio.martingale_to_doc(from_terminal(_dyadic3(), [1.0, -1.0] * 4)), other)
+    assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--output", dp]) == 0
+    assert main(["norms", "--input", mp, "--p", "1", "--q", "1", "--output", dp + ".n"]) == 0
+    assert cli._decomposition is not None
+    assert main(["norms", "--input", other, "--p", "1", "--q", "1", "--output", dp + ".n"]) == 0
+    assert cli._decomposition is None
+
+
 @pytest.mark.parametrize("written, verified", [
     ("0.5,1", "0.25,0.75"), ("0.5,1", "1,0.5"), ("1", "1e-300"),
     ("0.5,1", "0.5,1"), (None, "0.25,0.5,0.75,1"), ("1", "1.0"),
