@@ -443,7 +443,7 @@ def test_what_a_read_only_martingale_keeps_changes_no_bit(case, pq, order):
     kept = Martingale(space, f.levels.copy(), validate=False)
     kept.levels.flags.writeable = False
     plain = Martingale(space, f.levels.copy(), validate=False)
-    # nothing is kept for a writeable f, nor for a writeable copy of its decomposition
+    # nothing is kept for a writeable f
     want = {call: _bits(plain, call, *pq, copy=True) for call in _CALLS}
     # the first pass on kept fills what it keeps and the second reads it
     for g in (kept, kept, plain):
