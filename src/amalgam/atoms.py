@@ -90,10 +90,9 @@ def _sizes(d: Decomposition, supports):
         pb = float(space.prob[b].sum())
         size = _power(pb, 1.0 / p) if d.defn == "simple" else float(sizes[i])
         if pb > 0.0 and not sys.float_info.min <= size < math.inf:
-            cause = (f"p = {p!r} is too small" if d.defn == "simple"
-                     else f"p = {p!r} or q = {d.q!r} is too extreme")
-            raise ValueError(f"{cause}: a rung of mass {pb!r} has support size {size!r}, "
-                             "not a normal float")
+            cause = "is too small" if d.defn == "simple" else f"or q = {d.q!r} is too extreme"
+            raise ValueError(f"p = {p!r} {cause}: a rung of mass {pb!r} has support size "
+                             f"{size!r}, not a normal float")
         yield pb, size
 
 
@@ -118,24 +117,26 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     ks, times = ladder_times(stat)
     # row k is the terminal f_{nu^k} of the stopped martingale f^{nu^k}
     rows = stopped(f.levels, times)
+    rungs = []  # (k, lambda_k, row) of each nonempty rung
     # the sizes come last, so each rung's is checked just before its lambda
-    for k, nu_times, below, above, (pb, size) in zip(
-            ks, times, rows, rows[1:], _sizes(dec, times[:-1] != INFINITY)):
+    for i, (k, (pb, size)) in enumerate(zip(ks, _sizes(dec, times[:-1] != INFINITY))):
         if pb > 0.0:  # an empty rung has lambda_k = 0 and a zero atom: omitted
             lam = float(times_pow2(size, k + base_exp))
             if not 0.0 < lam < math.inf:
                 raise ValueError(f"rung k = {k}: lambda_k = 2^{k + base_exp} * {size!r} "
                                  f"is {lam!r}, not a positive finite float")
-            nu = StoppingTime(space, nu_times, validate=False)
-            with np.errstate(over="ignore"):
-                terminal = (above - below) / lam
-                if not np.isfinite(terminal).all():
-                    # two levels near the float top: their difference is taken of their halves
-                    terminal = np.where(np.isfinite(terminal), terminal,
-                                        (above / 2 - below / 2) / lam * 2)
-                    require_finite(terminal, f"rung k = {k}: atom_terminal")
-            terminal.flags.writeable = nu.times.flags.writeable = False
-            dec.triples.append(AtomTriple(k, lam, terminal, nu))
+            rungs.append((k, lam, i))
+    at = [i for _, _, i in rungs]
+    lams = np.array([lam for _, lam, _ in rungs])[:, None]
+    above, below = rows[1:][at], rows[at]
+    with np.errstate(over="ignore"):  # all atoms at once
+        atoms = (above - below) / lams
+        if not np.isfinite(atoms).all():  # levels near the float top: take their halves' difference
+            atoms = np.where(np.isfinite(atoms), atoms, (above / 2 - below / 2) / lams * 2)
+            require_finite(atoms, "atom_terminal")
+    atoms.flags.writeable = times.flags.writeable = False
+    dec.triples = [AtomTriple(k, lam, atom, StoppingTime(space, times[i], validate=False))
+                   for (k, lam, i), atom in zip(rungs, atoms)]
     return dec
 
 
