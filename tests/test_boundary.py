@@ -862,14 +862,18 @@ def test_g_space_written_otherwise_is_decoded_and_compared(tmp_path, monkeypatch
 # -- no decode of the decomposition document this process wrote ------------------
 
 
+def _counted(monkeypatch, module, name):
+    """The first arguments of each call of ``module.name`` from now on."""
+    seen = []
+    monkeypatch.setattr(module, name, lambda first, *args, orig=getattr(module, name):
+                        seen.append(first) or orig(first, *args))
+    return seen
+
+
 def _decode_counts(monkeypatch):
     """Paths load_json reads and docs decomposition_from_doc decodes, from now on."""
-    calls = {"load_json": [], "decomposition_from_doc": []}
-    for name in calls:
-        def counted(first, *args, name=name, orig=getattr(jsonio, name)):
-            calls[name].append(first)
-            return orig(first, *args)
-        monkeypatch.setattr(jsonio, name, counted)
+    calls = {name: _counted(monkeypatch, jsonio, name)
+             for name in ("load_json", "decomposition_from_doc")}
     monkeypatch.setattr(cli, "_martingale", None)
     monkeypatch.setattr(cli, "_decomposition", None)
     return calls
@@ -891,14 +895,6 @@ def test_verify_of_the_decomposition_just_written_does_not_decode_it(
     assert main(verify) == 0
     assert capsys.readouterr().out == kept
     assert calls["load_json"] == [mp, dp] and len(calls["decomposition_from_doc"]) == 1
-
-
-def _counted(monkeypatch, module, name):
-    """The first arguments of each call of ``module.name`` from now on."""
-    seen = []
-    monkeypatch.setattr(module, name, lambda first, *args, orig=getattr(module, name):
-                        seen.append(first) or orig(first, *args))
-    return seen
 
 
 def _fresh(argv):
