@@ -46,12 +46,12 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-# What one process keeps from one main call for the next.  A caller that runs
-# main several times in one process reads a martingale file once per content,
-# and verifies the decomposition decompose just wrote without reading it back.
+# What one process keeps from one main call for the next: a caller that runs main
+# several times reads a martingale file once per content, and verifies decompose's
+# own decomposition, which passes every check of the reader, without reading it back.
 #: (bytes, f, (text, value) of its space member) of the last martingale file read
 _martingale = None
-#: (bytes, f, d, eta grid, certificate) of the last decomposition cmd_decompose wrote
+#: (bytes, d, eta grid, certificate) of the last decomposition of that f decompose wrote
 _decomposition = None
 
 
@@ -61,7 +61,7 @@ def _load_martingale(path):
     global _martingale, _decomposition
     raw = jsonio.read(path)
     if _martingale is None or _martingale[0] != raw:
-        # dropped before the decode, and a decomposition of the old f is never read again
+        # both are dropped before the decode: a decomposition of the old f is never read again
         _martingale = _decomposition = None
         _martingale = (raw, *jsonio.load_martingale(path, raw))
     return _martingale[1]
@@ -85,9 +85,10 @@ def cmd_decompose(args):
     d = decompose(f, args.p, args.q, flavor=args.flavor, defn=args.defn)
     grid = _parse_grid(args.eta_grid, DEFAULT_ETA_GRID)
     cert = certify_bounds(d, grid)
+    _decomposition = None
     text = jsonio.dump_decomposition(d, cert, args.output)
     if args.output:
-        _decomposition = text.encode("utf-8"), f, d, grid, cert
+        _decomposition = text.encode("utf-8"), d, grid, cert
     _emit(text, args.output)
     return OK if cert.passed else CERT_FAIL
 
@@ -95,11 +96,8 @@ def cmd_decompose(args):
 def cmd_verify(args):
     f = _load_martingale(args.input)
     raw = jsonio.read(args.decomposition)
-    # decompose's own d passes every check of the reader: it is not read back
-    kept = _decomposition
-    if kept is None or kept[0] != raw or kept[1] is not f:
-        kept = None
-    d = kept[2] if kept else jsonio.load_decomposition(args.decomposition, f, raw)
+    kept = _decomposition if _decomposition and _decomposition[0] == raw else None
+    d = kept[1] if kept else jsonio.load_decomposition(args.decomposition, f, raw)
     rs = [r for r in _parse_grid(args.r, (2.0, 4.0, math.inf)) if r > max(d.p, 1.0)]
     if not rs:
         raise ValueError(f"--r: no exponent satisfies r > max(p, 1) = {max(d.p, 1.0)!r}")
@@ -107,7 +105,7 @@ def cmd_verify(args):
     reports = [(t.k, r, rep) for t in d.triples for r, rep in zip(rs, verify_atom(d, t, rs))]
     atoms_ok = all(rep.passed for _, _, rep in reports)
     grid = _parse_grid(args.eta_grid, DEFAULT_ETA_GRID)
-    cert = kept[4] if kept and repr(kept[3]) == repr(grid) else certify_bounds(d, grid)
+    cert = kept[3] if kept and repr(kept[2]) == repr(grid) else certify_bounds(d, grid)
 
     passed = recon_ok and atoms_ok and cert.passed
     doc = {

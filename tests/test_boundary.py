@@ -981,7 +981,7 @@ def test_kept_decomposition_arrays_are_read_only(tmp_path, monkeypatch):
     mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
     jsonio.dump_json(_worked_doc(), mp)
     assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--output", dp]) == 0
-    kept = cli._decomposition[2].triples
+    kept = cli._decomposition[1].triples
     seen = []
     monkeypatch.setattr(cli, "verify_atom",
                         lambda d, t, rs, orig=cli.verify_atom: seen.append(t) or orig(d, t, rs))
@@ -1002,7 +1002,7 @@ def test_loaded_decomposition_carries_its_source_norm(tmp_path, monkeypatch):
     f = cli._load_martingale(mp)
     want = source_norm_for(f, "S", 0.5, 1.0)
     assert want > 0.0
-    assert cli._decomposition[2].source_norm == want
+    assert cli._decomposition[1].source_norm == want
     assert len(calls["decomposition_from_doc"]) == 0
     assert jsonio.load_decomposition(dp, f).source_norm == want
     assert len(calls["decomposition_from_doc"]) == 1
@@ -1141,8 +1141,7 @@ def test_stopping_time_names_its_first_unmeasurable_level():
 
 
 @pytest.mark.parametrize("command", ["decompose", "norms", "explore", "gen"])
-def test_unusable_output_path_is_input_error(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setattr(cli, "_decomposition", None)
+def test_unusable_output_path_is_input_error(tmp_path, capsys, command):
     mp = str(tmp_path / "mart.json")
     jsonio.dump_json(_worked_doc(), mp)
     missing = str(tmp_path / "missing" / "out.json")
@@ -1153,6 +1152,9 @@ def test_unusable_output_path_is_input_error(tmp_path, monkeypatch, capsys, comm
         "explore": (["explore", "--count", "1", *pq, "--csv", missing], missing),
         "gen": (["gen", "--count", "1", "--out-dir", mp], mp),
     }[command]
+    if command == "decompose":  # a record the failed write must drop
+        assert main(["decompose", "--input", mp, *pq, "--output", mp + ".dec"]) == 0
+        assert cli._decomposition is not None
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -1160,7 +1162,7 @@ def test_unusable_output_path_is_input_error(tmp_path, monkeypatch, capsys, comm
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert path in captured.err
     if command == "decompose":
-        assert cli._decomposition is None  # nothing is kept from a failed write
+        assert cli._decomposition is None  # a failed write keeps no record, not even an earlier one
 
 
 def test_one_outcome_depth_zero_space_runs_every_command(tmp_path, capsys):
