@@ -29,8 +29,8 @@ from .martingale import (
 )
 from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate, source_norm_for
 from .space import (
-    INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, condition_rows, require_finite,
-    require_space, scale_of, scaled, times_pow2,
+    INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, binary_exponent, condition_rows,
+    require_finite, require_space, scale_of, scaled, times_pow2,
 )
 
 DEFNS = ("simple", "weighted")
@@ -199,24 +199,26 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
     return reports
 
 
-def reconstruct(d: Decomposition) -> np.ndarray:
-    """(N+1, M) table whose row n is sum_k lambda_k E_n[a^k]; equals f exactly
-    on the full window.
+def reconstruct(d: Decomposition, e=0) -> np.ndarray:
+    """(N+1, M) table whose row n is 2^-e sum_k lambda_k E_n[a^k]; equals f * 2^-e
+    exactly on the full window.
 
     Conditioning is linear, so the rungs are summed first and the sum is
     conditioned once at every level.
     """
     total = np.zeros(d.space.size)
     for t in d.triples:
-        total += t.lam * t.terminal
+        total += math.ldexp(t.lam, -e) * t.terminal
     return condition_rows(d.space, np.broadcast_to(total, (d.space.depth + 1, d.space.size)))
 
 
 def reconstruction_residuals(d: Decomposition, f: Martingale):
     """(residual, ok): each level's max|reconstruct(d)_n - f_n|, and whether every
-    one is at most SLACK at f's own scale.  A NaN residual fails."""
-    residual = np.max(np.abs(reconstruct(d) - f.levels), axis=1)
-    return residual, at_most(residual, SLACK * scale_of(f.levels))
+    one is at most SLACK at f's own scale.  A NaN residual fails.  Each rung and
+    partial sum is at most 2 max|f|, so near the float top the sum is taken at 2^-e."""
+    e = max(binary_exponent(scale := scale_of(f.levels)) - 1021, 0)
+    residual = times_pow2(np.max(np.abs(reconstruct(d, e) - np.ldexp(f.levels, -e)), axis=1), e)
+    return residual, at_most(residual, SLACK * scale)
 
 
 def rung_weight(d: Decomposition, t: AtomTriple) -> float:

@@ -17,6 +17,7 @@ from amalgam import (
     aggregate_eta_norm,
     all_five_norms,
     certify_bounds,
+    cli,
     conditional_quadratic_variation_partial,
     decompose,
     from_terminal,
@@ -556,7 +557,8 @@ def _float_top_case():
 
 @pytest.mark.parametrize("defn", DEFNS)
 @pytest.mark.parametrize("p", [0.25, 0.5, 1.0])
-def test_an_atom_at_the_float_top_is_finite_and_reads_back(tmp_path, capsys, defn, p):
+def test_an_atom_at_the_float_top_is_finite_and_reads_back(tmp_path, monkeypatch, capsys,
+                                                           defn, p):
     space, f = _float_top_case()
     assert np.isfinite(f.levels).all()
     d = decompose(f, p, 1.0, defn=defn)
@@ -572,6 +574,14 @@ def test_an_atom_at_the_float_top_is_finite_and_reads_back(tmp_path, capsys, def
     text = (tmp_path / "dec.json").read_text(encoding="utf-8")
     assert "Infinity" not in text.split('"triples"')[1]
     _assert_reads_back(d, json.loads(text))
+    # verify sums the rungs at a power of two, where no partial sum overflows
+    verify = ["verify", "--input", mp, "--decomposition", dp]
+    assert main(verify) == 0
+    recorded = capsys.readouterr()
+    assert json.loads(recorded.out)["reconstruction"]["ok"] and recorded.err == ""
+    monkeypatch.setattr(cli, "_decomposition", None)
+    assert main(verify) == 0
+    assert capsys.readouterr() == recorded
     assert main(["decompose", "--input", mp, *pq, "--flavor", "S"]) == 2
     assert capsys.readouterr().err == (
         "error: S(f) leaves the float range: the 'S' ladder has no rungs\n")
