@@ -49,7 +49,7 @@ def _emit(text, path):
 # What one process keeps from one main call for the next: a caller that runs main
 # several times reads a martingale file once per content, and verifies decompose's
 # own decomposition, which passes every check of the reader, without reading it back.
-#: (bytes, f, (text, value) of its space member) of the last martingale file read
+#: (bytes, f, its space document) of the last martingale file read
 _martingale = None
 #: (bytes, d, eta grid, certificate) of the last decomposition of that f decompose wrote
 _decomposition = None

@@ -236,9 +236,11 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=ENUMERATION_
 
 
 def pairing(f: Martingale, g) -> float:
-    """kappa_g(f) = E[f_N g]."""
-    g = f.space.rv(g)
-    return float(f.space.prob @ (f.terminal * g))
+    """kappa_g(f) = E[f_N g], summed with f_N and g each at its own power of
+    two, so no product overflows where the expectation is in the float range."""
+    g, eg = scaled(f.space.rv(g))
+    terminal, ef = scaled(f.terminal)
+    return float(times_pow2(f.space.prob @ (terminal * g), ef + eg))
 
 
 @dataclass

@@ -15,6 +15,7 @@ import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from .atoms import AtomTriple, BoundsCertificate, Decomposition, DEFNS, FLAVORS, source_norm_for
 from .martingale import Martingale, from_terminal
@@ -326,77 +327,73 @@ def read(path) -> bytes:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def load_json(path, raw=None, known=None):
-    """The document at ``path``, or in its bytes ``raw``, read as UTF-8 text mode reads it.
-
-    ``known`` maps top-level member names to None or to the (value text, value)
-    pair of an object member read before.  A member written as that text is not
-    decoded again: its value is the pair's value itself.  A name mapped to None
-    gets this document's pair, where that member is an object.  The result and
-    every error are those of ``json.loads``, which reads any text the walk of
-    the members does not follow to its end.
-    """
+def load_json(path, raw=None):
+    """The document at ``path``, or in its bytes ``raw``, as orjson reads it, or as
+    _loads does where orjson refuses the bytes, so every error is json.loads's.
+    Where both read the bytes, orjson differs only in reading an integer beyond
+    64 bits as a float (see _decoded); it also reads nesting json.loads refuses."""
+    raw = read(path) if raw is None else raw
     try:
-        raw = read(path) if raw is None else raw
-        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
-        doc = None if known is None else _walk(text, known)
-        return json.loads(text) if doc is None else doc
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return _loads(path, raw)
+
+
+def _loads(path, raw):
+    """json.loads of the text UTF-8 text mode reads from ``raw``, with each
+    refusal of the text a SchemaError naming ``path``."""
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError:
+        raise SchemaError(f"{path}: nested too deeply") from None
 
 
-_ws = json.decoder.WHITESPACE.match
-_scan = json.JSONDecoder().scan_once
+def _decoded(path, raw, build):
+    """build(doc)[0] of the document at ``path``, or in its bytes ``raw``, as
+    json.loads reads it; build(doc)[1] are the outcome names read.
 
-
-def _walk(text, known):
-    """json.loads of an object document, member by member, with ``known`` as
-    load_json takes it; None where the text is not such a document."""
-    doc, spans = {}, {}
-    i, sep = _ws(text).end(), "{"
+    orjson's float for an integer beyond 64 bits fails each integer field's type
+    check, and a number array reads the integer as that float: only as an outcome
+    name can it stand for another value.  So where build refuses load_json's
+    document, or reads a name that is no string, build takes json.loads's.
+    """
+    raw = read(path) if raw is None else raw
     try:
-        while text.startswith(sep, i):
-            key = _ws(text, i + 1).end()
-            name, i = _scan(text, key)
-            i = _ws(text, i).end()
-            if not (text.startswith('"', key) and text.startswith(":", i)):
-                return None
-            start = _ws(text, i + 1).end()
-            pair = known.get(name)
-            if pair is not None and text.startswith(pair[0], start):
-                doc[name], i = pair[1], start + len(pair[0])
-            else:  # a level-n row repeats one number per cell of F_n: parse each text once
-                doc[name], i = (json.JSONDecoder(parse_float=functools.cache(float)).scan_once
-                                if name == "levels" else _scan)(text, start)
-            spans[name] = start, i
-            i, sep = _ws(text, i).end(), ","
-    except (StopIteration, json.JSONDecodeError):  # a value the scanner refuses
-        return None
-    if not (doc and text.startswith("}", i) and _ws(text, i + 1).end() == len(text)):
-        return None
-    for name, pair in known.items():
-        if pair is None and isinstance(doc.get(name), dict):
-            known[name] = text[slice(*spans[name])], doc[name]
-    return doc
+        result, names = build(load_json(path, raw))
+        if set(map(type, names)) <= {str}:
+            return result
+    except (SchemaError, RecursionError):  # RecursionError: a repr or == of deep nesting
+        pass
+    return build(_loads(path, raw))[0]
 
 
 def load_martingale(path, raw=None):
-    """(f, space member) of the martingale file at ``path``, or of its bytes ``raw``:
-    f has read-only levels, and the member is the (text, value) pair of the
-    document's ``space`` object that load_function takes, or None."""
-    known = {"space": None}
-    f = martingale_from_doc(load_json(path, raw, known))
+    """(f, space document) of the martingale file at ``path``, or of its bytes
+    ``raw``: f has read-only levels, and the document is the one load_function
+    takes."""
+
+    def build(doc):
+        f = martingale_from_doc(doc)
+        return (f, doc["space"]), f.space.outcomes
+
+    f, space_doc = _decoded(path, raw, build)
     f.levels.flags.writeable = False
-    return f, known["space"]
+    return f, space_doc
 
 
-def load_function(path, f, member=None):
+def load_function(path, f, space_doc=None):
     """The values of the function document at ``path`` on f's space, or a
-    SchemaError when it lives on another.  ``member`` is the space member
-    load_martingale returned with f: a space member equal to its value is f's
-    space, and one written as its text is not decoded, but is its value itself."""
-    space, values = function_from_doc(load_json(path, None, {"space": member}), f.space,
-                                      None if member is None else member[1])
+    SchemaError when it lives on another.  ``space_doc`` is the space document
+    load_martingale returned with f: a space member equal to it is f's space."""
+
+    def build(doc):
+        space, values = function_from_doc(doc, f.space, space_doc)
+        return (space, values), space.outcomes
+
+    space, values = _decoded(path, None, build)
     if not same_space(space, f.space):
         raise SchemaError("martingale and function live on different spaces")
     return values
@@ -410,7 +407,7 @@ def dump_decomposition(d: Decomposition, cert: BoundsCertificate, path=None):
 def load_decomposition(path, f: Martingale, raw=None) -> Decomposition:
     """The decomposition document at ``path``, or in its bytes ``raw``, of the
     martingale ``f``, with its source norm set."""
-    d = decomposition_from_doc(load_json(path, raw), f.space)
+    d = _decoded(path, raw, lambda doc: (decomposition_from_doc(doc, f.space), ()))
     d.source_norm = source_norm_for(f, d.flavor, d.p, d.q)
     return d
 

@@ -3,12 +3,14 @@ times read from documents, the space a `duality` g lives on, and the CLI
 parser that every call shares."""
 
 import functools
+import io
 import json
 import math
 import operator
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from amalgam import (INFINITY, FilteredSpace, SpaceError, StoppingTime, atoms, c
                      cli, decompose, from_terminal, jsonio)
 from amalgam.atoms import source_norm_for
 from amalgam.cli import main
+from amalgam.space import same_space
 
 # -- canonical writer ------------------------------------------------------------
 
@@ -671,7 +674,7 @@ def test_file_rewritten_in_place_is_decoded_again(tmp_path, monkeypatch):
     jsonio.dump_json(doc, str(mp))
     assert mp.stat().st_size == size
     after = cli._load_martingale(str(mp))
-    assert after is not before and cli._martingale[2][1] == doc["space"]
+    assert after is not before and cli._martingale[2] == doc["space"]
     assert after.levels.tolist() == doc["levels"]
 
 
@@ -700,30 +703,91 @@ def test_remembered_arrays_are_read_only(tmp_path):
             array[0] = 0
 
 
-# -- g's space member, written as in f's file, is f's space document ------------
+# -- decoding: orjson, and json.loads where orjson refuses the bytes --------------
 
 
-def _read(data, known=None):
-    """What load_json makes of ``data``: the document as JSON text, or the error."""
+def _stdlib(data, path="doc.json"):
+    """json.loads of the text UTF-8 text mode reads from ``data``, with each
+    refusal of the text worded as load_json words it."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     try:
-        return json.dumps(jsonio.load_json("doc.json", data, known))
-    except jsonio.SchemaError as exc:
-        return str(exc)
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise jsonio.SchemaError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    except RecursionError:
+        raise jsonio.SchemaError(f"{path}: nested too deeply") from None
 
 
-@given(st.dictionaries(_text, _json_values, max_size=3), _json_values,
-       st.sampled_from([None, 0, 2]), st.sampled_from(["", "cut", "x", ",", "}", "\ufeff", " "]),
-       st.data())
-def test_member_walk_reads_every_text_as_json_loads(members, space, indent, edit, data):
-    # f's object member "space" is kept with its text, then g's text is read with it
-    f_text = json.dumps({**members, "space": {"v": space}}, indent=indent)
-    known = {"space": None}
-    assert _read(f_text.encode(), known) == _read(f_text.encode())
-    assert json.dumps(known["space"][1]) == json.dumps({"v": space})
-    g_text = json.dumps({"space": {"v": space}, **members, "values": [0.5]}, indent=indent)
-    i = data.draw(st.integers(0, len(g_text)))
-    text = g_text[:i] + (g_text[i:] if edit == "cut" else edit + g_text[i:])
-    assert _read(text.encode(), dict(known)) == _read(text.encode())
+def _outcome(read, *args):
+    """repr of what ``read(*args)`` returns, "deep" where that repr recurses too
+    deeply, or the (type name, message) of its error."""
+    try:
+        got = read(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    try:
+        return repr(got)
+    except RecursionError:
+        return "deep"
+
+
+def _floated(x):
+    """x with each integer beyond 64 bits as the float orjson reads it as."""
+    if type(x) is int and not -2 ** 63 <= x < 2 ** 64:
+        return float(x)
+    if type(x) is list:
+        return list(map(_floated, x))
+    if type(x) is dict:
+        return {k: _floated(v) for k, v in x.items()}
+    return x
+
+
+_BIG = [2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 64 + 2 ** 11, -2 ** 63, -2 ** 63 - 1, 10 ** 30,
+        -10 ** 30]
+#: number texts json.dumps never writes, strings orjson refuses, and ints beyond 64 bits
+_LITERALS = ["-0", "-0.0", "5e-324", "2.4703282292062328e-324", "1E+2", "1e-400", "1e400",
+             "-1e400", "NaN", "Infinity", "-Infinity", str(10 ** 400), *map(str, _BIG),
+             '"\\ud800"', '"\\udfff\\ud800"', '"\\ud83d\\ude00"']
+_LAYOUTS = ["{literal}", "[{value}, {literal}]", '{{"v": {literal}, "w": {value}}}',
+            '{{"v": {value}, "v": {literal}}}']
+_EDITS = ["", "cut", "x", ",", "}", "]", " ", "\r", "\ufeff", "\x00", "[", '"']
+
+
+@st.composite
+def _json_texts(draw):
+    """The bytes of a drawn value beside a literal, maybe edited at a drawn place,
+    maybe nested 100,000 deep, maybe with a byte that is no UTF-8."""
+    value = draw(st.recursive(_scalars | st.sampled_from(_BIG),
+                              lambda kids: st.lists(kids, max_size=4)
+                              | st.dictionaries(_text, kids, max_size=4), max_leaves=12))
+    text = draw(st.sampled_from(_LAYOUTS)).format(
+        literal=draw(st.sampled_from(_LITERALS)),
+        value=json.dumps(value, indent=draw(st.sampled_from([None, 2])),
+                         ensure_ascii=draw(st.booleans())))
+    edit = draw(st.sampled_from(_EDITS))
+    i = draw(st.integers(0, len(text)))
+    text = text[:i] + (text[i:] if edit == "cut" else edit + text[i:])
+    depth = draw(st.sampled_from([0, 0, 0, 100_000]))
+    data = ("[" * depth + text + "]" * depth).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        j = draw(st.integers(0, len(data)))
+        data = data[:j] + b"\xff" + data[j:]
+    return data
+
+
+@given(_json_texts())
+@example(b"[" * 100_000 + b"0" + b"]" * 100_000)
+@example(b"[" * 100_000)
+def test_load_json_reads_each_text_as_json_loads(data):
+    want = _outcome(_stdlib, data)
+    got = _outcome(jsonio.load_json, "doc.json", data)
+    if got == want:
+        return
+    if want == ("SchemaError", "doc.json: nested too deeply"):
+        assert got == "deep"  # orjson reads nesting past json.loads's recursion limit
+    else:  # orjson reads an integer beyond 64 bits as a float
+        assert got == repr(_floated(_stdlib(data))) != want
 
 
 def _g_texts():
@@ -734,27 +798,171 @@ def _g_texts():
     return doc, jsonio.canonical_dumps(g), member
 
 
+def _leaves(x, path=()):
+    """The path of every scalar in x."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else None
+    if items is None:
+        return [path]
+    return [leaf for k, v in items for leaf in _leaves(v, (*path, k))]
+
+
+def _put(doc, path, value):
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+
+
+def _rename(space_doc, old, new, where):
+    """Name outcome ``old`` ``new`` in the outcomes, in the cells, or in both."""
+    if where != "cells":
+        space_doc["outcomes"] = [new if o == old else o for o in space_doc["outcomes"]]
+    if where != "outcomes":
+        for cells in (*space_doc["filtration"], space_doc["blocks"]):
+            for cell in cells:
+                cell[:] = [new if o == old else o for o in cell]
+
+
+def _dec_doc():
+    d = decompose(jsonio.martingale_from_doc(_worked_doc()), 1.0, 1.0)
+    return json.loads(jsonio.dump_decomposition(d, certify_bounds(d)))
+
+
+def _loaded_as_json_loads_reads_them(work, f_doc, g_doc, d_doc):
+    """Each loader reads the three documents, written by json.dumps in ``work``,
+    as a reader on json.loads alone does."""
+    paths = [os.path.join(work, name) for name in ("mart.json", "g.json", "dec.json")]
+    for path, doc in zip(paths, (f_doc, g_doc, d_doc)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+    mp, gp, dp = paths
+
+    def martingale(load):
+        f, space_doc = load(mp)
+        return repr(f.space.outcomes), f.levels.tobytes(), repr(space_doc)
+
+    def reference(path):
+        doc = _stdlib(jsonio.read(path), path)
+        return jsonio.martingale_from_doc(doc), doc["space"]
+
+    want = _outcome(martingale, reference)
+    assert _outcome(martingale, jsonio.load_martingale) == want
+    if isinstance(want, str):
+        f, space_doc = reference(mp)
+
+        def function(path, f, space_doc):
+            space, values = jsonio.function_from_doc(_stdlib(jsonio.read(path), path), f.space,
+                                                     space_doc)
+            if not same_space(space, f.space):
+                raise jsonio.SchemaError("martingale and function live on different spaces")
+            return values
+
+        want = _outcome(lambda *args: function(*args).tobytes(), gp, f, space_doc)
+        assert _outcome(lambda *args: jsonio.load_function(*args).tobytes(), gp,
+                        *jsonio.load_martingale(mp)) == want
+
+    f = jsonio.martingale_from_doc(_worked_doc())
+
+    def decomposition(d):
+        return (d.flavor, d.defn, repr((d.p, d.q, d.source_norm)),
+                [(repr(t.k), repr(t.lam), t.nu.times.tobytes(), t.terminal.tobytes())
+                 for t in d.triples])
+
+    def reference_d(path, f):
+        d = jsonio.decomposition_from_doc(_stdlib(jsonio.read(path), path), f.space)
+        d.source_norm = source_norm_for(f, d.flavor, d.p, d.q)
+        return decomposition(d)
+
+    assert (_outcome(lambda *args: decomposition(jsonio.load_decomposition(*args)), dp, f)
+            == _outcome(reference_d, dp, f))
+
+
+_VALUES = [*_BIG, 10 ** 400, 1e30, 2.0 ** 64, 0.125, 1, True, None, "w1"]
+
+
+@st.composite
+def _edited(draw, doc, space_of=None):
+    """``doc`` with up to three drawn edits: a leaf replaced, or an outcome of the
+    space ``space_of(doc)`` renamed in the outcomes, in the cells or in both."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(0, 3))):
+        value = draw(st.sampled_from(_VALUES))
+        if space_of is not None and draw(st.booleans()):
+            space = space_of(doc)
+            _rename(space, draw(st.sampled_from(space["outcomes"])), value,
+                    draw(st.sampled_from(["both", "outcomes", "cells"])))
+        else:
+            _put(doc, draw(st.sampled_from(_leaves(doc))), value)
+    return doc
+
+
+@given(_edited(_worked_doc(), operator.itemgetter("space")),
+       _edited(json.loads(_g_texts()[1]), operator.itemgetter("space")), _edited(_dec_doc()))
+def test_each_loader_reads_a_document_as_json_loads_reads_it(f_doc, g_doc, d_doc):
+    with tempfile.TemporaryDirectory() as work:
+        _loaded_as_json_loads_reads_them(work, f_doc, g_doc, d_doc)
+
+
+def _renamed(doc, old, new, where="both"):
+    doc = json.loads(json.dumps(doc))
+    _rename(doc["space"], old, new, where)
+    return doc
+
+
+@pytest.mark.parametrize("case", ["names beyond 64 bits", "f's name read as g's",
+                                  "a cell name read as an outcome's", "k", "nu", "level"])
+def test_integers_beyond_64_bits_read_as_json_loads_reads_them(tmp_path, case):
+    # orjson reads each as a float: a type check refuses it in k and nu, a name check
+    # where it names an outcome, and a number array reads it as json.loads's integer
+    f_doc, g_doc, d_doc = _worked_doc(), json.loads(_g_texts()[1]), _dec_doc()
+    if case == "names beyond 64 bits":  # orjson reads both as 2^64 + 2^12: duplicate outcomes
+        f_doc = _renamed(_renamed(f_doc, "w0", 2 ** 64 + 2 ** 12 + 1), "w1", 2 ** 64 + 2 ** 12)
+        g_doc = _renamed(g_doc, "w0", 2 ** 64 + 2 ** 12 + 1)
+    elif case == "f's name read as g's":  # 2^64 and 2^64 + 1 both read as 2^64 by orjson
+        f_doc, g_doc = _renamed(f_doc, "w0", 2 ** 64 + 1), _renamed(g_doc, "w0", 2 ** 64)
+    elif case == "a cell name read as an outcome's":  # -2^63 - 1 reads as -2^63 by orjson
+        f_doc = _renamed(_renamed(f_doc, "w0", -2 ** 63, "outcomes"), "w0", -2 ** 63 - 1,
+                         "cells")
+    elif case == "k":
+        d_doc["triples"][0]["k"] = 2 ** 64 + 1
+    elif case == "nu":
+        d_doc["triples"][0]["nu"][0] = 2 ** 64
+    else:
+        f_doc["levels"][3][0] = 10 ** 30
+    _loaded_as_json_loads_reads_them(str(tmp_path), f_doc, g_doc, d_doc)
+
+
 def test_g_space_written_as_in_f_is_f_space_document(tmp_path, monkeypatch):
+    # g's space member equals f's space document by value, though not written
+    # as in f's file, so it is never decoded
     doc, g_text, member = _g_texts()
-    assert f'"space": {member},' in g_text
     mp, gp = str(tmp_path / "mart.json"), tmp_path / "g.json"
     jsonio.dump_json(doc, mp)
-    gp.write_text(g_text, encoding="utf-8")
-    f, kept = jsonio.load_martingale(mp)
-    text, space_doc = kept
-    assert text == member and space_doc == doc["space"]
-    got = jsonio.load_json(str(gp), None, {"space": kept})
-    assert got["space"] is space_doc and got == json.loads(g_text)
-    calls = []
+    gp.write_text(g_text.replace(member, json.dumps(json.loads(member))), encoding="utf-8")
+    f, space_doc = jsonio.load_martingale(mp)
+    assert space_doc == doc["space"]
+    calls = _counted(monkeypatch, jsonio, "space_from_doc")
+    values = jsonio.load_function(str(gp), f, space_doc)
+    assert calls == [] and values.tolist() == json.loads(g_text)["values"]
 
-    def counted(space_doc):
-        calls.append(space_doc)
-        return decode(space_doc)
 
-    decode = jsonio.space_from_doc
-    monkeypatch.setattr(jsonio, "space_from_doc", counted)
-    values = jsonio.load_function(str(gp), f, kept)
-    assert calls == [] and values.tolist() == got["values"]
+@pytest.mark.parametrize("role", ["input", "g", "decomposition"])
+@pytest.mark.parametrize("shape", ["closed", "NaN inside", "unclosed"])
+def test_a_document_nested_too_deeply_is_input_error(tmp_path, capsys, role, shape):
+    # orjson reads the closed text and refuses the others; json.loads reaches its recursion limit
+    inner = "NaN" if shape == "NaN inside" else "0"
+    text = "[" * 100_000 + inner + "]" * (0 if shape == "unclosed" else 100_000)
+    mp, gp, dp = (str(tmp_path / name) for name in ("mart.json", "g.json", "dec.json"))
+    doc, g_text, _ = _g_texts()
+    jsonio.dump_json(doc, mp)
+    with open(gp, "w", encoding="utf-8") as fh:
+        fh.write(g_text)
+    assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--output", dp]) == 0
+    bad = {"input": mp, "g": gp, "decomposition": dp}[role]
+    with open(bad, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    argv = (["verify", "--input", mp, "--decomposition", dp] if role == "decomposition"
+            else ["duality", "--input", mp, "--g", gp, "--p", "1", "--q", "1"])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: nested too deeply\n")
 
 
 def test_function_on_another_space_is_refused_where_it_is_loaded(tmp_path):
@@ -974,7 +1182,8 @@ def test_decomposition_rewritten_after_decompose_is_decoded_again(tmp_path, monk
     assert main(["verify", "--input", mp, "--decomposition", str(dp)]) == 2
     assert capsys.readouterr() == (
         "", "error: decomposition.triples[1]: level set {time == 1} not measurable at 1\n")
-    assert calls["load_json"] == [mp, str(dp)] and len(calls["decomposition_from_doc"]) == 1
+    # refused, so built again from json.loads's reading, as every refused document is
+    assert calls["load_json"] == [mp, str(dp)] and len(calls["decomposition_from_doc"]) == 2
 
 
 def test_kept_decomposition_arrays_are_read_only(tmp_path, monkeypatch):
@@ -1040,7 +1249,8 @@ def test_kept_decomposition_with_bad_values_is_refused_as_decoded(tmp_path, monk
         jsonio.dump_decomposition(d, cert, dp)
         assert main(verify) == 2
         assert capsys.readouterr() == ("", f"error: decomposition.triples[1]: {message}\n")
-        assert len(calls["decomposition_from_doc"]) == (1 if memo else 2)
+        # each refused document is built twice: from orjson's reading, then json.loads's
+        assert len(calls["decomposition_from_doc"]) == (2 if memo else 4)
 
 
 @pytest.mark.parametrize("change", ["none", "lambda", "nu"])
@@ -1105,17 +1315,14 @@ def _level_text(name):
     ("boolean", "martingale: field 'levels' has wrong type"),
 ])
 def test_levels_decode_as_json_loads_decodes_them(tmp_path, monkeypatch, capsys, name, error):
-    # load_martingale parses each distinct number text of the levels once: the values,
-    # and each error with its exit code, are those of json.loads
+    # the values, and each error with its exit code, are those of json.loads
     monkeypatch.setattr(cli, "_martingale", None)
     text = _level_text(name)
     mp = tmp_path / "mart.json"
     mp.write_text(text, encoding="utf-8")
     plain = json.loads(text)
-    walked = jsonio.load_json(str(mp), None, {"space": None})
-    assert repr(walked) == repr(plain)  # every float to the bit, -0.0 and 1 vs 1.0 included
-    if name == "repeated":  # one float object per distinct text
-        assert walked["levels"][1][0] is walked["levels"][1][1]
+    # every float to the bit, -0.0 and 1 vs 1.0 included
+    assert repr(jsonio.load_json(str(mp))) == repr(plain)
     argv = ["norms", "--input", str(mp), "--p", "1", "--q", "1"]
     if error is None:
         f, _ = jsonio.load_martingale(str(mp))

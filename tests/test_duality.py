@@ -345,6 +345,16 @@ def test_pairing_worked_example(worked_example):
     assert pairing(f, np.ones(4)) == pytest.approx(0.0)  # zero mean terminal
 
 
+def test_pairing_of_products_beyond_the_float_top():
+    # every |f_N g| passes the float top, while E[f_N g] = (5 + 3 - 4 - 2) 2^1024 / 4 does not
+    names = ["a", "b", "c", "d"]
+    space = FilteredSpace(names, [0.25] * 4, [[names], [[w] for w in names]], [names])
+    g = np.array([1.0, -1.0, 1.0, -1.0]) * 2.0 ** 513
+    from_terminal(space, g)  # a g the duality call accepts
+    f = from_terminal(space, np.array([5.0, -3.0, -4.0, 2.0]) * 2.0 ** 511)
+    assert pairing(f, g) == 2.0 ** 1023
+
+
 def test_certify_duality_worked_example_range():
     rng = np.random.default_rng(41)
     for _ in range(10):
