@@ -27,7 +27,7 @@ from .martingale import (
     quadratic_variation,
     stopped,
 )
-from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate, source_norm_for
+from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate
 from .space import (
     INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, binary_exponent, condition_rows,
     require_finite, require_space, scale_of, scaled, times_pow2,
@@ -112,7 +112,8 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
     stat = _ladder_statistic(f, flavor)
     if np.isinf(stat[-1]).any():  # the last row is the largest; f* cannot overflow
         raise ValueError(f"{flavor}(f) leaves the float range: the {flavor!r} ladder has no rungs")
-    dec = Decomposition(space, flavor, defn, p, q, [], source_norm_for(f, flavor, p, q))
+    # source_norm_for's norm, of the statistic the ladder reads
+    dec = Decomposition(space, flavor, defn, p, q, [], lpq_norm(space, stat[-1], p, q))
 
     ks, times = ladder_times(stat)
     # row k is the terminal f_{nu^k} of the stopped martingale f^{nu^k}
@@ -134,7 +135,6 @@ def decompose(f: Martingale, p, q, flavor="s", defn="simple") -> Decomposition:
         if not np.isfinite(atoms).all():  # levels near the float top: take their halves' difference
             atoms = np.where(np.isfinite(atoms), atoms, (above / 2 - below / 2) / lams * 2)
             require_finite(atoms, "atom_terminal")
-    atoms.flags.writeable = times.flags.writeable = False
     dec.triples = [AtomTriple(k, lam, atom, StoppingTime(space, times[i], validate=False))
                    for (k, lam, i), atom in zip(rungs, atoms)]
     return dec

@@ -49,6 +49,7 @@ def _emit(text, path):
 # What one process keeps from one main call for the next: a caller that runs main
 # several times reads a martingale file once per content, and verifies decompose's
 # own decomposition, which passes every check of the reader, without reading it back.
+# The arrays a record holds are made read-only, so no later call can change them.
 #: (bytes, f, its space document) of the last martingale file read
 _martingale = None
 #: (bytes, d, eta grid, certificate) of the last decomposition of that f decompose wrote
@@ -64,6 +65,7 @@ def _load_martingale(path):
         # both are dropped before the decode: a decomposition of the old f is never read again
         _martingale = _decomposition = None
         _martingale = (raw, *jsonio.load_martingale(path, raw))
+        _martingale[1].levels.flags.writeable = False
     return _martingale[1]
 
 
@@ -88,6 +90,8 @@ def cmd_decompose(args):
     _decomposition = None
     text = jsonio.dump_decomposition(d, cert, args.output)
     if args.output:
+        for t in d.triples:
+            t.terminal.flags.writeable = t.nu.times.flags.writeable = False
         _decomposition = text.encode("utf-8"), d, grid, cert
     _emit(text, args.output)
     return OK if cert.passed else CERT_FAIL

@@ -17,8 +17,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 import orjson
 
-from .atoms import AtomTriple, BoundsCertificate, Decomposition, DEFNS, FLAVORS, source_norm_for
+from .atoms import AtomTriple, BoundsCertificate, Decomposition, DEFNS, FLAVORS
 from .martingale import Martingale, from_terminal
+from .norms import source_norm_for
 from .space import INFINITY, FilteredSpace, StoppingTime, require_finite, same_space
 
 SCHEMA = "amalgam/1"
@@ -372,16 +373,13 @@ def _decoded(path, raw, build):
 
 def load_martingale(path, raw=None):
     """(f, space document) of the martingale file at ``path``, or of its bytes
-    ``raw``: f has read-only levels, and the document is the one load_function
-    takes."""
+    ``raw``: the document is the one load_function takes."""
 
     def build(doc):
         f = martingale_from_doc(doc)
         return (f, doc["space"]), f.space.outcomes
 
-    f, space_doc = _decoded(path, raw, build)
-    f.levels.flags.writeable = False
-    return f, space_doc
+    return _decoded(path, raw, build)
 
 
 def load_function(path, f, space_doc=None):

@@ -16,7 +16,6 @@ import numpy as np
 from . import _kernels
 from .martingale import (
     Martingale,
-    _kept,
     _ladder_statistic,
     conditional_quadratic_variation,
     maximal_function,
@@ -175,7 +174,6 @@ def p_space_norm(f: Martingale, p, q) -> float:
     return lpq_norm(f.space, minimal_envelope(f, "star").final, p, q)
 
 
-@_kept
 def source_norm_for(f: Martingale, flavor, p, q) -> float:
     """The norm certifying a decomposition of this flavor, that of its ladder statistic's
     final row: hardy_s_norm, q_space_norm or p_space_norm, to the bit."""

@@ -13,10 +13,11 @@ once in each copy, the base first in odd pairs and the work tree first in
 even ones.  Each side's records are copied into DIR/base-records and
 DIR/new-records.  Then it prints ``perfbench/compare.py``'s table of the two
 and, for every end-to-end metric of ``BENCHMARK.json``, the pairs the work
-tree won and lost, ties counting for neither side, whether its median lies
-below, inside or above the base's quartiles, and whether it is worse than the
-base median by more than the metric's bound.  Nothing in the checkout changes;
-DIR (default: a new temporary directory) keeps the copies and records.
+tree won and lost, ties counting for neither side, with the verdict on a
+claimed gain, whether its median lies below, inside or above the base's quartiles,
+and whether it is worse than the base median by more than the metric's bound.
+Nothing in the checkout changes; DIR (default: a new temporary directory)
+keeps the copies and records.
 """
 
 import argparse
@@ -72,9 +73,15 @@ def records(directory):
 
 def pairs_won(base, new, spec):
     """Lines of the pairs won and lost per workload and end-to-end metric, ties
-    counting for neither side, with each side's median, the base's quartiles,
-    where the new median lies against them, and whether it is worse than the
-    base median by more than the metric's bound."""
+    counting for neither side, with the verdict on a claimed gain, each side's
+    median, the base's quartiles, where the new median lies against them, and
+    whether it is worse than the base median by more than the metric's bound.
+
+    The verdict is "unresolved" where the base's interquartile range is wider
+    than the bound times its median, unless every new run beats every base run;
+    else "gain holds" where the work tree won at least 9 of 10 pairs and its
+    median beats the base median by more than that range; else "gain not shown".
+    """
     lines = []
     workloads = sorted({r["workload"] for r in base} & {r["workload"] for r in new})
     for w in workloads:
@@ -91,8 +98,13 @@ def pairs_won(base, new, spec):
             bm, nm = statistics.median(bv), statistics.median(nv)
             side = "below" if nm < q1 else "above" if nm > q3 else "inside"
             worse = sign * (nm - bm) < -bound * abs(bm)
-            lines.append(f"{w:<18} {name:<12} won {won} lost {lost} of {len(seeds)}  base "
-                         f"{bm:.4g} [{q1:.4g}, {q3:.4g}] -> new {nm:.4g}  {side} the quartiles, "
+            beats_all = min(nv) > max(bv) if sign > 0 else max(nv) < min(bv)
+            holds = 10 * won >= 9 * len(seeds) and sign * (nm - bm) > q3 - q1
+            verdict = ("unresolved" if q3 - q1 > bound * abs(bm) and not beats_all
+                       else "gain holds" if holds else "gain not shown")
+            lines.append(f"{w:<18} {name:<12} won {won} lost {lost} of {len(seeds)} ({verdict})"
+                         f"  base {bm:.4g} [{q1:.4g}, {q3:.4g}] -> new {nm:.4g}  "
+                         f"{side} the quartiles, "
                          f"{'worse than' if worse else 'within'} the bound {bound:g}")
     return lines
 

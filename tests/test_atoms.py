@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import amalgam
 from amalgam import (
     AtomTriple,
     Decomposition,
@@ -18,29 +19,24 @@ from amalgam import (
     all_five_norms,
     certify_bounds,
     cli,
-    conditional_quadratic_variation_partial,
     decompose,
     from_terminal,
     hardy_s_norm,
     jsonio,
     ladder_constant,
     ladder_stopping_time,
-    minimal_envelope,
     p_space_norm,
     q_space_norm,
-    quadratic_variation_partial,
     reconstruct,
     reconstruction_residuals,
     stop,
     verify_atom,
 )
-from amalgam.atoms import (
-    DEFNS, FLAVORS, _power, _sizes, atom_statistic, default_r, rung_weight, source_norm_for,
-)
+from amalgam.atoms import DEFNS, FLAVORS, _power, _sizes, atom_statistic, default_r, rung_weight
 from amalgam.cli import main
 from amalgam.harness import CorpusSpec, generate
 from amalgam.martingale import _ladder_statistic, ladder_times
-from amalgam.norms import lpq_norm
+from amalgam.norms import lpq_norm, source_norm_for
 from amalgam.space import (
     INFINITY, SLACK, at_most, binary_exponent, condition_rows, scale_of, times_pow2,
 )
@@ -410,29 +406,35 @@ def test_source_norm_is_the_flavors_norm(flavor, p, q):
         assert decompose(f, p, q, flavor=flavor).source_norm == want
 
 
-def _writeable_copy(d):
-    """d with a writeable copy of every array."""
-    return Decomposition(d.space, d.flavor, d.defn, d.p, d.q,
-                         [AtomTriple(t.k, t.lam, t.terminal.copy(),
-                                     StoppingTime(d.space, t.nu.times.copy(), validate=False))
-                          for t in d.triples], d.source_norm)
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_decompose_takes_its_ladder_statistic_once(monkeypatch, flavor):
+    # the ladder and the source norm read one statistic
+    seen = []
+    for module in (amalgam.atoms, amalgam.norms):
+        monkeypatch.setattr(module, "_ladder_statistic",
+                            lambda g, fl, orig=_ladder_statistic: seen.append(fl) or orig(g, fl))
+    (_, f), = generate(CorpusSpec(depth=3, seed=2))
+    assert f.levels.flags.writeable
+    for defn in DEFNS:
+        seen.clear()
+        d = decompose(f, 0.5, 1.0, flavor=flavor, defn=defn)
+        assert seen == [flavor] and d.triples
 
 
 _CALLS = ([("norms",)] + [("source", flavor) for flavor in FLAVORS]
           + [("ladder", *variant) for variant in ALL_COMBOS])
 
 
-def _bits(f, call, p, q, copy):
+def _bits(f, call, p, q):
     """The exact text of one call's result: the five norms, a source norm, or a
-    decomposition and its certificate, taken of a writeable copy when ``copy``."""
+    decomposition and its certificate."""
     if call[0] == "norms":
         return repr(all_five_norms(f, p, q))
     if call[0] == "source":
         return repr(source_norm_for(f, call[1], p, q))
     d = decompose(f, p, q, flavor=call[1], defn=call[2])
-    cert = certify_bounds(_writeable_copy(d) if copy else d)
     return (repr(d.source_norm) + jsonio.canonical_dumps(jsonio.decomposition_to_doc(d))
-            + jsonio.canonical_dumps(jsonio.certificate_to_doc(cert)))
+            + jsonio.canonical_dumps(jsonio.certificate_to_doc(certify_bounds(d))))
 
 
 @settings(max_examples=60)
@@ -441,28 +443,17 @@ def _bits(f, call, p, q, copy):
        st.permutations(_CALLS))
 def test_what_a_read_only_martingale_keeps_changes_no_bit(case, pq, order):
     space, f = case
-    kept = Martingale(space, f.levels.copy(), validate=False)
-    kept.levels.flags.writeable = False
+    frozen = Martingale(space, f.levels.copy(), validate=False)
+    frozen.levels.flags.writeable = False
     plain = Martingale(space, f.levels.copy(), validate=False)
-    # nothing is kept for a writeable f
-    want = {call: _bits(plain, call, *pq, copy=True) for call in _CALLS}
-    # the first pass on kept fills what it keeps and the second reads it
-    for g in (kept, kept, plain):
-        assert {call: _bits(g, call, *pq, copy=False) for call in order} == want
-    # what is kept pickles with f, and the copy gives the same bits
-    assert _bits(pickle.loads(pickle.dumps(kept)), ("norms",), *pq, copy=False) == want[("norms",)]
-    for fn in (conditional_quadratic_variation_partial, quadratic_variation_partial,
-               lambda g: minimal_envelope(g, "S"), lambda g: minimal_envelope(g, "star")):
-        out = fn(kept)
-        assert fn(kept) is out and not np.asarray(getattr(out, "levels", out)).flags.writeable
-        out = fn(plain)
-        assert fn(plain) is not out and np.asarray(getattr(out, "levels", out)).flags.writeable
-    for flavor in FLAVORS:
-        assert source_norm_for(kept, flavor, *pq) is source_norm_for(kept, flavor, *pq)
-    # an unhashable argument is not kept, and the norm is the same
-    assert repr(source_norm_for(kept, "s", np.array(pq[0]), pq[1])) == want[("source", "s")]
-    d = decompose(kept, *pq)
-    assert not any(a.flags.writeable for t in d.triples for a in (t.terminal, t.nu.times))
+    want = {call: _bits(plain, call, *pq) for call in _CALLS}
+    # in any call order, twice on a read-only f and once on a writeable one
+    for g in (frozen, frozen, plain):
+        assert {call: _bits(g, call, *pq) for call in order} == want
+    # a pickled copy gives the same bits
+    assert _bits(pickle.loads(pickle.dumps(frozen)), ("norms",), *pq) == want[("norms",)]
+    # an exponent given as a numpy array gives the same norm
+    assert repr(source_norm_for(frozen, "s", np.array(pq[0]), pq[1])) == want[("source", "s")]
 
 
 def test_decompose_rejects_unknown_variant(worked_example):

@@ -2,12 +2,14 @@
 times read from documents, the space a `duality` g lives on, and the CLI
 parser that every call shares."""
 
+import ast
 import functools
 import io
 import json
 import math
 import operator
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -18,8 +20,8 @@ from hypothesis import example, given, strategies as st
 
 from amalgam import (INFINITY, FilteredSpace, SpaceError, StoppingTime, atoms, certify_bounds,
                      cli, decompose, from_terminal, jsonio)
-from amalgam.atoms import source_norm_for
 from amalgam.cli import main
+from amalgam.norms import source_norm_for
 from amalgam.space import same_space
 
 # -- canonical writer ------------------------------------------------------------
@@ -1200,6 +1202,36 @@ def test_kept_decomposition_arrays_are_read_only(tmp_path, monkeypatch):
         for array in (t.nu.times, t.terminal):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+
+def test_only_what_cli_records_is_read_only(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_martingale", None)
+    monkeypatch.setattr(cli, "_decomposition", None)
+    mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")
+    jsonio.dump_json(_worked_doc(), mp)
+    # the library returns ordinary arrays
+    f, _ = jsonio.load_martingale(mp)
+    d = decompose(f, 1.0, 1.0)
+    assert d.triples
+    for array in (f.levels, *(a for t in d.triples for a in (t.terminal, t.nu.times))):
+        assert array.flags.writeable
+    # cli freezes the f and the triples it records
+    assert main(["decompose", "--input", mp, "--p", "1", "--q", "1", "--output", dp]) == 0
+    recorded = cli._decomposition[1].triples
+    assert recorded
+    for array in (cli._martingale[1].levels,
+                  *(a for t in recorded for a in (t.terminal, t.nu.times))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_no_library_module_but_cli_has_a_global_statement():
+    # state that outlives a call lives in cli's records alone
+    package = pathlib.Path(atoms.__file__).parent
+    held = sorted(path.name for path in package.glob("*.py")
+                  if any(isinstance(node, ast.Global)
+                         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert held == ["cli.py"]
 
 
 def test_loaded_decomposition_carries_its_source_norm(tmp_path, monkeypatch):
