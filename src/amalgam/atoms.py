@@ -234,17 +234,17 @@ def aggregate_eta_norm(d: Decomposition, eta) -> float:
 
 def _aggregates(d: Decomposition, etas) -> list:
     """aggregate_eta_norm at each eta; every rung's size and weight are taken once, in one pass."""
-    supports = [t.nu.support for t in d.triples]
-    rungs = [(b, t.lam / size if pb > 0.0 else 0.0)
-             for t, b, (pb, size) in zip(d.triples, supports, _sizes(d, supports))]
+    supports = np.reshape([t.nu.support for t in d.triples], (len(d.triples), d.space.size))
+    weights = [t.lam / size if pb > 0.0 else 0.0
+               for t, (pb, size) in zip(d.triples, _sizes(d, supports))]
     norms = []
     for eta in etas:
         _check_eta(eta)
         if any(math.isinf(x / eta) and math.isfinite(x) for x in (d.p, d.q)):
             raise ValueError(f"eta = {eta!r} is too small: p/eta or q/eta leaves the float range")
-        fieldv = np.zeros(d.space.size)
-        for support, w in rungs:
-            fieldv[support] += w ** eta
+        # in rung order per outcome (numpy's sum is pairwise on one outcome); libm's w ** eta
+        fieldv = sum(np.where(supports, np.array([w ** eta for w in weights])[:, None], 0.0),
+                     np.zeros(d.space.size))
         norms.append(_power(lpq_norm(d.space, fieldv, d.p / eta, d.q / eta), 1.0 / eta))
     return norms
 

@@ -259,8 +259,13 @@ def minimal_envelope(f: Martingale, flavor="S") -> PredictorEnvelope:
     norm.
     """
     target = quadratic_variation_partial(f) if flavor == "S" else np.abs(f.levels)
-    N = f.space.depth
-    beta = np.zeros_like(f.levels)
-    beta[:N] = _running(np.maximum, ess_sup_rows(f.space, target[1:]))
+    return PredictorEnvelope(f.space, _envelope_levels(f.space, target), flavor, validate=False)
+
+
+def _envelope_levels(space, target):
+    """The minimal envelope's levels over the (N+1, M) rows of its target."""
+    N = space.depth
+    beta = np.zeros_like(target)
+    beta[:N] = _running(np.maximum, ess_sup_rows(space, target[1:]))
     beta[N] = beta[max(N - 1, 0)]  # the last row repeats; at depth 0 it stays 0
-    return PredictorEnvelope(f.space, beta, flavor, validate=False)
+    return beta

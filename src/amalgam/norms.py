@@ -16,11 +16,13 @@ import numpy as np
 from . import _kernels
 from .martingale import (
     Martingale,
+    _envelope_levels,
     _ladder_statistic,
     conditional_quadratic_variation,
     maximal_function,
     minimal_envelope,
     quadratic_variation,
+    quadratic_variation_partial,
 )
 from .space import FilteredSpace, scaled, times_pow2
 
@@ -184,10 +186,12 @@ FIVE_NORMS = ("hardy_s", "hardy_S", "hardy_star", "q_space", "p_space")
 
 
 def all_five_norms(f: Martingale, p, q) -> dict:
+    """The five norms; S_n(f) is taken once, for S(f) and as the S envelope's target."""
+    S_rows = quadratic_variation_partial(f)
     return {
         "hardy_s": source_norm_for(f, "s", p, q),
-        "hardy_S": hardy_S_norm(f, p, q),
+        "hardy_S": lpq_norm(f.space, S_rows[-1], p, q),
         "hardy_star": hardy_star_norm(f, p, q),
-        "q_space": source_norm_for(f, "S", p, q),
+        "q_space": lpq_norm(f.space, _envelope_levels(f.space, S_rows)[-1], p, q),
         "p_space": source_norm_for(f, "star", p, q),
     }

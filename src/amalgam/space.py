@@ -140,28 +140,20 @@ class FilteredSpace:
 
         if not filtration:
             raise SpaceError("filtration must have at least one level")
-        parts = [*filtration, blocks]
-        labels, counts = self._label_rows(parts)
-        depth = len(parts) - 2
-        if len(counts) <= depth:
-            n = len(counts)
-            raise SpaceError(f"filtration level {n}: {self._partition_fault(parts[n])}")
-        if counts[0] != 1:
+        self.level_labels, self.level_sizes = map(list, zip(*(
+            self._labels(cells, f"filtration level {n}") for n, cells in enumerate(filtration))))
+        # from here on the space is built from label rows alone
+        if self.level_sizes[0] != 1:
             raise SpaceError("partition 0 must be the trivial partition")
-        self.level_sizes = counts[:depth + 1]
         self.cell_offsets = np.cumsum([0] + self.level_sizes)
-        self.cell_labels = labels[:depth + 1]
+        self.cell_labels = np.add(self.level_labels, self.cell_offsets[:-1, None])
         # partition n+1 refines partition n: coarse labels constant on fine cells
         refines = _constant_on_cells(self.cell_labels[1:], self.cell_offsets[-1],
                                      self.cell_labels[:-1])
         if not refines.all():
             n = int(refines.argmin())
             raise SpaceError(f"partition {n + 1} does not refine partition {n}")
-        if len(counts) == depth + 1:
-            raise SpaceError(f"blocks: {self._partition_fault(blocks)}")
-        self.level_labels = list(self.cell_labels - self.cell_offsets[:-1, None])
-        self.block_labels = labels[-1] - self.cell_offsets[-1]
-        self.n_blocks = counts[-1]
+        self.block_labels, self.n_blocks = self._labels(blocks, "blocks")
 
         # the cells of all levels are summed in one pass; every conditioning
         # call reads the cached masses
@@ -174,50 +166,36 @@ class FilteredSpace:
 
     # -- construction helpers -------------------------------------------
 
-    def _label_rows(self, partitions):
-        """(labels, counts) of the partitions up to the first that is no
-        partition of the outcomes, all in one pass.
-
-        Row i of the int64 labels is the cell of every outcome in
-        partitions[i], the cells of all partitions numbered on in order, and
-        counts[i] is its cell count.
+    def _labels(self, cells, what):
+        """(the int64 cell of every outcome, the cell count) of the partition
+        ``cells``, or a SpaceError naming ``what`` and its first fault.
 
         A partition whose cells, read in order, list the outcomes in outcome
         order is labelled by its cell sizes alone, with no name lookup; any
-        other takes one index pass.  With every cell non-empty and exactly M
-        known members, covering the outcome set means no outcome is in two
-        cells.
+        other takes one index pass and one scatter.  With every cell non-empty
+        and exactly M known members, covering the outcome set means no outcome
+        is in two cells.
         """
-        order, index, m = list(self.outcomes), self.index, self.size
-        sizes, counts, scattered = [], [], []
-        for cells in partitions:
-            try:
-                if any(issubclass(t, str) for t in set(map(type, cells))):
-                    break  # its characters would read as outcomes
-                lens = list(map(len, cells))
-                flat = list(itertools.chain.from_iterable(cells))
-                members = None if flat == order else list(map(index.__getitem__, flat))
-            except (KeyError, TypeError, ValueError):  # ValueError: an array member's ==
-                break
-            if len(flat) != m or 0 in lens:
-                break
-            if members is not None:
-                scattered.append((len(counts), members))
-            sizes += lens
-            counts.append(len(lens))
-        # a row lists its members' cells in member order: outcome order but
-        # where the members were scattered
-        labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes).reshape(-1, m)
-        for i, members in scattered:
-            row = np.full(m, -1, dtype=np.int64)
-            row[members] = labels[i]
-            if not np.all(row >= 0):
-                return labels[:i], counts[:i]
-            labels[i] = row
-        return labels, counts
+        try:
+            if any(issubclass(t, str) for t in set(map(type, cells))):
+                raise TypeError  # its characters would read as outcomes
+            sizes = list(map(len, cells))
+            flat = tuple(itertools.chain.from_iterable(cells))
+            members = None if flat == self.outcomes else list(map(self.index.__getitem__, flat))
+        except (KeyError, TypeError, ValueError):  # ValueError: an array member's ==
+            sizes = ()
+        labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        if len(labels) == self.size and 0 not in sizes:
+            if members is None:
+                return labels, len(sizes)
+            row = np.full(self.size, -1, dtype=np.int64)
+            row[members] = labels
+            if np.all(row >= 0):
+                return row, len(sizes)
+        raise SpaceError(f"{what}: {self._partition_fault(cells)}")
 
     def _partition_fault(self, cells):
-        """The first fault met in cell order: what _label_rows rejects."""
+        """The first fault met in cell order: what _labels rejects."""
         seen = set()
         for cell in cells:
             if isinstance(cell, str):

@@ -1,8 +1,10 @@
-"""Statements of src/amalgam that the test suite never runs.
+"""Statements of src/amalgam that the test suite, or the benchmark's traffic,
+never runs.
 
 Run from anywhere, with stdlib and pytest only:
 
     python tests/linecov.py [pytest arguments]
+    python tests/linecov.py --bench [WORKLOAD|all]
 
 It runs the suite in this process under ``sys.settrace``, prints each
 statement of ``src/amalgam`` that no test reached as ``file:line: source``,
@@ -10,10 +12,19 @@ and exits 1 if there is one (or the suite failed).  A statement runs when
 any line it owns runs: its whole span, less the spans of statements nested
 in it.  Docstrings, ``global`` and ``nonlocal`` declarations and the body of
 ``if __name__ == "__main__"`` are not counted.
+
+``--bench`` runs no test.  It writes one pool entry of each variant class
+per stratum of the workload (every workload by default) with
+``perfbench/corpus.py`` into a temporary directory, drives their CLI calls
+through ``amalgam.cli.main`` in this process under the same trace, as the
+benchmark's worker does, prints the statements those calls never ran, and
+exits 0: what the benchmark does not exercise, it does not verify.
 """
 
 import ast
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -57,10 +68,14 @@ def main(args):
 
         return local
 
+    bench = args[:1] == ["--bench"]
     sys.path.insert(0, str(SRC.parent))
     sys.settrace(trace)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *args])
+        if bench:
+            status = drive(args[1] if len(args) > 1 else "all")
+        else:
+            status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *args])
     finally:
         sys.settrace(None)
     missed = 0
@@ -71,8 +86,36 @@ def main(args):
         for first in sorted(set(owner.values()) - hit):
             print(f"{path.relative_to(ROOT)}:{first}: {source[first - 1].strip()}")
             missed += 1
-    print(f"{missed} statements of src/amalgam never ran")
-    return int(missed > 0 or status != 0)
+    print(f"{missed} statements of src/amalgam never ran" + (" on this traffic" if bench else ""))
+    return 0 if bench else int(missed > 0 or status != 0)
+
+
+def drive(name):
+    """Run the CLI calls of a few pool entries per stratum of the workload
+    ``name``, or of every workload for "all"; print each workload's call count
+    and how many exited non-zero."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import corpus
+    from amalgam import cli
+
+    if name != "all" and name not in corpus.WORKLOADS:
+        sys.exit(f"unknown workload {name!r}: one of {', '.join(corpus.WORKLOADS)} or all")
+    with tempfile.TemporaryDirectory() as tmp:
+        os.makedirs(os.path.join(tmp, "out"))
+        n = 0
+        for w in corpus.WORKLOADS.values() if name == "all" else [corpus.WORKLOADS[name]]:
+            codes = []
+            for s, st in enumerate(w.strata):
+                for c in range(w.classes):
+                    # one entry of each variant class, as a corpus balances them; the
+                    # entry's place in its class varies, and with it the (p, q) pair
+                    members = range(c, st.pool, w.classes)
+                    doc = corpus.materialise(
+                        corpus.make_entry(w, s, members[c % len(members)]), tmp, n)
+                    codes += [cli.main(step["argv"]) for step in doc["steps"]]
+                    n += 1
+            print(f"{w.name}: {len(codes)} calls, {len(codes) - codes.count(0)} exited non-zero")
+    return 0
 
 
 if __name__ == "__main__":

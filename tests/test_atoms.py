@@ -692,6 +692,18 @@ def test_sizes_follow_edits_of_the_decomposition():
         assert seen[-1] != seen[-2], name
 
 
+def test_aggregates_add_the_rungs_in_order_on_one_outcome():
+    # numpy's sum over one outcome's 30 rungs is pairwise: it differs from the
+    # in-order loop in the last bits of both aggregates
+    space = FilteredSpace(["a"], [1.0], [[["a"]], [["a"]]], [["a"]])
+    lams = np.random.default_rng(3).random(30) * 1e3
+    triples = [AtomTriple(k, float(lam), np.zeros(1), StoppingTime(space, [1]))
+               for k, lam in enumerate(lams)]
+    for defn in DEFNS:
+        _assert_sizes_follow_the_reference(
+            Decomposition(space, "s", defn, 1.0, 1.0, triples, source_norm=0.0), (0.3, 1.0))
+
+
 def _refusal_case():
     """Singleton level-2 cells in two blocks, f of order 1e25: at (0.00095, 0.0005)
     the whole space weighs 2^947 and {a, b} weighs 2^-1053, a subnormal."""

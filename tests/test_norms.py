@@ -27,6 +27,7 @@ from amalgam import (
     quadratic_variation_partial,
     regularity_constant,
 )
+from amalgam import martingale, norms
 from amalgam.norms import lq_aggregate
 from conftest import random_martingale, random_tree_space, small_martingales, small_trees
 
@@ -290,3 +291,20 @@ def test_all_five_norms_keys(worked_example):
     assert set(d) == {"hardy_s", "hardy_S", "hardy_star", "q_space", "p_space"}
     assert d["hardy_s"] == pytest.approx(np.sqrt(1.5))
     assert all(v >= 0 for v in d.values())
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (0.5, 1), (1, 0.05)])
+def test_all_five_norms_takes_S_once_and_keeps_each_norms_bits(monkeypatch, pq):
+    seen = []
+    for module in (martingale, norms):
+        # raising=False: norms need not read S_n(f) by this name
+        monkeypatch.setattr(module, "quadratic_variation_partial",
+                            lambda f, orig=quadratic_variation_partial: seen.append(f) or orig(f),
+                            raising=False)
+    for _, f in generate(CorpusSpec(generator="random-tree", count=4, seed=7, depth=4)):
+        seen.clear()
+        got = all_five_norms(f, *pq)
+        assert len(seen) == 1
+        assert repr(got) == repr({"hardy_s": hardy_s_norm(f, *pq), "hardy_S": hardy_S_norm(f, *pq),
+                                  "hardy_star": hardy_star_norm(f, *pq),
+                                  "q_space": q_space_norm(f, *pq), "p_space": p_space_norm(f, *pq)})

@@ -414,12 +414,12 @@ def test_enumerated_times_are_valid():
         StoppingTime(space, nu.times)  # validates level sets
 
 
-# -- one-pass labels ---------------------------------------------------------------
+# -- partition labels ---------------------------------------------------------------
 
 
 def _per_partition_labels(space, cells, what):
-    """The labels of one partition as FilteredSpace built them one partition
-    at a time, before every partition was labelled in one pass: an oracle."""
+    """The labels of one partition with a name lookup for every member, as
+    FilteredSpace built them before in-order partitions skipped it: an oracle."""
     try:
         sizes = [len(cell) for cell in cells]
         index = space.index
@@ -541,3 +541,34 @@ def test_malformed_partitions_are_refused_as_the_per_level_loop_refused_them(fau
     else:
         assert [x.tolist() for x in got.level_labels] == [x.tolist() for x in want[0]]
         assert got.block_labels.tolist() == want[2].tolist()
+
+
+class _Hashed:
+    """An outcome that records each call of its __hash__."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __hash__(self):
+        self.calls.append(self)
+        return id(self) >> 4
+
+
+def test_in_order_partitions_are_labelled_with_no_name_lookup():
+    # a lost fast path keeps every result but costs a name lookup per member
+    calls = []
+    outcomes = [_Hashed(calls) for _ in range(8)]
+    filtration = [[outcomes], [outcomes[:4], outcomes[4:]],
+                  [outcomes[i:i + 2] for i in range(0, 8, 2)]]
+    prob = np.full(8, 0.125)
+    space = FilteredSpace(outcomes, prob, filtration, [outcomes[:3], outcomes[3:]])
+    # in-order levels and blocks: each outcome is hashed once, for the index
+    assert sorted(map(id, calls)) == sorted(map(id, outcomes))
+    assert space.block_labels.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
+    calls.clear()
+    space = FilteredSpace(outcomes, prob, filtration, [outcomes[1::2], outcomes[::2]])
+    # scattered blocks: each member is hashed once more, to be looked up
+    assert sorted(map(id, calls)) == sorted(map(id, outcomes + outcomes))
+    assert space.block_labels.tolist() == [1, 0] * 4
+    assert [x.tolist() for x in space.level_labels] == [[0] * 8, [0] * 4 + [1] * 4,
+                                                         [0, 0, 1, 1, 2, 2, 3, 3]]
