@@ -29,8 +29,8 @@ from .martingale import (
 )
 from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate
 from .space import (
-    INFINITY, SLACK, FilteredSpace, StoppingTime, at_most, binary_exponent, condition_rows,
-    require_finite, require_space, scale_of, scaled, times_pow2,
+    INFINITY, FilteredSpace, StoppingTime, binary_exponent, condition_rows, require_finite,
+    require_space, scale_of, scaled, times_pow2, within,
 )
 
 DEFNS = ("simple", "weighted")
@@ -170,14 +170,14 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
     e = condition_rows(space, np.broadcast_to(terminal, (space.depth + 1, space.size)))
     live = t.nu.times >= np.arange(space.depth + 1)[:, None]
     residual = float(np.max(np.abs(e), where=live, initial=0.0))  # a NaN is kept
-    vanishing_ok = at_most(residual, SLACK * scale)
+    vanishing_ok = within(residual, 0.0, scale)
 
     stat = atom_statistic(d.flavor, Martingale(space, e, validate=False))
     mask = t.nu.support
     [(pb, size)] = _sizes(d, [mask])
 
     leak = float(np.max(stat[~mask])) if (~mask).any() else 0.0
-    support_ok = at_most(leak, SLACK * scale)
+    support_ok = within(leak, 0.0, scale)
 
     small, e = scaled(stat)
     reports = []
@@ -189,12 +189,12 @@ def verify_atom(d: Decomposition, t: AtomTriple, rs=None) -> list:
             measured = float(times_pow2(float(space.prob @ small ** r) ** (1.0 / r), e))
         if pb <= 0.0:
             bound = 0.0
-            size_ok = at_most(measured, SLACK * scale)
+            size_ok = within(measured, 0.0, scale)
         else:
             pr = 1.0 if math.isinf(r) else pb ** (1.0 / r)
             # the simple bound keeps its own rounding: pr / |B| differs in the last bit
             bound = pr * pb ** (-1.0 / d.p) if d.defn == "simple" else pr / size
-            size_ok = at_most(measured, bound * (1.0 + SLACK))
+            size_ok = within(measured, bound)
         reports.append(AtomReport(vanishing_ok, size_ok, support_ok, measured, bound, residual))
     return reports
 
@@ -214,11 +214,11 @@ def reconstruct(d: Decomposition, e=0) -> np.ndarray:
 
 def reconstruction_residuals(d: Decomposition, f: Martingale):
     """(residual, ok): each level's max|reconstruct(d)_n - f_n|, and whether every
-    one is at most SLACK at f's own scale.  A NaN residual fails.  Each rung and
+    one is within the slack at f's own scale.  A NaN residual fails.  Each rung and
     partial sum is at most 2 max|f|, so near the float top the sum is taken at 2^-e."""
     e = max(binary_exponent(scale := scale_of(f.levels)) - 1021, 0)
     residual = times_pow2(np.max(np.abs(reconstruct(d, e) - np.ldexp(f.levels, -e)), axis=1), e)
-    return residual, at_most(residual, SLACK * scale)
+    return residual, within(residual, 0.0, scale)
 
 
 def rung_weight(d: Decomposition, t: AtomTriple) -> float:
@@ -309,8 +309,7 @@ def certify_bounds(d: Decomposition, eta_grid=DEFAULT_ETA_GRID) -> BoundsCertifi
     for eta, agg in zip(eta_grid, _aggregates(d, eta_grid)):
         # C(eta) * 0 is 0 also where C(eta) is beyond the float range
         budget = margin * ladder_constant(eta) * d.source_norm if d.source_norm else 0.0
-        # relative slack only: the verdicts are the same at every scale of f
-        upper_ok = at_most(agg, budget * (1.0 + SLACK))
-        converse_ok = at_most(d.source_norm, agg * (1.0 + SLACK))
+        upper_ok = within(agg, budget)
+        converse_ok = within(d.source_norm, agg)
         entries.append(BoundEntry(eta, agg, budget, upper_ok, converse_ok))
     return BoundsCertificate(d.source_norm, entries)

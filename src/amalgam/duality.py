@@ -22,8 +22,9 @@ from .martingale import (
 )
 from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate
 from .space import (
-    _BLOCK_ELEMS, ENUMERATION_CAP, INFINITY, SLACK, EnumerationOverflow, FilteredSpace, SpaceError,
-    StoppingTime, at_most, require_space, scale_of, scaled, stopping_time_blocks, times_pow2,
+    _BLOCK_ELEMS, ENUMERATION_CAP, INFINITY, EnumerationOverflow, FilteredSpace, SpaceError,
+    StoppingTime, condition_rows, require_space, scale_of, scaled, stopping_time_blocks,
+    times_pow2, within,
 )
 
 
@@ -59,15 +60,15 @@ class CampanatoResult:
 # in outcome order, so a stopping time gets the same bits as a stacked row
 # as it does as a cell first-entry time.
 
-def _row_sums(space, levels, g, times):
+def _row_sums(space, dev, times):
     """A, P(B) and the block masses of each row of a (rows, M) times stack.
 
-    The stopped terminal g_nu is one gather at min(times, N).
+    g - g_nu is one gather of the deviation rows ``dev`` at min(times, N).
     """
     k, m = times.shape
     on = times != INFINITY
     rows = np.repeat(np.arange(k), m)
-    a = _kernels.cell_sums(rows, k, (space.prob * (g - stopped(levels, times)) ** 2 * on).ravel())
+    a = _kernels.cell_sums(rows, k, (space.prob * stopped(dev, times) ** 2 * on).ravel())
     return (a, *_masses(space, rows, k, (space.prob * on).ravel()))
 
 
@@ -86,8 +87,8 @@ class _Supremum:
     candidate with an empty B is not examined, and value 0 attains nothing.
     """
 
-    def __init__(self, space, g, levels, p, q):
-        self.space, self.g, self.levels, self.p, self.q = space, g, levels, p, q
+    def __init__(self, space, dev, p, q):
+        self.space, self.dev, self.p, self.q = space, dev, p, q
         self.value = 0.0
         self.times = None
         self.examined = 0
@@ -114,7 +115,7 @@ class _Supremum:
         a = [np.zeros(0)]
         for start in range(0, len(times), per):
             block = times[start:start + per]
-            sums = _row_sums(self.space, self.levels, self.g, block)
+            sums = _row_sums(self.space, self.dev, block)
             self._fold(*sums, block.__getitem__)
             a.append(sums[0])
         return np.concatenate(a)
@@ -128,7 +129,7 @@ class _Supremum:
         space = self.space
         cells = space.cell_labels.ravel()
         total = len(space.cell_masses)
-        a = _kernels.cell_sums(cells, total, (space.prob * (self.g - self.levels) ** 2).ravel())
+        a = _kernels.cell_sums(cells, total, (space.prob * self.dev ** 2).ravel())
         pb, masses = _masses(space, cells, total, np.tile(space.prob, space.depth + 1))
 
         def times_of(idx):
@@ -165,23 +166,27 @@ def _ladder_rows(space, gm):
     return rows[~(cell & same_n).all(axis=1)]
 
 
-def _scaled(g, gm):
-    """(g * 2^-e, gm.levels * 2^-e, e) with max|g| * 2^-e in (1/2, 1].
+def _deviations(space, g):
+    """(D, e): row n of D is (g - E_n[g]) * 2^-e, with max|g| * 2^-e in (1/2, 1].
 
     A quotient and each sqrt(A) are homogeneous of degree 1 in g, so they
-    are scored on the scaled pair and scaled back by 2^e.  Powers of two are
-    exact, so no square overflows, none of a tiny g underflows, and a value
-    whose squares did neither unscaled keeps every bit.
+    are scored on D and scaled back by 2^e.  Powers of two are exact, so no
+    square overflows and none of a tiny g underflows.  On each cell, D is
+    r - E_n[r] with r = g - g(c) for one member c: 0 where g is constant on
+    the cell, and elsewhere rounded at the scale of g's spread there, not of |g|.
     """
     g, e = scaled(g)
-    return g, np.ldexp(gm.levels, -e), e
+    rep = np.empty(len(space.cell_masses))
+    rep[space.cell_labels] = g
+    r = g - rep[space.cell_labels]
+    return r - condition_rows(space, r), e
 
 
-def oscillation(space: FilteredSpace, g, gm: Martingale, nu: StoppingTime, p, q):
+def oscillation(space: FilteredSpace, g, nu: StoppingTime, p, q):
     """Campanato quotient of one candidate; None when B is empty."""
     require_space(nu, space)
-    g, levels, e = _scaled(g, gm)
-    a, pb, masses = _row_sums(space, levels, g, nu.times[None])
+    dev, e = _deviations(space, g)
+    a, pb, masses = _row_sums(space, dev, nu.times[None])
     if pb[0] <= 0.0:
         return None
     return float(times_pow2(_quotients(a, pb, masses, p, q)[0], e))
@@ -212,8 +217,8 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=ENUMERATION_
     extra_candidates = list(extra_candidates)  # read once: checked, then stacked
     for nu in extra_candidates:
         require_space(nu, space)
-    small, levels, e = _scaled(g, gm)
-    sup = _Supremum(space, small, levels, p, q)
+    dev, e = _deviations(space, g)
+    sup = _Supremum(space, dev, p, q)
     actual = "heuristic-family"
     if mode == "exact":
         try:
@@ -227,6 +232,8 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=ENUMERATION_
     stack = extra
     if actual == "heuristic-family":
         sup.add_cells()
+        # the rungs of g * 2^-e: the same times, k shifted by -e, and no statistic overflows
+        gm = Martingale(space, np.ldexp(gm.levels, -e), validate=False)
         stack = np.vstack([_ladder_rows(space, gm), extra])
     # the winner does not depend on the order of the rows
     a = sup.add_stack(stack)[len(stack) - len(extra):]
@@ -286,8 +293,7 @@ def certify_duality(f: Martingale, g, p, q, mode="heuristic",
     const = ladder_constant(1.0)
     budget = const * d.source_norm * camp.norm_value
 
-    slack = SLACK * scale_of(lhs, atomwise, budget)
-    ok = at_most(lhs, atomwise + slack) and at_most(atomwise, budget + slack)
+    ok = within([lhs, atomwise], np.array([atomwise, budget]), scale_of(lhs, atomwise, budget))
     return DualityCertificate(
         signed, lhs, atomwise, budget, camp, d.source_norm, const, ok,
         atomwise - lhs, budget - atomwise,
@@ -315,7 +321,7 @@ def representer(space: FilteredSpace, functional_values) -> np.ndarray:
         raise SpaceError("functional values do not span the zero-mean space")
     g, *_ = np.linalg.lstsq(a, b, rcond=None)
     resid = scale_of(a @ g - b)
-    if not at_most(resid, SLACK * scale_of(b)):
+    if not within(resid, 0.0, scale_of(b)):
         raise SpaceError(f"inconsistent functional values (residual {resid!r})")
     return g
 
@@ -347,4 +353,4 @@ def reverse_minkowski_check(space: FilteredSpace, fs, p, q) -> ReverseMinkowskiR
     lhs = sum(lpq_norm(space, x, p, q) for x in fs)
     total = np.sum(np.abs(np.vstack(fs)), axis=0)
     rhs = lpq_norm(space, total, p, q)
-    return ReverseMinkowskiReport(lhs, rhs, at_most(lhs, rhs * (1.0 + SLACK)))
+    return ReverseMinkowskiReport(lhs, rhs, within(lhs, rhs))

@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from .space import (
-    INFINITY, SLACK, TOL, FilteredSpace, SpaceError, StoppingTime, at_most, binary_exponent,
-    condition_rows, ess_sup_rows, measurable_rows, require_finite, require_space, scale_of,
-    scaled, times_pow2,
+    INFINITY, TOL, FilteredSpace, SpaceError, StoppingTime, binary_exponent, condition_rows,
+    ess_sup_rows, measurable_rows, require_finite, require_space, scale_of, scaled, times_pow2,
+    within,
 )
 
 
@@ -32,13 +32,12 @@ class Martingale:
         if validate:
             require_finite(lv, "martingale levels")
             scale = scale_of(lv)  # at f's own scale: atoms magnify f
-            if not at_most(np.abs(lv[0]), TOL * scale):
+            if not within(np.abs(lv[0]), 0.0, scale, single_rounding=True):
                 raise SpaceError("f_0 must vanish")
             # row n < N: E_n[f_{n+1}] = f_n; row N: E_N[f_N] = f_N, f is adapted
-            cond = condition_rows(space, np.vstack([lv[1:], lv[-1:]]))
-            ok = np.less_equal(np.abs(cond - lv), SLACK * scale).all(axis=1)
-            if not ok.all():
-                k = int(ok.argmin())
+            gap = np.abs(condition_rows(space, np.vstack([lv[1:], lv[-1:]])) - lv)
+            if not within(gap, 0.0, scale):
+                k = next(n for n, row in enumerate(gap) if not within(row, 0.0, scale))
                 raise SpaceError(f"martingale property fails at step {k}" if k < space.depth
                                  else f"level {k} is not measurable at time {k}")
 
@@ -74,10 +73,10 @@ class PredictorEnvelope:
         self.levels = lv
         if validate:
             require_finite(lv, "envelope levels")
-            slack = TOL * scale_of(lv)
-            if not at_most(-slack, lv):
+            # negated: -b <= -a + slack rounds as a - slack <= b does, to the same verdict
+            if not within(-lv, 0.0, scale := scale_of(lv), single_rounding=True):
                 raise SpaceError("envelope must be non-negative")
-            if not at_most(lv[:-1] - slack, lv[1:]):
+            if not within(-lv[1:], -lv[:-1], scale, single_rounding=True):
                 raise SpaceError("envelope must be non-decreasing")
             adapted = measurable_rows(space, lv)
             if not adapted.all():
@@ -90,10 +89,10 @@ class PredictorEnvelope:
 
 
 def dominates(beta: PredictorEnvelope, f: Martingale) -> bool:
-    """Whether beta_{n-1} covers the level-n target up to SLACK."""
+    """Whether beta_{n-1} covers the level-n target, up to the slack at the target's scale."""
     target = quadratic_variation_partial(f) if beta.flavor == "S" else np.abs(f.levels)
     # predictor shift: level n must be covered by beta_{n-1}
-    return at_most(target[1:], beta.levels[:-1] + SLACK * scale_of(target))
+    return within(target[1:], beta.levels[:-1], scale_of(target))
 
 
 def from_terminal(space: FilteredSpace, x) -> Martingale:
@@ -102,7 +101,7 @@ def from_terminal(space: FilteredSpace, x) -> Martingale:
     require_finite(x, "terminal value")
     mean = float(space.prob @ x)
     # at x's own scale: a centred constant is rounding noise, not a martingale
-    if not at_most(abs(mean), SLACK * scale_of(x)):
+    if not within(abs(mean), 0.0, scale_of(x)):
         raise SpaceError(f"terminal value has nonzero mean {mean!r}")
     # remove the rounding-level mean, and set f_0 = 0 exactly
     with np.errstate(over="ignore"):
@@ -221,11 +220,10 @@ def ladder_window(stat_rows):
     2^{k_min} sits below every genuinely positive statistic value so the
     bottom stopped martingale is negligible; 2^{k_max+1}, with k_max + 1
     the max's binary exponent, is the least power of two at or above the
-    max, so the rung above the window never triggers.  Values at or
-    under TOL times the max are rounding noise and are ignored:
-    rungs at that scale would divide float cancellation error by a
-    comparably tiny lambda and emit garbage atoms.  Returns None when the
-    statistic is identically zero.
+    max, so the rung above the window never triggers.  Values at or under
+    the single-rounding tolerance times the max are noise, cut off: rungs
+    at that scale would divide float cancellation error by a comparably
+    tiny lambda and emit garbage atoms.  None when the statistic is 0.
     """
     vals = np.asarray(stat_rows)
     top = float(vals.max()) if vals.size else 0.0

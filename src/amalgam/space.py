@@ -22,10 +22,7 @@ from . import _kernels
 INFINITY = np.iinfo(np.int64).max
 
 
-# -- tolerance policy ----------------------------------------------------------
-# The only tolerances in the package.  Every check scales one by scale_of() of
-# the values it compares, with no floor, so no verdict depends on their scale,
-# and tests through at_most(), which a NaN never passes.
+# -- tolerance policy: the only tolerances, applied by within() alone ---------
 
 #: comparisons after a single rounding step
 TOL = 1e-12
@@ -39,8 +36,15 @@ def scale_of(*values) -> float:
 
 
 def at_most(x, bound) -> bool:
-    """Whether every x <= bound; NaN on either side never passes."""
+    """Whether every x <= bound, exactly; NaN on either side never passes."""
     return bool(np.all(np.less_equal(x, bound)))
+
+
+def within(lhs, rhs, scale=None, single_rounding=False) -> bool:
+    """Whether every lhs <= rhs * (1 + tol), or lhs <= rhs + tol * scale given scale_of() the
+    values compared, with no floor; tol is TOL after one rounding step, else SLACK.  NaN fails."""
+    tol = TOL if single_rounding else SLACK
+    return at_most(lhs, rhs * (1.0 + tol) if scale is None else rhs + tol * scale)
 
 
 class SpaceError(ValueError):
@@ -134,7 +138,7 @@ class FilteredSpace:
             raise SpaceError("probability vector has wrong length")
         if not np.all(p > 0.0):
             raise SpaceError("probabilities must be strictly positive")
-        if not at_most(abs(p.sum() - 1.0), TOL * self.size):
+        if not within(abs(p.sum() - 1.0), 0.0, self.size, single_rounding=True):
             raise SpaceError(f"probabilities sum to {p.sum()!r}, not 1")
         self.prob = p
 
@@ -381,11 +385,10 @@ def is_measurable(space: FilteredSpace, x, n) -> bool:
 
 
 def measurable_rows(space: FilteredSpace, rows) -> np.ndarray:
-    """Row n of the float array ``rows``: whether rows[n] is constant up to
-    SLACK * scale_of(rows[n]) on every partition-n cell, where the F_n
-    majorants of rows[n] and -rows[n] must meet."""
+    """Row n: whether rows[n] is constant on every partition-n cell up to the slack at
+    its own scale, where the F_n majorants of rows[n] and -rows[n] must meet."""
     spread = ess_sup_rows(space, rows) + ess_sup_rows(space, -rows)
-    return np.array([at_most(s, SLACK * scale_of(x)) for s, x in zip(spread, rows)])
+    return np.array([within(s, 0.0, scale_of(x)) for s, x in zip(spread, rows)])
 
 
 def regularity_constant(space: FilteredSpace) -> float:

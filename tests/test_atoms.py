@@ -17,6 +17,7 @@ from amalgam import (
     StoppingTime,
     aggregate_eta_norm,
     all_five_norms,
+    campanato_norm,
     certify_bounds,
     cli,
     decompose,
@@ -576,6 +577,29 @@ def test_an_atom_at_the_float_top_is_finite_and_reads_back(tmp_path, monkeypatch
     assert main(["decompose", "--input", mp, *pq, "--flavor", "S"]) == 2
     assert capsys.readouterr().err == (
         "error: S(f) leaves the float range: the 'S' ladder has no rungs\n")
+
+
+def test_campanato_of_a_g_whose_statistics_overflow_is_the_same_in_both_modes(tmp_path, capsys):
+    # g is finite but S(g) is not: the heuristic ladders read g * 2^-e, whose rungs
+    # are g's shifted by -e in k, where unscaled they had no window and raised
+    space, f = _float_top_case()
+    g = f.terminal
+    assert np.isinf(_ladder_statistic(f, "S")).any()
+    exact = campanato_norm(space, g, 1.0, 1.0, mode="exact")
+    heuristic = campanato_norm(space, g, 1.0, 1.0, mode="heuristic")
+    assert (exact.mode, heuristic.mode) == ("exact-enumeration", "heuristic-family")
+    assert heuristic.norm_value == exact.norm_value == pytest.approx(1.5568479229996502e308,
+                                                                     rel=1e-15)
+    assert heuristic.attaining_nu.times.tolist() == exact.attaining_nu.times.tolist()
+    mp, gp = str(tmp_path / "f.json"), str(tmp_path / "g.json")
+    jsonio.dump_json(jsonio.martingale_to_doc(f), mp)
+    jsonio.dump_json(jsonio.function_to_doc(space, g), gp)
+    for mode, res in (("exact", exact), ("heuristic", heuristic)):
+        assert main(["duality", "--input", mp, "--g", gp, "--p", "1", "--q", "1",
+                     "--mode", mode]) in (0, 1)
+        recorded = capsys.readouterr()
+        assert json.loads(recorded.out)["campanato"]["value"] == res.norm_value
+        assert recorded.err == ""
 
 
 def _assert_reads_back(d, doc):

@@ -1234,6 +1234,30 @@ def test_no_library_module_but_cli_has_a_global_statement():
     assert held == ["cli.py"]
 
 
+def test_no_library_module_but_space_applies_a_tolerance():
+    # within() in space.py decides every verdict: elsewhere SLACK and TOL are only
+    # re-exported, and read by ladder_window's noise floor, a cutoff and no verdict
+    package = pathlib.Path(atoms.__file__).parent
+    uses = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = node.name
+        names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                 else [node.id] if isinstance(node, ast.Name)
+                 else [node.attr] if isinstance(node, ast.Attribute) else [])
+        uses.extend((module, scope, name) for name in names
+                    if name in ("SLACK", "TOL", "at_most"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(package.glob("*.py")):
+        if path.name != "space.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    assert uses == [("__init__.py", None, "SLACK"), ("__init__.py", None, "TOL"),
+                    ("martingale.py", None, "TOL"), ("martingale.py", "ladder_window", "TOL")]
+
+
 def test_loaded_decomposition_carries_its_source_norm(tmp_path, monkeypatch):
     calls = _decode_counts(monkeypatch)
     mp, dp = str(tmp_path / "mart.json"), str(tmp_path / "dec.json")

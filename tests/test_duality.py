@@ -1,5 +1,6 @@
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_a_stopping_time_of_another_space_is_refused(entry):
         if entry == "campanato_norm":  # scored, nu gave 21.04 > the exact supremum
             campanato_norm(a, g, 0.3, 1, mode="exact", extra_candidates=[nu])
         elif entry == "oscillation":
-            oscillation(a, g, from_terminal(a, g), nu, 0.3, 1)
+            oscillation(a, g, nu, 0.3, 1)
         else:
             d = decompose(from_terminal(a, g), 1, 1)
             t = d.triples[0]
@@ -302,12 +303,59 @@ def test_a_candidate_with_no_oscillation_scores_zero_where_its_phi_underflows():
     (space, f), = generate(CorpusSpec(generator="dyadic", depth=3, seed=2))
     assert lq_aggregate(np.array([[0.125]]), 0.002, 0.002)[0] == 0.0
     cell = StoppingTime(space, [3] + [INFINITY] * 7)
-    assert oscillation(space, f.terminal, f, cell, 0.002, 0.002) == 0.0
+    assert oscillation(space, f.terminal, cell, 0.002, 0.002) == 0.0
     for mode in ("exact", "heuristic"):
         res = campanato_norm(space, f.terminal, 0.002, 0.002, mode=mode)
         assert res.norm_value == 2.716815215754641e+300
         assert res.attaining_nu.times.tolist() == [INFINITY] * 2 + [2, 2] + [INFINITY] * 4
         assert certify_duality(f, f.terminal, 0.002, 0.002, mode=mode).chain_ok
+
+
+def _level1_cells_space():
+    """Masses (2, 3, 4, 4)/13, level-1 cells {a}, {b, c}, {d}, singletons at level 2."""
+    o = ["a", "b", "c", "d"]
+    return FilteredSpace(o, np.array([2.0, 3.0, 4.0, 4.0]) / 13,
+                         [[o], [["a"], ["b", "c"], ["d"]], [[x] for x in o]], [o])
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+@pytest.mark.parametrize("p", [0.05, 0.01, 0.002])
+@pytest.mark.parametrize("x, want", [
+    ([0.5, -0.2, -0.2, 0.0], 0.24300875382971254),
+    ([0.5, 1 / 3, 1 / 3, 0.0], 0.18040060614705497),
+])
+def test_a_g_constant_on_the_cells_of_its_candidates_scores_no_rounding_noise(x, want, p, mode):
+    # g is constant on every level-1 cell, so only nu = 0 oscillates; E_n of g
+    # by cell sums alone read 3.5e-18 off g(d) at n = 1, which the tiny phi({d})
+    # at small p made 1.65e33 and 1.67e64 at p = 0.01, 9.33e237 and inf at 0.002
+    space = _level1_cells_space()
+    g = np.array(x) - space.prob @ np.array(x)
+    res = campanato_norm(space, g, p, p, mode=mode)
+    assert res.norm_value == want
+    assert res.attaining_nu.times.tolist() == [0] * 4
+
+
+def _measurable_at_level_1(space, values):
+    """A zero-mean g constant on every level-1 cell, one drawn value per cell."""
+    return centred(space, np.asarray(values)[space.level_labels[1]])
+
+
+@given(small_trees(max_outcomes=16, random_weights=True, max_blocks=3), st.data())
+def test_a_g_measurable_at_level_1_scores_its_l2_norm_over_the_indicator_norm(space, data):
+    # only nu = 0 oscillates, with A = ||g||_2^2 and B = Omega, at every p and q
+    assume(space.depth >= 1)
+    cells = space.level_sizes[1]
+    g = _measurable_at_level_1(space, data.draw(st.lists(
+        st.floats(-10.0, 10.0), min_size=cells, max_size=cells)))
+    p, q = data.draw(st.sampled_from([(1.0, 1.0), (0.5, 0.5), (0.05, 0.05), (0.01, 0.01),
+                                      (0.002, 0.002), (0.002, 0.01), (0.01, 1.0), (0.05, 0.5),
+                                      (0.5, 1.0), (0.01, math.inf)]))
+    small, e = scaled(g)  # ||g||_2 at g's own power of two: a tiny g's square underflows
+    want = math.ldexp(math.sqrt(float(space.prob @ small ** 2)), e) / lpq_norm(
+        space, np.ones(space.size), p, q)
+    for mode in ("exact", "heuristic"):
+        assert campanato_norm(space, g, p, q, mode=mode).norm_value == pytest.approx(
+            want, rel=1e-12, abs=0)
 
 
 def test_the_atomwise_bound_takes_each_atom_norm_at_its_own_scale():
@@ -404,13 +452,13 @@ def _certify_with_rungs_apart(f, g, p, q, mode, cap):
     space = f.space
     gm = from_terminal(space, g)
     d = decompose(f, p, q, flavor="s", defn="simple")
-    small, levels, e = duality._scaled(g, gm)
+    dev, e = duality._deviations(space, g)
     ladder = np.array([t.nu.times for t in d.triples], dtype=np.int64).reshape(-1, space.size)
     atomwise = 0.0
-    for t, a_k in zip(d.triples, duality._row_sums(space, levels, small, ladder)[0]):
+    for t, a_k in zip(d.triples, duality._row_sums(space, dev, ladder)[0]):
         a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
         atomwise += t.lam * a_l2 * float(times_pow2(math.sqrt(a_k), e))
-    sup = duality._Supremum(space, small, levels, p, q)
+    sup = duality._Supremum(space, dev, p, q)
     route = "heuristic-family"
     if mode == "exact" and count_stopping_times(space) <= cap:
         for block in stopping_time_blocks(space, cap):
@@ -418,7 +466,8 @@ def _certify_with_rungs_apart(f, g, p, q, mode, cap):
         route = "exact-enumeration"
     if route == "heuristic-family":
         sup.add_cells()
-        sup.add_stack(duality._ladder_rows(space, gm))
+        sup.add_stack(duality._ladder_rows(space, Martingale(space, np.ldexp(gm.levels, -e),
+                                                             validate=False)))
     sup.add_stack(ladder)
     return atomwise, float(times_pow2(sup.value, e)), sup.times, route, sup.examined
 
@@ -564,14 +613,23 @@ def _per_cell_family(space, gm):
             if not (nu.times.tobytes() in seen or seen.add(nu.times.tobytes()))]
 
 
-def _quotient_by_definition(space, g, gm, nu, p, q):
-    # the quotient is homogeneous in g: square g * 2^-e, not g, so tiny and
-    # huge g neither underflow nor overflow, and scale the value back by 2^e
+def _quotient_by_definition(space, g, nu, p, q):
+    # A = E[(g - g_nu)^2 1_B] in exact rationals, with g_nu = E_nu[g] by its
+    # definition; the quotient is homogeneous in g, so A is taken of g * 2^-e,
+    # and the value scaled back by 2^e, so tiny and huge g neither underflow
+    # nor overflow
     e = binary_exponent(float(np.max(np.abs(g))))
     on = nu.support
     pb = float(space.prob[on].sum())
-    diff = np.ldexp(g, -e) - np.ldexp(stop(gm, nu).terminal, -e)
-    a = float(space.prob[on] @ diff[on] ** 2)
+    prob = [Fraction(x) for x in space.prob.tolist()]
+    small = [Fraction(x) for x in np.ldexp(g, -e).tolist()]
+    a = Fraction(0)
+    for i in np.flatnonzero(on).tolist():
+        cell = space.level_labels[nu.times[i]]
+        members = np.flatnonzero(cell == cell[i]).tolist()
+        mean = sum(prob[j] * small[j] for j in members) / sum(prob[j] for j in members)
+        a += prob[i] * (small[i] - mean) ** 2
+    a = float(a)
     masses = [float(space.prob[on & (space.block_labels == j)].sum())
               for j in range(space.n_blocks)]
     masses = [m for m in masses if m > 0.0]
@@ -584,14 +642,13 @@ def _quotient_by_definition(space, g, gm, nu, p, q):
 
 def _per_candidate_sup(space, g, candidates, p, q):
     """One oscillation call per candidate, folded as the scorer documents."""
-    gm = from_terminal(space, g)
     best, best_nu, examined = 0.0, None, 0
     for nu in candidates:
-        val = oscillation(space, g, gm, nu, p, q)
+        val = oscillation(space, g, nu, p, q)
         if val is None:
             continue
         examined += 1
-        assert val == pytest.approx(_quotient_by_definition(space, g, gm, nu, p, q),
+        assert val == pytest.approx(_quotient_by_definition(space, g, nu, p, q),
                                     rel=1e-12, abs=0)
         if val > best or (best_nu is not None and val == best
                           and tuple(nu.times) < tuple(best_nu.times)):

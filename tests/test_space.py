@@ -29,6 +29,7 @@ from amalgam.space import (
     ess_sup_rows,
     scale_of,
     stopping_time_blocks,
+    within,
 )
 from conftest import random_tree_space, small_trees
 
@@ -201,6 +202,79 @@ def test_tolerance_policy():
     # NaN on either side never passes, unlike np.max(err) > bound
     assert not at_most([0.0, np.nan], 1.0)
     assert not at_most(0.0, np.nan)
+    # within() neither: a NaN lhs, rhs or scale fails each form
+    assert within(1.0, 1.0) and within(1.0, 1.0, 0.0) and within(1e-9, 0.0, 1.0)
+    assert not (within(np.nan, 1.0) or within(0.0, np.nan) or within(0.0, 0.0, np.nan))
+
+
+# Each tolerance check of the library, as the within() call it makes beside the
+# expression it was decided by before within() existed: (sites, within, parent,
+# tie).  Every function takes the same values, the first of them the one that
+# is tested against the rest; tie(*rest) is where the parent's verdict flips.
+_S, _T = SLACK, TOL
+_SITES = [
+    ("verify_atom's vanishing, support and size at bound 0, reconstruction, "
+     "measurable_rows, from_terminal's mean, representer's residual",
+     lambda x, s: within(x, 0.0, s), lambda x, s: at_most(x, _S * s), lambda s: _S * s),
+    ("f_0 = 0, the probability sum",
+     lambda x, s: within(x, 0.0, s, single_rounding=True), lambda x, s: at_most(x, _T * s),
+     lambda s: _T * s),
+    ("the martingale law, every row",
+     lambda x, s: within(np.array([[x, 0.0], [0.0, x]]), 0.0, s),
+     lambda x, s: bool(np.less_equal(np.array([[x, 0.0], [0.0, x]]), _S * s).all(axis=1).all()),
+     lambda s: _S * s),
+    ("dominates", lambda x, y, s: within(x, y, s), lambda x, y, s: at_most(x, y + _S * s),
+     lambda y, s: y + _S * s),
+    ("the absolute form at TOL with any rhs, as the envelope's monotonicity calls it",
+     lambda x, y, s: within(x, y, s, single_rounding=True),
+     lambda x, y, s: at_most(x, y + _T * s), lambda y, s: y + _T * s),
+    ("verify_atom's size, certify_bounds' upper and converse sides, reverse Minkowski",
+     lambda x, y: within(x, y), lambda x, y: at_most(x, y * (1.0 + _S)),
+     lambda y: y * (1.0 + _S)),
+    ("the relative form at TOL, which no check uses",
+     lambda x, y: within(x, y, single_rounding=True), lambda x, y: at_most(x, y * (1.0 + _T)),
+     lambda y: y * (1.0 + _T)),
+    ("the envelope's sign",
+     lambda b, s: within(-np.array([b, 1.0]), 0.0, s, single_rounding=True),
+     lambda b, s: at_most(-(_T * s), np.array([b, 1.0])), lambda s: -(_T * s)),
+    ("the envelope's monotonicity",
+     lambda b, a, s: within(-np.array([b]), -np.array([a]), s, single_rounding=True),
+     lambda b, a, s: at_most(np.array([a]) - _T * s, np.array([b])), lambda a, s: a - _T * s),
+    ("both links of the duality chain",
+     lambda lhs, a, b: within([lhs, a], np.array([a, b]), scale_of(lhs, a, b)),
+     lambda lhs, a, b: (at_most(lhs, a + (slack := _S * scale_of(lhs, a, b)))
+                        and at_most(a, b + slack)),
+     lambda a, b: a + _S * scale_of(a, b)),
+]
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1e-300, 0.5, 1.0, -1.0, 3.0, 1e300, 1e308, 1.7976931348623157e308,
+            -1.7976931348623157e308]
+
+
+def _near_ties(tie, rest):
+    """The tested value at the parent's threshold and one ulp either side."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = float(tie(*rest))
+    return [t, *np.nextafter(t, [-math.inf, math.inf]).tolist()]
+
+
+@pytest.mark.parametrize("sites, new, parent, tie", _SITES, ids=[s[0] for s in _SITES])
+def test_every_within_verdict_is_the_parents_on_special_values(sites, new, parent, tie):
+    arity = tie.__code__.co_argcount
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rest in itertools.product(_SPECIAL, repeat=arity):
+            for x in [*_SPECIAL, *_near_ties(tie, rest)]:
+                assert new(x, *rest) == parent(x, *rest), (x, *rest)
+
+
+@settings(max_examples=300)
+@given(st.data())
+@pytest.mark.parametrize("sites, new, parent, tie", _SITES, ids=[s[0] for s in _SITES])
+def test_every_within_verdict_is_the_parents_at_a_near_tie(sites, new, parent, tie, data):
+    rest = data.draw(st.tuples(*[st.floats()] * tie.__code__.co_argcount))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in _near_ties(tie, rest):
+            assert new(x, *rest) == parent(x, *rest), (x, *rest)
 
 
 def test_regularity_constant_dyadic(dyadic2):
