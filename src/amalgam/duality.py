@@ -23,8 +23,8 @@ from .martingale import (
 from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate
 from .space import (
     _BLOCK_ELEMS, ENUMERATION_CAP, INFINITY, EnumerationOverflow, FilteredSpace, SpaceError,
-    StoppingTime, condition_rows, require_space, scale_of, scaled, stopping_time_blocks,
-    times_pow2, within,
+    StoppingTime, _decode_times, _enumeration, condition_rows, require_space, scale_of,
+    scaled, times_pow2, within,
 )
 
 
@@ -80,6 +80,123 @@ def _quotients(a, pb, masses, p, q):
     return np.where(a == 0.0, 0.0, vals)
 
 
+def _cell_sums(space, dev):
+    """A, P(B) and the block masses of every cell first-entry time, all levels
+    in one pass: the time that stops at n on level-n cell c, and nowhere
+    else, is row cell_offsets[n] + c."""
+    cells = space.cell_labels.ravel()
+    total = len(space.cell_masses)
+    a = _kernels.cell_sums(cells, total, (space.prob * dev ** 2).ravel())
+    return (a, *_masses(space, cells, total, np.tile(space.prob, space.depth + 1)))
+
+
+#: elements (rows x outcomes) of the largest enumeration whose every row the
+#: exact route folds through the row path: below about this many, building
+#: the tables costs more than it saves
+_FEW_ELEMS = _BLOCK_ELEMS // 2
+#: relative error of one rounded float operation, and a bound on that of one
+#: exp, log or power call: 32 ulps, with room above numpy's and the C library's
+_ULP, _CALL = 2.0 ** -53, 2.0 ** -48
+
+
+def _margin(space, a_min, p, q):
+    """The relative margin of the exact route's candidate filter, in (0, 1].
+
+    A stopping time whose row-path quotient is at least v has a table
+    quotient of at least v * (1 - margin); README "Tolerances" derives it.
+    It is 1, and every row with A > 0 a candidate, where an intermediate of
+    _quotients may leave the normal floats: ``a_min``, the least positive
+    cell A, bounds A from below.
+    """
+    inv_q = 0.0 if math.isinf(q) else 1.0 / q
+    log_j = math.log2(space.n_blocks)
+    # log2 bounds of a positive P(B) or block mass, of A / P(B) > 0, which is
+    # at most 16 as |g - g_n| <= 4 at g's own scale, of the l_q aggregate
+    # phi(B) P(B), of phi(B) and of the quotient
+    lo = math.log2(float(space.prob.min()))
+    hi = math.log2(float(space.cell_masses[0])) + 1e-6
+    a_lo = math.log2(a_min) - hi
+    agg = (lo / p, hi / p + log_j * inv_q)
+    phi = (agg[0] - hi, agg[1] - lo)
+    logs = [*agg, *phi, a_lo, a_lo / 2 - phi[1], 2.5 - phi[0]]
+    if not math.isinf(q):  # the powers I^(q/p), their sum, and their logs times q/p
+        logs += [log_j + hi * q / p, math.log2(q / p) + math.log2(max(-lo, 1.0))]
+    normal = all(abs(x) <= 1000.0 for x in logs)  # 22 bits inside the normal floats
+    gamma = space.size * _ULP / (1.0 - space.size * _ULP)
+    apart = 2.0 * (2.0 * gamma * (1.0 + 1.0 / p) + 8.0 * _ULP
+                   + _CALL * (2.0 + 4.0 * 746.0 / p + 4.0 * (space.n_blocks + 2) * inv_q))
+    return min(1.0, 2.0 * apart + 8.0 * _ULP) if normal else 1.0
+
+
+def _subtree_tables(space, enum, stops):
+    """How the table route sums the rows of ``stops`` that each stopping time
+    stops on, as a list of cells from the root down.
+
+    The table of a cell holds one row of summed ``stops`` per stopping time
+    of its subtree, in its mixed-radix order: row 0 stops the cell now, and
+    the rest is the Minkowski sum of its children's tables, the first child
+    most significant; a last-level cell's row 1 is never, all zeros.  Tables
+    are built bottom-up where one fits in _BLOCK_ELEMS elements.  The cells
+    above them, the top, are decoded as _decode_times does.  Each top cell,
+    and each child of one that has a table, is one entry: the entry of its
+    parent (None at the root), its stride and radix there, and its table
+    with a zero row appended, which a local index of -1 reads, or else its
+    own row of ``stops``.
+    """
+    counts, strides, parents = enum
+    off, width = space.cell_offsets, stops.shape[1]
+    fits = [((c + 1) * width <= _BLOCK_ELEMS).tolist() for c in counts]
+    depth = space.depth
+    kids = [[[] for _ in fits[n]] for n in range(depth)]
+    for n in range(depth):
+        for k, c in enumerate(parents[n].tolist()):
+            kids[n][c].append(k)
+    leaves = np.zeros((len(fits[depth]), 3, width))  # stop now, never, and the zero row
+    leaves[:, 0] = stops[off[depth]:]
+    tables = [[None] * len(f) for f in fits]
+    tables[depth] = list(leaves)
+    for n in range(depth - 1, -1, -1):
+        below = tables[n + 1]
+        for c in np.flatnonzero(fits[n]).tolist():
+            acc = below[kids[n][c][0]][:-1]
+            for k in kids[n][c][1:]:
+                acc = (acc[:, None] + below[k][None, :-1]).reshape(-1, width)
+            table = np.zeros((len(acc) + 2, width))
+            table[0], table[1:-1] = stops[off[n] + c], acc
+            tables[n][c] = table
+            for k in kids[n][c]:
+                below[k] = None  # only the frontier's tables outlive their parent's
+    plan = []
+    todo = [(0, 0, None)]  # (level, cell, entry of its parent)
+    while todo:
+        n, c, parent = todo.pop(0)
+        at = (parent, int(strides[n - 1][c]) if n else 1, int(counts[n][c]))
+        if fits[n][c]:
+            plan.append((*at, tables[n][c], None))
+            continue
+        todo += [(n + 1, k, len(plan)) for k in (kids[n][c] if n < depth else [])]
+        plan.append((*at, None, stops[off[n] + c]))
+    return plan
+
+
+def _table_rows(plan, index, width):
+    """The summed stops of stopping times number ``index``, by _subtree_tables' plan."""
+    local = []
+    rows = np.zeros((len(index), width))
+    for parent, stride, radix, table, stop in plan:
+        if parent is None:
+            at = index
+        else:
+            up = local[parent] - 1
+            at = np.where(up >= 0, up // stride % radix, -1)
+        local.append(at)
+        if table is None:
+            rows[at == 0] += stop
+        else:
+            rows += table.take(at, axis=0)
+    return rows
+
+
 class _Supremum:
     """Running sup of the quotient over scored candidates.
 
@@ -94,19 +211,20 @@ class _Supremum:
         self.examined = 0
 
     def _fold(self, a, pb, masses, times_of):
+        """Fold the rows with a non-empty B; returns how many there are."""
         keep = np.flatnonzero(pb > 0.0)
-        self.examined += keep.size
         if not keep.size:
-            return
+            return 0
         vals = _quotients(a[keep], pb[keep], masses[keep], self.p, self.q)
         top = float(vals.max())
         if top < self.value or (top == self.value and self.times is None):
-            return
+            return keep.size
         tied = times_of(keep[vals == top])
         if top == self.value:
             tied = np.vstack([self.times, tied])
         self.value = top
         self.times = tied[np.lexsort(tied.T[::-1])[0]]
+        return keep.size
 
     def add_stack(self, times):
         """Score an int64 (rows, M) stack of times in blocks of at most
@@ -116,33 +234,72 @@ class _Supremum:
         for start in range(0, len(times), per):
             block = times[start:start + per]
             sums = _row_sums(self.space, self.dev, block)
-            self._fold(*sums, block.__getitem__)
+            self.examined += self._fold(*sums, block.__getitem__)
             a.append(sums[0])
         return np.concatenate(a)
 
     def add_cells(self):
-        """Score every cell first-entry time, all levels in one pass.
-
-        Cell c of level n, numbered cell_offsets[n] + c, stands for the time that
-        stops at n on c and nowhere else; only a tied winner gets its times.
-        """
+        """Score every cell first-entry time, all levels in one pass; only a
+        tied winner gets its times."""
         space = self.space
-        cells = space.cell_labels.ravel()
-        total = len(space.cell_masses)
-        a = _kernels.cell_sums(cells, total, (space.prob * self.dev ** 2).ravel())
-        pb, masses = _masses(space, cells, total, np.tile(space.prob, space.depth + 1))
 
         def times_of(idx):
             n = np.searchsorted(space.cell_offsets, idx, side="right") - 1
             return np.where(space.cell_labels[n] == idx[:, None], n[:, None], INFINITY)
 
-        self._fold(a, pb, masses, times_of)
+        self.examined += self._fold(*_cell_sums(space, self.dev), times_of)
+
+    def _fold_decoded(self, enum, index):
+        """Fold stopping times number ``index`` of ``enum`` through the row path."""
+        times = _decode_times(self.space, enum, index)
+        self._fold(*_row_sums(self.space, self.dev, times), times.__getitem__)
+
+    def add_enumeration(self, enum):
+        """Score every stopping time of ``enum``, the space's _enumeration.
+
+        Each one's A, P(B) and block masses are summed from per-subtree tables
+        of the cells' own sums, in blocks of at most _BLOCK_ELEMS elements,
+        and get an approximate quotient.  A row with A > 0 whose approximate
+        value is not below (1 - _margin) times a lower bound of the supremum
+        (the running maximum: the best value folded, or the best approximate
+        value shrunk by the margin) is a candidate; the candidates are decoded
+        to their times and folded through the row path, so the winner and its
+        value are those of scoring every row there.  A row with A = 0 scores 0
+        on both paths and attains nothing.  Where the times of every row fit
+        in _FEW_ELEMS, every row is a candidate, and no table is built.
+        """
+        space, p, q = self.space, self.p, self.q
+        total = int(enum[0][0][0])
+        self.examined += total - 1  # every stopping time but never has a non-empty B
+        if total * space.size <= _FEW_ELEMS:
+            self._fold_decoded(enum, np.arange(total))
+            return
+        stops = np.column_stack(_cell_sums(space, self.dev))
+        a_min = float(np.min(stops[:, 0], where=stops[:, 0] > 0.0, initial=math.inf))
+        keep = 1.0 - _margin(space, a_min, p, q)
+        plan = _subtree_tables(space, enum, stops)
+        width = stops.shape[1]
+        per = max(1, _BLOCK_ELEMS // width)
+        best, held, held_vals = 0.0, np.zeros(0, dtype=np.int64), np.zeros(0)
+        for start in range(0, total, per):
+            index = np.arange(start, min(start + per, total))
+            rows = _table_rows(plan, index, width)
+            vals = _quotients(rows[:, 0], rows[:, 1], rows[:, 2:], p, q)
+            best = max(best, float(np.max(vals, where=np.isfinite(vals), initial=0.0)))
+            floor = max(self.value, best * keep) * keep
+            # not below the floor: NaN and inf are candidates too
+            new = np.flatnonzero((rows[:, 0] > 0.0) & ~(vals < floor))
+            kept = ~(held_vals < floor)
+            held = np.concatenate([held[kept], index[new]])
+            held_vals = np.concatenate([held_vals[kept], vals[new]])
+            if len(held) and (start + per >= total or len(held) * space.size >= _BLOCK_ELEMS):
+                self._fold_decoded(enum, held)
+                held, held_vals = held[:0], held_vals[:0]
 
     def winner(self):
         if self.times is None:
             return None
         return StoppingTime(self.space, self.times, validate=False)
-
 
 def _ladder_rows(space, gm):
     """Distinct ladder-rung times that are no cell first-entry time, stacked.
@@ -222,12 +379,12 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=ENUMERATION_
     actual = "heuristic-family"
     if mode == "exact":
         try:
-            # the count is checked before the first block is yielded
-            for block in stopping_time_blocks(space, cap):
-                sup.add_stack(block)
-            actual = "exact-enumeration"
+            enum = _enumeration(space, cap)
         except EnumerationOverflow:
             pass
+        else:
+            sup.add_enumeration(enum)
+            actual = "exact-enumeration"
     extra = np.array([nu.times for nu in extra_candidates], dtype=np.int64).reshape(-1, space.size)
     stack = extra
     if actual == "heuristic-family":

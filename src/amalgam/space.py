@@ -82,10 +82,10 @@ def times_pow2(x, e):
         return np.ldexp(x, e)
 
 
-#: elements (rows x outcomes) in one block of stacked stopping times.  It
-#: bounds the memory of every route that scores stacked times, the exact
-#: enumeration included; at 2^13 the exact route peaks below a
-#: materialised enumeration.
+#: elements in one block of stacked stopping times (rows x outcomes), and in
+#: one table of the exact route (rows x (J + 2) sums).  It bounds the memory
+#: of every route: a cell gets a table of its subtree's stopping times only
+#: where one fits, and the levels above are decoded in blocks of rows.
 _BLOCK_ELEMS = 1 << 13
 #: default cap on the stopping-time count of an exact enumeration
 ENUMERATION_CAP = 10**6
@@ -447,37 +447,51 @@ def count_stopping_times(space: FilteredSpace) -> int:
     return _radices(space)[0][0][0]
 
 
-def stopping_time_blocks(space: FilteredSpace, cap=ENUMERATION_CAP):
-    """Yield every distinct stopping time as rows of int64 (rows, M) blocks.
-
-    A block holds at most max(1, _BLOCK_ELEMS // M) rows.  The count is
-    checked before the first block is yielded; over ``cap`` it raises
-    EnumerationOverflow and callers fall back to a heuristic family.
-
-    Row r is a mixed-radix decode of r down the partition tree.  A cell's
-    local index 0 stops the whole cell now; at level N, index 1 is never;
-    otherwise index - 1 splits over the children, the first child most
-    significant, with radices the children's stopping-time counts.
-    """
+def _enumeration(space: FilteredSpace, cap=ENUMERATION_CAP):
+    """The _radices counts and strides as int64 arrays, and the parents,
+    once the stopping-time count is checked against ``cap``: over it,
+    EnumerationOverflow, and callers fall back to a heuristic family."""
     if cap <= 0:
         raise ValueError("cap must be positive")
     counts, strides, parents = _radices(space)
-    total = counts[0][0]
-    if total > cap:
-        raise EnumerationOverflow(total, cap)
-    # every count and stride is at most total <= cap, so int64 holds them
-    radix = [np.array(c, dtype=np.int64) for c in counts[1:]]
-    strides = [np.array(s, dtype=np.int64) for s in strides]
+    if counts[0][0] > cap:
+        raise EnumerationOverflow(counts[0][0], cap)
+    # every count and stride is at most the count <= cap, so int64 holds them
+    return ([np.array(c, dtype=np.int64) for c in counts],
+            [np.array(s, dtype=np.int64) for s in strides], parents)
+
+
+def _decode_times(space: FilteredSpace, enum, index):
+    """The int64 (len(index), M) times of stopping times number ``index``,
+    in any order and with repeats, given _enumeration(space).
+
+    Stopping time r is a mixed-radix decode of r down the partition tree.  A
+    cell's local index 0 stops the whole cell now; at level N, index 1 is
+    never; otherwise index - 1 splits over the children, the first child most
+    significant, with radices the children's stopping-time counts.
+    """
+    counts, strides, parents = enum
+    local = index[:, None]
+    stop = np.where(local == 0, 0, INFINITY)
+    for n, parent in enumerate(parents):
+        # -1 below a cell that stopped now or earlier; such cells inherit its time
+        up = local[:, parent] - 1
+        local = np.where(up >= 0, up // strides[n] % counts[n + 1], -1)
+        stop = np.where(local == 0, n + 1, stop[:, parent])
+    return stop[:, space.level_labels[space.depth]]
+
+
+def stopping_time_blocks(space: FilteredSpace, cap=ENUMERATION_CAP):
+    """Yield every distinct stopping time, in order, as rows of int64
+    (rows, M) blocks of at most max(1, _BLOCK_ELEMS // M) rows.
+
+    The count is checked before the first block is yielded, by _enumeration().
+    """
+    enum = _enumeration(space, cap)
+    total = int(enum[0][0][0])
     per = max(1, _BLOCK_ELEMS // space.size)
     for start in range(0, total, per):
-        local = np.arange(start, min(start + per, total), dtype=np.int64)[:, None]
-        stop = np.where(local == 0, 0, INFINITY)
-        for n, parent in enumerate(parents):
-            # -1 below a cell that stopped now or earlier; such cells inherit its time
-            up = local[:, parent] - 1
-            local = np.where(up >= 0, up // strides[n] % radix[n], -1)
-            stop = np.where(local == 0, n + 1, stop[:, parent])
-        yield stop[:, space.level_labels[space.depth]]
+        yield _decode_times(space, enum, np.arange(start, min(start + per, total)))
 
 
 def enumerate_stopping_times(space: FilteredSpace, cap=ENUMERATION_CAP):

@@ -1,5 +1,7 @@
 import inspect
 import math
+import tracemalloc
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -350,7 +352,10 @@ def test_a_g_measurable_at_level_1_scores_its_l2_norm_over_the_indicator_norm(sp
     p, q = data.draw(st.sampled_from([(1.0, 1.0), (0.5, 0.5), (0.05, 0.05), (0.01, 0.01),
                                       (0.002, 0.002), (0.002, 0.01), (0.01, 1.0), (0.05, 0.5),
                                       (0.5, 1.0), (0.01, math.inf)]))
-    small, e = scaled(g)  # ||g||_2 at g's own power of two: a tiny g's square underflows
+    small, e = scaled(g)  # ||g||_2 at g's own power of two: a tiny g's square underflows,
+    # and g * 2^-e has a mean where a subnormal one rounded to 0: g = (0, 5e-324)
+    # on masses (1/2, 1/2) has 1/2, and A = 1/4 scales back to 0, not to 5e-324
+    small = small - float(space.prob @ small)
     want = math.ldexp(math.sqrt(float(space.prob @ small ** 2)), e) / lpq_norm(
         space, np.ones(space.size), p, q)
     for mode in ("exact", "heuristic"):
@@ -640,20 +645,31 @@ def _quotient_by_definition(space, g, nu, p, q):
     return math.ldexp(math.sqrt(a / pb) / (norm / pb), e)
 
 
-def _per_candidate_sup(space, g, candidates, p, q):
-    """One oscillation call per candidate, folded as the scorer documents."""
-    best, best_nu, examined = 0.0, None, 0
+def _per_candidate_sup(space, g, candidates, p, q, definition=True):
+    """One oscillation call per candidate, folded as the scorer documents, on
+    g * 2^-e: the scorer's own values, before it scales its winner back by
+    2^e, so two values that meet only beyond the float range stay apart.
+
+    Returns the value scaled back, the winner, the count examined and each
+    candidate's sqrt(A) scaled back.  With ``definition``, each value is
+    checked against _quotient_by_definition.
+    """
+    small, e = scaled(g)
+    dev, _ = duality._deviations(space, small)
+    best, best_nu, examined, l2 = 0.0, None, 0, []
     for nu in candidates:
-        val = oscillation(space, g, nu, p, q)
+        l2.append(times_pow2(math.sqrt(duality._row_sums(space, dev, nu.times[None])[0][0]), e))
+        val = oscillation(space, small, nu, p, q)
         if val is None:
             continue
         examined += 1
-        assert val == pytest.approx(_quotient_by_definition(space, g, nu, p, q),
-                                    rel=1e-12, abs=0)
+        if definition:
+            assert times_pow2(val, e) == pytest.approx(
+                _quotient_by_definition(space, g, nu, p, q), rel=1e-12, abs=0)
         if val > best or (best_nu is not None and val == best
                           and tuple(nu.times) < tuple(best_nu.times)):
             best, best_nu = val, nu
-    return best, best_nu, examined
+    return float(times_pow2(best, e)), best_nu, examined, np.array(l2)
 
 
 _positive = st.floats(0.1, 3.0)
@@ -662,26 +678,61 @@ _tiny = st.floats(0.03, 0.0999)
 
 @st.composite
 def campanato_cases(draw):
-    """A tree of at most 12 outcomes and 1-3 blocks, a zero-mean g, and (p, q)
-    from one of the three aggregation branches: q = inf, min(p, q) below the
-    log-space cutoff, and the direct power chain."""
+    """A tree of at most 12 outcomes and 1-3 blocks, a zero-mean g, (p, q), and
+    whether the by-definition oracle takes part.
+
+    g is a drawn terminal, one constant on the level-1 cells, whose stopping
+    times tie, one in {-1, 0, 1}, or 0; the first three are times 1, 2^600
+    or 2^-600.  (p, q) is from one of the three aggregation branches (q = inf,
+    min(p, q) below the log-space cutoff, and the direct power chain), where
+    the by-definition oracle takes part, or p is 0.002, 0.05 or 2 with q
+    below p or inf, where phi(B) and the quotients leave the float range.
+    """
     space = draw(small_trees(max_outcomes=12, random_weights=True, max_blocks=3))
-    g = centred(space, np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=space.size,
-                                              max_size=space.size))))
-    branch = draw(st.sampled_from(["inf", "log", "direct"]))
+    kind = draw(st.sampled_from(["drawn", "level-1", "ternary", "zero"]))
+    if kind == "level-1":
+        level = space.level_labels[min(1, space.depth)]
+        cells = draw(st.lists(st.floats(-10.0, 10.0), min_size=int(level.max()) + 1,
+                              max_size=int(level.max()) + 1))
+        x = np.array(cells)[level]
+    else:
+        x = np.array(draw(st.lists(
+            st.floats(-10.0, 10.0) if kind == "drawn" else st.sampled_from([-1.0, 0.0, 1.0]),
+            min_size=space.size, max_size=space.size)))
+    g = centred(space, x * (kind != "zero")) * 2.0 ** draw(st.sampled_from([0, 600, -600]))
+    assume(kind == "zero" or np.any(g))
+    branch = draw(st.sampled_from(["inf", "log", "direct", "far"]))
     if branch == "inf":
         p, q = draw(_positive), math.inf
     elif branch == "log":
         p, q = draw(st.sampled_from([(_tiny, _positive), (_positive, _tiny), (_tiny, _tiny)]))
         p, q = draw(p), draw(q)
-    else:
+    elif branch == "direct":
         p, q = draw(_positive), draw(_positive)
-    return space, g, p, q
+    else:
+        p = draw(st.sampled_from([0.002, 0.05, 2.0]))
+        q = draw(st.sampled_from([p / 2, p / 10, math.inf]))
+    return space, g, p, q, branch != "far"
+
+
+def _same_result(got, value, nu, examined):
+    assert (got.norm_value, got.candidates_examined) == (value, examined)
+    if nu is None:
+        assert got.attaining_nu is None
+    else:
+        assert got.attaining_nu.times.tolist() == nu.times.tolist()
+
+
+#: the exact route's (_FEW_ELEMS, _BLOCK_ELEMS): as shipped, which folds every
+#: row of most trees here; by tables; and in blocks of 64 elements, where only
+#: the smallest subtrees get a table and the rest are decoded
+EXACT_ROUTES = ((duality._FEW_ELEMS, duality._BLOCK_ELEMS), (0, duality._BLOCK_ELEMS), (0, 64))
 
 
 @given(campanato_cases())
 def test_batched_campanato_matches_per_candidate_oracle(case):
-    space, g, p, q = case
+    # the exact route equals the oracle bit for bit on every one of EXACT_ROUTES
+    space, g, p, q, definition = case
     gm = from_terminal(space, g)
     extras = [t.nu for t in decompose(gm, 0.5, 1.0).triples]
     extras += extras[:1]  # extra candidates are scored as given, repeats too
@@ -692,17 +743,107 @@ def test_batched_campanato_matches_per_candidate_oracle(case):
         family = (list(enumerate_stopping_times(space)) if enumerate_all
                   else _per_cell_family(space, gm))
         for extra in ([], extras):
-            got = campanato_norm(space, g, p, q, mode=mode, cap=ORACLE_CAP,
-                                 extra_candidates=extra)
-            best, best_nu, examined = _per_candidate_sup(space, g, family + extra, p, q)
-            assert got.mode == ("exact-enumeration" if enumerate_all else "heuristic-family")
-            assert got.candidates_examined == examined
-            assert got.norm_value == pytest.approx(best, rel=1e-12)
-            if best_nu is None:
-                assert got.attaining_nu is None
-            else:
-                assert got.attaining_nu.times.tolist() == best_nu.times.tolist()
+            best, best_nu, examined, l2 = _per_candidate_sup(space, g, family + extra, p, q,
+                                                             definition)
+            for few, block in EXACT_ROUTES[:3 if enumerate_all else 1]:
+                with mock.patch.multiple(duality, _FEW_ELEMS=few, _BLOCK_ELEMS=block):
+                    got = campanato_norm(space, g, p, q, mode=mode, cap=ORACLE_CAP,
+                                         extra_candidates=extra)
+                assert got.mode == ("exact-enumeration" if enumerate_all else "heuristic-family")
+                if enumerate_all:
+                    _same_result(got, best, best_nu, examined)
+                    assert got.extra_l2.tobytes() == l2[len(family):].tobytes()
+                else:
+                    assert got.norm_value == pytest.approx(best, rel=1e-12)
+                    _same_result(got, got.norm_value, best_nu, examined)
             values[mode, len(extra)] = got.norm_value
     if exact:  # the heuristic value is a lower bound, bit for bit
         assert values["heuristic", 0] <= values["exact", 0]
         assert values["heuristic", len(extras)] <= values["exact", len(extras)]
+
+
+def _one_outcome_and_depth_0_spaces():
+    names = ["a", "b", "c"]
+    return (FilteredSpace(["o"], [1.0], [[["o"]]] * 4, [["o"]]),
+            FilteredSpace(names, [0.25, 0.25, 0.5], [[names]], [["a", "c"], ["b"]]))
+
+
+@pytest.mark.parametrize("few, block", EXACT_ROUTES)
+def test_the_exact_route_scores_a_one_outcome_and_a_depth_0_space(few, block):
+    # 5 times on a chain of one outcome, where g = 0 attains nothing, and 2 on depth 0
+    one, flat = _one_outcome_and_depth_0_spaces()
+    with mock.patch.multiple(duality, _FEW_ELEMS=few, _BLOCK_ELEMS=block):
+        for space, g, count in ((one, [0.0], 5), (flat, [1.0, -3.0, 1.0], 2)):
+            assert count_stopping_times(space) == count
+            got = campanato_norm(space, g, 0.5, 1.0, mode="exact")
+            want = _per_candidate_sup(space, np.array(g), list(enumerate_stopping_times(space)),
+                                      0.5, 1.0)
+            assert got.mode == "exact-enumeration"
+            _same_result(got, *want[:3])
+    assert got.attaining_nu.times.tolist() == [0, 0, 0] and got.candidates_examined == 1
+
+
+def test_the_cap_decides_the_route_at_the_count():
+    (space, f), = generate(CorpusSpec(generator="random-tree", depth=3, max_branching=3, seed=4))
+    count = count_stopping_times(space)
+    assert campanato_norm(space, f.terminal, 0.5, 1.0, cap=count).mode == "exact-enumeration"
+    assert campanato_norm(space, f.terminal, 0.5, 1.0, cap=count - 1).mode == "heuristic-family"
+    with pytest.raises(ValueError, match="^cap must be positive$"):
+        campanato_norm(space, f.terminal, 0.5, 1.0, mode="exact", cap=0)
+
+
+@pytest.mark.parametrize("policy, blocks", [("single", 1), ("random-partition", 4)])
+def test_the_exact_route_streams_the_16_outcome_dyadic_tree(policy, blocks):
+    # 458,330 stopping times, whose tables would take megabytes, in blocks of
+    # _BLOCK_ELEMS elements: the traced peak stays under 2 MiB
+    (space, f), = generate(CorpusSpec(generator="dyadic", depth=4, seed=0, block_policy=policy,
+                                      block_param=blocks))
+    assert space.n_blocks == blocks and count_stopping_times(space) == 458330
+    tracemalloc.start()
+    try:
+        got = campanato_norm(space, f.terminal, 0.5, 1.0, mode="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.mode == "exact-enumeration" and got.candidates_examined == 458329
+    assert peak < 2 * 2 ** 20
+
+
+@settings(max_examples=100)
+@given(campanato_cases())
+def test_a_margin_widened_a_millionfold_changes_no_output_bit(case):
+    # the margin only picks the rows the row path rescores
+    space, g, p, q, _ = case
+    assume(count_stopping_times(space) <= ORACLE_CAP)
+    margin = duality._margin
+    results = []
+    with mock.patch.multiple(duality, _FEW_ELEMS=0, _BLOCK_ELEMS=64):
+        for widen in (1.0, 1e6):
+            with mock.patch.object(duality, "_margin",
+                                   lambda *args: min(1.0, widen * margin(*args))):
+                got = campanato_norm(space, g, p, q, mode="exact", cap=ORACLE_CAP)
+            results.append((np.float64(got.norm_value).tobytes(), got.candidates_examined,
+                            None if got.attaining_nu is None else got.attaining_nu.times.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_the_margin_keeps_a_mirror_tie_that_the_tables_sum_apart():
+    # the winner stops at 2 on {o0, o1, o2} and {o5, o6, o7}, and ties with its
+    # right half, which stops on {o5, o6, o7} alone; the tables round their
+    # sums apart, so with no margin the right half came back as the winner
+    names = [f"o{i}" for i in range(8)]
+    space = FilteredSpace(
+        names, [0.057539176518991327, 0.10038763162165736, 0.12583908163784444,
+                0.21623411022150685, 0.21623411022150685, 0.12583908163784444,
+                0.10038763162165736, 0.057539176518991327],
+        [[names], [names[:4], names[4:]], [names[:3], ["o3"], ["o4"], names[5:]],
+         [[o] for o in names]], [names])
+    g = np.array([2.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -2.0])
+    winner = [2, 2, 2, INFINITY, INFINITY, 2, 2, 2]
+    assert count_stopping_times(space) * space.size > duality._FEW_ELEMS  # by tables
+    got = campanato_norm(space, g, 1.0, 1.0, mode="exact")
+    _same_result(got, *_per_candidate_sup(space, g, list(enumerate_stopping_times(space)),
+                                          1.0, 1.0)[:3])
+    assert got.attaining_nu.times.tolist() == winner
+    with mock.patch.object(duality, "_margin", lambda *args: 0.0):
+        assert campanato_norm(space, g, 1.0, 1.0, mode="exact").attaining_nu.times.tolist() != winner

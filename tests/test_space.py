@@ -24,6 +24,8 @@ from amalgam.space import (
     SLACK,
     TOL,
     _constant_on_cells,
+    _decode_times,
+    _enumeration,
     at_most,
     condition_rows,
     ess_sup_rows,
@@ -444,8 +446,8 @@ def test_count_and_enumeration_match_validated_brute_force(space):
 DECODER_ROWS = 3000
 
 
-@given(small_trees(max_outcomes=16))
-def test_decoded_blocks_are_every_stopping_time_once(space):
+@given(small_trees(max_outcomes=16), st.randoms(use_true_random=False))
+def test_decoded_blocks_are_every_stopping_time_once(space, rnd):
     count = count_stopping_times(space)
     under_cap = stopping_time_blocks(space, cap=count - 1)
     with pytest.raises(EnumerationOverflow):
@@ -459,6 +461,11 @@ def test_decoded_blocks_are_every_stopping_time_once(space):
     assert len(np.unique(rows, axis=0)) == count
     for times in rows:
         StoppingTime(space, times)  # validates level sets
+    # the exact route decodes its candidates by number: any order, with repeats
+    index = np.array([rnd.randrange(count) for _ in range(rnd.randrange(1, 2 * count + 1))])
+    enum = _enumeration(space, count)
+    assert np.array_equal(_decode_times(space, enum, index), rows[index])
+    assert _decode_times(space, enum, index[:0]).shape == (0, space.size)
 
 
 def test_enumerate_depth1_count_is_five():
