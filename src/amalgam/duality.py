@@ -250,9 +250,12 @@ class _Supremum:
         self.examined += self._fold(*_cell_sums(space, self.dev), times_of)
 
     def _fold_decoded(self, enum, index):
-        """Fold stopping times number ``index`` of ``enum`` through the row path."""
-        times = _decode_times(self.space, enum, index)
-        self._fold(*_row_sums(self.space, self.dev, times), times.__getitem__)
+        """Fold stopping times number ``index`` of ``enum`` through the row path,
+        decoded in blocks of at most _BLOCK_ELEMS elements."""
+        per = max(1, _BLOCK_ELEMS // self.space.size)
+        for start in range(0, len(index), per):
+            times = _decode_times(self.space, enum, index[start:start + per])
+            self._fold(*_row_sums(self.space, self.dev, times), times.__getitem__)
 
     def add_enumeration(self, enum):
         """Score every stopping time of ``enum``, the space's _enumeration.
@@ -300,6 +303,7 @@ class _Supremum:
         if self.times is None:
             return None
         return StoppingTime(self.space, self.times, validate=False)
+
 
 def _ladder_rows(space, gm):
     """Distinct ladder-rung times that are no cell first-entry time, stacked.

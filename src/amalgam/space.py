@@ -85,7 +85,8 @@ def times_pow2(x, e):
 #: elements in one block of stacked stopping times (rows x outcomes), and in
 #: one table of the exact route (rows x (J + 2) sums).  It bounds the memory
 #: of every route: a cell gets a table of its subtree's stopping times only
-#: where one fits, and the levels above are decoded in blocks of rows.
+#: where one fits, the levels above are decoded in blocks of rows, and the
+#: rows rescored from the tables are decoded in blocks of this many elements.
 _BLOCK_ELEMS = 1 << 13
 #: default cap on the stopping-time count of an exact enumeration
 ENUMERATION_CAP = 10**6

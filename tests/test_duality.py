@@ -618,14 +618,13 @@ def _per_cell_family(space, gm):
             if not (nu.times.tobytes() in seen or seen.add(nu.times.tobytes()))]
 
 
-def _quotient_by_definition(space, g, nu, p, q):
-    # A = E[(g - g_nu)^2 1_B] in exact rationals, with g_nu = E_nu[g] by its
-    # definition; the quotient is homogeneous in g, so A is taken of g * 2^-e,
-    # and the value scaled back by 2^e, so tiny and huge g neither underflow
-    # nor overflow
+def _a_by_definition(space, g, nu):
+    # (A, e): A = E[(g - g_nu)^2 1_B] of g * 2^-e in exact rationals, rounded
+    # once, with g_nu = E_nu[g] by its definition; the quotient is homogeneous
+    # in g, so a value taken of g * 2^-e is scaled back by 2^e, and tiny and
+    # huge g neither underflow nor overflow
     e = binary_exponent(float(np.max(np.abs(g))))
     on = nu.support
-    pb = float(space.prob[on].sum())
     prob = [Fraction(x) for x in space.prob.tolist()]
     small = [Fraction(x) for x in np.ldexp(g, -e).tolist()]
     a = Fraction(0)
@@ -634,7 +633,13 @@ def _quotient_by_definition(space, g, nu, p, q):
         members = np.flatnonzero(cell == cell[i]).tolist()
         mean = sum(prob[j] * small[j] for j in members) / sum(prob[j] for j in members)
         a += prob[i] * (small[i] - mean) ** 2
-    a = float(a)
+    return float(a), e
+
+
+def _quotient_by_definition(space, g, nu, p, q):
+    a, e = _a_by_definition(space, g, nu)
+    on = nu.support
+    pb = float(space.prob[on].sum())
     masses = [float(space.prob[on & (space.block_labels == j)].sum())
               for j in range(space.n_blocks)]
     masses = [m for m in masses if m > 0.0]
@@ -652,7 +657,10 @@ def _per_candidate_sup(space, g, candidates, p, q, definition=True):
 
     Returns the value scaled back, the winner, the count examined and each
     candidate's sqrt(A) scaled back.  With ``definition``, each value is
-    checked against _quotient_by_definition.
+    checked against _quotient_by_definition.  The sqrt(A) are the row path's
+    for one candidate, so comparing them is a regression check that the
+    exact route scores its extras there, bit for bit, and no oracle:
+    _check_extra_l2_by_definition is one.
     """
     small, e = scaled(g)
     dev, _ = duality._deviations(space, small)
@@ -715,6 +723,14 @@ def campanato_cases(draw):
     return space, g, p, q, branch != "far"
 
 
+def _check_extra_l2_by_definition(space, g, extra, got):
+    # each sqrt(A) within 1e-12 of its exact value, or one subnormal step of it
+    assert len(got.extra_l2) == len(extra)
+    for nu, l2 in zip(extra, got.extra_l2.tolist()):
+        a, e = _a_by_definition(space, g, nu)
+        assert l2 == pytest.approx(math.ldexp(math.sqrt(a), e), rel=1e-12, abs=2.0 ** -1074)
+
+
 def _same_result(got, value, nu, examined):
     assert (got.norm_value, got.candidates_examined) == (value, examined)
     if nu is None:
@@ -753,6 +769,7 @@ def test_batched_campanato_matches_per_candidate_oracle(case):
                 if enumerate_all:
                     _same_result(got, best, best_nu, examined)
                     assert got.extra_l2.tobytes() == l2[len(family):].tobytes()
+                    _check_extra_l2_by_definition(space, g, extra, got)
                 else:
                     assert got.norm_value == pytest.approx(best, rel=1e-12)
                     _same_result(got, got.norm_value, best_nu, examined)
@@ -792,16 +809,18 @@ def test_the_cap_decides_the_route_at_the_count():
         campanato_norm(space, f.terminal, 0.5, 1.0, mode="exact", cap=0)
 
 
+@pytest.mark.parametrize("p, q", [(0.5, 1.0), (0.002, 0.002)])
 @pytest.mark.parametrize("policy, blocks", [("single", 1), ("random-partition", 4)])
-def test_the_exact_route_streams_the_16_outcome_dyadic_tree(policy, blocks):
+def test_the_exact_route_streams_the_16_outcome_dyadic_tree(policy, blocks, p, q):
     # 458,330 stopping times, whose tables would take megabytes, in blocks of
-    # _BLOCK_ELEMS elements: the traced peak stays under 2 MiB
+    # _BLOCK_ELEMS elements: the traced peak stays under 2 MiB, also at
+    # p = q = 0.002, where the margin is 1 and most rows are rescored
     (space, f), = generate(CorpusSpec(generator="dyadic", depth=4, seed=0, block_policy=policy,
                                       block_param=blocks))
     assert space.n_blocks == blocks and count_stopping_times(space) == 458330
     tracemalloc.start()
     try:
-        got = campanato_norm(space, f.terminal, 0.5, 1.0, mode="exact")
+        got = campanato_norm(space, f.terminal, p, q, mode="exact")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
