@@ -128,7 +128,8 @@ def lq_aggregate(integrals, p, q, logs=None) -> np.ndarray:
 
 def _row_totals(x):
     """Row sums in column order, so equal rows sum to equal bits in any stack:
-    one add per column, the order of cumsum, which runs row by row."""
+    one add per column, cumsum's order, where cumsum itself walks row by row
+    and is ten times slower on tall stacks."""
     total = x[:, 0].copy()
     for column in x.T[1:]:
         total += column
