@@ -56,186 +56,196 @@ class CampanatoResult:
 # The Campanato quotient of a stopping time nu with B = {nu < inf} is
 # sqrt(A / P(B)) / phi(B), with A = E[(g - g_nu)^2 1_B] and phi(B) the l_q
 # aggregate of the block masses P(B & block j) over P(B).  A candidate is
-# scored from those three sums only.  Each is a cell_sums over a label array
-# in outcome order, so a stopping time gets the same bits as a stacked row
-# as it does as a cell first-entry time.
+# scored from those sums only, one row of J + 2 columns: A, P(B) and the
+# block masses.
 
-def _row_sums(space, dev, times):
-    """A, P(B) and the block masses of each row of a (rows, M) times stack.
-
-    g - g_nu is one gather of the deviation rows ``dev`` at min(times, N).
-    """
-    k, m = times.shape
-    on = times != INFINITY
-    rows = np.repeat(np.arange(k), m)
-    a = _kernels.cell_sums(rows, k, (space.prob * stopped(dev, times) ** 2 * on).ravel())
-    return (a, *_masses(space, rows, k, (space.prob * on).ravel()))
-
-
-def _quotients(a, pb, masses, p, q):
-    """sqrt(A / P(B)) / phi(B) per row: 0 where A = 0, whatever phi(B) is, as where
-    phi(B) underflows to 0, and inf where the quotient is beyond the float range."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = np.sqrt(a / pb) / (lq_aggregate(masses, p, q) / pb)
-    return np.where(a == 0.0, 0.0, vals)
+#: the most last-level cells of a space whose stopping times are summed up the
+#: partition tree.  Each of L last-level cells stops at N or never on its own,
+#: so a space has at least 2^L stopping times, and one with more cells is
+#: never enumerated under the default cap.
+_TREE_CELLS = ENUMERATION_CAP.bit_length()
 
 
 def _cell_sums(space, dev):
-    """A, P(B) and the block masses of every cell first-entry time, all levels
-    in one pass: the time that stops at n on level-n cell c, and nowhere
-    else, is row cell_offsets[n] + c."""
+    """The (cells, J + 2) sums of every cell first-entry time, all levels in
+    one pass: the time that stops at n on level-n cell c, and nowhere else,
+    is row cell_offsets[n] + c.  A cell adds its members in outcome order."""
     cells = space.cell_labels.ravel()
     total = len(space.cell_masses)
     a = _kernels.cell_sums(cells, total, (space.prob * dev ** 2).ravel())
-    return (a, *_masses(space, cells, total, np.tile(space.prob, space.depth + 1)))
+    return np.column_stack((a, *_masses(space, cells, total,
+                                        np.tile(space.prob, space.depth + 1))))
 
 
-#: elements (rows x outcomes) of the largest enumeration whose every row the
-#: exact route folds through the row path: below about this many, building
-#: the tables costs more than it saves
-_FEW_ELEMS = _BLOCK_ELEMS // 2
-#: relative error of one rounded float operation, and a bound on that of one
-#: exp, log or power call: 32 ulps, with room above numpy's and the C library's
-_ULP, _CALL = 2.0 ** -53, 2.0 ** -48
+def _row_sums(space, dev, times, cells=None):
+    """The (rows, J + 2) sums of each row of a (rows, M) times stack.
 
-
-def _margin(space, a_min, p, q):
-    """The relative margin of the exact route's candidate filter, in (0, 1].
-
-    A stopping time whose row-path quotient is at least v has a table
-    quotient of at least v * (1 - margin); README "Tolerances" derives it.
-    It is 1, and every row with A > 0 a candidate, where an intermediate of
-    _quotients may leave the normal floats: ``a_min``, the least positive
-    cell A, bounds A from below.
+    On a space with at most _TREE_CELLS last-level cells, a row's sums are
+    added up the partition tree from ``cells``, the _cell_sums of ``dev``
+    (taken here when not given): a cell the row stops on gives its own sums,
+    and any other cell the sum of its children's, the first child first, as
+    the exact route's tables add them.  So a stopping time gets the same bits
+    there, as a cell first-entry time, and in any stack; the fold runs over
+    the plan of _subtree_tables with no enumeration.  On a larger space, whose
+    stopping times no enumeration reaches, g - g_nu is one gather of the
+    deviation rows ``dev`` at min(times, N), and each sum is added per outcome.
     """
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
-    log_j = math.log2(space.n_blocks)
-    # log2 bounds of a positive P(B) or block mass, of A / P(B) > 0, which is
-    # at most 16 as |g - g_n| <= 4 at g's own scale, of the l_q aggregate
-    # phi(B) P(B), of phi(B) and of the quotient
-    lo = math.log2(float(space.prob.min()))
-    hi = math.log2(float(space.cell_masses[0])) + 1e-6
-    a_lo = math.log2(a_min) - hi
-    agg = (lo / p, hi / p + log_j * inv_q)
-    phi = (agg[0] - hi, agg[1] - lo)
-    logs = [*agg, *phi, a_lo, a_lo / 2 - phi[1], 2.5 - phi[0]]
-    if not math.isinf(q):  # the powers I^(q/p), their sum, and their logs times q/p
-        logs += [log_j + hi * q / p, math.log2(q / p) + math.log2(max(-lo, 1.0))]
-    normal = all(abs(x) <= 1000.0 for x in logs)  # 22 bits inside the normal floats
-    gamma = space.size * _ULP / (1.0 - space.size * _ULP)
-    apart = 2.0 * (2.0 * gamma * (1.0 + 1.0 / p) + 8.0 * _ULP
-                   + _CALL * (2.0 + 4.0 * 746.0 / p + 4.0 * (space.n_blocks + 2) * inv_q))
-    return min(1.0, 2.0 * apart + 8.0 * _ULP) if normal else 1.0
+    if space.level_sizes[-1] > _TREE_CELLS:
+        k, m = times.shape
+        on = times != INFINITY
+        rows = np.repeat(np.arange(k), m)
+        a = _kernels.cell_sums(rows, k, (space.prob * stopped(dev, times) ** 2 * on).ravel())
+        return np.column_stack((a, *_masses(space, rows, k, (space.prob * on).ravel())))
+    if cells is None:
+        cells = _cell_sums(space, dev)
+    plan = _subtree_tables(space, cells)
+    n, m, last = np.array([(n, np.argmax(space.level_labels[n] == c), len(table) - 1)
+                           for _, n, c, table, _ in plan]).T
+    # an entry's local index is the level its first cell's members stop at, less its own
+    return _plan_sums(plan, list(np.clip(times[:, m] - n, -1, last).T))
 
 
-def _subtree_tables(space, enum, stops):
-    """How the table route sums the rows of ``stops`` that each stopping time
-    stops on, as a list of cells from the root down.
+def _quotients(sums, p, q):
+    """sqrt(A / P(B)) / phi(B) per row of (rows, J + 2) sums: 0 where A = 0,
+    whatever phi(B) is, as where B is empty or phi(B) underflows to 0, and inf
+    where the quotient is beyond the float range."""
+    a, pb = sums[:, 0], sums[:, 1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = np.sqrt(a / pb) / (lq_aggregate(sums[:, 2:], p, q) / pb)
+    return np.where(a == 0.0, 0.0, vals)
 
-    The table of a cell holds one row of summed ``stops`` per stopping time
+
+def _subtree_tables(space, cells, enum=None):
+    """How the ``cells`` rows that each stopping time stops on are summed, as
+    a plan for _plan_sums.
+
+    The table of a cell holds one row of summed ``cells`` per stopping time
     of its subtree, in its mixed-radix order: row 0 stops the cell now, and
     the rest is the Minkowski sum of its children's tables, the first child
-    most significant; a last-level cell's row 1 is never, all zeros.  Tables
-    are built bottom-up where one fits in _BLOCK_ELEMS elements.  The cells
-    above them, the top, are decoded as _decode_times does.  Each top cell,
-    and each child of one that has a table, is one entry: the entry of its
-    parent (None at the root), its stride and radix there, and its table
-    with a zero row appended, which a local index of -1 reads, or else its
-    own row of ``stops``.
+    most significant and added first; a last-level cell's row 1 is never, all
+    zeros.  Given ``enum``, the space's _enumeration, tables are built
+    bottom-up where one fits in _BLOCK_ELEMS elements; without, for the row
+    path, only on the last level.  The cells above the tables, the top, are
+    decoded as _decode_times does.  The plan lists entries from the root
+    down, parents first: a run of top cells, each the only child of the one
+    before, is one entry, and so is each child of a top cell that has a
+    table.  An entry is its parent's position (-1 at the root), the level and
+    index of its first cell, its table, with a zero row appended that a local
+    index of -1 reads, and its children's positions.  A run's table is its
+    cells' own rows: local index i < k stops a run of k cells on its cell i.
     """
-    counts, strides, parents = enum
-    off, width = space.cell_offsets, stops.shape[1]
-    fits = [((c + 1) * width <= _BLOCK_ELEMS).tolist() for c in counts]
-    depth = space.depth
-    kids = [[[] for _ in fits[n]] for n in range(depth)]
-    for n in range(depth):
-        for k, c in enumerate(parents[n].tolist()):
-            kids[n][c].append(k)
-    leaves = np.zeros((len(fits[depth]), 3, width))  # stop now, never, and the zero row
-    leaves[:, 0] = stops[off[depth]:]
-    tables = [[None] * len(f) for f in fits]
-    tables[depth] = list(leaves)
-    for n in range(depth - 1, -1, -1):
-        below = tables[n + 1]
-        for c in np.flatnonzero(fits[n]).tolist():
-            acc = below[kids[n][c][0]][:-1]
-            for k in kids[n][c][1:]:
-                acc = (acc[:, None] + below[k][None, :-1]).reshape(-1, width)
-            table = np.zeros((len(acc) + 2, width))
-            table[0], table[1:-1] = stops[off[n] + c], acc
-            tables[n][c] = table
-            for k in kids[n][c]:
-                below[k] = None  # only the frontier's tables outlive their parent's
-    plan = []
-    todo = [(0, 0, None)]  # (level, cell, entry of its parent)
-    while todo:
-        n, c, parent = todo.pop(0)
-        at = (parent, int(strides[n - 1][c]) if n else 1, int(counts[n][c]))
-        if fits[n][c]:
-            plan.append((*at, tables[n][c], None))
-            continue
-        todo += [(n + 1, k, len(plan)) for k in (kids[n][c] if n < depth else [])]
-        plan.append((*at, None, stops[off[n] + c]))
+    labels, off, width = space.cell_labels, space.cell_offsets, cells.shape[1]
+    parent = np.empty(len(cells), dtype=np.int64)
+    parent[labels[1:]] = labels[:-1]
+    kids = [[] for _ in cells]  # by cell_offsets[n] + c, the first child first
+    for k, c in enumerate(parent[off[1]:].tolist(), int(off[1])):
+        kids[c].append(k)
+    last = int(off[-2])
+    fits = ((np.concatenate(enum[0]) + 1) * width <= _BLOCK_ELEMS if enum
+            else np.zeros(len(cells), dtype=bool))
+    leaves = np.zeros((len(cells) - last, 3, width))  # stop now, never, and the zero row
+    leaves[:, 0] = cells[last:]
+    tables = [None] * last + list(leaves)
+    for c in np.flatnonzero(fits[:last])[::-1].tolist():  # the deepest first
+        acc = tables[kids[c][0]][:-1]
+        for k in kids[c][1:]:
+            acc = (acc[:, None] + tables[k][None, :-1]).reshape(-1, width)
+        tables[c] = np.zeros((len(acc) + 2, width))
+        tables[c][0], tables[c][1:-1] = cells[c], acc
+        for k in kids[c]:
+            tables[k] = None  # only the frontier's tables outlive their parent's
+    plan, todo = [], [(-1, 0, 0)]  # (parent's entry, level, cell)
+    for up, n, c in todo:
+        first, own = (n, c - int(off[n])), [cells[c]]
+        while tables[c] is None and len(kids[c]) == 1 and tables[kids[c][0]] is None:
+            n, c = n + 1, kids[c][0]
+            own.append(cells[c])
+        if up >= 0:
+            plan[up][-1].append(len(plan))
+        if tables[c] is None:
+            todo += [(len(plan), n + 1, k) for k in kids[c]]
+            tables[c] = np.array(own + [np.zeros(width)])
+        plan.append((up, *first, tables[c], []))
     return plan
 
 
-def _table_rows(plan, index, width):
-    """The summed stops of stopping times number ``index``, by _subtree_tables' plan."""
-    local = []
-    rows = np.zeros((len(index), width))
-    for parent, stride, radix, table, stop in plan:
-        if parent is None:
-            at = index
-        else:
-            up = local[parent] - 1
-            at = np.where(up >= 0, up // stride % radix, -1)
-        local.append(at)
-        if table is None:
-            rows[at == 0] += stop
-        else:
-            rows += table.take(at, axis=0)
-    return rows
+def _plan_sums(plan, local):
+    """The sums of the rows of local index ``local[i]`` >= -1 at each entry i
+    of _subtree_tables' plan, as _row_sums adds them: an entry's table row if
+    it has no children, and else the sum of theirs, the first child first, or
+    its own row i where the local index i is below its k cells."""
+    sums = [None] * len(plan)
+    for i in range(len(plan) - 1, -1, -1):
+        (*_, table, kids), at = plan[i], local[i]
+        if not kids:
+            sums[i] = table.take(at, axis=0)
+            continue
+        sums[i] = sums[kids[0]]  # the children are 0 on the rows it stops
+        for k in kids[1:]:
+            sums[i] += sums[k]
+        now = (at >= 0) & (at < len(table) - 1)
+        sums[i][now] = table[at[now]]
+    return sums[0]
+
+
+def _table_rows(plan, enum, index):
+    """The (len(index), J + 2) sums of stopping times number ``index`` of
+    ``enum``, by the plan _subtree_tables makes from it."""
+    counts, strides, _ = enum
+    local = [index] + [None] * (len(plan) - 1)
+    for (*_, table, kids), at in zip(plan, local):
+        below = at - (len(table) - 1) if kids else None  # a run of k cells passes i - k on
+        for j, (n, c) in enumerate(plan[k][1:3] for k in kids):
+            # the first child's digit needs no modulus, and a stride of 1 no division
+            digit = below // strides[n - 1][c] if strides[n - 1][c] > 1 else below
+            local[kids[j]] = np.where(below >= 0, digit % counts[n][c] if j else digit, -1)
+    return _plan_sums(plan, local)
 
 
 class _Supremum:
     """Running sup of the quotient over scored candidates.
 
     The highest value wins, then the lexicographically smallest times; a
-    candidate with an empty B is not examined, and value 0 attains nothing.
+    candidate with an empty B is not examined.  A value of 0, as scored on
+    g * 2^-e, attains nothing; a positive one keeps its nu, also where it
+    underflows to 0 when scaled back by 2^e.
     """
 
     def __init__(self, space, dev, p, q):
         self.space, self.dev, self.p, self.q = space, dev, p, q
+        self.cells = _cell_sums(space, dev)
         self.value = 0.0
         self.times = None
         self.examined = 0
 
-    def _fold(self, a, pb, masses, times_of):
-        """Fold the rows with a non-empty B; returns how many there are."""
-        keep = np.flatnonzero(pb > 0.0)
-        if not keep.size:
-            return 0
-        vals = _quotients(a[keep], pb[keep], masses[keep], self.p, self.q)
+    def _fold(self, sums, times_of):
+        """Fold the rows of (rows, J + 2) sums; returns how many have a
+        non-empty B.  A row with an empty B has A = 0, so it scores 0."""
+        vals = _quotients(sums, self.p, self.q)
         top = float(vals.max())
-        if top < self.value or (top == self.value and self.times is None):
-            return keep.size
-        tied = times_of(keep[vals == top])
-        if top == self.value:
-            tied = np.vstack([self.times, tied])
-        self.value = top
-        self.times = tied[np.lexsort(tied.T[::-1])[0]]
-        return keep.size
+        if top > self.value or (top == self.value and self.times is not None):
+            tied = times_of(np.flatnonzero(vals == top))
+            if top == self.value:
+                tied = np.vstack([self.times, tied])
+            self.value = top
+            self.times = tied[np.lexsort(tied.T[::-1])[0]]
+        return int(np.count_nonzero(sums[:, 1]))
 
     def add_stack(self, times):
-        """Score an int64 (rows, M) stack of times in blocks of at most
-        _BLOCK_ELEMS elements; returns the A of each row."""
-        per = max(1, _BLOCK_ELEMS // self.space.size)
+        """Score an int64 (rows, M) stack of times through the row path, in
+        blocks of rows whose largest array there has at most _BLOCK_ELEMS
+        elements; returns the A of each row."""
+        space, cells = self.space, self.cells
+        # the times, and on the tree side the (rows, J + 2) sums of each of the
+        # at most 3L - 1 entries of the row path's plan, for L last-level cells
+        tree = 3 * space.level_sizes[-1] * cells.shape[1] * (space.level_sizes[-1] <= _TREE_CELLS)
+        per = max(1, _BLOCK_ELEMS // max(space.size, tree))
         a = [np.zeros(0)]
         for start in range(0, len(times), per):
             block = times[start:start + per]
-            sums = _row_sums(self.space, self.dev, block)
-            self.examined += self._fold(*sums, block.__getitem__)
-            a.append(sums[0])
+            sums = _row_sums(space, self.dev, block, cells)
+            self.examined += self._fold(sums, block.__getitem__)
+            a.append(sums[:, 0])
         return np.concatenate(a)
 
     def add_cells(self):
@@ -247,57 +257,22 @@ class _Supremum:
             n = np.searchsorted(space.cell_offsets, idx, side="right") - 1
             return np.where(space.cell_labels[n] == idx[:, None], n[:, None], INFINITY)
 
-        self.examined += self._fold(*_cell_sums(space, self.dev), times_of)
-
-    def _fold_decoded(self, enum, index):
-        """Fold stopping times number ``index`` of ``enum`` through the row path,
-        decoded in blocks of at most _BLOCK_ELEMS elements."""
-        per = max(1, _BLOCK_ELEMS // self.space.size)
-        for start in range(0, len(index), per):
-            times = _decode_times(self.space, enum, index[start:start + per])
-            self._fold(*_row_sums(self.space, self.dev, times), times.__getitem__)
+        self.examined += self._fold(self.cells, times_of)
 
     def add_enumeration(self, enum):
-        """Score every stopping time of ``enum``, the space's _enumeration.
-
-        Each one's A, P(B) and block masses are summed from per-subtree tables
-        of the cells' own sums, in blocks of at most _BLOCK_ELEMS elements,
-        and get an approximate quotient.  A row with A > 0 whose approximate
-        value is not below (1 - _margin) times a lower bound of the supremum
-        (the running maximum: the best value folded, or the best approximate
-        value shrunk by the margin) is a candidate; the candidates are decoded
-        to their times and folded through the row path, so the winner and its
-        value are those of scoring every row there.  A row with A = 0 scores 0
-        on both paths and attains nothing.  Where the times of every row fit
-        in _FEW_ELEMS, every row is a candidate, and no table is built.
-        """
-        space, p, q = self.space, self.p, self.q
+        """Score every stopping time of ``enum``, the _enumeration of a space
+        with at most _TREE_CELLS last-level cells, from per-subtree tables of
+        the cells' own sums, in blocks of _BLOCK_ELEMS // (J + 2) rows, added
+        in the row path's order, so each row scores as it does there, bit for
+        bit.  Only a tied winner is decoded to its times."""
+        space = self.space
         total = int(enum[0][0][0])
-        self.examined += total - 1  # every stopping time but never has a non-empty B
-        if total * space.size <= _FEW_ELEMS:
-            self._fold_decoded(enum, np.arange(total))
-            return
-        stops = np.column_stack(_cell_sums(space, self.dev))
-        a_min = float(np.min(stops[:, 0], where=stops[:, 0] > 0.0, initial=math.inf))
-        keep = 1.0 - _margin(space, a_min, p, q)
-        plan = _subtree_tables(space, enum, stops)
-        width = stops.shape[1]
-        per = max(1, _BLOCK_ELEMS // width)
-        best, held, held_vals = 0.0, np.zeros(0, dtype=np.int64), np.zeros(0)
+        plan = _subtree_tables(space, self.cells, enum)
+        per = max(1, _BLOCK_ELEMS // self.cells.shape[1])
         for start in range(0, total, per):
             index = np.arange(start, min(start + per, total))
-            rows = _table_rows(plan, index, width)
-            vals = _quotients(rows[:, 0], rows[:, 1], rows[:, 2:], p, q)
-            best = max(best, float(np.max(vals, where=np.isfinite(vals), initial=0.0)))
-            floor = max(self.value, best * keep) * keep
-            # not below the floor: NaN and inf are candidates too
-            new = np.flatnonzero((rows[:, 0] > 0.0) & ~(vals < floor))
-            kept = ~(held_vals < floor)
-            held = np.concatenate([held[kept], index[new]])
-            held_vals = np.concatenate([held_vals[kept], vals[new]])
-            if len(held) and (start + per >= total or len(held) * space.size >= _BLOCK_ELEMS):
-                self._fold_decoded(enum, held)
-                held, held_vals = held[:0], held_vals[:0]
+            self.examined += self._fold(_table_rows(plan, enum, index),
+                                        lambda i: _decode_times(space, enum, index[i]))
 
     def winner(self):
         if self.times is None:
@@ -347,10 +322,10 @@ def oscillation(space: FilteredSpace, g, nu: StoppingTime, p, q):
     """Campanato quotient of one candidate; None when B is empty."""
     require_space(nu, space)
     dev, e = _deviations(space, g)
-    a, pb, masses = _row_sums(space, dev, nu.times[None])
-    if pb[0] <= 0.0:
+    sums = _row_sums(space, dev, nu.times[None])
+    if sums[0, 1] <= 0.0:
         return None
-    return float(times_pow2(_quotients(a, pb, masses, p, q)[0], e))
+    return float(times_pow2(_quotients(sums, p, q)[0], e))
 
 
 def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=ENUMERATION_CAP,
@@ -358,9 +333,10 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=ENUMERATION_
     """sup over stopping times of the phi-weighted stopped oscillation.
 
     ``mode="exact"`` enumerates all stopping times when the count fits
-    under ``cap`` and otherwise falls back to the heuristic family (the
-    result's mode field records which route ran).  The heuristic value is
-    a lower bound of the exact one.  Requires E[g] = 0.
+    under ``cap`` on a space with at most _TREE_CELLS last-level cells, and
+    otherwise falls back to the heuristic family (the result's mode field
+    records which route ran).  The heuristic value is a lower bound of the
+    exact one.  Requires E[g] = 0.
 
     The heuristic family is every cell first-entry time, scored for all
     cells at once, and the distinct ladder rungs that are no such time.
@@ -387,8 +363,9 @@ def campanato_norm(space: FilteredSpace, g, p, q, mode="exact", cap=ENUMERATION_
         except EnumerationOverflow:
             pass
         else:
-            sup.add_enumeration(enum)
-            actual = "exact-enumeration"
+            if space.level_sizes[-1] <= _TREE_CELLS:  # every cap is checked; see _TREE_CELLS
+                sup.add_enumeration(enum)
+                actual = "exact-enumeration"
     extra = np.array([nu.times for nu in extra_candidates], dtype=np.int64).reshape(-1, space.size)
     stack = extra
     if actual == "heuristic-family":

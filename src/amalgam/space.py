@@ -82,11 +82,13 @@ def times_pow2(x, e):
         return np.ldexp(x, e)
 
 
-#: elements in one block of stacked stopping times (rows x outcomes), and in
-#: one table of the exact route (rows x (J + 2) sums).  It bounds the memory
-#: of every route: a cell gets a table of its subtree's stopping times only
-#: where one fits, the levels above are decoded in blocks of rows, and the
-#: rows rescored from the tables are decoded in blocks of this many elements.
+#: elements in one block of stacked stopping times (rows x outcomes), in one
+#: table of the exact route (rows x (J + 2) sums), and in the (rows x (J + 2))
+#: sums a block holds for each entry of duality._subtree_tables' plan, at most
+#: 3L - 1 for L last-level cells, which the row path counts together.  It
+#: bounds the memory of every route, at one row a block at least: a cell gets
+#: a table of its subtree's stopping times only where one fits, and the levels
+#: above are decoded in blocks of rows.
 _BLOCK_ELEMS = 1 << 13
 #: default cap on the stopping-time count of an exact enumeration
 ENUMERATION_CAP = 10**6

@@ -38,6 +38,8 @@ from amalgam.space import (
     ENUMERATION_CAP,
     SLACK,
     TOL,
+    _decode_times,
+    _enumeration,
     binary_exponent,
     scale_of,
     scaled,
@@ -460,7 +462,7 @@ def _certify_with_rungs_apart(f, g, p, q, mode, cap):
     dev, e = duality._deviations(space, g)
     ladder = np.array([t.nu.times for t in d.triples], dtype=np.int64).reshape(-1, space.size)
     atomwise = 0.0
-    for t, a_k in zip(d.triples, duality._row_sums(space, dev, ladder)[0]):
+    for t, a_k in zip(d.triples, duality._row_sums(space, dev, ladder)[:, 0]):
         a_l2 = math.sqrt(float(space.prob @ t.terminal ** 2))
         atomwise += t.lam * a_l2 * float(times_pow2(math.sqrt(a_k), e))
     sup = duality._Supremum(space, dev, p, q)
@@ -666,7 +668,7 @@ def _per_candidate_sup(space, g, candidates, p, q, definition=True):
     dev, _ = duality._deviations(space, small)
     best, best_nu, examined, l2 = 0.0, None, 0, []
     for nu in candidates:
-        l2.append(times_pow2(math.sqrt(duality._row_sums(space, dev, nu.times[None])[0][0]), e))
+        l2.append(times_pow2(math.sqrt(duality._row_sums(space, dev, nu.times[None])[0, 0]), e))
         val = oscillation(space, small, nu, p, q)
         if val is None:
             continue
@@ -739,15 +741,15 @@ def _same_result(got, value, nu, examined):
         assert got.attaining_nu.times.tolist() == nu.times.tolist()
 
 
-#: the exact route's (_FEW_ELEMS, _BLOCK_ELEMS): as shipped, which folds every
-#: row of most trees here; by tables; and in blocks of 64 elements, where only
-#: the smallest subtrees get a table and the rest are decoded
-EXACT_ROUTES = ((duality._FEW_ELEMS, duality._BLOCK_ELEMS), (0, duality._BLOCK_ELEMS), (0, 64))
+#: the exact route's _BLOCK_ELEMS: as shipped, where most trees here get one
+#: table, and 64, where only the smallest subtrees get a table and the rest
+#: are decoded
+EXACT_BLOCKS = (duality._BLOCK_ELEMS, 64)
 
 
 @given(campanato_cases())
 def test_batched_campanato_matches_per_candidate_oracle(case):
-    # the exact route equals the oracle bit for bit on every one of EXACT_ROUTES
+    # the exact route equals the oracle bit for bit at each of EXACT_BLOCKS
     space, g, p, q, definition = case
     gm = from_terminal(space, g)
     extras = [t.nu for t in decompose(gm, 0.5, 1.0).triples]
@@ -761,8 +763,8 @@ def test_batched_campanato_matches_per_candidate_oracle(case):
         for extra in ([], extras):
             best, best_nu, examined, l2 = _per_candidate_sup(space, g, family + extra, p, q,
                                                              definition)
-            for few, block in EXACT_ROUTES[:3 if enumerate_all else 1]:
-                with mock.patch.multiple(duality, _FEW_ELEMS=few, _BLOCK_ELEMS=block):
+            for block in EXACT_BLOCKS[:2 if enumerate_all else 1]:
+                with mock.patch.object(duality, "_BLOCK_ELEMS", block):
                     got = campanato_norm(space, g, p, q, mode=mode, cap=ORACLE_CAP,
                                          extra_candidates=extra)
                 assert got.mode == ("exact-enumeration" if enumerate_all else "heuristic-family")
@@ -785,11 +787,11 @@ def _one_outcome_and_depth_0_spaces():
             FilteredSpace(names, [0.25, 0.25, 0.5], [[names]], [["a", "c"], ["b"]]))
 
 
-@pytest.mark.parametrize("few, block", EXACT_ROUTES)
-def test_the_exact_route_scores_a_one_outcome_and_a_depth_0_space(few, block):
+@pytest.mark.parametrize("block", EXACT_BLOCKS)
+def test_the_exact_route_scores_a_one_outcome_and_a_depth_0_space(block):
     # 5 times on a chain of one outcome, where g = 0 attains nothing, and 2 on depth 0
     one, flat = _one_outcome_and_depth_0_spaces()
-    with mock.patch.multiple(duality, _FEW_ELEMS=few, _BLOCK_ELEMS=block):
+    with mock.patch.object(duality, "_BLOCK_ELEMS", block):
         for space, g, count in ((one, [0.0], 5), (flat, [1.0, -3.0, 1.0], 2)):
             assert count_stopping_times(space) == count
             got = campanato_norm(space, g, 0.5, 1.0, mode="exact")
@@ -814,7 +816,7 @@ def test_the_cap_decides_the_route_at_the_count():
 def test_the_exact_route_streams_the_16_outcome_dyadic_tree(policy, blocks, p, q):
     # 458,330 stopping times, whose tables would take megabytes, in blocks of
     # _BLOCK_ELEMS elements: the traced peak stays under 2 MiB, also at
-    # p = q = 0.002, where the margin is 1 and most rows are rescored
+    # p = q = 0.002, where phi(B) underflows
     (space, f), = generate(CorpusSpec(generator="dyadic", depth=4, seed=0, block_policy=policy,
                                       block_param=blocks))
     assert space.n_blocks == blocks and count_stopping_times(space) == 458330
@@ -828,28 +830,40 @@ def test_the_exact_route_streams_the_16_outcome_dyadic_tree(policy, blocks, p, q
     assert peak < 2 * 2 ** 20
 
 
-@settings(max_examples=100)
-@given(campanato_cases())
-def test_a_margin_widened_a_millionfold_changes_no_output_bit(case):
-    # the margin only picks the rows the row path rescores
-    space, g, p, q, _ = case
-    assume(count_stopping_times(space) <= ORACLE_CAP)
-    margin = duality._margin
-    results = []
-    with mock.patch.multiple(duality, _FEW_ELEMS=0, _BLOCK_ELEMS=64):
-        for widen in (1.0, 1e6):
-            with mock.patch.object(duality, "_margin",
-                                   lambda *args: min(1.0, widen * margin(*args))):
-                got = campanato_norm(space, g, p, q, mode="exact", cap=ORACLE_CAP)
-            results.append((np.float64(got.norm_value).tobytes(), got.candidates_examined,
-                            None if got.attaining_nu is None else got.attaining_nu.times.tobytes()))
-    assert results[0] == results[1]
+def _two_outcome_chain(depth):
+    """a and b share one cell down to level depth - 1 and part at depth:
+    depth + 4 stopping times, whose top the exact route descends level by level."""
+    names = ["a", "b"]
+    return FilteredSpace(names, [0.25, 0.75], [[names]] * depth + [[["a"], ["b"]]], [names])
 
 
-def test_the_margin_keeps_a_mirror_tie_that_the_tables_sum_apart():
-    # the winner stops at 2 on {o0, o1, o2} and {o5, o6, o7}, and ties with its
-    # right half, which stops on {o5, o6, o7} alone; the tables round their
-    # sums apart, so with no margin the right half came back as the winner
+def test_the_exact_route_descends_a_top_of_hundreds_of_levels():
+    # at _BLOCK_ELEMS = 64 a table holds at most 20 stopping times, so 584
+    # levels of this chain are decoded above the tables: more than a recursion
+    # of two frames per level fits in the default recursion limit of 1000
+    space, g = _two_outcome_chain(600), np.array([3.0, -1.0])
+    want = _per_candidate_sup(space, g, list(enumerate_stopping_times(space)), 0.5, 1.0)
+    for block in EXACT_BLOCKS:
+        with mock.patch.object(duality, "_BLOCK_ELEMS", block):
+            _same_result(campanato_norm(space, g, 0.5, 1.0, mode="exact"), *want[:3])
+
+
+def test_the_exact_route_scores_a_chain_5000_levels_deep():
+    # 2,275 levels above the shipped tables; every time that stops both
+    # outcomes at once before level 5000 scores sqrt(E[g^2]) / phi(Omega), a
+    # tie that the time stopping at 0 wins
+    space, g = _two_outcome_chain(5000), np.array([3.0, -1.0])
+    got = campanato_norm(space, g, 0.5, 1.0, mode="exact")
+    assert got.mode == "exact-enumeration" and got.candidates_examined == 5003
+    assert got.attaining_nu.times.tolist() == [0, 0]
+    assert got.norm_value == oscillation(space, g, got.attaining_nu, 0.5, 1.0)
+
+
+def test_the_tables_keep_a_mirror_tie_as_the_row_path_sums_it():
+    # the time that stops at 2 on {o0, o1, o2} and {o5, o6, o7} ties with its
+    # right half, which stops on {o5, o6, o7} alone, in exact arithmetic; the
+    # rounding of their sums decides, and the tables, in either block size,
+    # decide as the row path does
     names = [f"o{i}" for i in range(8)]
     space = FilteredSpace(
         names, [0.057539176518991327, 0.10038763162165736, 0.12583908163784444,
@@ -858,11 +872,102 @@ def test_the_margin_keeps_a_mirror_tie_that_the_tables_sum_apart():
         [[names], [names[:4], names[4:]], [names[:3], ["o3"], ["o4"], names[5:]],
          [[o] for o in names]], [names])
     g = np.array([2.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -2.0])
-    winner = [2, 2, 2, INFINITY, INFINITY, 2, 2, 2]
-    assert count_stopping_times(space) * space.size > duality._FEW_ELEMS  # by tables
-    got = campanato_norm(space, g, 1.0, 1.0, mode="exact")
-    _same_result(got, *_per_candidate_sup(space, g, list(enumerate_stopping_times(space)),
-                                          1.0, 1.0)[:3])
-    assert got.attaining_nu.times.tolist() == winner
-    with mock.patch.object(duality, "_margin", lambda *args: 0.0):
-        assert campanato_norm(space, g, 1.0, 1.0, mode="exact").attaining_nu.times.tolist() != winner
+    want = _per_candidate_sup(space, g, list(enumerate_stopping_times(space)), 1.0, 1.0)
+    assert want[1].times.tolist() in ([2, 2, 2, INFINITY, INFINITY, 2, 2, 2],
+                                      [INFINITY] * 5 + [2, 2, 2])
+    for block in EXACT_BLOCKS:
+        with mock.patch.object(duality, "_BLOCK_ELEMS", block):
+            _same_result(campanato_norm(space, g, 1.0, 1.0, mode="exact"), *want[:3])
+
+
+def _summed_up_the_tree(space, dev, times):
+    """The sums A, P(B) and P(B & block j) of one stopping time, added in pure
+    Python up the partition tree: a cell the time stops on adds its members in
+    outcome order, and any other cell adds its children's sums from 0, the
+    child of least label first.  An oracle of the order of _row_sums."""
+
+    def fold(n, c):
+        members = np.flatnonzero(space.level_labels[n] == c).tolist()
+        row = [0.0] * (space.n_blocks + 2)
+        if times[members[0]] == n:
+            for i in members:
+                w, d = float(space.prob[i]), float(dev[n][i])
+                row[0] += w * (d * d)
+                row[1] += w
+                row[2 + space.block_labels[i]] += w
+        elif n < space.depth:
+            for k in sorted(set(space.level_labels[n + 1][members].tolist())):
+                row = [x + y for x, y in zip(row, fold(n + 1, k))]
+        return row
+
+    return np.array(fold(0, 0))
+
+
+def _summed_per_outcome(space, dev, times):
+    """The same sums added in outcome order, as _row_sums adds them on a space
+    with more than _TREE_CELLS last-level cells."""
+    row = [0.0] * (space.n_blocks + 2)
+    for i, t in enumerate(times.tolist()):
+        if t != INFINITY:
+            w, d = float(space.prob[i]), float(dev[min(t, space.depth)][i])
+            row[0] += w * (d * d)
+            row[1] += w
+            row[2 + space.block_labels[i]] += w
+    return np.array(row)
+
+
+@given(campanato_cases())
+def test_every_table_row_is_the_row_path_sum_of_its_times_bit_for_bit(case):
+    # so the exact route folds its tables with no rescoring; the row path itself
+    # is checked against the pure-Python fold on a spread of rows
+    space, g, *_ = case
+    assume(count_stopping_times(space) <= ORACLE_CAP)
+    dev, _ = duality._deviations(space, g)
+    enum = _enumeration(space)
+    index = np.arange(int(enum[0][0][0]))
+    times = _decode_times(space, enum, index)
+    want = duality._row_sums(space, dev, times)
+    for block in EXACT_BLOCKS:
+        with mock.patch.object(duality, "_BLOCK_ELEMS", block):
+            plan = duality._subtree_tables(space, duality._cell_sums(space, dev), enum)
+            assert duality._table_rows(plan, enum, index).tobytes() == want.tobytes()
+    for r in index[::max(1, len(index) // 40)].tolist():
+        assert want[r].tobytes() == _summed_up_the_tree(space, dev, times[r]).tobytes()
+
+
+def _interleaved_flat_space(cells):
+    """Depth 1, with level-1 cell c holding outcomes c and c + ``cells``, so no
+    cell's members are adjacent; seeded weights, and two blocks."""
+    names = [f"o{i}" for i in range(2 * cells)]
+    w = np.random.default_rng(cells).uniform(0.1, 1.0, 2 * cells)
+    return FilteredSpace(names, w / w.sum(),
+                         [[names], [[names[c], names[c + cells]] for c in range(cells)]],
+                         [names[:cells], names[cells:]])
+
+
+@pytest.mark.parametrize("cells, route", [(20, "exact-enumeration"), (21, "heuristic-family")])
+def test_the_row_path_sums_up_the_tree_up_to_20_last_level_cells(cells, route):
+    # 20 last-level cells mean 2^20 + 1 stopping times, over the default cap;
+    # a space with more is never enumerated, whatever the cap
+    assert duality._TREE_CELLS == 20
+    space = _interleaved_flat_space(cells)
+    g = centred(space, np.random.default_rng(0).standard_normal(space.size))
+    dev, _ = duality._deviations(space, g)
+    every = np.ones(space.size, dtype=np.int64)  # stops at 1 on every cell
+    tree, by_outcome = (_summed_up_the_tree(space, dev, every),
+                        _summed_per_outcome(space, dev, every))
+    assert tree.tobytes() != by_outcome.tobytes()  # the two orders round apart here
+    got = duality._row_sums(space, dev, every[None])[0]
+    assert got.tobytes() == (tree if cells <= 20 else by_outcome).tobytes()
+    assert count_stopping_times(space) == 2 ** cells + 1
+    assert campanato_norm(space, g, 0.5, 1.0, mode="exact").mode == "heuristic-family"
+    assert campanato_norm(space, g, 0.5, 1.0, mode="exact", cap=10 ** 12).mode == route
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_a_positive_value_that_underflows_when_scaled_back_keeps_its_winner(mode):
+    # g * 2^-e = (0, 1) scores 1/2 at the time that stops at 0 everywhere, the
+    # true maximiser; scaled back by 2^-1074, the value rounds to 0
+    space = FilteredSpace(["a", "b"], [0.5, 0.5], [[["a", "b"]], [["a"], ["b"]]], [["a", "b"]])
+    got = campanato_norm(space, [0.0, 5e-324], 0.5, 1.0, mode=mode)
+    assert got.norm_value == 0.0 and got.attaining_nu.times.tolist() == [0, 0]
