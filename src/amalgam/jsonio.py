@@ -8,11 +8,9 @@ diff cleanly.  Stopping-time infinity is encoded as JSON null.
 from __future__ import annotations
 
 import collections
-import functools
 import io
 import json
 import math
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import orjson
@@ -32,92 +30,90 @@ class SchemaError(ValueError):
 def canonical_dumps(doc) -> str:
     """Exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, faster.
 
-    Dict keys must be strings, as in every JSON document.  With ``indent``
-    set, ``json`` runs its pure-Python encoder.  Here only dicts and lists
-    of containers are walked in Python: each list of scalars, and the
-    scalar items of each dict, take one call of the C encoder, whose item
-    separator carries the newline and indent.
-
     A numpy array is written as its list, a 1-D int64 array as stopping times
-    with INFINITY as null.  The walk leaves a NUL in place of the items of
-    each non-empty 1-D float64 or int64 array (the ASCII encoder writes no
-    NUL), and _row_texts writes those rows in one batch.
+    with INFINITY as null.  What json.dumps refuses raises TypeError here too.
+
+    One orjson call writes the document as _prepared leaves it: keys sorted,
+    and each value whose orjson text is not json's replaced by the string
+    "\\0".  orjson writes that as "\\u0000", which no printable ASCII string,
+    the only other strings left, can produce (their backslashes are doubled);
+    one split puts json's texts of the replaced values back.  A document with
+    a key that is no printable ASCII string, or nested too deeply for orjson,
+    is written by json.dumps itself.
     """
-    rows = []
-    text = _dumps(doc, "", rows)
-    if rows:
-        pieces = [None] * (2 * len(rows) + 1)
-        pieces[::2] = text.split("\0")
-        pieces[1::2] = _row_texts(rows)
+    odd = []
+    try:
+        text = orjson.dumps(_prepared(doc, odd),
+                            option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY).decode()
+    except (_OddKey, orjson.JSONEncodeError, RecursionError):
+        # orjson refuses nesting past 255 levels; json.dumps goes deeper
+        return json.dumps(doc, sort_keys=True, indent=2, default=_listed) + "\n"
+    if odd:
+        pieces = [None] * (2 * len(odd) + 1)
+        pieces[::2] = text.split('"\\u0000"')
+        # json's text of each odd value: a scalar, so with no newline
+        pieces[1::2] = json.dumps(odd, separators=("\n", ": "))[1:-1].split("\n")
         text = "".join(pieces)
     return text + "\n"
 
 
-_CONTAINERS = (dict, list, tuple, np.ndarray)
+class _OddKey(Exception):
+    """A dict key that is no printable ASCII string."""
 
 
-@functools.cache
-def _leaf_encoder(pad):
-    """The C encoder's ``encode``, with each item on a new line at ``pad``."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": "),
-                            check_circular=False).encode
+def _prepared(x, odd):
+    """``x`` with each value orjson writes otherwise than json.dumps appended
+    to ``odd``, in document order, and replaced by "\\0".  A float in the band
+    where repr writes no exponent, an int orjson takes and a printable ASCII
+    string are written alike."""
+    t = type(x)
+    if t is float:
+        if x == 0 or 1e-4 <= abs(x) < 1e16:
+            return x
+    elif t is int:
+        if -2 ** 63 <= x < 2 ** 64:
+            return x
+    elif t is str:
+        if _plain(x):
+            return x
+    elif x is None or t is bool:
+        return x
+    elif isinstance(x, dict):
+        if not (set(map(type, x)) <= {str} and _plain("".join(x))):
+            raise _OddKey
+        return {k: _prepared(v, odd) for k, v in sorted(x.items())}
+    elif isinstance(x, (list, tuple)):
+        return [_prepared(v, odd) for v in x]
+    elif isinstance(x, np.ndarray):
+        if t is np.ndarray and x.ndim == 1 and x.flags.c_contiguous and (
+                x.dtype == np.int64 and INFINITY not in x
+                or x.dtype == np.float64 and _in_band(x)):
+            return x
+        listed = _listed(x)  # of a 1-D int64 row: ints orjson takes, and None
+        return listed if x.ndim == 1 and x.dtype == np.int64 else _prepared(listed, odd)
+    odd.append(x)
+    return "\0"
 
 
-def _dumps(x, pad, rows):
-    """The indent-2 form of ``x`` nested at indent ``pad``, with each row to
-    batch appended to ``rows`` as (array, indent of its items)."""
-    if not isinstance(x, _CONTAINERS):
-        return _leaf_encoder(pad)(x)
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(x, np.ndarray):
-        if x.ndim == 1 and x.dtype in (np.float64, np.int64) and x.size:
-            rows.append((x, inner))
-            return "[\n" + inner + "\0\n" + pad + "]"
-        x = x.tolist()
-    if isinstance(x, dict):
-        scalars = {k: v for k, v in x.items() if not isinstance(v, _CONTAINERS)}
-        text = _leaf_encoder(inner)(scalars)[1:-1]
-        if len(scalars) < len(x):
-            # '"key": value' items in key order; no encoded string holds sep
-            items = iter(text.split(sep))
-            text = sep.join(encode_basestring_ascii(k) + ": " + _dumps(x[k], inner, rows)
-                            if isinstance(x[k], _CONTAINERS) else next(items)
-                            for k in sorted(x))
-        return "{\n" + inner + text + "\n" + pad + "}" if x else "{}"
-    if x and isinstance(x[0], str):
-        # names, as in the thousands of one-outcome cells of a large space
-        try:
-            return "[\n" + inner + sep.join(map(encode_basestring_ascii, x)) + "\n" + pad + "]"
-        except TypeError:  # not all strings
-            pass
-    if x and not any(issubclass(t, _CONTAINERS) for t in set(map(type, x))):
-        return "[\n" + inner + _leaf_encoder(inner)(x)[1:-1] + "\n" + pad + "]"
-    return ("[\n" + inner + sep.join(_dumps(v, inner, rows) for v in x) + "\n" + pad + "]"
-            if x else "[]")
+def _plain(s):
+    return s.isascii() and s.isprintable()
 
 
-def _row_texts(rows):
-    """The items of each (array, indent) of ``rows`` at its indent.  The rows of
-    one dtype take one np.unique of their bits, so -0.0 stays apart from 0.0,
-    and one encoder call for the distinct values: atom rows share few, rows
-    of stopping times fewer."""
-    texts = [None] * len(rows)
-    for dtype in (np.float64, np.int64):
-        at = [i for i, (x, _) in enumerate(rows) if x.dtype == dtype]
-        if not at:
-            continue
-        bits, inverse = np.unique(np.concatenate([rows[i][0] for i in at]).view(np.int64),
-                                  return_inverse=True)
-        values = (bits.view(np.float64).tolist() if dtype is np.float64
-                  else [None if t == INFINITY else t for t in bits.tolist()])
-        tokens = np.array(_leaf_encoder("")(values)[1:-1].split(",\n"), dtype=object)[inverse]
-        end = 0
-        for i in at:
-            x, pad = rows[i]
-            texts[i] = (",\n" + pad).join(tokens[end:end + x.size].tolist())
-            end += x.size
-    return texts
+def _in_band(x):
+    """Whether each value of the float64 row ``x`` is 0 or in the plain band."""
+    a = np.abs(x)
+    return bool(((x == 0) | (a >= 1e-4) & (a < 1e16)).all())
+
+
+def _listed(x):
+    """The list of the numpy array ``x``, with INFINITY as None in a 1-D int64
+    row; for any other object, json's refusal."""
+    if not isinstance(x, np.ndarray):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if x.ndim == 1 and x.dtype == np.int64:
+        x, stops = x.astype(object), x == INFINITY
+        x[stops] = None
+    return x.tolist()
 
 
 def _require(doc, key, kind=None, where="document"):

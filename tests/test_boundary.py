@@ -3,6 +3,7 @@ times read from documents, the space a `duality` g lives on, and the CLI
 parser that every call shares."""
 
 import ast
+import enum
 import functools
 import io
 import json
@@ -15,6 +16,7 @@ import sys
 import tempfile
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -27,9 +29,14 @@ from amalgam.space import same_space
 # -- canonical writer ------------------------------------------------------------
 
 _text = st.text(st.sampled_from('ab[]{}",:\\\n\t é☃😀')) | st.text()
+# floats either side of the band where repr writes no exponent, and ints either
+# side of orjson's range: there orjson's text and json's part
+_BAND_EDGES = [1e-5, -1e-5, 9.99e-5, -9.99e-5, math.nextafter(1e-4, 0), 1e-4,
+               math.nextafter(1e16, 0), 1e16, 1.5e-7]
+_INT_EDGES = [2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 64 - 1, 2 ** 64]
 _scalars = (st.none() | st.booleans() | st.integers() | _text
             | st.floats(allow_nan=True, allow_infinity=True)
-            | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+            | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, *_BAND_EDGES, *_INT_EDGES]))
 _json_values = st.recursive(
     _scalars,
     lambda kids: st.lists(kids, max_size=6) | st.dictionaries(_text, kids, max_size=6),
@@ -37,7 +44,16 @@ _json_values = st.recursive(
 )
 
 
+# strings orjson writes otherwise than json, "\\u0000" as the text of the
+# writer's stand-in, and keys that are no printable ASCII
+_ODD_STRINGS = ["\x00", "\\u0000", '"\\u0000"', "\x7f", "\ud800", "é", ""]
+
+
 @given(_json_values)
+@example({"s": _ODD_STRINGS, "\\u0000": [*_BAND_EDGES, *_INT_EDGES], '"\\u0000"': {"": "\\u0000"}})
+@example({"é": [1.5, {"a": 2 ** 64, "b": "\x00"}], "a": {"\x00": [1e16, 0.5]}})
+@example({"b": {"é": None}, "a": 0.5})
+@example([{"\ud800": 1}, {"": "\\u0000"}])
 def test_canonical_dumps_is_json_dumps(doc):
     assert jsonio.canonical_dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -103,6 +119,8 @@ def _listed(doc):
 
 
 @example(_ALL_ROWS, None)
+@example([np.array(_BAND_EDGES), *(np.array([0.5, x, -0.0]) for x in _BAND_EDGES),
+          np.array([math.nextafter(1e16, 0), 1e-4])], _ODD_STRINGS)
 @given(_shared_rows, _json_values)
 def test_canonical_dumps_of_rows_is_json_dumps_of_their_lists(rows, other):
     doc = {"rows": rows,
@@ -122,6 +140,109 @@ def test_rows_that_are_not_1d_float64_or_int64_are_written_as_their_lists():
     for row in (np.array([[0.5, -0.0], [1.0, 0.5]]), np.array([1, 2], dtype=np.int32),
                 np.array([True, False]), np.array([0.5, 0.25], dtype=">f8")):
         assert jsonio.canonical_dumps({"r": row}) == json.dumps({"r": row.tolist()}, indent=2) + "\n"
+
+
+def test_a_0d_array_is_written_as_its_item():
+    for x in (np.array(0.5), np.array(1e-5), np.array(-0.0), np.array(3), np.array(INFINITY),
+              np.array(True), np.array(2, dtype=np.int32)):
+        for key in ("a", "é"):
+            doc = {key: x, "b": [x, np.array([x, x])]}
+            want = {key: x.tolist(), "b": [x.tolist(), _listed(np.array([x, x]))]}
+            assert jsonio.canonical_dumps(doc) == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert jsonio.canonical_dumps(x) == json.dumps(x.tolist()) + "\n"
+
+
+def test_rows_under_a_key_that_is_no_printable_ascii_are_written_as_their_lists():
+    # such a document is written by json.dumps itself, each array as its list
+    rows = [np.array([0.5, 1e-5, -0.0]), np.array([3, INFINITY], dtype=np.int64),
+            np.array([[1, 2]]), np.array([], dtype=np.int64), np.arange(6.0)[::2]]
+    doc = {"é": rows, "a": {"\x7f": rows[1]}}
+    want = {"é": [_listed(r) if r.ndim == 1 else r.tolist() for r in rows],
+            "a": {"\x7f": _listed(rows[1])}}
+    assert jsonio.canonical_dumps(doc) == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("depth", [254, 255, 256, 400, 700, 5000])
+def test_nesting_orjson_refuses_is_written_as_json_dumps_writes_it(depth):
+    # orjson writes 255 levels and the writer's walk about 490; json.dumps about 990
+    doc = [1e-5]
+    for _ in range(depth - 1):
+        doc = {"a": doc, "b": 1e-5}
+    try:
+        want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    except RecursionError:
+        with pytest.raises(RecursionError):
+            jsonio.canonical_dumps(doc)
+    else:
+        assert jsonio.canonical_dumps(doc) == want
+
+
+def test_a_strided_or_masked_row_is_written_as_its_list():
+    for row in (np.arange(8.0)[::2], np.arange(8, dtype=np.int64)[::-3], np.arange(8.0)[::2] * 1e-9,
+                np.ma.masked_array([0.5, 1.0, 2.0], mask=[0, 1, 0]),
+                np.ma.masked_array([1, 2], mask=[1, 0])):
+        assert jsonio.canonical_dumps({"r": row}) == json.dumps({"r": row.tolist()}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1, 2}, object(),
+                                   np.array([np.int64(1)], dtype=object)],
+                         ids=["int64", "bool_", "set", "object", "object-array"])
+@pytest.mark.parametrize("key", ["a", "é"])
+def test_canonical_dumps_refuses_what_json_dumps_refuses(key, value):
+    listed = value.tolist() if isinstance(value, np.ndarray) else value
+    with pytest.raises(TypeError):
+        json.dumps({key: [0.5, listed]}, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        jsonio.canonical_dumps({key: [0.5, value]})
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Level(enum.IntEnum):
+    TOP = 7
+
+
+def test_subclasses_are_written_as_json_dumps_writes_them():
+    doc = _Dict(b=_List([_Str("x"), _Str("\x00"), _Int(2 ** 64), _Int(3), _Float(0.5),
+                         _Float(1e16), _Level.TOP, np.float64(1e-7), np.float64(0.25)]),
+                a=(_Dict(c=_Float("nan")), _List()))
+    assert jsonio.canonical_dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert jsonio.canonical_dumps({_Str("k"): 1}) == json.dumps({"k": 1}, indent=2) + "\n"
+
+
+def test_orjson_writes_each_float_of_the_plain_band_as_repr():
+    # canonical_dumps leaves a float with 1e-4 <= |x| < 1e16, or 0, to orjson:
+    # its text must be repr's, as a float and in a float64 row
+    lo, hi = 1e-4, math.nextafter(1e16, 0)
+    assert "e" in repr(math.nextafter(lo, 0)) and "e" in repr(1e16)
+    edges = [lo, math.nextafter(lo, 1), hi, math.nextafter(hi, 0), 0.0, -0.0, 0.1, 1.0, 0.5,
+             1e15, 123456789.123, 2.0 ** 53, 2.0 ** 53 + 2]
+    bits = np.array([lo, hi]).view(np.int64)
+    rng = np.random.default_rng(20240)
+    sample = rng.integers(bits[0], bits[1], 50_000, endpoint=True).view(np.float64)
+    row = np.concatenate([edges, np.negative(edges), sample, -sample])
+    for x in row.tolist():
+        assert orjson.dumps(x) == repr(x).encode(), x
+    assert (orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)
+            == ("[" + ",".join(map(repr, row.tolist())) + "]").encode())
 
 
 # -- malformed spaces --------------------------------------------------------------
