@@ -23,8 +23,8 @@ from .martingale import (
 from .norms import _check_exponent, _masses, lpq_norm, lq_aggregate
 from .space import (
     _BLOCK_ELEMS, ENUMERATION_CAP, INFINITY, EnumerationOverflow, FilteredSpace, SpaceError,
-    StoppingTime, _decode_times, _enumeration, condition_rows, require_space, scale_of,
-    scaled, times_pow2, within,
+    StoppingTime, _decode_times, _enumeration, condition_rows, require_finite, require_space,
+    scale_of, scaled, times_pow2, within,
 )
 
 
@@ -99,10 +99,11 @@ def _row_sums(space, dev, times, cells=None):
     if cells is None:
         cells = _cell_sums(space, dev)
     plan = _subtree_tables(space, cells)
-    n, m, last = np.array([(n, np.argmax(space.level_labels[n] == c), len(table) - 1)
-                           for _, n, c, table, _ in plan]).T
+    member = np.empty(len(cells), dtype=np.int64)
+    member[space.cell_labels] = np.arange(space.size)  # a member of each cell
+    n, c, last = np.array([(n, c, len(table) - 1) for _, n, c, table, _ in plan]).T
     # an entry's local index is the level its first cell's members stop at, less its own
-    return _plan_sums(plan, list(np.clip(times[:, m] - n, -1, last).T))
+    return _plan_sums(plan, list(np.clip(times[:, member[c]] - n, -1, last).T))
 
 
 def _quotients(sums, p, q):
@@ -130,18 +131,16 @@ def _subtree_tables(space, cells, enum=None):
     down, parents first: a run of top cells, each the only child of the one
     before, is one entry, and so is each child of a top cell that has a
     table.  An entry is its parent's position (-1 at the root), the level and
-    index of its first cell, its table, with a zero row appended that a local
+    number of its first cell, its table, with a zero row appended that a local
     index of -1 reads, and its children's positions.  A run's table is its
     cells' own rows: local index i < k stops a run of k cells on its cell i.
     """
-    labels, off, width = space.cell_labels, space.cell_offsets, cells.shape[1]
-    parent = np.empty(len(cells), dtype=np.int64)
-    parent[labels[1:]] = labels[:-1]
-    kids = [[] for _ in cells]  # by cell_offsets[n] + c, the first child first
-    for k, c in enumerate(parent[off[1]:].tolist(), int(off[1])):
+    off, width = space.cell_offsets, cells.shape[1]
+    kids = [[] for _ in cells]  # the first child first
+    for k, c in enumerate(space.cell_parent[off[1]:].tolist(), int(off[1])):
         kids[c].append(k)
     last = int(off[-2])
-    fits = ((np.concatenate(enum[0]) + 1) * width <= _BLOCK_ELEMS if enum
+    fits = ((enum[0] + 1) * width <= _BLOCK_ELEMS if enum
             else np.zeros(len(cells), dtype=bool))
     leaves = np.zeros((len(cells) - last, 3, width))  # stop now, never, and the zero row
     leaves[:, 0] = cells[last:]
@@ -156,7 +155,7 @@ def _subtree_tables(space, cells, enum=None):
             tables[k] = None  # only the frontier's tables outlive their parent's
     plan, todo = [], [(-1, 0, 0)]  # (parent's entry, level, cell)
     for up, n, c in todo:
-        first, own = (n, c - int(off[n])), [cells[c]]
+        first, own = (n, c), [cells[c]]
         while tables[c] is None and len(kids[c]) == 1 and tables[kids[c][0]] is None:
             n, c = n + 1, kids[c][0]
             own.append(cells[c])
@@ -191,14 +190,14 @@ def _plan_sums(plan, local):
 def _table_rows(plan, enum, index):
     """The (len(index), J + 2) sums of stopping times number ``index`` of
     ``enum``, by the plan _subtree_tables makes from it."""
-    counts, strides, _ = enum
+    count, stride = enum
     local = [index] + [None] * (len(plan) - 1)
     for (*_, table, kids), at in zip(plan, local):
         below = at - (len(table) - 1) if kids else None  # a run of k cells passes i - k on
-        for j, (n, c) in enumerate(plan[k][1:3] for k in kids):
+        for j, c in enumerate(plan[k][2] for k in kids):
             # the first child's digit needs no modulus, and a stride of 1 no division
-            digit = below // strides[n - 1][c] if strides[n - 1][c] > 1 else below
-            local[kids[j]] = np.where(below >= 0, digit % counts[n][c] if j else digit, -1)
+            digit = below // stride[c] if stride[c] > 1 else below
+            local[kids[j]] = np.where(below >= 0, digit % count[c] if j else digit, -1)
     return _plan_sums(plan, local)
 
 
@@ -266,7 +265,7 @@ class _Supremum:
         in the row path's order, so each row scores as it does there, bit for
         bit.  Only a tied winner is decoded to its times."""
         space = self.space
-        total = int(enum[0][0][0])
+        total = int(enum[0][0])
         plan = _subtree_tables(space, self.cells, enum)
         per = max(1, _BLOCK_ELEMS // self.cells.shape[1])
         for start in range(0, total, per):
@@ -320,7 +319,11 @@ def _deviations(space, g):
 
 def oscillation(space: FilteredSpace, g, nu: StoppingTime, p, q):
     """Campanato quotient of one candidate; None when B is empty."""
+    _check_exponent("p", p)
+    _check_exponent("q", q, inf_ok=True)
     require_space(nu, space)
+    g = space.rv(g)
+    require_finite(g, "g")
     dev, e = _deviations(space, g)
     sums = _row_sums(space, dev, nu.times[None])
     if sums[0, 1] <= 0.0:

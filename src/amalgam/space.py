@@ -116,8 +116,9 @@ class FilteredSpace:
     blocks : partition of the outcome set (single list of cells)
 
     Cell c of partition n (``level_labels[n] == c``) is cell
-    ``cell_offsets[n] + c`` of ``cell_labels``, ``cell_masses`` and
-    ``cell_counts``, its number of members.  Every array a space holds is
+    ``cell_offsets[n] + c`` of ``cell_labels``, ``cell_masses``,
+    ``cell_counts``, its number of members, and ``cell_parent``, the cell
+    holding it at n - 1 (0 at the root).  Every array a space holds is
     read-only, ``prob`` a copy of the one given, as many objects share a space.
     """
 
@@ -154,9 +155,11 @@ class FilteredSpace:
             raise SpaceError("partition 0 must be the trivial partition")
         self.cell_offsets = np.cumsum([0] + self.level_sizes)
         self.cell_labels = np.add(self.level_labels, self.cell_offsets[:-1, None])
-        # partition n+1 refines partition n: coarse labels constant on fine cells
-        refines = _constant_on_cells(self.cell_labels[1:], self.cell_offsets[-1],
-                                     self.cell_labels[:-1])
+        # partition n+1 refines partition n when the coarse label scattered to
+        # each fine cell, its parent, is the label of every member
+        self.cell_parent = np.zeros(self.cell_offsets[-1], dtype=np.int64)
+        self.cell_parent[self.cell_labels[1:]] = self.cell_labels[:-1]
+        refines = (self.cell_parent[self.cell_labels[1:]] == self.cell_labels[:-1]).all(axis=1)
         if not refines.all():
             n = int(refines.argmin())
             raise SpaceError(f"partition {n + 1} does not refine partition {n}")
@@ -400,8 +403,7 @@ def regularity_constant(space: FilteredSpace) -> float:
     On a finite space with positive weights this is exactly the best
     constant in the regularity condition for non-negative martingales.
     """
-    mass = space.cell_masses[space.cell_labels]  # row n: each outcome's level-n cell
-    return float(np.max(mass[:-1] / mass[1:], initial=1.0))
+    return float(np.max(space.cell_masses[space.cell_parent] / space.cell_masses))
 
 
 def _groups(labels, n_groups):
@@ -410,58 +412,43 @@ def _groups(labels, n_groups):
     return np.split(order, np.cumsum(np.bincount(labels, minlength=n_groups))[:-1])
 
 
-def _parents(space):
-    """parents[n][c] = the partition-n cell holding partition-(n+1) cell c, n < N.
-
-    One scatter over cell_labels gives every cell of levels 1..N its parent.
-    """
-    parent = np.empty(len(space.cell_masses), dtype=np.int64)
-    parent[space.cell_labels[1:]] = space.cell_labels[:-1] - space.cell_offsets[:-2, None]
-    return np.split(parent, space.cell_offsets[1:-1])[1:]
-
-
 def _radices(space):
-    """Per-cell stopping-time counts and strides, bottom-up, as Python ints,
-    and the _parents map they are built on.
+    """Cell-indexed stopping-time counts and strides, as Python ints, in one
+    pass from the last cell to the root.
 
-    counts[n][c] counts the stopping times of the subtree at partition-n
-    cell c: a cell at level n < N stops everyone now or defers to its
-    children independently, and a cell at level N stops now or never.
-    strides[n][c], for partition-(n+1) cell c, is the product of the
-    counts of its later siblings.  Python ints: an over-cap tree cannot
-    overflow them.
+    count[c] counts the stopping times of the subtree at cell c: a cell stops
+    everyone now or defers to its children independently, so a last-level
+    cell stops now or never.  stride[c] is the product of the counts of c's
+    later siblings, 1 at the root.  Every child is numbered after its parent,
+    so a cell's count is complete when the pass reaches it.  Python ints: an
+    over-cap tree cannot overflow them.
     """
-    parents = _parents(space)
-    counts = [[2] * space.level_sizes[space.depth]]
-    strides = []
-    for n in range(space.depth - 1, -1, -1):
-        later = [1] * space.level_sizes[n]
-        stride = [0] * len(counts[0])
-        for kid, cell in reversed(list(enumerate(parents[n].tolist()))):
-            stride[kid] = later[cell]
-            later[cell] *= counts[0][kid]
-        counts.insert(0, [1 + x for x in later])
-        strides.insert(0, stride)
-    return counts, strides, parents
+    parent = space.cell_parent.tolist()
+    count, stride = [1] * len(parent), [1] * len(parent)
+    for c in range(len(parent) - 1, 0, -1):
+        count[c] += 1  # it held the product of its children's counts
+        stride[c] = count[parent[c]]
+        count[parent[c]] *= count[c]
+    count[0] += 1
+    return count, stride
 
 
 def count_stopping_times(space: FilteredSpace) -> int:
     """Number of distinct stopping times, by DP over the partition tree."""
-    return _radices(space)[0][0][0]
+    return _radices(space)[0][0]
 
 
 def _enumeration(space: FilteredSpace, cap=ENUMERATION_CAP):
-    """The _radices counts and strides as int64 arrays, and the parents,
-    once the stopping-time count is checked against ``cap``: over it,
+    """The _radices counts and strides as two cell-indexed int64 arrays, once the
+    count is checked against ``cap``, inf for none, and the int64 range: over either,
     EnumerationOverflow, and callers fall back to a heuristic family."""
-    if cap <= 0:
+    if isinstance(cap, (bool, np.bool_)) or not cap > 0:  # a NaN cap would cap nothing
         raise ValueError("cap must be positive")
-    counts, strides, parents = _radices(space)
-    if counts[0][0] > cap:
-        raise EnumerationOverflow(counts[0][0], cap)
+    count, stride = _radices(space)
+    if count[0] > min(cap, INFINITY):
+        raise EnumerationOverflow(count[0], cap)
     # every count and stride is at most the count <= cap, so int64 holds them
-    return ([np.array(c, dtype=np.int64) for c in counts],
-            [np.array(s, dtype=np.int64) for s in strides], parents)
+    return np.array(count, dtype=np.int64), np.array(stride, dtype=np.int64)
 
 
 def _decode_times(space: FilteredSpace, enum, index):
@@ -473,13 +460,16 @@ def _decode_times(space: FilteredSpace, enum, index):
     never; otherwise index - 1 splits over the children, the first child most
     significant, with radices the children's stopping-time counts.
     """
-    counts, strides, parents = enum
+    count, stride = enum
+    off = space.cell_offsets.tolist()
     local = index[:, None]
     stop = np.where(local == 0, 0, INFINITY)
-    for n, parent in enumerate(parents):
+    for n in range(space.depth):
+        kids = slice(off[n + 1], off[n + 2])
+        parent = space.cell_parent[kids] - off[n]
         # -1 below a cell that stopped now or earlier; such cells inherit its time
         up = local[:, parent] - 1
-        local = np.where(up >= 0, up // strides[n] % counts[n + 1], -1)
+        local = np.where(up >= 0, up // stride[kids] % count[kids], -1)
         stop = np.where(local == 0, n + 1, stop[:, parent])
     return stop[:, space.level_labels[space.depth]]
 
@@ -491,7 +481,7 @@ def stopping_time_blocks(space: FilteredSpace, cap=ENUMERATION_CAP):
     The count is checked before the first block is yielded, by _enumeration().
     """
     enum = _enumeration(space, cap)
-    total = int(enum[0][0][0])
+    total = int(enum[0][0])
     per = max(1, _BLOCK_ELEMS // space.size)
     for start in range(0, total, per):
         yield _decode_times(space, enum, np.arange(start, min(start + per, total)))

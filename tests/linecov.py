@@ -52,6 +52,19 @@ def owners(path):
     return owner
 
 
+class Retrace:
+    """Sets the trace function again before each test: CPython unsets it when
+    an exception, such as the RecursionError a deep-nesting test provokes, is
+    raised inside it, and every later test would count as never run."""
+
+    def __init__(self, trace):
+        self.trace = trace
+
+    @pytest.hookimpl(tryfirst=True)
+    def pytest_runtest_setup(self, item):
+        sys.settrace(self.trace)
+
+
 def main(args):
     files = {str(p): p for p in sorted(SRC.glob("*.py"))}
     ran = {name: set() for name in files}
@@ -75,7 +88,8 @@ def main(args):
         if bench:
             status = drive(args[1] if len(args) > 1 else "all")
         else:
-            status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *args])
+            status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *args],
+                                 plugins=[Retrace(trace)])
     finally:
         sys.settrace(None)
     missed = 0

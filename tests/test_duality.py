@@ -65,6 +65,19 @@ def test_exponents_are_checked(dyadic2, p, q):
         phi(dyadic2, ["w1"], p, q)
 
 
+@pytest.mark.parametrize("p, q, g, match", [
+    (0.0, 1.0, None, "^p must lie in"), (math.nan, 1.0, None, "^p must lie in"),
+    (0.5, -1.0, None, "^q must lie in"), (1e-320, 1.0, None, "^p = 1e-320 is subnormal"),
+    (0.5, 1.0, [1.0, math.nan, -1.0, 0.0], "^g must be finite$"),
+    (0.5, 1.0, [math.inf, 1.0, -1.0, -1.0], "^g must be finite$"),
+    (0.5, 1.0, [1.0, -1.0], "^random variable has wrong length$")])
+def test_oscillation_checks_its_exponents_and_g(dyadic2, p, q, g, match):
+    # as campanato_norm does: p = 0 once divided by zero, and NaN p or g gave nan
+    nu = StoppingTime(dyadic2, [1, 1, 2, 2])
+    with pytest.raises(ValueError, match=match):
+        oscillation(dyadic2, [1.0, 1.0, -1.0, -1.0] if g is None else g, nu, p, q)
+
+
 def test_phi_diagonal(dyadic2):
     # with p = q the weight collapses to P(A)^(1/p - 1)
     for p in (0.5, 1.0, 2.0):
@@ -807,8 +820,15 @@ def test_the_cap_decides_the_route_at_the_count():
     count = count_stopping_times(space)
     assert campanato_norm(space, f.terminal, 0.5, 1.0, cap=count).mode == "exact-enumeration"
     assert campanato_norm(space, f.terminal, 0.5, 1.0, cap=count - 1).mode == "heuristic-family"
-    with pytest.raises(ValueError, match="^cap must be positive$"):
-        campanato_norm(space, f.terminal, 0.5, 1.0, mode="exact", cap=0)
+    assert campanato_norm(space, f.terminal, 0.5, 1.0, cap=math.inf).mode == "exact-enumeration"
+    # no count beyond the int64 range is enumerated, whatever the cap
+    wide = _interleaved_flat_space(64)  # 2^64 + 1 stopping times
+    g = centred(wide, np.arange(wide.size, dtype=float))
+    assert campanato_norm(wide, g, 0.5, 1.0, cap=math.inf).mode == "heuristic-family"
+    # a NaN cap compares false with every count, and True would read as a cap of 1
+    for cap in (0, -1.0, math.nan, True, False, np.True_):
+        with pytest.raises(ValueError, match="^cap must be positive$"):
+            campanato_norm(space, f.terminal, 0.5, 1.0, mode="exact", cap=cap)
 
 
 @pytest.mark.parametrize("p, q", [(0.5, 1.0), (0.002, 0.002)])
@@ -924,7 +944,7 @@ def test_every_table_row_is_the_row_path_sum_of_its_times_bit_for_bit(case):
     assume(count_stopping_times(space) <= ORACLE_CAP)
     dev, _ = duality._deviations(space, g)
     enum = _enumeration(space)
-    index = np.arange(int(enum[0][0][0]))
+    index = np.arange(int(enum[0][0]))
     times = _decode_times(space, enum, index)
     want = duality._row_sums(space, dev, times)
     for block in EXACT_BLOCKS:
@@ -933,6 +953,69 @@ def test_every_table_row_is_the_row_path_sum_of_its_times_bit_for_bit(case):
             assert duality._table_rows(plan, enum, index).tobytes() == want.tobytes()
     for r in index[::max(1, len(index) // 40)].tolist():
         assert want[r].tobytes() == _summed_up_the_tree(space, dev, times[r]).tobytes()
+
+
+def _shuffled_space(rng):
+    """6 outcomes on a random depth-3 tree and two blocks, with the cells of
+    levels 2 and 3 listed in a shuffled order, so the children of different
+    parents interleave in cell numbering."""
+    names = [f"o{i}" for i in range(6)]
+    paths = rng.integers(0, 2, size=(6, 3)).tolist()
+    filtration = []
+    for n in range(4):
+        cells = {}
+        for o, path in zip(names, paths):
+            cells.setdefault(tuple(path[:n]), []).append(o)
+        cells = list(cells.values())
+        filtration.append([cells[i] for i in rng.permutation(len(cells))] if n >= 2 else cells)
+    w = rng.uniform(0.1, 1.0, 6)
+    order = rng.permutation(names).tolist()
+    return FilteredSpace(names, w / w.sum(), filtration, [order[:3], order[3:]])
+
+
+def _brute_force_times(space):
+    """Every valid stopping time, as a set of tuples, from all (N + 2)^M maps
+    outcome -> {0..N, inf}: {time == n} must be a union of level-n cells."""
+    values = np.array([*range(space.depth + 1), INFINITY])
+    combos = values[np.indices((len(values),) * space.size).reshape(space.size, -1).T]
+    ok = np.ones(len(combos), dtype=bool)
+    for n in range(space.depth + 1):
+        for c in range(space.level_sizes[n]):
+            at = combos[:, space.level_labels[n] == c] == n
+            ok &= at.all(axis=1) | ~at.any(axis=1)
+    return set(map(tuple, combos[ok].tolist()))
+
+
+def test_interleaved_cell_orders_count_enumerate_and_score_as_brute_force():
+    # the shared strategies list each level's cells grouped by parent; the one
+    # pass of _radices and the tables' first child first must not depend on it
+    rng = np.random.default_rng(2024)
+    interleaved = 0
+    for _ in range(12):
+        space = _shuffled_space(rng)
+        kids = space.cell_parent[space.cell_offsets[2]:]
+        interleaved += bool(np.any(np.diff(kids[:space.level_sizes[2]]) < 0)
+                            or np.any(np.diff(kids[space.level_sizes[2]:]) < 0))
+        valid = _brute_force_times(space)
+        assert count_stopping_times(space) == len(valid)
+        listed = [tuple(nu.times.tolist()) for nu in enumerate_stopping_times(space)]
+        assert len(listed) == len(valid) and set(listed) == valid
+        x = rng.standard_normal(space.size)
+        g = x - float(space.prob @ x)
+        nus = [StoppingTime(space, t) for t in sorted(valid)]
+        for p, q in ((0.5, 1.0), (1.0, 1.0), (0.25, 0.5)):
+            want = max(v for nu in nus if (v := oscillation(space, g, nu, p, q)) is not None)
+            got = campanato_norm(space, g, p, q, mode="exact")
+            assert got.mode == "exact-enumeration" and got.norm_value == want
+        dev, _ = duality._deviations(space, g)
+        enum = _enumeration(space)
+        index = np.arange(int(enum[0][0]))
+        want = duality._row_sums(space, dev, _decode_times(space, enum, index))
+        for block in EXACT_BLOCKS:
+            with mock.patch.object(duality, "_BLOCK_ELEMS", block):
+                plan = duality._subtree_tables(space, duality._cell_sums(space, dev), enum)
+                assert duality._table_rows(plan, enum, index).tobytes() == want.tobytes()
+    assert interleaved >= 6
 
 
 def _interleaved_flat_space(cells):
